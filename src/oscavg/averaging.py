@@ -4,14 +4,30 @@ For a particle obeying  xdd = -grad U(x, t/eps)  with U 1-periodic in its
 second argument, the motion splits into a small fast wiggle around a smooth
 guiding trajectory.  The guiding trajectory feels the mean potential, a
 velocity-independent correction built from the oscillating part, and a weak
-magnetic-like coupling.  This module builds those fields pointwise from tau
-samples of the potential and packages them as a force law.
+magnetic-like coupling.  This module builds those fields from tau samples of
+the potential and packages them as a force law.
 
-Per-point construction: sample value/grad/hess of the potential on a uniform
-tau grid, take the rfft, then divide by (2 pi i k) once, twice, three times to
-get the zero-mean tau antiderivatives.  Products of the resulting series are
-averaged on the sample grid, which is exact as long as the potential is a
-trigonometric polynomial resolved by the grid (all bundled scenarios are).
+Spectral core: sample value/grad/hess of the potential on a uniform tau grid
+at a batch of points and take one rfft over all of them.  With G_k and H_k the
+normalized rfft coefficients of U' and U'' (k >= 1), the antiderivatives are
+V_k = G_k / (2 pi i k) and so on, and discrete Parseval turns every tau average
+of a product into a weighted sum over k:
+
+    grad W = sum_k c_k Re(H_k conj G_k) / (2 pi k)^2
+    b      = sum_k c_k Im(H_k conj G_k) / (2 pi k)^3
+
+with c_k = 2 for interior bins and 1 for the Nyquist bin of an even grid.
+The sums equal the averages of the products on the sample grid, which are
+exact as long as the potential is a trigonometric polynomial resolved by the
+grid (all bundled scenarios are).  On an even grid the sample grid holds
+only the real part of each antiderivative's Nyquist coefficient, so the
+Nyquist bin of G enters with its real part dropped (see
+FieldSpectra._grad_coeffs).
+
+The B matrix is a central difference of b; the force samples its centre point
+and the 2 dim stencil points x +- h e_j in one sweep, so one force call costs
+2 dim + 1 value/grad/hess calls and one rfft.  The guiding-center map samples
+the same stencil once for its Jacobian of A'' v.
 
 Powers of eps carried by each piece of the averaged force:
 
@@ -24,10 +40,126 @@ first and second zero-mean tau antiderivatives of the oscillating part and
 """
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+
 import numpy as np
 
 from .fields import (FourierSeries, Order1Potential, TimePeriodicPotential,
-                     fd_jacobian)
+                     central_stencil, stencil_jacobian)
+
+
+def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
+    """Value, gradient and Hessian of the potential on the tau grid at each
+    point (float arrays).
+
+    Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
+    the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
+    Makes one value, grad and hess call per point.  Rejects a point of the
+    wrong shape, a grid too coarse to resolve anything, samples of the wrong
+    shape and non-finite samples.
+    """
+    d = potential.dim
+    for x in points:
+        if x.shape != (d,):
+            raise ValueError(f"point shape {x.shape} does not match potential dim {d}")
+    if n_tau < 4:
+        raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
+    taus = np.arange(n_tau) / n_tau
+    samples = np.empty((len(points), 1 + d + d * d, n_tau))
+    for x, out in zip(points, samples):
+        vals = np.asarray(potential.value(x, taus), dtype=float)
+        grads = np.asarray(potential.grad(x, taus), dtype=float)
+        hesss = np.asarray(potential.hess(x, taus), dtype=float)
+        if vals.shape != (n_tau,):
+            raise ValueError(f"potential.value returned shape {vals.shape}, expected {(n_tau,)}")
+        if grads.shape != (n_tau, d):
+            raise ValueError(f"potential.grad returned shape {grads.shape}, expected {(n_tau, d)}")
+        if hesss.shape != (n_tau, d, d):
+            raise ValueError(f"potential.hess returned shape {hesss.shape}, expected {(n_tau, d, d)}")
+        out[0] = vals
+        out[1:1 + d] = grads.T
+        out[1 + d:] = hesss.reshape(n_tau, d * d).T
+    if not np.isfinite(samples).all():
+        bad_rows = ~np.all(np.isfinite(samples), axis=1)
+        bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
+        raise ValueError(f"potential returned non-finite samples at tau={bad[:4]}")
+    return samples
+
+
+@lru_cache(maxsize=16)
+def _parseval_weights(n_tau: int):
+    """c_k / (2 pi k)^2 and c_k / (2 pi k)^3 for the bins k >= 1 of an n_tau grid."""
+    k = np.arange(1, n_tau // 2 + 1)
+    c = np.full(k.shape[0], 2.0)
+    if n_tau % 2 == 0:
+        c[-1] = 1.0  # the Nyquist bin appears once
+    w2 = c / (2.0 * np.pi * k) ** 2
+    w3 = w2 / (2.0 * np.pi * k)
+    w2.flags.writeable = w3.flags.writeable = False
+    return w2, w3
+
+
+class FieldSpectra:
+    """Tau spectra of one potential at a batch of points.
+
+    Samples value/grad/hess once per point on an n_tau grid and keeps the
+    normalized rfft coefficients of all of them from one transform.  Means and
+    the product averages W, grad W and b come from the coefficients directly;
+    stack(p) gives the antiderivative series at point p for the
+    guiding-center map.
+    """
+
+    def __init__(self, potential: TimePeriodicPotential, points, n_tau: int = 48):
+        n_tau = int(n_tau)
+        self.dim = d = potential.dim
+        self.n_tau = n_tau
+        self.points = [np.asarray(x, dtype=float) for x in points]
+        self.samples = _checked_samples(potential, self.points, n_tau)
+        # coeffs[p, c, k]: bin k of sample channel c at point p
+        self.coeffs = np.fft.rfft(self.samples, axis=-1) / n_tau
+        mean = self.coeffs[:, :, 0].real
+        self.u_mean = mean[:, 0]
+        self.g_mean = mean[:, 1:1 + d]
+        self.h_mean = mean[:, 1 + d:].reshape(-1, d, d)
+
+    @cached_property
+    def _grad_coeffs(self):
+        """G_k for k >= 1, shape (points, dim, bins).
+
+        On an even grid irfft keeps only the real part of the Nyquist
+        coefficient of V' = G / (2 pi i k), which is Im(G) / (2 pi k): the
+        Nyquist G enters with its real part dropped, as the grid averages
+        have it.  V'' and S'' keep their Nyquist bins as they are, because
+        every product pairs them with V'.
+        """
+        G = self.coeffs[:, 1:1 + self.dim, 1:].copy()
+        if self.n_tau % 2 == 0:
+            G[:, :, -1] = 1j * G[:, :, -1].imag
+        return G
+
+    @cached_property
+    def _hg(self):
+        """H_k conj G_k summed over the inner index, shape (points, dim, bins)."""
+        d = self.dim
+        H = self.coeffs[:, 1 + d:, 1:].reshape(len(self.points), d, d, -1)
+        return (H * self._grad_coeffs.conj()[:, None]).sum(axis=2)
+
+    def vv_mean(self):
+        """avg over tau of V' . V' at each point."""
+        G = self._grad_coeffs
+        return (G.real ** 2 + G.imag ** 2).sum(axis=1) @ _parseval_weights(self.n_tau)[0]
+
+    def w_grad(self):
+        """grad W = avg(V'' V') at each point."""
+        return self._hg.real @ _parseval_weights(self.n_tau)[0]
+
+    def b_vector(self):
+        """b = avg(S'' V') at each point."""
+        return self._hg.imag @ _parseval_weights(self.n_tau)[1]
+
+    def stack(self, p: int) -> "PeriodicFieldStack":
+        """The fields at point p as a PeriodicFieldStack, sharing these samples."""
+        return PeriodicFieldStack._at(self, p)
 
 
 class PeriodicFieldStack:
@@ -35,74 +167,81 @@ class PeriodicFieldStack:
 
     Holds the mean value/gradient and Fourier series for the antiderivative
     ladder: V (one integration), S (two), A (three), each with zero tau mean,
-    at the spatial-derivative levels needed downstream.
+    at the spatial-derivative levels needed downstream.  The averages come
+    from the spectral core; the series are built on first use, since only the
+    guiding-center map reads them.
     """
 
     def __init__(self, potential: TimePeriodicPotential, x, n_tau: int = 48):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (potential.dim,):
-            raise ValueError(f"point shape {x.shape} does not match potential dim {potential.dim}")
-        if n_tau < 4:
-            raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
-        self.x = x
-        self.n_tau = int(n_tau)
-        taus = np.arange(n_tau) / n_tau
+        self._bind(FieldSpectra(potential, [x], n_tau), 0)
 
-        vals = np.asarray(potential.value(x, taus), dtype=float)
-        grads = np.asarray(potential.grad(x, taus), dtype=float)
-        hesss = np.asarray(potential.hess(x, taus), dtype=float)
-        d = potential.dim
-        if vals.shape != (n_tau,):
-            raise ValueError(f"potential.value returned shape {vals.shape}, expected {(n_tau,)}")
-        if grads.shape != (n_tau, d):
-            raise ValueError(f"potential.grad returned shape {grads.shape}, expected {(n_tau, d)}")
-        if hesss.shape != (n_tau, d, d):
-            raise ValueError(f"potential.hess returned shape {hesss.shape}, expected {(n_tau, d, d)}")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads)) and np.all(np.isfinite(hesss))):
-            bad = taus[~np.all(np.isfinite(grads.reshape(n_tau, -1)), axis=1)
-                       | ~np.isfinite(vals)
-                       | ~np.all(np.isfinite(hesss.reshape(n_tau, -1)), axis=1)]
-            raise ValueError(f"potential returned non-finite samples at tau={bad[:4]}")
+    @classmethod
+    def _at(cls, spectra: FieldSpectra, p: int) -> "PeriodicFieldStack":
+        st = cls.__new__(cls)
+        st._bind(spectra, p)
+        return st
 
-        f_val = FourierSeries.from_samples(vals)
-        f_grad = FourierSeries.from_samples(grads)
-        f_hess = FourierSeries.from_samples(hesss)
+    def _bind(self, spectra: FieldSpectra, p: int):
+        self._spectra = spectra
+        self._p = p
+        self.x = spectra.points[p]
+        self.n_tau = spectra.n_tau
+        self.u_mean = float(spectra.u_mean[p])
+        self.g_mean = spectra.g_mean[p].copy()
+        self.h_mean = spectra.h_mean[p].copy()
 
-        self.u_mean = float(f_val.mean)
-        self.g_mean = f_grad.mean
-        self.h_mean = f_hess.mean
-
-        self.v_val = f_val.without_mean().antiderivative()
-        self.v_grad = f_grad.without_mean().antiderivative()
-        self.v_hess = f_hess.without_mean().antiderivative()
-        self.s_grad = self.v_grad.antiderivative()
-        self.s_hess = self.v_hess.antiderivative()
-        self.a_grad = self.s_grad.antiderivative()
-        self.a_hess = self.s_hess.antiderivative()
-
-        # grid samples for product averages (exact for resolved trig polynomials)
-        self._vg = self.v_grad.grid()
-        self._vh = self.v_hess.grid()
-        self._sg = self.s_grad.grid()
-        self._sh = self.s_hess.grid()
-        self._h_samples = hesss
+    def _zero_mean(self, lo, hi, shape):
+        c = self._spectra.coeffs[self._p, lo:hi].T.reshape((-1,) + shape)
+        return FourierSeries(c, self.n_tau).without_mean()
 
     # ---- tau averages ----
 
     def vv_mean(self) -> float:
         """avg over tau of V' . V'  (twice the velocity-independent correction)."""
-        return float(np.mean(np.sum(self._vg ** 2, axis=1)))
+        return float(self._spectra.vv_mean()[self._p])
 
     def w_value(self) -> float:
         return 0.5 * self.vv_mean()
 
     def w_grad(self):
         """grad of W, computed as avg(V'' V') without differencing."""
-        return np.einsum("nij,nj->i", self._vh, self._vg) / self.n_tau
+        return self._spectra.w_grad()[self._p]
 
     def b_vector(self):
         """Magnetic-like vector b = avg(S'' V')."""
-        return np.einsum("nij,nj->i", self._sh, self._vg) / self.n_tau
+        return self._spectra.b_vector()[self._p]
+
+    # ---- antiderivative series ----
+
+    @cached_property
+    def v_val(self):
+        return self._zero_mean(0, 1, ()).antiderivative()
+
+    @cached_property
+    def v_grad(self):
+        d = self._spectra.dim
+        return self._zero_mean(1, 1 + d, (d,)).antiderivative()
+
+    @cached_property
+    def v_hess(self):
+        d = self._spectra.dim
+        return self._zero_mean(1 + d, None, (d, d)).antiderivative()
+
+    @cached_property
+    def s_grad(self):
+        return self.v_grad.antiderivative()
+
+    @cached_property
+    def s_hess(self):
+        return self.v_hess.antiderivative()
+
+    @cached_property
+    def a_grad(self):
+        return self.s_grad.antiderivative()
+
+    @cached_property
+    def a_hess(self):
+        return self.s_hess.antiderivative()
 
     # ---- tau-resolved evaluations used by the guiding-center map ----
 
@@ -132,7 +271,9 @@ class PeriodicFieldStack:
         formed on the sample grid before transforming, which keeps it exact as
         long as twice the potential's bandwidth is still resolved.
         """
-        prod = np.einsum("nij,nj->ni", self._h_samples, self._sg)
+        d = self._spectra.dim
+        hess = self._spectra.samples[self._p, 1 + d:].T.reshape(-1, d, d)
+        prod = np.einsum("nij,nj->ni", hess, self.s_grad.grid())
         return FourierSeries.from_samples(prod).without_mean().antiderivative().eval(tau)
 
 
@@ -166,21 +307,26 @@ class AveragedSystem:
             self.b_power = 3
         self.dim = self._osc.dim
 
+    def spectra(self, points) -> FieldSpectra:
+        """Tau spectra of the oscillating part at a batch of points."""
+        return FieldSpectra(self._osc, points, self.n_tau)
+
     def stack(self, x) -> PeriodicFieldStack:
         return PeriodicFieldStack(self._osc, x, self.n_tau)
 
     # ---- assembled fields ----
 
+    def _conservative_grad(self, x, g_mean, w_grad):
+        g = self.epsilon ** self.w_power * w_grad
+        if self._static is None:
+            return g + g_mean
+        return g + self.epsilon * g_mean + np.asarray(self._static.grad(x), dtype=float)
+
     def conservative_grad(self, x):
         """Gradient of the effective potential (everything except the B term)."""
-        st = self.stack(x)
-        eps = self.epsilon
-        g = eps ** self.w_power * st.w_grad()
-        if self._static is None:
-            g = g + st.g_mean
-        else:
-            g = g + eps * st.g_mean + np.asarray(self._static.grad(x), dtype=float)
-        return g
+        x = np.asarray(x, dtype=float)
+        sp = self.spectra([x])
+        return self._conservative_grad(x, sp.g_mean[0], sp.w_grad()[0])
 
     def effective_potential(self, x) -> float:
         st = self.stack(x)
@@ -193,18 +339,22 @@ class AveragedSystem:
         return float(u)
 
     def b_vector(self, x):
-        return self.stack(x).b_vector()
+        return self.spectra([x]).b_vector()[0]
 
     def b_matrix(self, x):
         """B = (Db)^T - Db, exactly antisymmetric by construction."""
-        Db = fd_jacobian(self.b_vector, np.asarray(x, dtype=float))
+        points, h = central_stencil(x)
+        Db = stencil_jacobian(self.spectra(points[1:]).b_vector(), h)
         return Db.T - Db
 
     def force(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        f = -self.conservative_grad(x)
-        f = f + self.epsilon ** self.b_power * (self.b_matrix(x) @ v)
+        points, h = central_stencil(x)
+        sp = self.spectra(points)
+        Db = stencil_jacobian(sp.b_vector()[1:], h)
+        f = -self._conservative_grad(x, sp.g_mean[0], sp.w_grad()[0])
+        f = f + self.epsilon ** self.b_power * ((Db.T - Db) @ v)
         return f
 
     def energy(self, x, v) -> float:

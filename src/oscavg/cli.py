@@ -129,11 +129,10 @@ def _ladder_job(payload: dict) -> dict:
     eps = payload["eps"]
     t_end = payload["t_end"]
     out_dt = payload["out_dt"]
-    sc.n_tau = payload["n_tau"]
     prefix = os.path.join(payload["out_dir"], f"{sc.name}_eps{eps:.10g}")
     result = {"eps": eps, "gap": None, "files": {}, "note": None}
 
-    system = sc.build_system(eps)
+    system = assemble(sc.potential, sc.internal_eps(eps), n_tau=payload["n_tau"])
     full = integrate_full(sc.potential, sc.internal_eps(eps), sc.x0, sc.v0, t_end,
                           steps_per_period=payload["steps_per_period"], out_dt=out_dt)
     save_trajectory(full, prefix + "_full.csv", extra_meta={"scenario": sc.name, "eps_user": eps})
@@ -226,6 +225,11 @@ def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
     return payload
 
 
+def _worker_count(jobs: int, rungs: int) -> int:
+    """Worker processes for a ladder: as asked, but no more than rungs or cores."""
+    return min(jobs, rungs, os.cpu_count() or 1)
+
+
 def cmd_run(args) -> int:
     t0 = time.time()
     out_dir = _out_dir(args)
@@ -263,7 +267,6 @@ def cmd_run(args) -> int:
         "out_dt": args.out_dt if args.out_dt is not None else cfg.get("out_dt", sc.out_dt),
         "n_tau": args.n_tau if args.n_tau is not None else cfg.get("n_tau", sc.n_tau),
         "jobs": args.jobs if args.jobs is not None else int(cfg.get("jobs", 1)),
-        "seed": args.seed if args.seed is not None else int(cfg.get("seed", 0)),
         "out_dir": out_dir,
     }
     if sign is not None:
@@ -284,8 +287,9 @@ def cmd_run(args) -> int:
         "n_tau": resolved["n_tau"], "out_dir": out_dir,
     } for e in eps_values]
 
-    if resolved["jobs"] > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=resolved["jobs"]) as pool:
+    workers = _worker_count(resolved["jobs"], len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ladder_job, payloads))
     else:
         results = [_ladder_job(p) for p in payloads]
@@ -711,16 +715,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                                "over this many orbits (satellite only)")
     rp.add_argument("--sign", choices=["+1", "-1", "1"], help="ambient field sign (satellite only)")
     rp.add_argument("--config", help="key-value config file; flags override file values")
+    rp.add_argument("--jobs", type=int, help="parallel worker processes for ladder runs "
+                                             "(at most one per rung and per core)")
 
     vp = sub.add_parser("validate", help="run a check suite and write a summary JSON")
     vp.add_argument("suite", choices=["invariants", "oracles", "convergence", "all"])
     vp.add_argument("--quick", action="store_true",
                     help="shorter ladders and fewer points, with slope bands widened by 0.2")
+    vp.add_argument("--seed", type=int, help="seed for randomized check points (recorded)")
 
     for p in (rp, vp):
         p.add_argument("--out-dir", help="output directory (default: $OSCAVG_OUT_DIR or ./oscavg_out)")
-        p.add_argument("--jobs", type=int, help="parallel worker processes for ladder runs")
-        p.add_argument("--seed", type=int, help="seed for randomized check points (recorded)")
     return ap
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import AveragedSystem
-from .fields import Order1Potential, fd_jacobian
+from .fields import Order1Potential, central_stencil, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
 
@@ -175,7 +175,10 @@ def guiding_center(system: AveragedSystem, x, v, t):
     v = np.asarray(v, dtype=float)
     eps = system.epsilon
     tau = (t / eps) % 1.0
-    st = system.stack(x)
+    # x and the stencil for the Jacobian of A''(., tau) v, sampled in one sweep
+    points, h = central_stencil(x)
+    spectra = system.spectra(points)
+    st = spectra.stack(0)
 
     p = 2 if system.order == "standard" else 3
     ep = eps ** p
@@ -191,10 +194,8 @@ def guiding_center(system: AveragedSystem, x, v, t):
 
     # d/dx of the map y -> A''(y, tau) v, applied to v (third-derivative level,
     # prefactor eps^(p+1) keeps the finite-difference noise far below the model error)
-    def a_hess_v(y):
-        return system.stack(y).a_hess_at(tau) @ v
-
-    j_av = fd_jacobian(a_hess_v, x)
+    j_av = stencil_jacobian([spectra.stack(q).a_hess_at(tau) @ v
+                             for q in range(1, len(points))], h)
     V = (v + eps ** (p - 1) * v_grad - ep * (s_hess @ v)
          - 2.0 * ep1 * (j_av @ v + a_hess @ a_full))
 

@@ -31,17 +31,30 @@ def fd_gradient(f, x, h=None):
     return g
 
 
-def fd_jacobian(f, x, h=None):
-    """Central-difference Jacobian J[i, j] = d f_i / d x_j."""
+def central_stencil(x, h=None):
+    """The point x followed by x + h e_j, x - h e_j for each j, and the step h."""
     x = np.asarray(x, dtype=float)
     if h is None:
         h = _fd_step(x, GRAD_STEP)
-    cols = []
+    points = [x]
     for j in range(x.shape[0]):
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
-        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+        points += [xp, xm]
+    return points, h
+
+
+def stencil_jacobian(values, h):
+    """J[i, j] = d f_i / d x_j from a vector f at the 2 dim points of
+    central_stencil after its centre, in their order."""
+    values = np.asarray(values, dtype=float)
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).T
+
+
+def fd_jacobian(f, x, h=None):
+    """Central-difference Jacobian J[i, j] = d f_i / d x_j."""
+    points, h = central_stencil(x, h)
+    return stencil_jacobian([f(p) for p in points[1:]], h)
 
 
 def fd_hessian(f, x, h=None):

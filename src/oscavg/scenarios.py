@@ -588,7 +588,6 @@ _CONFIG_TYPES = {
     "sign": "num",
     "out_dir": "str",
     "jobs": "int",
-    "seed": "int",
 }
 
 

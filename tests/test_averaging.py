@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import (CallablePotential, PeriodicFieldStack, assemble,
-                    fd_gradient)
+from oscavg import (CallablePotential, FourierSeries, PeriodicFieldStack,
+                    assemble, fd_gradient, fd_jacobian)
+from oscavg.fields import GRAD_STEP
 from oscavg.scenarios import get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -57,6 +58,92 @@ def test_stack_rejects_non_finite_samples():
         hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
     with pytest.raises(ValueError, match="non-finite"):
         PeriodicFieldStack(pot, np.array([0.5]), 16)
+
+
+# ---- spectral core against the grid-product averages ----
+# Random trigonometric polynomials in tau up to the grid's highest bin; the
+# reference forms the antiderivative series, restores them on the sample grid
+# and averages their products there, the way the fields were first computed.
+
+def _random_trig_potential(rng, dim, kmax):
+    """U = sum_k cos(2 pi k tau) f_k(x) + sin(2 pi k tau) g_k(x), each f_k, g_k
+    of the form c + a.x + x.Q x / 2 + s sin(w.x), with analytic derivatives."""
+    n_terms = 2 * (kmax + 1)
+    c = rng.standard_normal(n_terms)
+    a = rng.standard_normal((n_terms, dim))
+    Q = rng.standard_normal((n_terms, dim, dim))
+    Q = Q + Q.transpose(0, 2, 1)
+    s = rng.standard_normal(n_terms)
+    w = rng.standard_normal((n_terms, dim))
+
+    def basis(tau):
+        tau = np.asarray(tau, dtype=float)
+        phase = TWO_PI * np.multiply.outer(tau, np.arange(kmax + 1))
+        return np.stack([np.cos(phase), np.sin(phase)], axis=-1).reshape(tau.shape + (n_terms,))
+
+    def value(x, tau):
+        f = c + a @ x + 0.5 * np.einsum("i,tij,j->t", x, Q, x) + s * np.sin(w @ x)
+        return basis(tau) @ f
+
+    def grad(x, tau):
+        g = a + Q @ x + (s * np.cos(w @ x))[:, None] * w
+        return basis(tau) @ g
+
+    def hess(x, tau):
+        h = Q - (s * np.sin(w @ x))[:, None, None] * np.einsum("ti,tj->tij", w, w)
+        return np.tensordot(basis(tau), h, axes=1)
+
+    return CallablePotential(value=value, dim=dim, grad=grad, hess=hess)
+
+
+def _grid_product_fields(pot, x, n_tau):
+    """g_mean, grad W and b from products averaged on the sample grid."""
+    taus = np.arange(n_tau) / n_tau
+    f_grad = FourierSeries.from_samples(pot.grad(x, taus))
+    f_hess = FourierSeries.from_samples(pot.hess(x, taus))
+    v_grad = f_grad.without_mean().antiderivative()
+    v_hess = f_hess.without_mean().antiderivative()
+    s_hess = v_hess.antiderivative()
+    vg, vh, sh = v_grad.grid(), v_hess.grid(), s_hess.grid()
+    return (f_grad.mean, np.einsum("nij,nj->i", vh, vg) / n_tau,
+            np.einsum("nij,nj->i", sh, vg) / n_tau)
+
+
+def _assert_close(name, got, want, scale, rtol=1e-13):
+    err = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    assert err <= rtol * scale, f"{name}: off by {err:.2e}, allowed {rtol * scale:.2e}"
+
+
+@pytest.mark.parametrize("n_tau, dim, seed", [(16, 2, 11), (16, 3, 12), (15, 2, 13), (21, 1, 14)])
+def test_spectral_core_matches_grid_product_averages(n_tau, dim, seed):
+    rng = np.random.default_rng(seed)
+    pot = _random_trig_potential(rng, dim, kmax=n_tau // 2)
+    taus = np.arange(n_tau) / n_tau
+    if n_tau % 2 == 0:
+        nyquist = np.fft.rfft(pot.grad(rng.standard_normal(dim), taus), axis=0)[-1]
+        assert np.max(np.abs(nyquist)) > 1e-3, "the test potential must fill the Nyquist bin"
+    eps = 0.07
+    system = assemble(pot, eps, n_tau=n_tau)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, dim)
+        v = rng.uniform(-1.0, 1.0, dim)
+        g_mean, w_grad, b = _grid_product_fields(pot, x, n_tau)
+        st = PeriodicFieldStack(pot, x, n_tau)
+        _assert_close("g_mean", st.g_mean, g_mean, np.max(np.abs(g_mean)))
+        _assert_close("w_grad", st.w_grad(), w_grad, np.max(np.abs(w_grad)))
+        _assert_close("b_vector", st.b_vector(), b, np.max(np.abs(b)))
+        _assert_close("system b_vector", system.b_vector(x), b, np.max(np.abs(b)))
+
+        # B differences b at x +- h e_j, so rounding in b is divided by h:
+        # the bound is relative to the differenced values, max|b| / h
+        Db = fd_jacobian(lambda y: _grid_product_fields(pot, y, n_tau)[2], x)
+        h = GRAD_STEP * (1.0 + np.max(np.abs(x)))
+        b_scale = np.max(np.abs(b)) / h
+        _assert_close("b_matrix", system.b_matrix(x), Db.T - Db, b_scale)
+
+        want = -(g_mean + eps ** 2 * w_grad) + eps ** 3 * ((Db.T - Db) @ v)
+        scale = np.max(np.abs(want)) + eps ** 3 * b_scale * np.sum(np.abs(v))
+        _assert_close("force", system.force(x, v), want, scale)
 
 
 # ---- spinning saddle: every averaged field has a two-line closed form ----

@@ -79,6 +79,22 @@ def test_run_without_scenario_anywhere_is_a_usage_error(capsys):
     assert cli.main(["run"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "quartic_drive", "--eps", "1/64", "--seed", "3"],
+    ["validate", "invariants", "--quick", "--jobs", "2"],
+])
+def test_flags_that_did_nothing_are_gone(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_is_not_a_run_config_key(tmp_path, capsys):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("scenario = quartic_drive\nseed = 3\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 # ---- run: artifacts, digests, determinism ----
 
 def test_run_writes_manifest_with_matching_digests(tmp_path, capsys):
@@ -126,6 +142,13 @@ def test_ladder_run_fits_a_slope(tmp_path, capsys):
     assert "convergence" in _manifest(out)["reports"]
     stdout = capsys.readouterr().out
     assert "fitted log-log slope" in stdout
+
+
+@pytest.mark.parametrize("jobs, rungs, cores, want", [
+    (1, 4, 8, 1), (8, 4, 16, 4), (8, 4, 2, 2), (3, 4, 8, 3), (4, 4, None, 1)])
+def test_worker_count_is_bounded_by_rungs_and_cores(jobs, rungs, cores, want, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert cli._worker_count(jobs, rungs) == want
 
 
 def test_parallel_jobs_match_serial(tmp_path, capsys):
