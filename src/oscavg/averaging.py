@@ -26,8 +26,8 @@ FieldSpectra._grad_coeffs).
 
 The B matrix is a central difference of b; the force samples its centre point
 and the 2 dim stencil points x +- h e_j in one sweep, so one force call costs
-2 dim + 1 value/grad/hess calls and one rfft.  The guiding-center map samples
-the same stencil once for its Jacobian of A'' v.
+one potential.sample call over 2 dim + 1 points and one rfft.  The
+guiding-center map samples the same stencil once for its Jacobian of A'' v.
 
 Powers of eps carried by each piece of the averaged force:
 
@@ -54,7 +54,7 @@ def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
 
     Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
     the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
-    Makes one value, grad and hess call per point.  Rejects a point of the
+    Makes one potential.sample call for all the points.  Rejects a point of the
     wrong shape, a grid too coarse to resolve anything, samples of the wrong
     shape and non-finite samples.
     """
@@ -65,20 +65,20 @@ def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
     if n_tau < 4:
         raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
     taus = np.arange(n_tau) / n_tau
-    samples = np.empty((len(points), 1 + d + d * d, n_tau))
-    for x, out in zip(points, samples):
-        vals = np.asarray(potential.value(x, taus), dtype=float)
-        grads = np.asarray(potential.grad(x, taus), dtype=float)
-        hesss = np.asarray(potential.hess(x, taus), dtype=float)
-        if vals.shape != (n_tau,):
-            raise ValueError(f"potential.value returned shape {vals.shape}, expected {(n_tau,)}")
-        if grads.shape != (n_tau, d):
-            raise ValueError(f"potential.grad returned shape {grads.shape}, expected {(n_tau, d)}")
-        if hesss.shape != (n_tau, d, d):
-            raise ValueError(f"potential.hess returned shape {hesss.shape}, expected {(n_tau, d, d)}")
-        out[0] = vals
-        out[1:1 + d] = grads.T
-        out[1 + d:] = hesss.reshape(n_tau, d * d).T
+    n_pts = len(points)
+    sampled = [np.asarray(arr, dtype=float) for arr in potential.sample(points, taus)]
+    for name, arr, shape in zip(("value", "grad", "hess"), sampled,
+                                ((n_tau,), (n_tau, d), (n_tau, d, d))):
+        if arr.shape[:1] != (n_pts,):
+            raise ValueError(f"potential.sample returned {name} of shape {arr.shape} "
+                             f"for {n_pts} points")
+        if arr.shape[1:] != shape:
+            raise ValueError(f"potential.{name} returned shape {arr.shape[1:]}, expected {shape}")
+    vals, grads, hesss = sampled
+    samples = np.empty((n_pts, 1 + d + d * d, n_tau))
+    samples[:, 0] = vals
+    samples[:, 1:1 + d] = np.swapaxes(grads, 1, 2)
+    samples[:, 1 + d:] = np.swapaxes(hesss.reshape(n_pts, n_tau, d * d), 1, 2)
     if not np.isfinite(samples).all():
         bad_rows = ~np.all(np.isfinite(samples), axis=1)
         bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
@@ -102,11 +102,11 @@ def _parseval_weights(n_tau: int):
 class FieldSpectra:
     """Tau spectra of one potential at a batch of points.
 
-    Samples value/grad/hess once per point on an n_tau grid and keeps the
-    normalized rfft coefficients of all of them from one transform.  Means and
-    the product averages W, grad W and b come from the coefficients directly;
-    stack(p) gives the antiderivative series at point p for the
-    guiding-center map.
+    Samples value/grad/hess at all the points on an n_tau grid in one
+    potential.sample call and keeps the normalized rfft coefficients of all
+    of them from one transform.  Means and the product averages W, grad W and
+    b come from the coefficients directly; stack(p) gives the antiderivative
+    series at point p for the guiding-center map.
     """
 
     def __init__(self, potential: TimePeriodicPotential, points, n_tau: int = 48):

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +30,9 @@ from . import __version__
 from .analysis import (closed_form_checks, energy_drift, fit_order,
                        measure_precession, position_gap)
 from .averaging import assemble
-from .dynamics import (integrate_averaged, integrate_dumbbell, integrate_full,
-                       save_dumbbell, save_trajectory, transform_trajectory)
+from .dynamics import (atomic_write, integrate_averaged, integrate_dumbbell,
+                       integrate_full, save_dumbbell, save_trajectory,
+                       transform_trajectory)
 from .fields import FourierSeries, TimePeriodicPotential, fd_gradient, fd_hessian
 from .scenarios import (CATALOG, ScenarioUsageError, get_scenario, load_config,
                         parse_number)
@@ -104,9 +106,14 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(path: str, payload: dict):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=_jsonable)
         f.write("\n")
+
+
+def _runtime_versions() -> dict:
+    """The interpreter and numpy versions a report was made with."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _jsonable(obj):
@@ -329,6 +336,7 @@ def cmd_run(args) -> int:
     manifest = {
         "command": "run",
         "version": __version__,
+        **_runtime_versions(),
         "scenario": sc.name,
         "config": resolved,
         "reports": sorted(reports),
@@ -660,6 +668,7 @@ def cmd_validate(args) -> int:
     summary = {
         "command": "validate",
         "version": __version__,
+        **_runtime_versions(),
         "suite": args.suite,
         "quick": bool(args.quick),
         "seed": seed,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,8 +296,30 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
 
 # ---- serialization ----
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file for writing that appears at path only once complete.
+
+    Writes go to a temporary file in the same directory, which is moved onto
+    path when the block ends without error and removed when it raises, so an
+    interrupted write never leaves a file that looks complete.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -313,7 +337,7 @@ def save_trajectory(traj: Trajectory, csv_path, extra_meta=None):
     if extra_meta:
         meta.update(extra_meta)
     sidecar = {"columns": header, "rows": int(len(traj)), "meta": meta}
-    with open(_sidecar_path(csv_path), "w") as fh:
+    with atomic_write(_sidecar_path(csv_path)) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -351,7 +375,7 @@ def save_dumbbell(traj: DumbbellTrajectory, csv_path, extra_meta=None):
     meta = dict(traj.meta)
     if extra_meta:
         meta.update(extra_meta)
-    with open(_sidecar_path(csv_path), "w") as fh:
+    with atomic_write(_sidecar_path(csv_path)) as fh:
         json.dump({"columns": header, "rows": int(len(traj)), "meta": meta}, fh,
                   indent=2, sort_keys=True)
         fh.write("\n")

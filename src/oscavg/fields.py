@@ -144,6 +144,10 @@ class FourierSeries:
             w[-1] = 1.0  # Nyquist bin appears once
         phases = np.exp(2.0j * np.pi * np.outer(tau_arr, k))
         wc = self.coeffs * w.reshape((m,) + (1,) * (self.coeffs.ndim - 1))
+        if self.n % 2 == 0:
+            # the n samples hold only the real part of the Nyquist coefficient,
+            # as grid() and irfft have it
+            wc[-1] = wc[-1].real
         out = np.real(np.tensordot(phases, wc, axes=([1], [0])))
         if np.isscalar(tau) or np.asarray(tau).ndim == 0:
             return out[0]
@@ -157,12 +161,32 @@ class TimePeriodicPotential:
     analytically when possible; the finite-difference fallbacks are accurate to
     roughly 1e-10 (gradient) and 1e-8 (Hessian).  value/grad/hess must accept
     tau as a scalar or a 1-d array and vectorize over it.
+
+    sample(points, taus) gives value, gradient and Hessian at P points and n
+    phases in one call, as arrays of shape (P, n), (P, n, dim) and
+    (P, n, dim, dim).  The field averages take all their samples through it:
+    one call per force evaluation, for the force's point and its 2 dim
+    stencil points.  The default calls value/grad/hess once per point.
+    Overriding it pays when those calls cost more than the arithmetic in
+    them: a potential built from a few spatial pieces times a few phase
+    factors can compute the pieces once as arrays over the points and the
+    phase factors once per call (see SatelliteOscillating).
     """
 
     dim: int = 0
 
     def value(self, x, tau):
         raise NotImplementedError
+
+    def sample(self, points, taus):
+        """Value, gradient and Hessian at each point and each phase in taus,
+        stacked over the points: shapes (P, n), (P, n, dim), (P, n, dim, dim)."""
+        vals, grads, hesss = [], [], []
+        for x in points:
+            vals.append(np.asarray(self.value(x, taus), dtype=float))
+            grads.append(np.asarray(self.grad(x, taus), dtype=float))
+            hesss.append(np.asarray(self.hess(x, taus), dtype=float))
+        return np.stack(vals), np.stack(grads), np.stack(hesss)
 
     def grad(self, x, tau):
         x = np.asarray(x, dtype=float)

@@ -393,82 +393,85 @@ class SatelliteOscillating(TimePeriodicPotential):
         self.sigma = float(sigma)
         self.r_min = float(r_min)
 
-    # cartesian pieces: value = sigma/(2 pi) [p + 2 C cos(2 theta) - 2 B sin(2 theta)]
-    # with p = 1/(2 r^3), B = -3xy/(2 r^5), C = 3(x^2 - y^2)/(4 r^5)
+    # value = p + C cos(2 theta) + B sin(2 theta) with k = sigma / (2 pi) and
+    # p = k / (2 r^3), C = 3k (x^2 - y^2) / (2 r^5), B = 3k xy / r^5: each
+    # piece is a quadratic form z.A z / 2 times r^-5, with k times these A
+    _FORMS = np.array([[[1.0, 0.0], [0.0, 1.0]],      # p
+                       [[3.0, 0.0], [0.0, -3.0]],     # C
+                       [[0.0, 3.0], [3.0, 0.0]]])     # B
+    _EYE = np.eye(2)
+
+    def _pieces(self, points):
+        """p, C, B and their derivatives at P points, shape (P, 3, 7).
+
+        Axis 1 is the piece, in the order of the columns of _phase_table;
+        axis 2 the channel: value, the two gradient components and the four
+        Hessian entries (row major).  Product rule on f = z.A z / 2 and
+        g = r^-5: grad = A z g + f grad g, and
+        hess = A g + f hess g + (A z) (grad g)^T + (grad g) (A z)^T.
+        """
+        z = np.asarray(points, dtype=float).reshape(-1, 2)
+        forms = (self.sigma / TWO_PI) * self._FORMS
+        r2 = (z * z).sum(axis=1)
+        g = r2 ** -2.5
+        dg = -5.0 * g / r2
+        grad_g = dg[:, None] * z
+        hess_g = (dg[:, None, None] * self._EYE
+                  + (35.0 * g / (r2 * r2))[:, None, None] * (z[:, :, None] * z[:, None, :]))
+        az = np.swapaxes(z @ forms, 0, 1)                    # grad f, (P, 3, 2)
+        f = 0.5 * (az * z[:, None, :]).sum(axis=2)
+        out = np.empty((z.shape[0], 3, 7))
+        out[:, :, 0] = f * g[:, None]
+        out[:, :, 1:3] = az * g[:, None, None] + f[:, :, None] * grad_g[:, None, :]
+        cross = az[:, :, :, None] * grad_g[:, None, None, :]
+        hess = (forms * g[:, None, None, None] + f[:, :, None, None] * hess_g[:, None]
+                + cross + np.swapaxes(cross, 2, 3))
+        out[:, :, 3:] = hess.reshape(-1, 3, 4)
+        return out
 
     @staticmethod
-    def _pieces(x):
-        xx, yy = float(x[0]), float(x[1])
-        r2 = xx * xx + yy * yy
-        r = math.sqrt(r2)
-        r3 = r2 * r
-        r5 = r2 * r3
-        p = 0.5 / r3
-        B = -1.5 * xx * yy / r5
-        C = 0.75 * (xx * xx - yy * yy) / r5
-        return p, B, C
-
-    @staticmethod
-    def _piece_grads(x):
-        x = np.asarray(x, dtype=float)
-        xx, yy = x
-        r2 = float(x @ x)
-        r = math.sqrt(r2)
-        r5 = r2 * r2 * r
-        r7 = r5 * r2
-        gp = -1.5 * x / r5
-        gB = -1.5 * (np.array([yy, xx]) / r5 - 5.0 * xx * yy * x / r7)
-        q = xx * xx - yy * yy
-        gC = 0.75 * (np.array([2.0 * xx, -2.0 * yy]) / r5 - 5.0 * q * x / r7)
-        return gp, gB, gC
-
-    @staticmethod
-    def _piece_hessians(x):
-        x = np.asarray(x, dtype=float)
-        xx, yy = x
-        r2 = float(x @ x)
-        r = math.sqrt(r2)
-        r5 = r2 * r2 * r
-        r7 = r5 * r2
-        r9 = r7 * r2
-        I = np.eye(2)
-        zz = np.outer(x, x)
-        hp = -1.5 * I / r5 + 7.5 * zz / r7
-        # product rule on B = -3/2 * (xy) r^-5 and C = 3/4 * (x^2-y^2) r^-5
-        gxy = np.array([yy, xx])
-        hxy = np.array([[0.0, 1.0], [1.0, 0.0]])
-        grm5 = -5.0 * x / r7
-        hrm5 = -5.0 * I / r7 + 35.0 * zz / r9
-        hB = -1.5 * (hxy / r5 + xx * yy * hrm5
-                     + np.outer(gxy, grm5) + np.outer(grm5, gxy))
-        q = xx * xx - yy * yy
-        gq = np.array([2.0 * xx, -2.0 * yy])
-        hq = np.array([[2.0, 0.0], [0.0, -2.0]])
-        hC = 0.75 * (hq / r5 + q * hrm5 + np.outer(gq, grm5) + np.outer(grm5, gq))
-        return hp, hB, hC
-
-    def _phase(self, tau):
+    def _phase_table(tau):
+        """(1, cos 2 theta, sin 2 theta), shape shape(tau) + (3,)."""
         ang = 2.0 * TWO_PI * np.asarray(tau, dtype=float)
-        return np.cos(ang), np.sin(ang)
+        return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+
+    def _combine(self, x, tau):
+        """All seven channels at one point, shape shape(tau) + (7,)."""
+        return self._phase_table(tau) @ self._pieces(x)[0]
 
     def value(self, x, tau):
-        p, B, C = self._pieces(x)
-        c2, s2 = self._phase(tau)
-        return self.sigma / TWO_PI * (p + 2.0 * C * c2 - 2.0 * B * s2)
+        return self._phase_table(tau) @ self._pieces(x)[0, :, 0]
 
     def grad(self, x, tau):
-        gp, gB, gC = self._piece_grads(x)
-        c2, s2 = self._phase(tau)
-        c2 = np.asarray(c2)[..., None]
-        s2 = np.asarray(s2)[..., None]
-        return self.sigma / TWO_PI * (gp + 2.0 * gC * c2 - 2.0 * gB * s2)
+        if np.ndim(tau) != 0:
+            return self._combine(x, tau)[..., 1:3]
+        # the full flow calls this four times per substep: plain float math on
+        # grad p = -3k z / (2 r^5), grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7)
+        # and grad B = 3k ((y, x) / r^5 - 5 xy z / r^7), q = x^2 - y^2
+        xx, yy = float(x[0]), float(x[1])
+        r2 = xx * xx + yy * yy
+        r5 = r2 * r2 * math.sqrt(r2)
+        u = 1.0 / r5
+        w = 5.0 / (r5 * r2)
+        q = xx * xx - yy * yy
+        xy = xx * yy
+        ang = 2.0 * TWO_PI * tau
+        c = math.cos(ang)
+        s = math.sin(ang)
+        k = self.sigma / TWO_PI
+        gx = k * (-1.5 * xx * u + 1.5 * c * (2.0 * xx * u - q * xx * w)
+                  + 3.0 * s * (yy * u - xy * xx * w))
+        gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
+                  + 3.0 * s * (xx * u - xy * yy * w))
+        return np.array([gx, gy])
 
     def hess(self, x, tau):
-        hp, hB, hC = self._piece_hessians(x)
-        c2, s2 = self._phase(tau)
-        c2 = np.asarray(c2)[..., None, None]
-        s2 = np.asarray(s2)[..., None, None]
-        return self.sigma / TWO_PI * (hp + 2.0 * hC * c2 - 2.0 * hB * s2)
+        h = self._combine(x, tau)[..., 3:]
+        return h.reshape(h.shape[:-1] + (2, 2))
+
+    def sample(self, points, taus):
+        s = self._phase_table(taus) @ self._pieces(points)   # (P, n, 7)
+        return s[..., 0], s[..., 1:3], s[..., 3:].reshape(s.shape[:-1] + (2, 2))
 
     def in_region(self, x):
         return math.hypot(x[0], x[1]) >= self.r_min

@@ -10,6 +10,7 @@ import pytest
 
 from oscavg import (CallablePotential, FourierSeries, PeriodicFieldStack,
                     assemble, fd_gradient, fd_jacobian)
+from oscavg.averaging import _checked_samples
 from oscavg.fields import GRAD_STEP
 from oscavg.scenarios import get_scenario
 
@@ -58,6 +59,106 @@ def test_stack_rejects_non_finite_samples():
         hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
     with pytest.raises(ValueError, match="non-finite"):
         PeriodicFieldStack(pot, np.array([0.5]), 16)
+
+
+# ---- the sample hook ----
+
+@pytest.mark.parametrize("n_tau", [15, 16, 48])
+def test_satellite_sample_matches_per_point_calls(n_tau):
+    """The batched satellite samples equal value/grad/hess point by point and
+    the float-math grad at each scalar tau, to rounding of the largest sample."""
+    pot = get_scenario("spinning_satellite").potential.oscillating
+    rng = np.random.default_rng(n_tau)
+    r = rng.uniform(pot.r_min, 3.0, 50)
+    phi = rng.uniform(0.0, TWO_PI, 50)
+    points = list(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1))
+    taus = np.arange(n_tau) / n_tau
+    vals, grads, hesss = pot.sample(points, taus)
+    assert vals.shape == (50, n_tau)
+    assert grads.shape == (50, n_tau, 2)
+    assert hesss.shape == (50, n_tau, 2, 2)
+    for p, x in enumerate(points):
+        for name, got, want in (("value", vals[p], pot.value(x, taus)),
+                                ("grad", grads[p], pot.grad(x, taus)),
+                                ("hess", hesss[p], pot.hess(x, taus)),
+                                ("scalar grad", grads[p],
+                                 np.array([pot.grad(x, float(t)) for t in taus]))):
+            _assert_close(f"{name} at r={r[p]:.3f}", got, want, np.max(np.abs(got)), rtol=1e-14)
+
+
+def _old_sample_loop(pot, points, n_tau):
+    """samples[p, c, n] as the per-point loop assembled them before sample()."""
+    d = pot.dim
+    taus = np.arange(n_tau) / n_tau
+    samples = np.empty((len(points), 1 + d + d * d, n_tau))
+    for x, out in zip(points, samples):
+        out[0] = np.asarray(pot.value(x, taus), dtype=float)
+        out[1:1 + d] = np.asarray(pot.grad(x, taus), dtype=float).T
+        out[1 + d:] = np.asarray(pot.hess(x, taus), dtype=float).reshape(n_tau, d * d).T
+    return samples
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_default_sample_is_the_per_point_loop(analytic):
+    rng = np.random.default_rng(5)
+    pot = _random_trig_potential(rng, 2, kmax=4)
+    if not analytic:  # value only: grad and hess by finite differences
+        pot = CallablePotential(value=pot.value, dim=2)
+    points = [rng.uniform(-1.0, 1.0, 2) for _ in range(5)]
+    taus = np.arange(16) / 16
+    vals, grads, hesss = pot.sample(points, taus)
+    for p, x in enumerate(points):
+        assert np.array_equal(vals[p], pot.value(x, taus))
+        assert np.array_equal(grads[p], pot.grad(x, taus))
+        assert np.array_equal(hesss[p], pot.hess(x, taus))
+    assert np.array_equal(_checked_samples(pot, points, 16), _old_sample_loop(pot, points, 16))
+
+
+class _OverridingSample(CallablePotential):
+    """Samples through an overriding sample(), after an optional corruption."""
+
+    def __init__(self, corrupt, **kw):
+        super().__init__(**kw)
+        self._corrupt = corrupt
+
+    def sample(self, points, taus):
+        return self._corrupt(*super().sample(points, taus))
+
+
+def _rejection_message(pot, x):
+    with pytest.raises(ValueError) as info:
+        PeriodicFieldStack(pot, x, 16)
+    return str(info.value)
+
+
+def test_overridden_sample_hits_the_same_checks():
+    """A sample() override is validated like the per-point calls: same messages."""
+    x = np.array([0.5])
+    good = dict(value=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)) * x[0], dim=1,
+                grad=lambda x, tau: np.cos(TWO_PI * np.asarray(tau))[:, None],
+                hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
+    flat_grad = dict(good, grad=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)))
+    want = _rejection_message(CallablePotential(**flat_grad), x)
+    assert want == "potential.grad returned shape (16,), expected (16, 1)"
+    got = _rejection_message(
+        _OverridingSample(lambda v, g, h: (v, g[..., 0], h), **good), x)
+    assert got == want
+
+    def nan_value(x, tau):
+        tau = np.asarray(tau, dtype=float)
+        return np.where(tau > 0.5, np.nan, np.cos(TWO_PI * tau))
+
+    want = _rejection_message(CallablePotential(**dict(good, value=nan_value)), x)
+    assert want.startswith("potential returned non-finite samples at tau=")
+
+    def with_nan(v, g, h):
+        v = v.copy()
+        v[:, 9:] = np.nan
+        return v, g, h
+
+    assert _rejection_message(_OverridingSample(with_nan, **good), x) == want
+    got = _rejection_message(_OverridingSample(lambda v, g, h: (v[:0], g, h), **good), x)
+    assert got == "potential.sample returned value of shape (0, 16) for 1 points"
 
 
 # ---- spectral core against the grid-product averages ----

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process through main()."""
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ def test_run_writes_manifest_with_matching_digests(tmp_path, capsys):
         path = out / name
         assert path.exists(), f"manifest lists missing file {name}"
         assert _sha256(path) == digest, f"digest mismatch for {name}"
+    assert man["python"] == platform.python_version()
+    assert man["numpy"] == np.__version__
+    # everything written went through a temporary file that was moved into place
+    leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert leftovers == [], f"temporary files left behind: {leftovers}"
+
+
+def test_failed_json_write_leaves_no_file(tmp_path):
+    """A report that fails half-way through serialization leaves nothing behind,
+    neither the report nor its temporary file."""
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(str(path), {"a": list(range(1000)), "z": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runs_are_byte_identical(tmp_path, capsys):
@@ -196,6 +211,8 @@ def test_validate_invariants_quick_passes(tmp_path, capsys):
     assert code == 0, f"invariants failed:\n{stdout}"
     summary = json.loads((out / "validate_invariants.json").read_text())
     assert summary["passed"] is True
+    assert summary["python"] == platform.python_version()
+    assert summary["numpy"] == np.__version__
     assert summary["n_failed"] == 0
     assert len(summary["checks"]) == 7
     assert stdout.count("PASS") == 7

@@ -9,7 +9,7 @@ from oscavg import (CallablePotential, energy_drift, guiding_center,
                     load_trajectory, position_gap, save_dumbbell,
                     save_trajectory, transform_trajectory)
 from oscavg.analysis import guiding_gap
-from oscavg.dynamics import Trajectory
+from oscavg.dynamics import Trajectory, atomic_write
 from oscavg.scenarios import get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -220,6 +220,32 @@ def test_load_trajectory_without_sidecar(tmp_path):
     back = load_trajectory(path)
     assert back.meta == {}, "missing sidecar should load as empty meta"
     assert len(back) == 2
+
+
+def test_csv_write_that_fails_midway_leaves_nothing(tmp_path):
+    """A row that cannot be formatted aborts the write after earlier rows went
+    out; neither the CSV nor its temporary file may remain."""
+    pos = np.zeros((50, 2), dtype=object)
+    pos[-1, 0] = "not a number"
+    traj = Trajectory(np.arange(50) * 0.1, pos, np.zeros((50, 2)), {"kind": "full"})
+    with pytest.raises(ValueError):
+        save_trajectory(traj, tmp_path / "run.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_keeps_the_old_file_on_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("half of the new")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_save_dumbbell_writes_declared_columns(tmp_path):

@@ -121,3 +121,24 @@ def test_vector_antiderivative_acts_componentwise():
                      -np.cos(2 * TWO_PI * 0.37) / (2 * TWO_PI)])
     err = np.max(np.abs(got - want))
     assert err < 1e-13, f"componentwise antiderivative error {err:.2e}"
+
+
+def test_eval_keeps_only_the_real_part_of_the_nyquist_bin():
+    """On an even grid the samples hold only Re of the Nyquist coefficient, so
+    eval between grid points must drop its imaginary part, as grid() does.
+    cos(16 pi tau) on 16 samples is the Nyquist wave (-1)^n; its zero-mean
+    antiderivative has a purely imaginary Nyquist coefficient and vanishes on
+    the grid, leaving sin(2 pi tau) / (2 pi) from the cos(2 pi tau) part."""
+    taus = _grid(16)
+    anti = FourierSeries.from_samples(np.cos(8 * TWO_PI * taus)
+                                      + np.cos(TWO_PI * taus)).antiderivative()
+    got = anti.eval(1.0 / 32)
+    want = np.sin(TWO_PI / 32) / TWO_PI
+    assert abs(got - want) < 1e-14, f"eval at tau=1/32: {got} vs {want} (0.0310)"
+    on_grid = anti.eval(taus)
+    err = np.max(np.abs(on_grid - anti.grid()))
+    assert err < 1e-14, f"eval vs grid() on the sample points: {err:.2e}"
+    # the same for an array-valued series
+    stacked = FourierSeries.from_samples(np.stack([np.cos(8 * TWO_PI * taus)] * 3, axis=1))
+    err = np.max(np.abs(stacked.antiderivative().eval(np.array([1 / 32, 3 / 32]))))
+    assert err < 1e-14, f"Nyquist antiderivative leaks {err:.2e} between grid points"
