@@ -186,7 +186,7 @@ class TimePeriodicPotential:
             vals.append(np.asarray(self.value(x, taus), dtype=float))
             grads.append(np.asarray(self.grad(x, taus), dtype=float))
             hesss.append(np.asarray(self.hess(x, taus), dtype=float))
-        return np.stack(vals), np.stack(grads), np.stack(hesss)
+        return np.array(vals), np.array(grads), np.array(hesss)
 
     def grad(self, x, tau):
         x = np.asarray(x, dtype=float)
