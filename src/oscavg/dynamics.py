@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,10 +311,8 @@ def atomic_write(path, newline=None):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(FileNotFoundError):
             os.remove(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 
