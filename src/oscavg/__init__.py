@@ -12,8 +12,8 @@ from .fields import (CallablePotential, CallableStatic, FourierSeries,
 from .averaging import AveragedSystem, PeriodicFieldStack, assemble
 from .dynamics import (DumbbellTrajectory, Trajectory, guiding_center,
                        integrate_averaged, integrate_dumbbell, integrate_full,
-                       load_trajectory, save_dumbbell, save_trajectory,
-                       transform_trajectory)
+                       integrate_second_order, load_trajectory, save_dumbbell,
+                       save_trajectory, transform_trajectory)
 from .analysis import (ConvergenceReport, PrecessionReport, closed_form_checks,
                        energy_drift, fit_order, guiding_convergence,
                        guiding_gap, measure_precession, position_gap)

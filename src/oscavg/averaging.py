@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import (FourierSeries, Order1Potential, TimePeriodicPotential,
-                     central_stencil, stencil_jacobian)
+                     central_stencil, checked_sample, stencil_jacobian)
 
 
 def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
@@ -72,8 +72,7 @@ def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
         if arr.shape[:1] != (n_pts,):
             raise ValueError(f"potential.sample returned {name} of shape {arr.shape} "
                              f"for {n_pts} points")
-        if arr.shape[1:] != shape:
-            raise ValueError(f"potential.{name} returned shape {arr.shape[1:]}, expected {shape}")
+        checked_sample(name, arr[0], shape)
     vals, grads, hesss = sampled
     samples = np.empty((n_pts, 1 + d + d * d, n_tau))
     samples[:, 0] = vals

@@ -31,8 +31,8 @@ from .analysis import (closed_form_checks, energy_drift, fit_order,
                        measure_precession, position_gap)
 from .averaging import assemble
 from .dynamics import (atomic_write, integrate_averaged, integrate_dumbbell,
-                       integrate_full, save_dumbbell, save_trajectory,
-                       transform_trajectory)
+                       integrate_full, integrate_second_order, save_dumbbell,
+                       save_trajectory, transform_trajectory)
 from .fields import FourierSeries, TimePeriodicPotential, fd_gradient, fd_hessian
 from .scenarios import (CATALOG, ScenarioUsageError, get_scenario, load_config,
                         parse_number)
@@ -162,24 +162,6 @@ def _ladder_job(payload: dict) -> dict:
     return result
 
 
-class _KeplerControl:
-    """Point-mass control problem run through the averaged integrator."""
-
-    dim = 2
-    order = "control"
-
-    def __init__(self, sigma, epsilon):
-        self.sigma = float(sigma)
-        self.epsilon = float(epsilon)
-
-    def force(self, x, v):
-        r2 = float(x @ x)
-        return 2.0 * self.sigma * x / r2 ** 1.5
-
-    def in_region(self, x):
-        return float(x @ x) > 1e-12
-
-
 def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
     cfg = sc.extras.get("precession")
     if cfg is None:
@@ -206,7 +188,14 @@ def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
     save_trajectory(avg, q, extra_meta={"scenario": sc.name, "eps_user": eps})
     rep_a = measure_precession(avg.times, avg.positions, avg.velocities, min_separation=sep)
 
-    ctrl = integrate_averaged(_KeplerControl(sigma, eps), z0, v0, t_avg, h=0.01, out_dt=0.05)
+    def kepler(t, x, v):
+        # the point mass alone, with no tidal term: it must not precess
+        x1, x2 = x
+        r3 = (x1 * x1 + x2 * x2) ** 1.5
+        return [2.0 * sigma * x1 / r3, 2.0 * sigma * x2 / r3]
+
+    ctrl = integrate_second_order(kepler, z0, v0, t_avg, h=0.01, out_dt=0.05,
+                                  in_region=lambda x: float(x @ x) > 1e-12)
     rep_k = measure_precession(ctrl.times, ctrl.positions, ctrl.velocities, min_separation=sep)
 
     for path in (p, q):

@@ -1,9 +1,15 @@
 """Trajectory integration for the full, averaged and two-body systems.
 
-All integrators use fixed-step classical RK4.  Output samples land on an exact
-grid i * out_dt (each output interval restarts from t = i * out_dt and is cut
-into an integer number of substeps), so trajectories from different systems can
-be compared sample by sample without interpolation.
+Every flow goes through one fixed-step classical RK4 stepper,
+_rk4_second_order.  Output samples land on an exact grid i * out_dt (each
+output interval restarts from t = i * out_dt and is cut into an integer number
+of substeps), so trajectories from different systems can be compared sample by
+sample without interpolation.
+
+Inside the loop x, v and the accelerations are lists of floats, combined in
+the order array arithmetic would use, so results are bit-identical to it at a
+fraction of numpy's per-operation cost on 2- and 3-vectors.  The callbacks
+still get float arrays: potential.grad, system.force and in_region see ndarrays.
 """
 from __future__ import annotations
 
@@ -59,20 +65,28 @@ def _out_grid(t_end, out_dt):
     return n_out
 
 
+def _substeps(out_dt, h):
+    """Substeps per output interval for a step of at most about h."""
+    return max(1, int(math.ceil(out_dt / h - 1e-9)))
+
+
 def _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub, in_region=None):
-    """March xdd = acc(t, x, v) on the exact output grid i * out_dt."""
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    d = x.shape[0]
+    """March xdd = acc(t, x, v) on the exact output grid i * out_dt; acc gets
+    and returns lists of floats, in_region a float array."""
+    x = np.asarray(x0, dtype=float).tolist()
+    v = np.asarray(v0, dtype=float).tolist()
+    d = len(x)
     times = np.empty(n_out + 1)
     pos = np.empty((n_out + 1, d))
     vel = np.empty((n_out + 1, d))
     h = out_dt / n_sub
+    hh = 0.5 * h
+    h6 = h / 6.0
     exited = None
     kept = n_out + 1
     for i in range(n_out + 1):
         t = i * out_dt
-        if in_region is not None and not in_region(x):
+        if in_region is not None and not in_region(np.array(x)):
             kept = i
             exited = t
             break
@@ -81,23 +95,44 @@ def _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub, in_region=None):
         vel[i] = v
         if i == n_out:
             break
-        hh = 0.5 * h
-        h6 = h / 6.0
         for s in range(n_sub):
             tt = t + s * h
             a1 = acc(tt, x, v)
-            v2 = v + hh * a1
-            x2 = x + hh * v
+            v2 = [q + hh * a for q, a in zip(v, a1)]
+            x2 = [p + hh * q for p, q in zip(x, v)]
             a2 = acc(tt + hh, x2, v2)
-            v3 = v + hh * a2
-            x3 = x + hh * v2
+            v3 = [q + hh * a for q, a in zip(v, a2)]
+            x3 = [p + hh * q for p, q in zip(x, v2)]
             a3 = acc(tt + hh, x3, v3)
-            v4 = v + h * a3
-            x4 = x + h * v3
+            v4 = [q + h * a for q, a in zip(v, a3)]
+            x4 = [p + h * q for p, q in zip(x, v3)]
             a4 = acc(tt + h, x4, v4)
-            x = x + h6 * (v + 2.0 * (v2 + v3) + v4)
-            v = v + h6 * (a1 + 2.0 * (a2 + a3) + a4)
+            x = [p + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                 for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
+            v = [q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                 for q, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
     return times[:kept], pos[:kept], vel[:kept], exited
+
+
+def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
+                           in_region=None) -> Trajectory:
+    """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
+
+    acc gets t and the lists of floats x and v, and returns the acceleration
+    as a sequence of floats.  Samples land on the exact grid i * out_dt; if
+    in_region(x) turns false at a sample, the run stops there and meta records
+    exited_region_at.
+    """
+    if h <= 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    n_out = _out_grid(t_end, out_dt)
+    n_sub = _substeps(out_dt, h)
+    times, pos, vel, exited = _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub,
+                                                in_region=in_region)
+    meta = {"h": out_dt / n_sub, "out_dt": out_dt}
+    if exited is not None:
+        meta["exited_region_at"] = exited
+    return Trajectory(times, pos, vel, meta)
 
 
 def integrate_full(potential, epsilon, x0, v0, t_end,
@@ -121,14 +156,13 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     eps = float(epsilon)
     if isinstance(potential, Order1Potential):
         def acc(t, x, v):
-            return -potential.grad(x, (t / eps) % 1.0, eps)
+            return (-potential.grad(np.array(x), (t / eps) % 1.0, eps)).tolist()
     else:
         def acc(t, x, v):
-            return -np.asarray(potential.grad(x, (t / eps) % 1.0), dtype=float)
+            return (-np.asarray(potential.grad(np.array(x), (t / eps) % 1.0), dtype=float)).tolist()
 
     n_out = _out_grid(t_end, out_dt)
-    h_nom = eps / steps_per_period
-    n_sub = max(1, int(math.ceil(out_dt / h_nom - 1e-9)))
+    n_sub = _substeps(out_dt, eps / steps_per_period)
     times, pos, vel, exited = _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub,
                                                 in_region=potential.in_region)
     meta = {"kind": "full", "epsilon": eps, "steps_per_period": steps_per_period,
@@ -141,25 +175,17 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
 def integrate_averaged(system: AveragedSystem, x0, v0, t_end,
                        h=0.01, out_dt=0.01) -> Trajectory:
     """Integrate the averaged force law from a guiding-center initial state."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
     x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
     if not system.in_region(x0):
         raise ValueError("initial position is outside the potential's trusted region")
 
     def acc(t, x, v):
-        return system.force(x, v)
+        return np.asarray(system.force(np.array(x), np.array(v)), dtype=float).tolist()
 
-    n_out = _out_grid(t_end, out_dt)
-    n_sub = max(1, int(math.ceil(out_dt / h - 1e-9)))
-    times, pos, vel, exited = _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub,
-                                                in_region=system.in_region)
-    meta = {"kind": "averaged", "epsilon": system.epsilon, "h": out_dt / n_sub,
-            "out_dt": out_dt, "order": system.order}
-    if exited is not None:
-        meta["exited_region_at"] = exited
-    return Trajectory(times, pos, vel, meta)
+    traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
+                                  in_region=system.in_region)
+    traj.meta.update(kind="averaged", epsilon=system.epsilon, order=system.order)
+    return traj
 
 
 def guiding_center(system: AveragedSystem, x, v, t):
@@ -229,12 +255,6 @@ def transform_trajectory(system: AveragedSystem, traj: Trajectory) -> Trajectory
 
 # ---- spinning two-body system (rigid dumbbell in an ambient field) ----
 
-def _point_mass_grad(y, sigma):
-    """grad of sigma / |y| for a unit point mass."""
-    r2 = float(y @ y)
-    return -sigma * y / r2 ** 1.5
-
-
 def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
                        steps_per_spin=96, out_dt=0.05, sigma=-1.0) -> DumbbellTrajectory:
     """Integrate a rigid dumbbell (two unit masses, arm length sqrt(eps))
@@ -243,55 +263,41 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     This is the parent system whose fast-spin limit the split-potential
     satellite scenario models.  Angular momentum 2 (z x zdot) + 2 eps thetadot
     is conserved in any central field, which the tests use as an invariant.
+    It runs through the shared stepper as a second-order system in
+    (z1, z2, theta).
     """
     if steps_per_spin < MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")
     eps = float(epsilon)
     arm = math.sqrt(eps)
-    z0 = np.asarray(z0, dtype=float)
-    zdot0 = np.asarray(zdot0, dtype=float)
 
-    def rhs(t, y):
-        z = y[0:2]
-        zd = y[2:4]
-        th = y[4]
-        thd = y[5]
-        u = np.array([math.cos(th), math.sin(th)])
-        up = np.array([-math.sin(th), math.cos(th)])
-        gp = _point_mass_grad(z + arm * u, sigma)
-        gm = _point_mass_grad(z - arm * u, sigma)
-        zdd = -0.5 * (gp + gm)
-        thdd = -(0.5 / arm) * float((gp - gm) @ up)
-        return np.concatenate([zd, zdd, [thd, thdd]])
+    def acc(t, x, v):
+        # the ends sit at z +- arm u, u = (cos theta, sin theta); gp and gm are
+        # the gradients of sigma / r there, the center feels minus their mean
+        # and the spin minus their difference along u' = (-sin theta, cos theta)
+        z1, z2, th = x
+        c = math.cos(th)
+        s = math.sin(th)
+        p1, p2 = z1 + arm * c, z2 + arm * s
+        m1, m2 = z1 - arm * c, z2 - arm * s
+        rp = (p1 * p1 + p2 * p2) ** 1.5
+        rm = (m1 * m1 + m2 * m2) ** 1.5
+        gp1, gp2 = -sigma * p1 / rp, -sigma * p2 / rp
+        gm1, gm2 = -sigma * m1 / rm, -sigma * m2 / rm
+        return [-0.5 * (gp1 + gm1), -0.5 * (gp2 + gm2),
+                -(0.5 / arm) * ((gp1 - gm1) * -s + (gp2 - gm2) * c)]
 
     # the fast spin period is 2 pi / theta_dot0
     if theta_dot0 <= 0:
         raise ValueError("theta_dot0 must be positive (fast forward spin)")
-    h_nom = 2.0 * math.pi / theta_dot0 / steps_per_spin
-    n_out = _out_grid(t_end, out_dt)
-    n_sub = max(1, int(math.ceil(out_dt / h_nom - 1e-9)))
-    h = out_dt / n_sub
-
-    y = np.concatenate([z0, zdot0, [float(theta0), float(theta_dot0)]])
-    times = np.empty(n_out + 1)
-    states = np.empty((n_out + 1, 6))
-    for i in range(n_out + 1):
-        t = i * out_dt
-        times[i] = t
-        states[i] = y
-        if i == n_out:
-            break
-        for s in range(n_sub):
-            tt = t + s * h
-            k1 = rhs(tt, y)
-            k2 = rhs(tt + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(tt + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(tt + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x0 = [*np.asarray(z0, dtype=float).tolist(), float(theta0)]
+    v0 = [*np.asarray(zdot0, dtype=float).tolist(), float(theta_dot0)]
+    traj = integrate_second_order(acc, x0, v0, t_end, out_dt=out_dt,
+                                  h=2.0 * math.pi / theta_dot0 / steps_per_spin)
+    pos, vel = traj.positions, traj.velocities
     meta = {"kind": "dumbbell", "epsilon": eps, "sigma": sigma,
             "steps_per_spin": steps_per_spin, "out_dt": out_dt}
-    return DumbbellTrajectory(times, states[:, 0:2], states[:, 2:4],
-                              states[:, 4], states[:, 5], meta)
+    return DumbbellTrajectory(traj.times, pos[:, 0:2], vel[:, 0:2], pos[:, 2], vel[:, 2], meta)
 
 
 # ---- serialization ----

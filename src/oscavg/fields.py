@@ -57,6 +57,15 @@ def fd_jacobian(f, x, h=None):
     return stencil_jacobian([f(p) for p in points[1:]], h)
 
 
+def checked_sample(name, arr, shape):
+    """arr as a float array, after checking that potential.<name> gave it the
+    shape it must have at one point."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"potential.{name} returned shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def fd_hessian(f, x, h=None):
     """Symmetric second-difference Hessian of a scalar function f at x."""
     x = np.asarray(x, dtype=float)
@@ -181,11 +190,12 @@ class TimePeriodicPotential:
     def sample(self, points, taus):
         """Value, gradient and Hessian at each point and each phase in taus,
         stacked over the points: shapes (P, n), (P, n, dim), (P, n, dim, dim)."""
+        n, d = len(taus), self.dim
         vals, grads, hesss = [], [], []
         for x in points:
-            vals.append(np.asarray(self.value(x, taus), dtype=float))
-            grads.append(np.asarray(self.grad(x, taus), dtype=float))
-            hesss.append(np.asarray(self.hess(x, taus), dtype=float))
+            vals.append(checked_sample("value", self.value(x, taus), (n,)))
+            grads.append(checked_sample("grad", self.grad(x, taus), (n, d)))
+            hesss.append(checked_sample("hess", self.hess(x, taus), (n, d, d)))
         return np.array(vals), np.array(grads), np.array(hesss)
 
     def grad(self, x, tau):

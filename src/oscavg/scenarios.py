@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -377,6 +378,14 @@ class SatelliteStatic(StaticPotential):
         return math.hypot(x[0], x[1]) >= self.r_min
 
 
+@lru_cache(maxsize=8)
+def _cached_phase_table(shape, tau_bytes):
+    ang = 2.0 * TWO_PI * np.frombuffer(tau_bytes).reshape(shape)
+    table = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
 class SatelliteOscillating(TimePeriodicPotential):
     """First-order tidal term of a spinning dumbbell, phase-averaged form.
 
@@ -431,9 +440,13 @@ class SatelliteOscillating(TimePeriodicPotential):
 
     @staticmethod
     def _phase_table(tau):
-        """(1, cos 2 theta, sin 2 theta), shape shape(tau) + (3,)."""
-        ang = 2.0 * TWO_PI * np.asarray(tau, dtype=float)
-        return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+        """(1, cos 2 theta, sin 2 theta), shape shape(tau) + (3,), read-only.
+
+        Every force call samples the same tau grid, so tables are cached by
+        the bytes of tau.
+        """
+        tau = np.asarray(tau, dtype=float)
+        return _cached_phase_table(tau.shape, tau.tobytes())
 
     def _combine(self, x, tau):
         """All seven channels at one point, shape shape(tau) + (7,)."""

@@ -86,6 +86,20 @@ def test_satellite_sample_matches_per_point_calls(n_tau):
             _assert_close(f"{name} at r={r[p]:.3f}", got, want, np.max(np.abs(got)), rtol=1e-14)
 
 
+def test_satellite_phase_tables_are_cached_per_grid():
+    """Cached phase tables equal a fresh computation for any tau, also after
+    more grids than the cache holds, and cannot be written through."""
+    pot = get_scenario("spinning_satellite").potential.oscillating
+    rng = np.random.default_rng(7)
+    grid = np.arange(16) / 16
+    for taus in [grid] + [rng.uniform(0.0, 1.0, 5) for _ in range(10)] + [grid, 0.3]:
+        ang = 4.0 * math.pi * np.asarray(taus)
+        table = pot._phase_table(taus)
+        assert np.array_equal(table, np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1))
+        assert not table.flags.writeable
+    assert pot._phase_table(np.arange(16) / 16) is pot._phase_table(grid)
+
+
 def _old_sample_loop(pot, points, n_tau):
     """samples[p, c, n] as the per-point loop assembled them before sample()."""
     d = pot.dim
@@ -159,6 +173,22 @@ def test_overridden_sample_hits_the_same_checks():
     assert _rejection_message(_OverridingSample(with_nan, **good), x) == want
     got = _rejection_message(_OverridingSample(lambda v, g, h: (v[:0], g, h), **good), x)
     assert got == "potential.sample returned value of shape (0, 16) for 1 points"
+
+
+def test_ragged_samples_get_the_per_point_message():
+    """A grad whose shape changes from one point to the next is reported as
+    the wrong shape at that point, not by numpy's stacking of the points."""
+    def grad(x, tau):
+        g = np.cos(TWO_PI * np.asarray(tau))[:, None]
+        return g[:, 0] if x[0] > 0.6 else g  # missing dim axis at one point only
+
+    pot = CallablePotential(value=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)) * x[0],
+                            dim=1, grad=grad,
+                            hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
+    points = [np.array([0.5]), np.array([0.7]), np.array([0.4])]
+    with pytest.raises(ValueError) as info:
+        _checked_samples(pot, points, 16)
+    assert str(info.value) == "potential.grad returned shape (16,), expected (16, 1)"
 
 
 # ---- spectral core against the grid-product averages ----

@@ -6,8 +6,8 @@ import pytest
 
 from oscavg import (CallablePotential, energy_drift, guiding_center,
                     integrate_averaged, integrate_dumbbell, integrate_full,
-                    load_trajectory, position_gap, save_dumbbell,
-                    save_trajectory, transform_trajectory)
+                    integrate_second_order, load_trajectory, position_gap,
+                    save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import guiding_gap
 from oscavg.dynamics import Trajectory, atomic_write
 from oscavg.scenarios import get_scenario
@@ -114,6 +114,98 @@ def test_averaged_rejects_bad_step():
         integrate_averaged(system, np.ones(2), np.zeros(2), 1.0, h=0.0)
 
 
+# ---- the stepper against an array version of it ----
+
+def _rk4_arrays(acc, x0, v0, n_out, out_dt, n_sub, in_region):
+    """Classical RK4 on numpy arrays, on the grid i * out_dt, stopping at the
+    first sample outside the region; returns times, positions, velocities."""
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    h = out_dt / n_sub
+    hh, h6 = 0.5 * h, h / 6.0
+    times, pos, vel = [], [], []
+    for i in range(n_out + 1):
+        t = i * out_dt
+        if not in_region(x):
+            break
+        times.append(t), pos.append(x), vel.append(v)
+        if i == n_out:
+            break
+        for s in range(n_sub):
+            tt = t + s * h
+            a1 = acc(tt, x, v)
+            v2, x2 = v + hh * a1, x + hh * v
+            a2 = acc(tt + hh, x2, v2)
+            v3, x3 = v + hh * a2, x + hh * v2
+            a3 = acc(tt + hh, x3, v3)
+            v4, x4 = v + h * a3, x + h * v3
+            a4 = acc(tt + h, x4, v4)
+            x = x + h6 * (v + 2.0 * (v2 + v3) + v4)
+            v = v + h6 * (a1 + 2.0 * (a2 + a3) + a4)
+    return np.array(times), np.array(pos), np.array(vel)
+
+
+def _assert_same_run(traj, ref):
+    times, pos, vel = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.positions, pos), "positions differ from the array stepper"
+    assert np.array_equal(traj.velocities, vel), "velocities differ from the array stepper"
+
+
+def test_full_run_is_bit_identical_to_the_array_stepper():
+    sc = get_scenario("quartic_drive")
+    # a coarse step, so that a change in the order of the final sums shows
+    eps = sc.internal_eps(1.0 / 4)
+    traj = integrate_full(sc.potential, eps, sc.x0, sc.v0, 0.5,
+                          steps_per_period=16, out_dt=0.05)
+    n_sub = math.ceil(0.05 / (eps / 16) - 1e-9)
+    assert traj.meta["substeps_per_out"] == n_sub
+
+    def acc(t, x, v):
+        return -np.asarray(sc.potential.grad(x, (t / eps) % 1.0), dtype=float)
+
+    _assert_same_run(traj, _rk4_arrays(acc, sc.x0, sc.v0, 10, 0.05, n_sub,
+                                       sc.potential.in_region))
+
+
+def test_averaged_run_is_bit_identical_to_the_array_stepper():
+    sc = get_scenario("spinning_satellite")
+    system = sc.build_system(1.0 / 64)
+    traj = integrate_averaged(system, sc.x0, sc.v0, 1.0, h=0.01, out_dt=0.02)
+    _assert_same_run(traj, _rk4_arrays(lambda t, x, v: system.force(x, v), sc.x0, sc.v0,
+                                       50, 0.02, 2, system.in_region))
+
+
+def test_region_exit_stops_at_the_same_sample_as_the_array_stepper():
+    system = get_scenario("rotating_wave").build_system(1.0 / 128)
+    x0, v0 = np.array([0.8, 0.0]), np.array([-1.0, 0.0])
+    traj = integrate_averaged(system, x0, v0, 1.0, h=0.01, out_dt=0.02)
+    ref = _rk4_arrays(lambda t, x, v: system.force(x, v), x0, v0, 50, 0.02, 2,
+                      system.in_region)
+    _assert_same_run(traj, ref)
+    assert len(traj) < 51, "the run should leave the region before t = 1"
+    assert traj.meta["exited_region_at"] == len(traj) * 0.02
+
+
+def test_callbacks_receive_float_arrays():
+    """A user grad may use ndarray-only operations on x (a list would fail)."""
+    M = np.diag([1.0, 4.0])
+    pot = CallablePotential(
+        value=lambda x, tau: 0.5 * float(x @ M @ x) * np.ones(np.shape(tau)),
+        dim=2, grad=lambda x, tau: 0.5 * (2.0 * x) @ M)
+    traj = integrate_full(pot, 1.0, np.array([1.0, 0.5]), np.zeros(2), 2.0, out_dt=0.1)
+    want = np.column_stack([np.cos(traj.times), 0.5 * np.cos(2.0 * traj.times)])
+    assert np.max(np.abs(traj.positions - want)) < 1e-8
+
+
+def test_plain_float_acceleration_and_step_check():
+    traj = integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 3.0,
+                                  h=0.01, out_dt=0.1)
+    assert traj.meta == {"h": 0.01, "out_dt": 0.1}
+    assert np.max(np.abs(traj.positions[:, 0] - np.cos(traj.times))) < 1e-9
+    with pytest.raises(ValueError, match="step h must be positive"):
+        integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 3.0, h=0.0)
+
+
 # ---- guiding-center map ----
 
 def test_guided_initial_conditions_track_the_full_run():
@@ -184,6 +276,41 @@ def test_dumbbell_conserves_total_angular_momentum():
     drift = np.max(np.abs(L - L[0])) / abs(L[0])
     # exactly conserved in any central field; residual is integrator error
     assert drift < 1e-8, f"angular momentum relative drift {drift:.2e}"
+
+
+def test_dumbbell_matches_the_first_order_array_loop():
+    """The dumbbell as a 6-vector first-order system (center, its velocity,
+    spin angle, spin rate) stepped with array RK4 sums its final stage in
+    another order; the states agree to rounding over 5 time units."""
+    eps, sigma, theta_dot0 = 0.02, -1.0, 1.0 / 0.02
+    arm = math.sqrt(eps)
+
+    def rhs(y):
+        u = np.array([math.cos(y[4]), math.sin(y[4])])
+        up = np.array([-u[1], u[0]])
+        gp = -sigma * (y[0:2] + arm * u) / float((y[0:2] + arm * u) @ (y[0:2] + arm * u)) ** 1.5
+        gm = -sigma * (y[0:2] - arm * u) / float((y[0:2] - arm * u) @ (y[0:2] - arm * u)) ** 1.5
+        thdd = -(0.5 / arm) * float((gp - gm) @ up)
+        return np.concatenate([y[2:4], -0.5 * (gp + gm), [y[5], thdd]])
+
+    traj = integrate_dumbbell(eps, np.array([1.0, 0.0]), np.array([0.0, 1.1]), 0.3,
+                              theta_dot0, 5.0, steps_per_spin=96, out_dt=0.05, sigma=sigma)
+    n_sub = math.ceil(0.05 / (TWO_PI / theta_dot0 / 96) - 1e-9)
+    h = 0.05 / n_sub
+    y = np.array([1.0, 0.0, 0.0, 1.1, 0.3, theta_dot0])
+    states = [y]
+    for i in range(100):
+        for s in range(n_sub):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    states = np.array(states)
+    got = np.column_stack([traj.center, traj.center_vel, traj.angle, traj.spin])
+    assert got.shape == states.shape
+    assert np.max(np.abs(got - states)) < 1e-10
 
 
 def test_dumbbell_rejects_slow_or_backward_spin():
