@@ -210,6 +210,17 @@ def measure_precession(times, positions, velocities, min_separation=0.0) -> Prec
 
 # ---- field oracle checks ----
 
+# the assembled field that each closed form in Scenario.closed_forms describes;
+# "force_user" takes (eps, x, v) rather than a point and is not compared here
+_ASSEMBLED_FIELDS = {
+    "mean_grad": lambda system, x: system.stack(x).g_mean,
+    "w_value": lambda system, x: system.stack(x).w_value(),
+    "w_grad": lambda system, x: system.stack(x).w_grad(),
+    "b": lambda system, x: system.b_vector(x),
+    "b_matrix": lambda system, x: system.b_matrix(x),
+}
+
+
 def closed_form_checks(scenario, eps_user, points, rtol=1e-6, atol=1e-12):
     """Compare assembled averaged fields against a scenario's closed forms.
 
@@ -221,23 +232,16 @@ def closed_form_checks(scenario, eps_user, points, rtol=1e-6, atol=1e-12):
     for name, closed in scenario.closed_forms.items():
         if name == "force_user":
             continue
+        try:
+            assembled = _ASSEMBLED_FIELDS[name]
+        except KeyError:
+            raise KeyError(f"unknown closed form {name!r} in scenario {scenario.name}") from None
         worst = 0.0
         worst_pt = None
         for x in points:
             x = np.asarray(x, dtype=float)
             want = np.asarray(closed(x), dtype=float)
-            if name == "mean_grad":
-                got = np.asarray(system.stack(x).g_mean, dtype=float)
-            elif name == "w_value":
-                got = np.asarray(system.stack(x).w_value(), dtype=float)
-            elif name == "w_grad":
-                got = np.asarray(system.stack(x).w_grad(), dtype=float)
-            elif name == "b":
-                got = np.asarray(system.b_vector(x), dtype=float)
-            elif name == "b_matrix":
-                got = np.asarray(system.b_matrix(x), dtype=float)
-            else:
-                raise KeyError(f"unknown closed form {name!r} in scenario {scenario.name}")
+            got = np.asarray(assembled(system, x), dtype=float)
             scale = max(float(np.max(np.abs(want))), atol / rtol)
             err = float(np.max(np.abs(got - want))) / scale
             if err > worst:

@@ -156,10 +156,12 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     eps = float(epsilon)
     if isinstance(potential, Order1Potential):
         def acc(t, x, v):
-            return (-potential.grad(np.array(x), (t / eps) % 1.0, eps)).tolist()
+            return [-g for g in potential.grad(np.array(x), (t / eps) % 1.0, eps).tolist()]
     else:
         def acc(t, x, v):
-            return (-np.asarray(potential.grad(np.array(x), (t / eps) % 1.0), dtype=float)).tolist()
+            g = potential.grad(np.array(x), (t / eps) % 1.0)
+            # a custom potential's grad may return a sequence of numbers
+            return [-gi for gi in np.asarray(g, dtype=float).tolist()]
 
     n_out = _out_grid(t_end, out_dt)
     n_sub = _substeps(out_dt, eps / steps_per_period)

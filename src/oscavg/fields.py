@@ -5,6 +5,8 @@ oscillation period, so all periodic quantities have period 1 in tau.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
@@ -15,7 +17,13 @@ HESS_STEP = _EPS ** 0.25
 
 
 def _fd_step(x, base):
-    return base * (1.0 + float(np.max(np.abs(x))))
+    """base * (1 + max |x_i|) for a 1-d float array x, in float math: np.max
+    costs microseconds on a few coordinates.  A NaN coordinate gives a NaN
+    step, as np.max would; Python's max would drop it."""
+    xs = x.tolist()
+    if any(map(math.isnan, xs)):
+        return math.nan
+    return base * (1.0 + max(map(abs, xs)))
 
 
 def fd_gradient(f, x, h=None):
@@ -171,6 +179,11 @@ class TimePeriodicPotential:
     roughly 1e-10 (gradient) and 1e-8 (Hessian).  value/grad/hess must accept
     tau as a scalar or a 1-d array and vectorize over it.
 
+    The full flow calls grad at a scalar phase, four times per RK4 substep,
+    so that call's fixed cost sets the speed of the full run; a scalar branch
+    in plain float math or on numpy scalars avoids the 0-d array overhead
+    (see SatelliteOscillating.grad and SeparableDrivePotential).
+
     sample(points, taus) gives value, gradient and Hessian at P points and n
     phases in one call, as arrays of shape (P, n), (P, n, dim) and
     (P, n, dim, dim).  The field averages take all their samples through it:
@@ -179,7 +192,8 @@ class TimePeriodicPotential:
     Overriding it pays when those calls cost more than the arithmetic in
     them: a potential built from a few spatial pieces times a few phase
     factors can compute the pieces once as arrays over the points and the
-    phase factors once per call (see SatelliteOscillating).
+    phase factors once per call.  SatelliteOscillating and the separable
+    drives a(tau) u(x) (SeparableDrivePotential) override it.
     """
 
     dim: int = 0
@@ -201,12 +215,15 @@ class TimePeriodicPotential:
     def grad(self, x, tau):
         x = np.asarray(x, dtype=float)
         h = _fd_step(x, GRAD_STEP)
-        parts = []
+        out = None
         for i in range(self.dim):
             xp = x.copy(); xp[i] += h
             xm = x.copy(); xm[i] -= h
-            parts.append((np.asarray(self.value(xp, tau)) - np.asarray(self.value(xm, tau))) / (2.0 * h))
-        return np.stack(parts, axis=-1)
+            part = (np.asarray(self.value(xp, tau)) - np.asarray(self.value(xm, tau))) / (2.0 * h)
+            if out is None:
+                out = np.empty(part.shape + (self.dim,))
+            out[..., i] = part
+        return out
 
     def hess(self, x, tau):
         x = np.asarray(x, dtype=float)
@@ -329,8 +346,9 @@ class Order1Potential:
         return self.static.value(x) + eps * self.oscillating.value(x, tau)
 
     def grad(self, x, tau, eps):
-        g1 = np.asarray(self.oscillating.grad(x, tau), dtype=float)
-        return np.asarray(self.static.grad(x), dtype=float) + eps * g1
+        # the full flow calls this four times per substep: the ufuncs take
+        # arrays or sequences alike, so no np.asarray round trips
+        return np.add(self.static.grad(x), np.multiply(eps, self.oscillating.grad(x, tau)))
 
     def hess(self, x, tau, eps):
         h1 = np.asarray(self.oscillating.hess(x, tau), dtype=float)

@@ -149,22 +149,52 @@ class SeparableDrivePotential(TimePeriodicPotential):
         self._ug = u_grad
         self._uh = u_hess
 
+    def _drive(self, tau):
+        """a(tau).  A scalar phase (the full flow calls grad at one phase, four
+        times per substep) goes in as a numpy scalar rather than a 0-d array:
+        the same numbers, without the 0-d array's per-operation cost."""
+        if isinstance(tau, float):
+            return self._a(np.float64(tau))
+        return self._a(np.asarray(tau, dtype=float))
+
     def value(self, x, tau):
-        return self._a(np.asarray(tau, dtype=float)) * self._uv(x)
+        return self._drive(tau) * self._uv(x)
 
     def grad(self, x, tau):
-        a = self._a(np.asarray(tau, dtype=float))
+        a = self._drive(tau)
         g = np.asarray(self._ug(x), dtype=float)
-        if np.ndim(a) == 0:
+        if isinstance(a, float) or np.ndim(a) == 0:
             return float(a) * g
         return np.asarray(a)[..., None] * g
 
     def hess(self, x, tau):
-        a = self._a(np.asarray(tau, dtype=float))
+        a = self._drive(tau)
         hm = np.asarray(self._uh(x), dtype=float)
-        if np.ndim(a) == 0:
+        if isinstance(a, float) or np.ndim(a) == 0:
             return float(a) * hm
         return np.asarray(a)[..., None, None] * hm
+
+    def sample(self, points, taus):
+        """The drive once over taus and the profile once per point, combined
+        as outer products: each sample is the single multiply a(tau) * u of
+        the per-point path.  A drive or profile of an unexpected shape takes
+        the per-point path, so it meets the same checks and messages."""
+        n, d = len(taus), self.dim
+        a = np.asarray(self._drive(taus))
+        if a.shape != (n,) or a.dtype != np.float64:
+            return super().sample(points, taus)
+        uv, ug, uh = [], [], []
+        for x in points:
+            uv.append(self._uv(x))
+            ug.append(np.asarray(self._ug(x), dtype=float))
+            uh.append(np.asarray(self._uh(x), dtype=float))
+        if (any(np.shape(v) != () for v in uv) or any(g.shape != (d,) for g in ug)
+                or any(h.shape != (d, d) for h in uh)):
+            return super().sample(points, taus)
+        ug, uh = np.array(ug), np.array(uh)
+        return (np.array(uv, dtype=float)[:, None] * a,
+                a[:, None] * ug[:, None, :],
+                a[:, None, None] * uh[:, None, :, :])
 
 
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
@@ -187,7 +217,10 @@ def quartic_drive() -> Scenario:
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
     def u_grad(x):
-        return np.array([x[0] ** 3 + x[1], x[0]])
+        # the full flow calls this four times per substep: float math gives
+        # numpy-scalar arithmetic's values at a fraction of its cost
+        x0, x1 = float(x[0]), float(x[1])
+        return np.array([x0 ** 3 + x1, x0])
 
     def u_hess(x):
         return np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
@@ -363,9 +396,10 @@ class SatelliteStatic(StaticPotential):
         return 2.0 * self.sigma / math.hypot(x[0], x[1])
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        r = math.hypot(x[0], x[1])
-        return -2.0 * self.sigma * x / r ** 3
+        xx, yy = float(x[0]), float(x[1])
+        c = -2.0 * self.sigma
+        r3 = math.hypot(xx, yy) ** 3
+        return np.array([c * xx / r3, c * yy / r3])
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)

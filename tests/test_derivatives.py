@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 
-from oscavg import fd_gradient, fd_hessian, fd_jacobian
+import pytest
+
+from oscavg import CallablePotential, fd_gradient, fd_hessian, fd_jacobian
+from oscavg.fields import GRAD_STEP, _fd_step
 
 X0 = np.array([0.4, -0.7])
 
@@ -74,3 +77,59 @@ def test_jacobian_of_linear_map_is_exact():
     err = np.max(np.abs(J - A))
     # central differences are exact on affine maps up to rounding
     assert err < 1e-10, f"linear map Jacobian error {err:.2e}"
+
+
+# ---- the finite-difference fallback of TimePeriodicPotential.grad ----
+
+def _value(x, tau):
+    c = np.cos(2.0 * math.pi * np.asarray(tau, dtype=float))
+    return c * (x[0] ** 2 + math.sin(x[0] * x[1])) + x[-1] ** 3
+
+
+def _value_of_x0(x, tau):
+    """Ignores x[1]: a NaN there reaches the gradient only through the step."""
+    return np.cos(2.0 * math.pi * np.asarray(tau, dtype=float)) * x[0] ** 2
+
+
+def _stacked_fd_grad(pot, x, tau):
+    """The fallback as the np.max step and np.stack formula wrote it."""
+    x = np.asarray(x, dtype=float)
+    h = GRAD_STEP * (1.0 + float(np.max(np.abs(x))))
+    parts = []
+    for i in range(pot.dim):
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        parts.append((np.asarray(pot.value(xp, tau)) - np.asarray(pot.value(xm, tau))) / (2.0 * h))
+    return np.stack(parts, axis=-1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fallback_gradient_equals_the_stacked_formula(dim):
+    pot = CallablePotential(_value, dim)
+    rng = np.random.default_rng(41)
+    taus = np.arange(16) / 16
+    for _ in range(1000):
+        x = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-3, 3)
+        tau = float(rng.uniform(0.0, 1.0))
+        for t in (tau, taus):
+            got, want = pot.grad(x, t), _stacked_fd_grad(pot, x, t)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_fd_step_keeps_np_max_semantics():
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        x = rng.normal(size=3) * 10.0 ** rng.integers(-8, 8)
+        assert _fd_step(x, GRAD_STEP) == GRAD_STEP * (1.0 + float(np.max(np.abs(x))))
+    assert _fd_step(np.array([1.0, -np.inf]), GRAD_STEP) == np.inf
+    for x in ([np.nan, 0.3], [0.3, np.nan]):
+        assert math.isnan(_fd_step(np.array(x), GRAD_STEP))
+
+
+def test_fallback_gradient_is_nan_at_a_nan_coordinate():
+    """Python's max drops a NaN after the first element; the step must not."""
+    pot = CallablePotential(_value_of_x0, 2)
+    for x in ([0.3, np.nan], [np.nan, 0.3]):
+        for t in (0.2, np.arange(16) / 16):
+            assert np.isnan(pot.grad(np.array(x), t)).all()

@@ -197,6 +197,15 @@ def test_callbacks_receive_float_arrays():
     assert np.max(np.abs(traj.positions - want)) < 1e-8
 
 
+def test_full_flow_accepts_a_grad_that_returns_a_list():
+    as_array = _static_well()
+    as_list = CallablePotential(value=as_array.value, dim=2,
+                                grad=lambda x, tau: [float(x[0]), float(x[1])])
+    runs = [integrate_full(pot, 0.5, np.array([1.0, 0.5]), np.zeros(2), 1.0, out_dt=0.1)
+            for pot in (as_array, as_list)]
+    assert np.array_equal(runs[0].positions, runs[1].positions)
+
+
 def test_plain_float_acceleration_and_step_check():
     traj = integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 3.0,
                                   h=0.01, out_dt=0.1)

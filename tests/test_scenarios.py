@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import closed_form_checks, fd_gradient, fd_hessian
-from oscavg.fields import Order1Potential
-from oscavg.scenarios import (CATALOG, ScenarioUsageError, custom_scenario,
-                              format_config, get_scenario, load_config,
-                              parse_config, parse_number, save_config)
+from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
+                    fd_gradient, fd_hessian)
+from oscavg.averaging import _checked_samples
+from oscavg.fields import Order1Potential, TimePeriodicPotential
+from oscavg.scenarios import (CATALOG, ScenarioUsageError, SeparableDrivePotential,
+                              custom_scenario, format_config, get_scenario,
+                              load_config, parse_config, parse_number, save_config)
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +125,117 @@ def test_oscillating_potentials_broadcast_over_tau():
         assert err < 1e-14, f"{name}: array vs scalar tau mismatch {err:.2e}"
 
 
+# ---- separable drives: scalar-phase branch and batched sampling ----
+
+def _sincos_drive():
+    """A drive that converts tau itself, as user drives may, on a 1-d profile."""
+    def drive(tau):
+        tau = np.asarray(tau, dtype=float)
+        return 0.7 + np.cos(TWO_PI * tau) + 0.5 * np.sin(2.0 * TWO_PI * tau)
+
+    return SeparableDrivePotential(drive, lambda x: math.cos(x[0]) + 0.5 * x[0] ** 2,
+                                   lambda x: np.array([-math.sin(x[0]) + x[0]]),
+                                   lambda x: np.array([[-math.cos(x[0]) + 1.0]]), 1)
+
+
+SEPARABLE = {"quartic_drive": lambda: get_scenario("quartic_drive").potential,
+             "kapitza_pendulum": lambda: get_scenario("kapitza_pendulum").potential,
+             "sincos": _sincos_drive}
+
+
+class _PerPointSeparable(SeparableDrivePotential):
+    """The same potential sampled by the base class's per-point loop."""
+
+    sample = TimePeriodicPotential.sample
+
+
+@pytest.mark.parametrize("which", sorted(SEPARABLE))
+def test_separable_scalar_phase_equals_array_path(which):
+    """At a scalar phase, value/grad/hess equal the array path at [tau] and
+    the 0-d array path, bit for bit."""
+    pot = SEPARABLE[which]()
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        x = rng.uniform(-1.5, 1.5, pot.dim)
+        tau = float(rng.uniform(0.0, 1.0))
+        for other in (np.array([tau]), np.asarray(tau)):
+            assert pot.value(x, tau) == np.asarray(pot.value(x, other)).reshape(())
+            assert np.array_equal(pot.grad(x, tau), pot.grad(x, other).reshape(pot.dim))
+            assert np.array_equal(pot.hess(x, tau),
+                                  pot.hess(x, other).reshape(pot.dim, pot.dim))
+
+
+@pytest.mark.parametrize("n_tau", [15, 16, 48])
+@pytest.mark.parametrize("which", sorted(SEPARABLE))
+def test_separable_sample_equals_the_per_point_loop(which, n_tau):
+    pot = SEPARABLE[which]()
+    rng = np.random.default_rng(32)
+    points = [rng.uniform(-1.5, 1.5, pot.dim) for _ in range(7)]
+    taus = np.arange(n_tau) / n_tau
+    got = pot.sample(points, taus)
+    want = TimePeriodicPotential.sample(pot, points, taus)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _quartic_parts():
+    return dict(a=lambda tau: np.cos(TWO_PI * np.asarray(tau, dtype=float)),
+                u_value=lambda x: x[0] ** 4 / 4.0 + x[0] * x[1],
+                u_grad=lambda x: np.array([x[0] ** 3 + x[1], x[0]]),
+                u_hess=lambda x: np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]), dim=2)
+
+
+@pytest.mark.parametrize("broken, want", [
+    (dict(u_grad=lambda x: np.array([x[0], x[1], 0.0])),
+     "potential.grad returned shape (16, 3), expected (16, 2)"),
+    (dict(u_hess=lambda x: np.array([3.0 * x[0] ** 2, 1.0])),
+     "potential.hess returned shape (16, 1, 2), expected (16, 2, 2)"),
+    (dict(a=lambda tau: 0.5),
+     "potential.value returned shape (), expected (16,)"),
+    (dict(a=lambda tau: np.where(np.asarray(tau) > 0.5, np.nan, 1.0)),
+     "potential returned non-finite samples at tau=[0.5625 0.625  0.6875 0.75  ]"),
+])
+def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
+    """A profile or drive of the wrong shape, or a NaN drive, gets the
+    per-point path's exact message."""
+    parts = dict(_quartic_parts(), **broken)
+    points = [np.array([0.8, 0.4]), np.array([-0.3, 1.1])]
+    messages = []
+    for cls in (SeparableDrivePotential, _PerPointSeparable):
+        with pytest.raises(ValueError) as info:
+            _checked_samples(cls(**parts), points, 16)
+        messages.append(str(info.value))
+    assert messages == [want, want]
+
+
+# ---- split potentials: the full flow's one-phase gradient ----
+
+def test_split_grads_equal_the_array_formulas():
+    """SatelliteStatic.grad and Order1Potential.grad in float math equal the
+    array expressions they replace, bit for bit.  sigma = -0.7 as well as -1,
+    since scaling by a power of two is exact in any order."""
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        pot = get_scenario("spinning_satellite", sigma=float(rng.choice([-1.0, -0.7]))).potential
+        static = pot.static
+        x = _probe_point("spinning_satellite", rng)
+        tau = float(rng.uniform(0.0, 1.0))
+        eps = float(rng.uniform(1e-4, 0.2))
+        want_static = -2.0 * static.sigma * x / math.hypot(x[0], x[1]) ** 3
+        assert np.array_equal(static.grad(x), want_static)
+        g1 = np.asarray(pot.oscillating.grad(x, tau), dtype=float)
+        assert np.array_equal(pot.grad(x, tau, eps), want_static + eps * g1)
+
+
+def test_split_grad_accepts_sequences_from_its_parts():
+    static = CallableStatic(lambda x: x[0] ** 2, 2, grad=lambda x: [2.0 * x[0], 0.0])
+    osc = CallablePotential(lambda x, tau: x[1] * math.cos(TWO_PI * tau), 2,
+                            grad=lambda x, tau: [0.0, math.cos(TWO_PI * tau)])
+    got = Order1Potential(static, osc).grad(np.array([0.5, 0.2]), 0.125, 0.1)
+    assert np.array_equal(got, np.array([1.0, 0.1 * math.cos(TWO_PI * 0.125)]))
+
+
 # ---- scenario parameters ----
 
 def test_internal_eps_scaling():
@@ -146,6 +259,14 @@ def test_closed_forms_match_assembled_fields():
         pts = np.stack([_probe_point(name, rng) for _ in range(4)])
         for check_name, passed, detail in closed_form_checks(sc, 1.0 / 128, pts):
             assert passed, f"{check_name}: {detail}"
+
+
+def test_closed_form_checks_rejects_an_unknown_form():
+    sc = get_scenario("rotating_saddle")
+    sc.closed_forms["curl"] = lambda x: np.zeros(2)
+    with pytest.raises(KeyError) as info:
+        closed_form_checks(sc, 1.0 / 128, [np.array([0.5, 0.2])])
+    assert info.value.args == ("unknown closed form 'curl' in scenario rotating_saddle",)
 
 
 def test_satellite_sign_convention():
