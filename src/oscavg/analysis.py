@@ -210,8 +210,7 @@ def measure_precession(times, positions, velocities, min_separation=0.0) -> Prec
 
 # ---- field oracle checks ----
 
-# the assembled field that each closed form in Scenario.closed_forms describes;
-# "force_user" takes (eps, x, v) rather than a point and is not compared here
+# the assembled field that each closed form in Scenario.closed_forms describes
 _ASSEMBLED_FIELDS = {
     "mean_grad": lambda system, x: system.stack(x).g_mean,
     "w_value": lambda system, x: system.stack(x).w_value(),
@@ -230,8 +229,6 @@ def closed_form_checks(scenario, eps_user, points, rtol=1e-6, atol=1e-12):
     system = scenario.build_system(eps_user)
     results = []
     for name, closed in scenario.closed_forms.items():
-        if name == "force_user":
-            continue
         try:
             assembled = _ASSEMBLED_FIELDS[name]
         except KeyError:

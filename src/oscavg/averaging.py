@@ -27,7 +27,8 @@ FieldSpectra._grad_coeffs).
 The B matrix is a central difference of b; the force samples its centre point
 and the 2 dim stencil points x +- h e_j in one sweep, so one force call costs
 one potential.sample call over 2 dim + 1 points and one rfft.  The
-guiding-center map samples the same stencil once for its Jacobian of A'' v.
+guiding-center map takes that stencil around every state of a trajectory in
+one call and reads V, S, A at each state's own phase from the coefficients.
 
 Powers of eps carried by each piece of the averaged force:
 
@@ -44,8 +45,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import (FourierSeries, Order1Potential, TimePeriodicPotential,
-                     central_stencil, checked_sample, stencil_jacobian)
+from .fields import (Order1Potential, TimePeriodicPotential, central_stencil,
+                     checked_sample, stencil_jacobian)
 
 
 def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
@@ -104,22 +105,21 @@ class FieldSpectra:
     Samples value/grad/hess at all the points on an n_tau grid in one
     potential.sample call and keeps the normalized rfft coefficients of all
     of them from one transform.  Means and the product averages W, grad W and
-    b come from the coefficients directly; stack(p) gives the antiderivative
-    series at point p for the guiding-center map.
+    b come from the coefficients directly; antiderivative_at evaluates the
+    zero-mean tau antiderivatives at any phase for the guiding-center map.
     """
 
     def __init__(self, potential: TimePeriodicPotential, points, n_tau: int = 48):
         n_tau = int(n_tau)
         self.dim = d = potential.dim
         self.n_tau = n_tau
-        self.points = [np.asarray(x, dtype=float) for x in points]
-        self.samples = _checked_samples(potential, self.points, n_tau)
+        points = [np.asarray(x, dtype=float) for x in points]
+        self.samples = _checked_samples(potential, points, n_tau)
         # coeffs[p, c, k]: bin k of sample channel c at point p
         self.coeffs = np.fft.rfft(self.samples, axis=-1) / n_tau
         mean = self.coeffs[:, :, 0].real
         self.u_mean = mean[:, 0]
         self.g_mean = mean[:, 1:1 + d]
-        self.h_mean = mean[:, 1 + d:].reshape(-1, d, d)
 
     @cached_property
     def _grad_coeffs(self):
@@ -140,7 +140,7 @@ class FieldSpectra:
     def _hg(self):
         """H_k conj G_k summed over the inner index, shape (points, dim, bins)."""
         d = self.dim
-        H = self.coeffs[:, 1 + d:, 1:].reshape(len(self.points), d, d, -1)
+        H = self.coeffs[:, 1 + d:, 1:].reshape(self.coeffs.shape[0], d, d, -1)
         return (H * self._grad_coeffs.conj()[:, None]).sum(axis=2)
 
     def vv_mean(self):
@@ -156,124 +156,73 @@ class FieldSpectra:
         """b = avg(S'' V') at each point."""
         return self._hg.imag @ _parseval_weights(self.n_tau)[1]
 
-    def stack(self, p: int) -> "PeriodicFieldStack":
-        """The fields at point p as a PeriodicFieldStack, sharing these samples."""
-        return PeriodicFieldStack._at(self, p)
+    def antiderivative_at(self, level: int, taus):
+        """Level-`level` zero-mean tau antiderivative of every sample channel,
+        out[p, c] at point p's own phase taus[p] (level 1 of the gradient
+        channels is V', level 2 is S', level 3 is A')."""
+        return _series_at(self.coeffs, self.n_tau, level, taus)
 
-
-class PeriodicFieldStack:
-    """Tau-resolved oscillation fields of one potential at one point.
-
-    Holds the mean value/gradient and Fourier series for the antiderivative
-    ladder: V (one integration), S (two), A (three), each with zero tau mean,
-    at the spatial-derivative levels needed downstream.  The averages come
-    from the spectral core; the series are built on first use, since only the
-    guiding-center map reads them.
-    """
-
-    def __init__(self, potential: TimePeriodicPotential, x, n_tau: int = 48):
-        self._bind(FieldSpectra(potential, [x], n_tau), 0)
-
-    @classmethod
-    def _at(cls, spectra: FieldSpectra, p: int) -> "PeriodicFieldStack":
-        st = cls.__new__(cls)
-        st._bind(spectra, p)
-        return st
-
-    def _bind(self, spectra: FieldSpectra, p: int):
-        self._spectra = spectra
-        self._p = p
-        self.x = spectra.points[p]
-        self.n_tau = spectra.n_tau
-        self.u_mean = float(spectra.u_mean[p])
-        self.g_mean = spectra.g_mean[p].copy()
-        self.h_mean = spectra.h_mean[p].copy()
-
-    def _zero_mean(self, lo, hi, shape):
-        c = self._spectra.coeffs[self._p, lo:hi].T.reshape((-1,) + shape)
-        return FourierSeries(c, self.n_tau).without_mean()
-
-    # ---- tau averages ----
-
-    def vv_mean(self) -> float:
-        """avg over tau of V' . V'  (twice the velocity-independent correction)."""
-        return float(self._spectra.vv_mean()[self._p])
-
-    def w_value(self) -> float:
-        return 0.5 * self.vv_mean()
-
-    def w_grad(self):
-        """grad of W, computed as avg(V'' V') without differencing."""
-        return self._spectra.w_grad()[self._p]
-
-    def b_vector(self):
-        """Magnetic-like vector b = avg(S'' V')."""
-        return self._spectra.b_vector()[self._p]
-
-    # ---- antiderivative series ----
-
-    @cached_property
-    def v_val(self):
-        return self._zero_mean(0, 1, ()).antiderivative()
-
-    @cached_property
-    def v_grad(self):
-        d = self._spectra.dim
-        return self._zero_mean(1, 1 + d, (d,)).antiderivative()
-
-    @cached_property
-    def v_hess(self):
-        d = self._spectra.dim
-        return self._zero_mean(1 + d, None, (d, d)).antiderivative()
-
-    @cached_property
-    def s_grad(self):
-        return self.v_grad.antiderivative()
-
-    @cached_property
-    def s_hess(self):
-        return self.v_hess.antiderivative()
-
-    @cached_property
-    def a_grad(self):
-        return self.s_grad.antiderivative()
-
-    @cached_property
-    def a_hess(self):
-        return self.s_hess.antiderivative()
-
-    # ---- tau-resolved evaluations used by the guiding-center map ----
-
-    def v_grad_at(self, tau):
-        return self.v_grad.eval(tau)
-
-    def v_hess_at(self, tau):
-        return self.v_hess.eval(tau)
-
-    def s_grad_at(self, tau):
-        return self.s_grad.eval(tau)
-
-    def s_hess_at(self, tau):
-        return self.s_hess.eval(tau)
-
-    def a_grad_at(self, tau):
-        return self.a_grad.eval(tau)
-
-    def a_hess_at(self, tau):
-        return self.a_hess.eval(tau)
-
-    def hess_s_grad_antideriv_at(self, tau):
-        """Zero-mean tau antiderivative of the product U''(tau) S'(tau).
+    def hess_s_grad_antiderivative_at(self, taus):
+        """Zero-mean tau antiderivative of the product U''(tau) S'(tau), at
+        point p's own phase taus[p].
 
         This is the driven part of the phase velocity carried by the first
         corrector dropped from the guiding-center position map; the product is
         formed on the sample grid before transforming, which keeps it exact as
         long as twice the potential's bandwidth is still resolved.
         """
-        d = self._spectra.dim
-        hess = self._spectra.samples[self._p, 1 + d:].T.reshape(-1, d, d)
-        prod = np.einsum("nij,nj->ni", hess, self.s_grad.grid())
-        return FourierSeries.from_samples(prod).without_mean().antiderivative().eval(tau)
+        d, n = self.dim, self.n_tau
+        s_grad = np.fft.irfft(self.coeffs[:, 1:1 + d] * (n * _antiderivative_factors(n, 2)),
+                              n=n, axis=-1)
+        hess = self.samples[:, 1 + d:].reshape(-1, d, d, n)
+        prod = np.einsum("pijn,pjn->pin", hess, s_grad)
+        return _series_at(np.fft.rfft(prod, axis=-1) / n, n, 1, taus)
+
+
+def _antiderivative_factors(n_tau: int, level: int):
+    """1 / (2 pi i k)^level for the rfft bins k >= 1 of an n_tau grid, 0 at k = 0."""
+    k = np.arange(1, n_tau // 2 + 1)
+    return np.concatenate(([0.0], (-1j) ** level / (2.0 * np.pi * k) ** level))
+
+
+def _series_at(coeffs, n_tau: int, level: int, taus):
+    """Re sum_k coeffs[p, c, k] phi(taus[p])_k, the level-`level` zero-mean
+    antiderivative of each series coeffs[p, c] at its own phase, with
+    phi_k = 2 e^{2 pi i k tau} / (2 pi i k)^level.  On an even grid the Nyquist
+    bin appears once and the samples hold only the real part of its
+    coefficient, as irfft has it: its entry is cos(2 pi N tau) / (2 pi i N)^level.
+    """
+    k = np.arange(coeffs.shape[-1])
+    phase = 2.0 * np.exp(2j * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), k))
+    if n_tau % 2 == 0:
+        phase[:, -1] = phase[:, -1].real / 2.0
+    phi = phase * _antiderivative_factors(n_tau, level)
+    return (coeffs * phi[:, None, :]).sum(axis=-1).real
+
+
+class PeriodicFieldStack:
+    """The tau averages of one potential's oscillation at one point: means,
+    W, grad W and b from the spectral core."""
+
+    def __init__(self, potential: TimePeriodicPotential, x, n_tau: int = 48):
+        self._spectra = sp = FieldSpectra(potential, [x], n_tau)
+        self.u_mean = float(sp.u_mean[0])
+        self.g_mean = sp.g_mean[0].copy()
+
+    def vv_mean(self) -> float:
+        """avg over tau of V' . V'  (twice the velocity-independent correction)."""
+        return float(self._spectra.vv_mean()[0])
+
+    def w_value(self) -> float:
+        return 0.5 * self.vv_mean()
+
+    def w_grad(self):
+        """grad of W, computed as avg(V'' V') without differencing."""
+        return self._spectra.w_grad()[0]
+
+    def b_vector(self):
+        """Magnetic-like vector b = avg(S'' V')."""
+        return self._spectra.b_vector()[0]
 
 
 class AveragedSystem:

@@ -190,6 +190,50 @@ def integrate_averaged(system: AveragedSystem, x0, v0, t_end,
     return traj
 
 
+def _guiding_centers(system: AveragedSystem, xs, vs, ts):
+    """guiding_center on rows of states (xs[i], vs[i]) at times ts[i]; one
+    potential.sample call covers every state and its central stencil."""
+    eps = system.epsilon
+    n, d = xs.shape
+    m = 2 * d + 1
+    stencils = [central_stencil(x) for x in xs]
+    spectra = system.spectra([q for points, _ in stencils for q in points])
+    taus = np.repeat((ts / eps) % 1.0, m)  # every stencil point at its state's phase
+    v1, s2, a3 = (spectra.antiderivative_at(level, taus) for level in (1, 2, 3))
+    grad, hess = slice(1, 1 + d), slice(1 + d, None)
+    a_hess_stencil = a3[:, hess].reshape(n, m, d, d)
+    a_hess = a_hess_stencil[:, 0]
+    a_full = np.array([system.full_acceleration(x, tau) for x, tau in zip(xs, taus[::m])])
+
+    def times(mats, vecs):
+        return np.einsum("nij,nj->ni", mats, vecs)
+
+    p = 2 if system.order == "standard" else 3
+    ep, ep1 = eps ** p, eps ** (p + 1)
+    X = xs + ep * s2[::m, grad] - 2.0 * ep1 * times(a_hess, vs)
+
+    # d/dx of the map y -> A''(y, tau) v, applied to v (third-derivative level,
+    # prefactor eps^(p+1) keeps the finite-difference noise far below the model error)
+    av = np.einsum("nqij,nj->nqi", a_hess_stencil[:, 1:], vs)
+    j_av_v = times(np.array([stencil_jacobian(row, h) for row, (_, h) in zip(av, stencils)]), vs)
+    V = (vs + eps ** (p - 1) * v1[::m, grad] - ep * times(s2[::m, hess].reshape(n, d, d), vs)
+         - 2.0 * ep1 * (j_av_v + times(a_hess, a_full)))
+
+    # phase velocity of the first dropped corrector: its tau derivative is
+    # the antiderivative of  U'' S' - 3 grad(A'' v) v - 3 A'' vdot  with vdot
+    # the mean acceleration; j_av_v doubles as the middle term
+    if system.order == "standard":
+        drive = spectra.hess_s_grad_antiderivative_at(taus)[::m]
+        mean_acc = -spectra.g_mean[::m]
+    else:
+        static = system.potential.static
+        drive = np.array([np.asarray(static.hess(x), dtype=float) @ a_grad
+                          for x, a_grad in zip(xs, a3[::m, grad])])
+        mean_acc = -np.array([np.asarray(static.grad(x), dtype=float) for x in xs])
+    V = V - ep1 * (drive - 3.0 * j_av_v - 3.0 * times(a_hess, mean_acc))
+    return X, V
+
+
 def guiding_center(system: AveragedSystem, x, v, t):
     """Map a full-system state (x, v) at time t to its guiding-center state.
 
@@ -200,56 +244,17 @@ def guiding_center(system: AveragedSystem, x, v, t):
     dropped position term, so without it the averaged run would start with a
     velocity offset large enough to dominate the model error at generic
     phases (pure-cosine drives hide it at tau = 0 but sine components do not).
+    The result equals the matching row of transform_trajectory.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    eps = system.epsilon
-    tau = (t / eps) % 1.0
-    # x and the stencil for the Jacobian of A''(., tau) v, sampled in one sweep
-    points, h = central_stencil(x)
-    spectra = system.spectra(points)
-    st = spectra.stack(0)
-
-    p = 2 if system.order == "standard" else 3
-    ep = eps ** p
-    ep1 = eps ** (p + 1)
-
-    s_grad = st.s_grad_at(tau)
-    s_hess = st.s_hess_at(tau)
-    a_hess = st.a_hess_at(tau)
-    v_grad = st.v_grad_at(tau)
-    a_full = system.full_acceleration(x, tau)
-
-    X = x + ep * s_grad - 2.0 * ep1 * (a_hess @ v)
-
-    # d/dx of the map y -> A''(y, tau) v, applied to v (third-derivative level,
-    # prefactor eps^(p+1) keeps the finite-difference noise far below the model error)
-    j_av = stencil_jacobian([spectra.stack(q).a_hess_at(tau) @ v
-                             for q in range(1, len(points))], h)
-    V = (v + eps ** (p - 1) * v_grad - ep * (s_hess @ v)
-         - 2.0 * ep1 * (j_av @ v + a_hess @ a_full))
-
-    # phase velocity of the first dropped corrector: its tau derivative is
-    # the antiderivative of  U'' S' - 3 grad(A'' v) v - 3 A'' vdot  with vdot
-    # the mean acceleration; j_av @ v doubles as the middle term
-    if system.order == "standard":
-        drive = st.hess_s_grad_antideriv_at(tau)
-        mean_acc = -st.g_mean
-    else:
-        static_hess = np.asarray(system.potential.static.hess(x), dtype=float)
-        drive = static_hess @ st.a_grad_at(tau)
-        mean_acc = -np.asarray(system.potential.static.grad(x), dtype=float)
-    V = V - ep1 * (drive - 3.0 * (j_av @ v) - 3.0 * (a_hess @ mean_acc))
-    return X, V
+    X, V = _guiding_centers(system, np.array([x], dtype=float), np.array([v], dtype=float),
+                            np.array([t], dtype=float))
+    return X[0], V[0]
 
 
 def transform_trajectory(system: AveragedSystem, traj: Trajectory) -> Trajectory:
-    """Apply the guiding-center map to every sample of a full-system trajectory."""
-    n = len(traj)
-    pos = np.empty_like(traj.positions)
-    vel = np.empty_like(traj.velocities)
-    for i in range(n):
-        pos[i], vel[i] = guiding_center(system, traj.positions[i], traj.velocities[i], traj.times[i])
+    """Apply the guiding-center map to every sample of a full-system
+    trajectory, with one potential.sample call for all of them."""
+    pos, vel = _guiding_centers(system, traj.positions, traj.velocities, traj.times)
     meta = dict(traj.meta)
     meta["kind"] = "guided"
     return Trajectory(traj.times.copy(), pos, vel, meta)

@@ -108,9 +108,6 @@ def rotating_saddle() -> Scenario:
         "w_grad": lambda x: np.asarray(x, dtype=float) / (4.0 * math.pi ** 2),
         "b": b_closed,
         "b_matrix": b_matrix_closed,
-        # total averaged force in user (angular) units
-        "force_user": lambda eps_u, x, v: -eps_u ** 2 * np.asarray(x, dtype=float)
-                                          - 2.0 * eps_u ** 3 * (J2 @ np.asarray(v, dtype=float)),
     }
     return Scenario(
         name="rotating_saddle",

@@ -8,10 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import (CallablePotential, FourierSeries, PeriodicFieldStack,
-                    assemble, fd_gradient, fd_jacobian)
-from oscavg.averaging import _checked_samples
-from oscavg.fields import GRAD_STEP
+from oscavg import (CallablePotential, CallableStatic, FourierSeries, Order1Potential,
+                    PeriodicFieldStack, assemble, fd_gradient, fd_jacobian,
+                    guiding_center, transform_trajectory)
+from oscavg.averaging import FieldSpectra, _checked_samples
+from oscavg.dynamics import Trajectory
+from oscavg.fields import GRAD_STEP, central_stencil, stencil_jacobian
 from oscavg.scenarios import get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -277,6 +279,73 @@ def test_spectral_core_matches_grid_product_averages(n_tau, dim, seed):
         _assert_close("force", system.force(x, v), want, scale)
 
 
+# ---- the batched guiding-center map against per-point series ----
+
+def _series_guiding_center(system, osc, static, x, v, t):
+    """The guiding-center map at one state, evaluated point by point with
+    FourierSeries antiderivative chains (the reference for the batched map)."""
+    eps, n_tau = system.epsilon, system.n_tau
+    taus = np.arange(n_tau) / n_tau
+    tau = (t / eps) % 1.0
+    p = 2 if static is None else 3
+    ep, ep1 = eps ** p, eps ** (p + 1)
+
+    def chains(y):
+        v_grad = FourierSeries.from_samples(osc.grad(y, taus)).without_mean().antiderivative()
+        v_hess = FourierSeries.from_samples(osc.hess(y, taus)).without_mean().antiderivative()
+        return v_grad, v_hess.antiderivative()
+
+    v_grad, s_hess = chains(x)
+    s_grad = v_grad.antiderivative()
+    a_hess = s_hess.antiderivative().eval(tau)
+    a_full = system.full_acceleration(x, tau)
+    X = x + ep * s_grad.eval(tau) - 2.0 * ep1 * (a_hess @ v)
+    points, h = central_stencil(x)
+    j_av = stencil_jacobian([chains(q)[1].antiderivative().eval(tau) @ v
+                             for q in points[1:]], h)
+    V = (v + eps ** (p - 1) * v_grad.eval(tau) - ep * (s_hess.eval(tau) @ v)
+         - 2.0 * ep1 * (j_av @ v + a_hess @ a_full))
+    if static is None:
+        prod = np.einsum("nij,nj->ni", osc.hess(x, taus), s_grad.grid())
+        drive = FourierSeries.from_samples(prod).without_mean().antiderivative().eval(tau)
+        mean_acc = -FourierSeries.from_samples(osc.grad(x, taus)).mean
+    else:
+        drive = static.hess(x) @ s_grad.antiderivative().eval(tau)
+        mean_acc = -static.grad(x)
+    V = V - ep1 * (drive - 3.0 * (j_av @ v) - 3.0 * (a_hess @ mean_acc))
+    return X, V
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n_tau, dim, seed", [(16, 2, 31), (16, 3, 32), (15, 2, 33), (21, 1, 34)])
+def test_batched_guiding_center_map_matches_per_point_series(n_tau, dim, seed, split):
+    rng = np.random.default_rng(seed)
+    osc = _random_trig_potential(rng, dim, kmax=n_tau // 2)
+    static = None
+    potential = osc
+    if split:
+        K = rng.standard_normal((dim, dim))
+        K = K @ K.T + np.eye(dim)
+        c = rng.standard_normal(dim)
+        static = CallableStatic(value=lambda x: 0.5 * x @ K @ x + c @ np.sin(x), dim=dim,
+                                grad=lambda x: K @ x + c * np.cos(x),
+                                hess=lambda x: K - np.diag(c * np.sin(x)))
+        potential = Order1Potential(static, osc)
+    system = assemble(potential, 0.07, n_tau=n_tau)
+    n = 6
+    traj = Trajectory(np.sort(rng.uniform(0.0, 1.0, n)), rng.uniform(-1.0, 1.0, (n, dim)),
+                      rng.uniform(-1.0, 1.0, (n, dim)))
+    guided = transform_trajectory(system, traj)
+    for i in range(n):
+        X, V = _series_guiding_center(system, osc, static, traj.positions[i],
+                                      traj.velocities[i], traj.times[i])
+        _assert_close(f"X[{i}]", guided.positions[i], X, np.max(np.abs(X)))
+        _assert_close(f"V[{i}]", guided.velocities[i], V, np.max(np.abs(V)))
+        Xg, Vg = guiding_center(system, traj.positions[i], traj.velocities[i], traj.times[i])
+        assert np.array_equal(Xg, guided.positions[i]) and np.array_equal(Vg, guided.velocities[i]), \
+            f"guiding_center differs from row {i} of transform_trajectory"
+
+
 # ---- spinning saddle: every averaged field has a two-line closed form ----
 # U = x . Q(-2 pi tau) x / 2 gives V' = [[sin, cos], [cos, -sin]] x / (2 pi),
 # so avg V'.V' = |x|^2 / (4 pi^2) and b = avg(S'' V') = J x / (8 pi^3).
@@ -366,13 +435,13 @@ def test_third_antiderivative_for_cosine_drive():
     """For a(tau) = cos(2 pi tau) the third antiderivative is -sin(2 pi tau)/(2 pi)^3."""
     sc = get_scenario("quartic_drive")
     x = np.array([0.6, 0.3])
-    st = PeriodicFieldStack(sc.potential, x, 16)
+    sp = FieldSpectra(sc.potential, [x], 16)
     u_grad = np.array([x[0] ** 3 + x[1], x[0]])
     for tau in (0.0, 0.15, 0.4, 0.85):
         want = -math.sin(TWO_PI * tau) / TWO_PI ** 3 * u_grad
-        got = st.a_grad_at(tau)
+        got = sp.antiderivative_at(3, [tau])[0, 1:3]
         err = np.max(np.abs(got - want))
-        assert err < 1e-14, f"a_grad_at({tau}) off by {err:.2e}"
+        assert err < 1e-14, f"level-3 gradient antiderivative at {tau} off by {err:.2e}"
 
 
 def test_phase_drive_antiderivative_for_cosine_drive():
@@ -383,23 +452,55 @@ def test_phase_drive_antiderivative_for_cosine_drive():
     """
     sc = get_scenario("quartic_drive")
     x = np.array([0.5, -0.2])
-    st = PeriodicFieldStack(sc.potential, x, 16)
+    sp = FieldSpectra(sc.potential, [x], 16)
     u_grad = np.array([x[0] ** 3 + x[1], x[0]])
     u_hess = np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
     vec = u_hess @ u_grad
     for tau in (0.1, 0.35, 0.7):
         want = -math.sin(2.0 * TWO_PI * tau) / (32.0 * math.pi ** 3) * vec
-        got = st.hess_s_grad_antideriv_at(tau)
+        got = sp.hess_s_grad_antiderivative_at([tau])[0]
         err = np.max(np.abs(got - want))
         assert err < 1e-14, f"phase drive at tau={tau} off by {err:.2e}"
 
 
 def test_phase_drive_vanishes_for_saddle():
     """The saddle's U'' S' product is constant in tau, so its wiggle part is zero."""
-    st = _saddle_stack(np.array([0.9, 0.4]))
-    worst = max(np.max(np.abs(st.hess_s_grad_antideriv_at(tau)))
+    sc = get_scenario("rotating_saddle")
+    sp = FieldSpectra(sc.potential, [np.array([0.9, 0.4])], 16)
+    worst = max(np.max(np.abs(sp.hess_s_grad_antiderivative_at([tau])))
                 for tau in (0.0, 0.2, 0.55, 0.8))
     assert worst < 1e-14, f"saddle phase drive should vanish, got {worst:.2e}"
+
+
+def test_antiderivative_at_keeps_only_the_real_part_of_the_nyquist_bin():
+    """cos(16 pi tau) + cos(2 pi tau) on 16 samples: the Nyquist wave's
+    antiderivative vanishes on the grid, leaving sin(2 pi tau) / (2 pi)."""
+    pot = CallablePotential(value=lambda x, tau: np.cos(8 * TWO_PI * tau) + np.cos(TWO_PI * tau),
+                            dim=1, grad=lambda x, tau: np.zeros(np.shape(tau) + (1,)),
+                            hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
+    got = FieldSpectra(pot, [np.zeros(1)], 16).antiderivative_at(1, [1.0 / 32])[0, 0]
+    want = math.sin(TWO_PI / 32) / TWO_PI
+    assert abs(got - want) < 1e-14, f"level 1 at tau=1/32: {got} vs {want} (0.0310)"
+
+
+@pytest.mark.parametrize("n_tau", [15, 16])
+def test_antiderivative_at_matches_fourier_series_chain(n_tau):
+    """Levels 1-3 at 20 points, each at its own random phase, against
+    FourierSeries.without_mean().antiderivative()...eval."""
+    rng = np.random.default_rng(20 + n_tau)
+    pot = _random_trig_potential(rng, 2, kmax=n_tau // 2)
+    points = rng.uniform(-1.0, 1.0, (20, 2))
+    taus = rng.uniform(0.0, 1.0, 20)
+    sp = FieldSpectra(pot, points, n_tau)
+    for level in (1, 2, 3):
+        got = sp.antiderivative_at(level, taus)
+        for p, tau in enumerate(taus):
+            series = FourierSeries(sp.coeffs[p].T, n_tau).without_mean()
+            for _ in range(level):
+                series = series.antiderivative()
+            want = series.eval(tau)
+            _assert_close(f"level {level} at point {p}", got[p], want,
+                          max(1.0, np.max(np.abs(want))), rtol=1e-14)
 
 
 # ---- effective potential assembly ----
