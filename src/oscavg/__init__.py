@@ -14,9 +14,9 @@ from .dynamics import (DumbbellTrajectory, Trajectory, guiding_center,
                        integrate_averaged, integrate_dumbbell, integrate_full,
                        integrate_second_order, load_trajectory, save_dumbbell,
                        save_trajectory, transform_trajectory)
-from .analysis import (ConvergenceReport, PrecessionReport, closed_form_checks,
-                       energy_drift, fit_order, guiding_convergence,
-                       guiding_gap, measure_precession, position_gap)
+from .analysis import (Comparison, ConvergenceReport, PrecessionReport,
+                       closed_form_checks, compare, energy_drift, fit_order,
+                       guiding_convergence, measure_precession, position_gap)
 from . import scenarios
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Measurements on trajectories: convergence order, field checks, precession.
 
-The convergence harness compares a transformed full trajectory against an
-averaged run started from the transformed initial state, then fits the decay
-of the sup-norm gap against eps on a log-log scale.
+compare is the one pipeline behind every order check, in the library and on
+the command line: it runs the full flow, maps it to guiding centres, runs
+the averaged flow from the first guiding centre and takes the sup position
+gap.  guiding_convergence runs it over an eps ladder and fit_order fits the
+decay of the gap against eps on a log-log scale.
 """
 from __future__ import annotations
 
@@ -96,38 +98,59 @@ def hermite_positions(traj: Trajectory, t: float):
             + h01 * traj.positions[i + 1] + h11 * h * traj.velocities[i + 1])
 
 
-def guiding_gap(scenario, eps_user, t_end=None, steps_per_period=None,
-                h_avg=None, out_dt=None):
-    """Sup-norm gap between the transformed full run and the averaged run.
+@dataclass
+class Comparison:
+    """One rung: the full run, its guiding centres, the averaged run from the
+    first of them, and their sup position gap.  gap is None when a run left
+    its trusted region: the runs then cover different spans."""
+    full: Trajectory
+    guided: Trajectory
+    averaged: Trajectory
+    gap: float | None = None
 
-    The averaged run starts from the transformed initial state, so the whole
-    gap is model error, not initialization error.
-    """
-    t_end = scenario.t_end if t_end is None else t_end
-    spp = scenario.steps_per_period if steps_per_period is None else steps_per_period
-    h_avg = scenario.h_avg if h_avg is None else h_avg
-    out_dt = scenario.out_dt if out_dt is None else out_dt
+    def region_exit(self):
+        """(run, time) of the first run that left its trusted region, or None."""
+        for run in ("full", "averaged"):
+            if "exited_region_at" in getattr(self, run).meta:
+                return run, getattr(self, run).meta["exited_region_at"]
+        return None
 
-    system = scenario.build_system(eps_user)
-    eps_int = scenario.internal_eps(eps_user)
-    full = integrate_full(scenario.potential, eps_int, scenario.x0, scenario.v0,
-                          t_end, steps_per_period=spp, out_dt=out_dt)
-    if "exited_region_at" in full.meta:
-        raise RuntimeError(f"{scenario.name} at eps={eps_user}: full run left the trusted "
-                           f"region at t={full.meta['exited_region_at']}")
+
+def compare(scenario, eps_user, t_end=None, steps_per_period=None, h_avg=None,
+            out_dt=None, n_tau=None) -> Comparison:
+    """Full run -> guiding-centre transform -> averaged run -> sup gap, with
+    unset arguments taken from the scenario.  The averaged run starts from the
+    transformed initial state, so the whole gap is model error."""
+    sc = scenario
+    t_end = sc.t_end if t_end is None else t_end
+    spp = sc.steps_per_period if steps_per_period is None else steps_per_period
+    h_avg = sc.h_avg if h_avg is None else h_avg
+    out_dt = sc.out_dt if out_dt is None else out_dt
+
+    system = sc.build_system(eps_user, n_tau=n_tau)
+    full = integrate_full(sc.potential, sc.internal_eps(eps_user), sc.x0, sc.v0, t_end,
+                          steps_per_period=spp, out_dt=out_dt)
     guided = transform_trajectory(system, full)
-    avg = integrate_averaged(system, guided.positions[0], guided.velocities[0],
-                             t_end, h=h_avg, out_dt=out_dt)
-    if "exited_region_at" in avg.meta:
-        raise RuntimeError(f"{scenario.name} at eps={eps_user}: averaged run left the "
-                           f"trusted region at t={avg.meta['exited_region_at']}")
-    return float(np.max(position_gap(guided, avg)))
+    averaged = integrate_averaged(system, guided.positions[0], guided.velocities[0],
+                                  t_end, h=h_avg, out_dt=out_dt)
+    rung = Comparison(full, guided, averaged)
+    if rung.region_exit() is None:
+        rung.gap = float(np.max(position_gap(guided, averaged)))
+    return rung
 
 
 def guiding_convergence(scenario, eps_values=None, **kw) -> ConvergenceReport:
-    """Run the guiding-center comparison over an eps ladder and fit the slope."""
+    """Run compare over an eps ladder and fit the slope of the gaps; raises
+    RuntimeError on a rung where a run left its trusted region."""
     eps_values = scenario.default_eps if eps_values is None else list(eps_values)
-    errors = [guiding_gap(scenario, e, **kw) for e in eps_values]
+    errors = []
+    for e in eps_values:
+        rung = compare(scenario, e, **kw)
+        if rung.gap is None:
+            run, t = rung.region_exit()
+            raise RuntimeError(f"{scenario.name} at eps={e}: {run} run left the trusted "
+                               f"region at t={t}")
+        errors.append(rung.gap)
     return fit_order(eps_values, errors, label=f"{scenario.name} guiding-center gap")
 
 

@@ -270,12 +270,6 @@ class AveragedSystem:
             return g + g_mean
         return g + self.epsilon * g_mean + np.asarray(self._static.grad(x), dtype=float)
 
-    def conservative_grad(self, x):
-        """Gradient of the effective potential (everything except the B term)."""
-        x = np.asarray(x, dtype=float)
-        sp = self.spectra([x])
-        return self._conservative_grad(x, sp.g_mean[0], sp.w_grad()[0])
-
     def effective_potential(self, x) -> float:
         st = self.stack(x)
         eps = self.epsilon

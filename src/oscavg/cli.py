@@ -27,8 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .analysis import (closed_form_checks, energy_drift, fit_order,
-                       measure_precession, position_gap)
+# position_gap and transform_trajectory are unused here (compare calls them),
+# but bench/tracer.py patches them by name on this module as well as on analysis
+from .analysis import (closed_form_checks, compare, energy_drift, fit_order,
+                       guiding_convergence, measure_precession, position_gap)
 from .averaging import assemble
 from .dynamics import (atomic_write, integrate_averaged, integrate_dumbbell,
                        integrate_full, integrate_second_order, save_dumbbell,
@@ -126,40 +128,29 @@ def _jsonable(obj):
 
 # ---- run ----
 
+# run settings that compare takes per rung; unset ones come from the scenario
+RUNG_OVERRIDES = ("t_end", "steps_per_period", "h_avg", "out_dt", "n_tau")
+
+
 def _ladder_job(payload: dict) -> dict:
-    """One eps rung: integrate, transform, compare, write CSVs.
+    """One eps rung: compare, then write and digest the three CSVs.
 
     Module-level and driven by a plain dict so a process pool can ship it to a
     worker; everything the job needs is rebuilt from names and numbers.
     """
-    sc = get_scenario(payload["scenario"], **payload.get("scenario_kwargs", {}))
+    sc = get_scenario(payload["scenario"], **payload["scenario_kwargs"])
     eps = payload["eps"]
-    t_end = payload["t_end"]
-    out_dt = payload["out_dt"]
+    rung = compare(sc, eps, **payload["overrides"])
     prefix = os.path.join(payload["out_dir"], f"{sc.name}_eps{eps:.10g}")
-    result = {"eps": eps, "gap": None, "files": {}, "note": None}
-
-    system = assemble(sc.potential, sc.internal_eps(eps), n_tau=payload["n_tau"])
-    full = integrate_full(sc.potential, sc.internal_eps(eps), sc.x0, sc.v0, t_end,
-                          steps_per_period=payload["steps_per_period"], out_dt=out_dt)
-    save_trajectory(full, prefix + "_full.csv", extra_meta={"scenario": sc.name, "eps_user": eps})
-    guided = transform_trajectory(system, full)
-    save_trajectory(guided, prefix + "_guided.csv", extra_meta={"scenario": sc.name, "eps_user": eps})
-    averaged = integrate_averaged(system, guided.positions[0], guided.velocities[0],
-                                  t_end, h=payload["h_avg"], out_dt=out_dt)
-    save_trajectory(averaged, prefix + "_averaged.csv",
-                    extra_meta={"scenario": sc.name, "eps_user": eps})
-
+    files = {}
     for kind in ("full", "guided", "averaged"):
+        save_trajectory(getattr(rung, kind), f"{prefix}_{kind}.csv",
+                        extra_meta={"scenario": sc.name, "eps_user": eps})
         for ext in (".csv", ".json"):
             p = f"{prefix}_{kind}{ext}"
-            result["files"][os.path.basename(p)] = _sha256(p)
-
-    if "exited_region_at" in full.meta or "exited_region_at" in averaged.meta:
-        result["note"] = "a run left the trusted region; gap not comparable"
-    else:
-        result["gap"] = float(np.max(position_gap(guided, averaged)))
-    return result
+            files[os.path.basename(p)] = _sha256(p)
+    note = None if rung.gap is not None else "a run left the trusted region; gap not comparable"
+    return {"eps": eps, "gap": rung.gap, "files": files, "note": note}
 
 
 def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
@@ -253,35 +244,24 @@ def cmd_run(args) -> int:
     else:
         eps_values = list(sc.default_eps)
 
-    resolved = {
-        "scenario": sc.name,
-        "eps": eps_values,
-        "t_end": args.t_end if args.t_end is not None else cfg.get("t_end", sc.t_end),
-        "steps_per_period": (args.steps_per_period if args.steps_per_period is not None
-                             else cfg.get("steps_per_period", sc.steps_per_period)),
-        "h_avg": args.h_avg if args.h_avg is not None else cfg.get("h_avg", sc.h_avg),
-        "out_dt": args.out_dt if args.out_dt is not None else cfg.get("out_dt", sc.out_dt),
-        "n_tau": args.n_tau if args.n_tau is not None else cfg.get("n_tau", sc.n_tau),
-        "jobs": args.jobs if args.jobs is not None else int(cfg.get("jobs", 1)),
-        "out_dir": out_dir,
-    }
+    def pick(key, default):
+        flag = getattr(args, key)
+        return flag if flag is not None else cfg.get(key, default)
+
+    resolved = {"scenario": sc.name, "eps": eps_values, "jobs": pick("jobs", 1),
+                "out_dir": out_dir, **{k: pick(k, getattr(sc, k)) for k in RUNG_OVERRIDES}}
     if sign is not None:
         resolved["sign"] = float(sign)
-    for key in ("t_end", "h_avg", "out_dt"):
-        if resolved[key] <= 0:
-            raise UsageError(f"--{key.replace('_', '-')}: must be positive, got {resolved[key]}")
-    for key in ("steps_per_period", "n_tau", "jobs"):
-        resolved[key] = int(resolved[key])
+    for key in ("t_end", "h_avg", "out_dt", "steps_per_period", "n_tau", "jobs"):
+        if key in ("steps_per_period", "n_tau", "jobs"):
+            resolved[key] = int(resolved[key])
         if resolved[key] <= 0:
             raise UsageError(f"--{key.replace('_', '-')}: must be positive, got {resolved[key]}")
 
     scenario_kwargs = {"sigma": float(sign)} if sign is not None else {}
-    payloads = [{
-        "scenario": sc.name, "scenario_kwargs": scenario_kwargs, "eps": e,
-        "t_end": resolved["t_end"], "steps_per_period": resolved["steps_per_period"],
-        "h_avg": resolved["h_avg"], "out_dt": resolved["out_dt"],
-        "n_tau": resolved["n_tau"], "out_dir": out_dir,
-    } for e in eps_values]
+    payloads = [{"scenario": sc.name, "scenario_kwargs": scenario_kwargs, "eps": e,
+                 "overrides": {k: resolved[k] for k in RUNG_OVERRIDES}, "out_dir": out_dir}
+                for e in eps_values]
 
     workers = _worker_count(resolved["jobs"], len(payloads))
     if workers > 1:
@@ -573,39 +553,21 @@ def _check_satellite_trio(rng, quick):
     return ok, f"max rel err {worst:.2e} ({worst_name}; tol 1e-6)"
 
 
-def _check_convergence_standard(rng, quick):
-    from .analysis import guiding_convergence
-    worst = ""
-    ok = True
-    details = []
-    for name in ("rotating_saddle", "quartic_drive"):
-        sc = get_scenario(name)
-        floor = sc.extras["slope_floor"]
-        if quick:
-            eps_values = sc.default_eps[:2]
-            floor = floor - 0.2
-        else:
-            eps_values = sc.default_eps
-        rep = guiding_convergence(sc, eps_values)
-        details.append(f"{name} slope {rep.slope:.3f} (floor {floor})")
-        ok = ok and rep.slope >= floor
-    return ok, "; ".join(details)
-
-
-def _check_convergence_order1(rng, quick):
-    from .analysis import guiding_convergence
-    sc = get_scenario("spinning_satellite")
-    floor = sc.extras["slope_floor"]
-    kw = {}
-    if quick:
-        eps_values = sc.default_eps[:2]
-        floor = floor - 0.2
-        kw["h_avg"] = 0.002
-    else:
-        eps_values = sc.default_eps
-    rep = guiding_convergence(sc, eps_values, **kw)
-    ok = rep.slope >= floor
-    return ok, f"spinning_satellite slope {rep.slope:.3f} (floor {floor})"
+def _check_convergence(names, quick_overrides=None):
+    """Each named scenario's guiding-centre gap must fall at least as fast as
+    its slope floor.  --quick fits the first two rungs against a floor 0.2
+    lower, with quick_overrides passed on to compare."""
+    def check(rng, quick):
+        ok, details = True, []
+        for name in names:
+            sc = get_scenario(name)
+            floor = sc.extras["slope_floor"] - (0.2 if quick else 0.0)
+            eps, kw = (sc.default_eps[:2], quick_overrides or {}) if quick else (sc.default_eps, {})
+            rep = guiding_convergence(sc, eps, **kw)
+            details.append(f"{name} slope {rep.slope:.3f} (floor {floor})")
+            ok = ok and rep.slope >= floor
+        return ok, "; ".join(details)
+    return check
 
 
 SUITES = {
@@ -623,8 +585,10 @@ SUITES = {
         ("satellite_trio", _check_satellite_trio),
     ],
     "convergence": [
-        ("guiding_order_standard", _check_convergence_standard),
-        ("guiding_order_one_down", _check_convergence_order1),
+        ("guiding_order_standard", _check_convergence(("rotating_saddle", "quartic_drive"))),
+        # a coarser averaged step than the satellite's 0.001 keeps its quick rungs short
+        ("guiding_order_one_down", _check_convergence(("spinning_satellite",),
+                                                      quick_overrides={"h_avg": 0.002})),
     ],
 }
 

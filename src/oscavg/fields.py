@@ -27,15 +27,19 @@ def _fd_step(x, base):
 
 
 def fd_gradient(f, x, h=None):
-    """Central-difference gradient of a scalar function f at x."""
+    """Central-difference gradient of f at x.  f may be array valued; the
+    derivative axis is then last: g[..., i] = d f / d x_i."""
     x = np.asarray(x, dtype=float)
     if h is None:
         h = _fd_step(x, GRAD_STEP)
-    g = np.empty(x.shape[0])
+    g = None
     for i in range(x.shape[0]):
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+        part = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+        if g is None:
+            g = np.empty(part.shape + x.shape)
+        g[..., i] = part
     return g
 
 
@@ -75,24 +79,26 @@ def checked_sample(name, arr, shape):
 
 
 def fd_hessian(f, x, h=None):
-    """Symmetric second-difference Hessian of a scalar function f at x."""
+    """Symmetric second-difference Hessian of f at x.  f may be array valued;
+    the two derivative axes are then last: H[..., i, j]."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     if h is None:
         h = _fd_step(x, HESS_STEP)
-    f0 = f(x)
-    H = np.empty((d, d))
+    f0 = np.asarray(f(x))
+    H = np.empty(f0.shape + (d, d))
     for i in range(d):
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h ** 2
+        H[..., i, i] = (np.asarray(f(xp)) - 2.0 * f0 + np.asarray(f(xm))) / h ** 2
     for i in range(d):
         for j in range(i + 1, d):
             xpp = x.copy(); xpp[i] += h; xpp[j] += h
             xpm = x.copy(); xpm[i] += h; xpm[j] -= h
             xmp = x.copy(); xmp[i] -= h; xmp[j] += h
             xmm = x.copy(); xmm[i] -= h; xmm[j] -= h
-            H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h ** 2)
+            H[..., i, j] = H[..., j, i] = (np.asarray(f(xpp)) - np.asarray(f(xpm))
+                                          - np.asarray(f(xmp)) + np.asarray(f(xmm))) / (4.0 * h ** 2)
     return H
 
 
@@ -213,40 +219,10 @@ class TimePeriodicPotential:
         return np.array(vals), np.array(grads), np.array(hesss)
 
     def grad(self, x, tau):
-        x = np.asarray(x, dtype=float)
-        h = _fd_step(x, GRAD_STEP)
-        out = None
-        for i in range(self.dim):
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            part = (np.asarray(self.value(xp, tau)) - np.asarray(self.value(xm, tau))) / (2.0 * h)
-            if out is None:
-                out = np.empty(part.shape + (self.dim,))
-            out[..., i] = part
-        return out
+        return fd_gradient(lambda y: self.value(y, tau), x)
 
     def hess(self, x, tau):
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        h = _fd_step(x, HESS_STEP)
-        f0 = np.asarray(self.value(x, tau))
-        out = np.empty(f0.shape + (d, d))
-        for i in range(d):
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            out[..., i, i] = (np.asarray(self.value(xp, tau)) - 2.0 * f0
-                              + np.asarray(self.value(xm, tau))) / h ** 2
-        for i in range(d):
-            for j in range(i + 1, d):
-                xpp = x.copy(); xpp[i] += h; xpp[j] += h
-                xpm = x.copy(); xpm[i] += h; xpm[j] -= h
-                xmp = x.copy(); xmp[i] -= h; xmp[j] += h
-                xmm = x.copy(); xmm[i] -= h; xmm[j] -= h
-                mixed = (np.asarray(self.value(xpp, tau)) - np.asarray(self.value(xpm, tau))
-                         - np.asarray(self.value(xmp, tau)) + np.asarray(self.value(xmm, tau))) / (4.0 * h ** 2)
-                out[..., i, j] = mixed
-                out[..., j, i] = mixed
-        return out
+        return fd_hessian(lambda y: self.value(y, tau), x)
 
     def in_region(self, x):
         """True while x stays inside the region where the model is trusted."""

@@ -53,8 +53,9 @@ class Scenario:
     def internal_eps(self, eps_user: float) -> float:
         return self.eps_scale * float(eps_user)
 
-    def build_system(self, eps_user: float):
-        return assemble(self.potential, self.internal_eps(eps_user), n_tau=self.n_tau)
+    def build_system(self, eps_user: float, n_tau=None):
+        n_tau = self.n_tau if n_tau is None else n_tau
+        return assemble(self.potential, self.internal_eps(eps_user), n_tau=n_tau)
 
 
 # ---- rotating saddle ----

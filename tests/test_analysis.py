@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import fit_order, measure_precession, position_gap
+from oscavg import compare, fit_order, guiding_convergence, measure_precession, position_gap
 from oscavg.analysis import energy_drift, hermite_positions
 from oscavg.dynamics import Trajectory
 
@@ -196,3 +196,23 @@ def test_precession_needs_three_passages():
     t, pos, vel = _precessing_ellipse(0.05, n_orbits=1)
     with pytest.raises(ValueError, match="at least 3 perihelion passages"):
         measure_precession(t, pos, vel)
+
+
+# ---- the comparison pipeline ----
+
+def test_compare_gives_no_gap_when_a_run_leaves_its_region(exit_probe):
+    rung = compare(exit_probe, 1 / 16)
+    assert rung.gap is None
+    run, t = rung.region_exit()
+    assert run == "full"
+    assert 0.45 < t < 0.55, f"full run left |x| < 1 at t={t}, expected near 0.5"
+    assert rung.full.times[-1] < t < exit_probe.t_end
+    assert len(rung.guided) == len(rung.full)
+    assert "exited_region_at" in rung.averaged.meta
+
+
+def test_guiding_convergence_names_the_run_that_left_its_region(exit_probe):
+    with pytest.raises(RuntimeError,
+                       match=r"^exit_probe at eps=0.0625: full run left the trusted "
+                             r"region at t=0\.\d+$"):
+        guiding_convergence(exit_probe)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import oscavg.cli as cli
-from oscavg.scenarios import save_config
+import oscavg.scenarios
+from oscavg import compare, load_trajectory
+from oscavg.scenarios import get_scenario, save_config
 
 
 def _sha256(path):
@@ -143,6 +145,33 @@ def test_runs_are_byte_identical(tmp_path, capsys):
         if name.endswith(".csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
                 f"{name} differs between identical runs"
+
+
+def test_run_writes_what_compare_returns(tmp_path, capsys):
+    """The command line runs the library's pipeline: its CSVs hold compare's
+    three trajectories exactly."""
+    out = tmp_path / "parity"
+    assert cli.main(["run", "quartic_drive", "--eps", "1/64", "--t-end", "0.1",
+                     "--out-dir", str(out)]) == 0
+    rung = compare(get_scenario("quartic_drive"), 1 / 64, t_end=0.1)
+    for kind in ("full", "guided", "averaged"):
+        want = getattr(rung, kind)
+        got = load_trajectory(out / f"quartic_drive_eps0.015625_{kind}.csv")
+        for field in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                f"{kind} {field} differ from compare"
+
+
+def test_run_reports_no_gap_when_a_run_leaves_its_region(tmp_path, capsys, monkeypatch,
+                                                         exit_probe):
+    monkeypatch.setitem(oscavg.scenarios.CATALOG, "exit_probe", lambda: exit_probe)
+    out = tmp_path / "exit"
+    assert cli.main(["run", "exit_probe", "--eps", "1/16", "--out-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "sup gap=n/a  (a run left the trusted region; gap not comparable)" in stdout
+    man = _manifest(out)
+    assert man["reports"] == []
+    assert len([n for n in man["files"] if n.endswith(".csv")]) == 3
 
 
 def test_ladder_run_fits_a_slope(tmp_path, capsys):

@@ -8,7 +8,7 @@ from oscavg import (CallablePotential, energy_drift, guiding_center,
                     integrate_averaged, integrate_dumbbell, integrate_full,
                     integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
-from oscavg.analysis import guiding_gap
+from oscavg.analysis import compare
 from oscavg.dynamics import Trajectory, atomic_write
 from oscavg.scenarios import get_scenario
 
@@ -220,14 +220,14 @@ def test_plain_float_acceleration_and_step_check():
 def test_guided_initial_conditions_track_the_full_run():
     """At eps = 1/64 the transformed saddle run and the averaged run agree to ~5e-9."""
     sc = get_scenario("rotating_saddle")
-    gap = guiding_gap(sc, 1.0 / 64)
+    gap = compare(sc, 1.0 / 64).gap
     assert gap < 1e-8, f"guiding-center gap {gap:.2e} at eps=1/64 (expected ~5e-9)"
 
 
 def test_guiding_gap_shrinks_at_fourth_order_or_better():
     sc = get_scenario("rotating_saddle")
-    g1 = guiding_gap(sc, 1.0 / 64)
-    g2 = guiding_gap(sc, 1.0 / 128)
+    g1 = compare(sc, 1.0 / 64).gap
+    g2 = compare(sc, 1.0 / 128).gap
     ratio = g1 / g2
     # one halving of eps must shrink the gap by at least 2^4
     assert ratio >= 16.0, f"gap ratio {ratio:.1f} across eps halving (want >= 16)"
