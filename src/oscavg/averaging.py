@@ -45,8 +45,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import (Order1Potential, TimePeriodicPotential, central_stencil,
-                     checked_sample, stencil_jacobian)
+from .fields import (Order1Potential, TimePeriodicPotential, antiderivative_factors,
+                     central_stencil, checked_sample, phase_weights, stencil_jacobian)
 
 
 def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
@@ -172,31 +172,17 @@ class FieldSpectra:
         long as twice the potential's bandwidth is still resolved.
         """
         d, n = self.dim, self.n_tau
-        s_grad = np.fft.irfft(self.coeffs[:, 1:1 + d] * (n * _antiderivative_factors(n, 2)),
+        s_grad = np.fft.irfft(self.coeffs[:, 1:1 + d] * (n * antiderivative_factors(n, 2)),
                               n=n, axis=-1)
         hess = self.samples[:, 1 + d:].reshape(-1, d, d, n)
         prod = np.einsum("pijn,pjn->pin", hess, s_grad)
         return _series_at(np.fft.rfft(prod, axis=-1) / n, n, 1, taus)
 
 
-def _antiderivative_factors(n_tau: int, level: int):
-    """1 / (2 pi i k)^level for the rfft bins k >= 1 of an n_tau grid, 0 at k = 0."""
-    k = np.arange(1, n_tau // 2 + 1)
-    return np.concatenate(([0.0], (-1j) ** level / (2.0 * np.pi * k) ** level))
-
-
 def _series_at(coeffs, n_tau: int, level: int, taus):
-    """Re sum_k coeffs[p, c, k] phi(taus[p])_k, the level-`level` zero-mean
-    antiderivative of each series coeffs[p, c] at its own phase, with
-    phi_k = 2 e^{2 pi i k tau} / (2 pi i k)^level.  On an even grid the Nyquist
-    bin appears once and the samples hold only the real part of its
-    coefficient, as irfft has it: its entry is cos(2 pi N tau) / (2 pi i N)^level.
-    """
-    k = np.arange(coeffs.shape[-1])
-    phase = 2.0 * np.exp(2j * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), k))
-    if n_tau % 2 == 0:
-        phase[:, -1] = phase[:, -1].real / 2.0
-    phi = phase * _antiderivative_factors(n_tau, level)
+    """The level-`level` zero-mean antiderivative of each series coeffs[p, c]
+    at its own phase taus[p] (Nyquist rule in fields.phase_weights)."""
+    phi = phase_weights(n_tau, taus, level)
     return (coeffs * phi[:, None, :]).sum(axis=-1).real
 
 

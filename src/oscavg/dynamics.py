@@ -1,7 +1,7 @@
 """Trajectory integration for the full, averaged and two-body systems.
 
 Every flow goes through one fixed-step classical RK4 stepper,
-_rk4_second_order.  Output samples land on an exact grid i * out_dt (each
+integrate_second_order.  Output samples land on an exact grid i * out_dt (each
 output interval restarts from t = i * out_dt and is cut into an integer number
 of substeps), so trajectories from different systems can be compared sample by
 sample without interpolation.
@@ -70,9 +70,19 @@ def _substeps(out_dt, h):
     return max(1, int(math.ceil(out_dt / h - 1e-9)))
 
 
-def _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub, in_region=None):
-    """March xdd = acc(t, x, v) on the exact output grid i * out_dt; acc gets
-    and returns lists of floats, in_region a float array."""
+def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
+                           in_region=None) -> Trajectory:
+    """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
+
+    acc gets t and the lists of floats x and v, and returns the acceleration
+    as a sequence of floats.  Samples land on the exact grid i * out_dt; if
+    in_region(x) (given a float array) turns false at a sample, the run stops
+    there and meta records exited_region_at.
+    """
+    if h <= 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    n_out = _out_grid(t_end, out_dt)
+    n_sub = _substeps(out_dt, h)
     x = np.asarray(x0, dtype=float).tolist()
     v = np.asarray(v0, dtype=float).tolist()
     d = len(x)
@@ -82,13 +92,13 @@ def _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub, in_region=None):
     h = out_dt / n_sub
     hh = 0.5 * h
     h6 = h / 6.0
-    exited = None
+    meta = {"h": h, "out_dt": out_dt}
     kept = n_out + 1
     for i in range(n_out + 1):
         t = i * out_dt
         if in_region is not None and not in_region(np.array(x)):
             kept = i
-            exited = t
+            meta["exited_region_at"] = t
             break
         times[i] = t
         pos[i] = x
@@ -111,28 +121,7 @@ def _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub, in_region=None):
                  for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
             v = [q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
                  for q, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
-    return times[:kept], pos[:kept], vel[:kept], exited
-
-
-def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
-                           in_region=None) -> Trajectory:
-    """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
-
-    acc gets t and the lists of floats x and v, and returns the acceleration
-    as a sequence of floats.  Samples land on the exact grid i * out_dt; if
-    in_region(x) turns false at a sample, the run stops there and meta records
-    exited_region_at.
-    """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    n_out = _out_grid(t_end, out_dt)
-    n_sub = _substeps(out_dt, h)
-    times, pos, vel, exited = _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub,
-                                                in_region=in_region)
-    meta = {"h": out_dt / n_sub, "out_dt": out_dt}
-    if exited is not None:
-        meta["exited_region_at"] = exited
-    return Trajectory(times, pos, vel, meta)
+    return Trajectory(times[:kept], pos[:kept], vel[:kept], meta)
 
 
 def integrate_full(potential, epsilon, x0, v0, t_end,
@@ -163,15 +152,14 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
             # a custom potential's grad may return a sequence of numbers
             return [-gi for gi in np.asarray(g, dtype=float).tolist()]
 
-    n_out = _out_grid(t_end, out_dt)
-    n_sub = _substeps(out_dt, eps / steps_per_period)
-    times, pos, vel, exited = _rk4_second_order(acc, x0, v0, n_out, out_dt, n_sub,
-                                                in_region=potential.in_region)
-    meta = {"kind": "full", "epsilon": eps, "steps_per_period": steps_per_period,
-            "out_dt": out_dt, "substeps_per_out": n_sub}
-    if exited is not None:
-        meta["exited_region_at"] = exited
-    return Trajectory(times, pos, vel, meta)
+    h = eps / steps_per_period
+    traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
+                                  in_region=potential.in_region)
+    # the full run is described by its steps per period, not by its step
+    del traj.meta["h"]
+    traj.meta.update(kind="full", epsilon=eps, steps_per_period=steps_per_period,
+                     substeps_per_out=_substeps(out_dt, h))
+    return traj
 
 
 def integrate_averaged(system: AveragedSystem, x0, v0, t_end,
@@ -329,28 +317,47 @@ def atomic_write(path, newline=None):
         raise
 
 
-def _write_rows(path, header, rows):
-    with atomic_write(path, newline="") as fh:
+def file_digests(*paths) -> dict:
+    """{file name: sha256 hex digest} of each file as it is on disk."""
+    import hashlib  # loads OpenSSL; imported here so `import oscavg` does not pay for it
+    digests = {}
+    for path in paths:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+        digests[os.path.basename(path)] = h.hexdigest()
+    return digests
+
+
+def _save_table(csv_path, header, columns, meta, extra_meta) -> dict:
+    """Write columns as a CSV plus a JSON sidecar holding the header, the row
+    count and meta updated by extra_meta; return both files' digests."""
+    csv_path = str(csv_path)
+    rows = np.column_stack(columns)
+    with atomic_write(csv_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([f"{v:.17g}" for v in row])
-
-
-def save_trajectory(traj: Trajectory, csv_path, extra_meta=None):
-    """Write a trajectory as CSV plus a JSON sidecar with the run metadata."""
-    csv_path = str(csv_path)
-    d = traj.dim
-    header = ["t"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
-    rows = np.column_stack([traj.times, traj.positions, traj.velocities])
-    _write_rows(csv_path, header, rows)
-    meta = dict(traj.meta)
+    meta = dict(meta)
     if extra_meta:
         meta.update(extra_meta)
-    sidecar = {"columns": header, "rows": int(len(traj)), "meta": meta}
-    with atomic_write(_sidecar_path(csv_path)) as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    sidecar = _sidecar_path(csv_path)
+    with atomic_write(sidecar) as fh:
+        json.dump({"columns": header, "rows": int(rows.shape[0]), "meta": meta}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
+    return file_digests(csv_path, sidecar)
+
+
+def save_trajectory(traj: Trajectory, csv_path, extra_meta=None) -> dict:
+    """Write a trajectory as CSV plus a JSON sidecar with the run metadata;
+    return {file name: sha256} for the two files."""
+    d = traj.dim
+    header = ["t"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
+    return _save_table(csv_path, header, [traj.times, traj.positions, traj.velocities],
+                       traj.meta, extra_meta)
 
 
 def _sidecar_path(csv_path):
@@ -377,16 +384,9 @@ def load_trajectory(csv_path) -> Trajectory:
     return Trajectory(times, pos, vel, meta)
 
 
-def save_dumbbell(traj: DumbbellTrajectory, csv_path, extra_meta=None):
-    csv_path = str(csv_path)
+def save_dumbbell(traj: DumbbellTrajectory, csv_path, extra_meta=None) -> dict:
+    """Write a dumbbell run as CSV plus a JSON sidecar with the run metadata;
+    return {file name: sha256} for the two files."""
     header = ["t", "z1", "z2", "zd1", "zd2", "theta", "thetadot"]
-    rows = np.column_stack([traj.times, traj.center, traj.center_vel,
-                            traj.angle, traj.spin])
-    _write_rows(csv_path, header, rows)
-    meta = dict(traj.meta)
-    if extra_meta:
-        meta.update(extra_meta)
-    with atomic_write(_sidecar_path(csv_path)) as fh:
-        json.dump({"columns": header, "rows": int(len(traj)), "meta": meta}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    return _save_table(csv_path, header, [traj.times, traj.center, traj.center_vel,
+                                          traj.angle, traj.spin], traj.meta, extra_meta)

@@ -102,6 +102,31 @@ def fd_hessian(f, x, h=None):
     return H
 
 
+def antiderivative_factors(n: int, level: int):
+    """1 / (2 pi i k)^level for the rfft bins k >= 1 of an n-point grid, 0 at k = 0."""
+    k = np.arange(1, n // 2 + 1)
+    return np.concatenate(([0.0], (-1j) ** level / (2.0 * np.pi * k) ** level))
+
+
+def phase_weights(n: int, taus, level: int = 0):
+    """phi[..., k] such that Re sum_k c_k phi[..., k] is, at each tau in taus,
+    the series with normalized rfft coefficients c_k of an n-point grid
+    (level 0) or its level-`level` zero-mean tau antiderivative.
+
+    phi_k = w_k e^{2 pi i k tau} / (2 pi i k)^level with w_0 = 1 and w_k = 2
+    above.  On an even grid the Nyquist bin appears once and the n samples
+    hold only the real part of its coefficient, as grid() and irfft have it:
+    its entry is cos(2 pi N tau) / (2 pi i N)^level.  This is the one place
+    that rule is kept.
+    """
+    k = np.arange(n // 2 + 1)
+    phase = 2.0 * np.exp(2j * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), k))
+    phase[..., 0] = 1.0
+    if n % 2 == 0:
+        phase[..., -1] = phase[..., -1].real / 2.0
+    return phase if level == 0 else phase * antiderivative_factors(n, level)
+
+
 class FourierSeries:
     """A real, 1-periodic function (possibly array valued) held as rfft coefficients.
 
@@ -139,10 +164,8 @@ class FourierSeries:
         scale = float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
         if float(np.max(np.abs(self.coeffs[0]))) > 1e-10 * max(scale, 1e-300):
             raise ValueError("nonzero mean; subtract the average before integrating in tau")
-        k = np.arange(self.coeffs.shape[0])
-        factor = np.zeros(k.shape[0], dtype=complex)
-        factor[1:] = 1.0 / (2.0j * np.pi * k[1:])
-        shape = (k.shape[0],) + (1,) * (self.coeffs.ndim - 1)
+        factor = antiderivative_factors(self.n, 1)
+        shape = factor.shape + (1,) * (self.coeffs.ndim - 1)
         return FourierSeries(self.coeffs * factor.reshape(shape), self.n)
 
     def derivative(self):
@@ -158,20 +181,8 @@ class FourierSeries:
 
     def eval(self, tau):
         """Evaluate at arbitrary tau (scalar or 1-d array), interpreted mod 1."""
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        m = self.coeffs.shape[0]
-        k = np.arange(m)
-        w = np.full(m, 2.0)
-        w[0] = 1.0
-        if self.n % 2 == 0:
-            w[-1] = 1.0  # Nyquist bin appears once
-        phases = np.exp(2.0j * np.pi * np.outer(tau_arr, k))
-        wc = self.coeffs * w.reshape((m,) + (1,) * (self.coeffs.ndim - 1))
-        if self.n % 2 == 0:
-            # the n samples hold only the real part of the Nyquist coefficient,
-            # as grid() and irfft have it
-            wc[-1] = wc[-1].real
-        out = np.real(np.tensordot(phases, wc, axes=([1], [0])))
+        phases = phase_weights(self.n, np.atleast_1d(np.asarray(tau, dtype=float)))
+        out = np.real(np.tensordot(phases, self.coeffs, axes=([1], [0])))
         if np.isscalar(tau) or np.asarray(tau).ndim == 0:
             return out[0]
         return out
@@ -318,17 +329,10 @@ class Order1Potential:
         self.oscillating = oscillating
         self.dim = static.dim
 
-    def value(self, x, tau, eps):
-        return self.static.value(x) + eps * self.oscillating.value(x, tau)
-
     def grad(self, x, tau, eps):
         # the full flow calls this four times per substep: the ufuncs take
         # arrays or sequences alike, so no np.asarray round trips
         return np.add(self.static.grad(x), np.multiply(eps, self.oscillating.grad(x, tau)))
-
-    def hess(self, x, tau, eps):
-        h1 = np.asarray(self.oscillating.hess(x, tau), dtype=float)
-        return np.asarray(self.static.hess(x), dtype=float) + eps * h1
 
     def in_region(self, x):
         return self.static.in_region(x) and self.oscillating.in_region(x)

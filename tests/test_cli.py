@@ -6,6 +6,7 @@ import platform
 import numpy as np
 import pytest
 
+import oscavg.checks
 import oscavg.cli as cli
 import oscavg.scenarios
 from oscavg import compare, load_trajectory
@@ -89,6 +90,16 @@ def test_run_without_scenario_anywhere_is_a_usage_error(capsys):
 def test_flags_that_did_nothing_are_gone(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign", ["0.5", "0", "2"])
+def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
+    """The config key gets the rule the --sign flag's choices enforce."""
+    cfg = tmp_path / "signed.cfg"
+    cfg.write_text(f"scenario = spinning_satellite\nsign = {sign}\n")
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "sign" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_seed_is_not_a_run_config_key(tmp_path, capsys):
@@ -224,6 +235,21 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert _manifest(out)["config"]["t_end"] == pytest.approx(0.2)
 
 
+def test_out_dir_precedence_flag_config_environment(tmp_path, capsys, monkeypatch):
+    """--out-dir beats the config's out_dir, which beats $OSCAVG_OUT_DIR."""
+    monkeypatch.setenv("OSCAVG_OUT_DIR", str(tmp_path / "env"))
+    cfg = tmp_path / "run.cfg"
+    save_config({"scenario": "quartic_drive", "eps": [1.0 / 64], "t_end": 0.1,
+                 "out_dir": str(tmp_path / "cfg")}, cfg)
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert _manifest(tmp_path / "cfg")["config"]["out_dir"] == str(tmp_path / "cfg")
+    assert not (tmp_path / "env").exists()
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "manifest.json").exists()
+    assert cli.main(["run", "quartic_drive", "--eps", "1/64", "--t-end", "0.1"]) == 0
+    assert (tmp_path / "env" / "manifest.json").exists()
+
+
 def test_scenario_alias_resolves(tmp_path, capsys):
     out = tmp_path / "alias"
     assert cli.main(["run", "quartic", "--eps", "1/64", "--t-end", "0.2",
@@ -258,7 +284,7 @@ def test_validate_oracles_quick_passes(tmp_path, capsys):
 
 def test_validate_catches_a_corrupted_closed_form(tmp_path, capsys, monkeypatch):
     """Flipping the sign of one bundled field must fail the oracle suite."""
-    real = cli.get_scenario
+    real = oscavg.checks.get_scenario
 
     def tampered(name, **kwargs):
         sc = real(name, **kwargs)
@@ -269,7 +295,7 @@ def test_validate_catches_a_corrupted_closed_form(tmp_path, capsys, monkeypatch)
             sc.closed_forms = forms
         return sc
 
-    monkeypatch.setattr(cli, "get_scenario", tampered)
+    monkeypatch.setattr(oscavg.checks, "get_scenario", tampered)
     out = tmp_path / "val"
     code = cli.main(["validate", "oracles", "--quick", "--out-dir", str(out)])
     stdout = capsys.readouterr().out

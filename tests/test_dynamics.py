@@ -1,4 +1,5 @@
 """Unit tests for the integrators, the guiding-center map and serialization."""
+import hashlib
 import math
 
 import numpy as np
@@ -395,6 +396,19 @@ def test_save_dumbbell_writes_declared_columns(tmp_path):
     sidecar = json.loads((tmp_path / "dumbbell.json").read_text())
     assert sidecar["rows"] == len(traj)
     assert sidecar["meta"]["kind"] == "dumbbell"
+
+
+def test_writers_return_the_digests_of_their_files(tmp_path):
+    """save_dumbbell and save_trajectory return {file name: sha256} for the
+    CSV and its sidecar, equal to the files on disk."""
+    dumb = integrate_dumbbell(0.02, np.array([1.0, 0.0]), np.array([0.0, 0.9]),
+                              0.0, 50.0, 0.5, steps_per_spin=32, out_dt=0.1)
+    traj = Trajectory(np.array([0.0, 0.1]), np.zeros((2, 2)), np.ones((2, 2)), {"kind": "full"})
+    for digests, stem in ((save_dumbbell(dumb, tmp_path / "d.csv", {"eps_user": 0.02}), "d"),
+                          (save_trajectory(traj, tmp_path / "t.csv"), "t")):
+        assert sorted(digests) == [f"{stem}.csv", f"{stem}.json"]
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_position_gap_requires_matching_grids():
