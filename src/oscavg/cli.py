@@ -66,13 +66,23 @@ def _resolve_name(name: str) -> str:
 
 
 def _get_scenario(name: str, sign=None):
+    """The scenario and the keyword arguments that build it (a sign becomes
+    the satellite's sigma), so a ladder worker can rebuild the same one."""
     name = _resolve_name(name)
     kwargs = {}
     if sign is not None:
         if name != "spinning_satellite":
             raise UsageError("--sign only applies to the spinning_satellite scenario")
         kwargs["sigma"] = float(sign)
-    return get_scenario(name, **kwargs)
+    return get_scenario(name, **kwargs), kwargs
+
+
+def _checked_eps(values, where: str):
+    if not values:
+        raise UsageError(f"{where}: no eps values given")
+    if any(e <= 0 for e in values):
+        raise UsageError(f"{where}: eps values must be positive")
+    return values
 
 
 def _parse_eps_list(text: str, flag: str):
@@ -85,18 +95,13 @@ def _parse_eps_list(text: str, flag: str):
             out.append(parse_number(part))
         except ValueError as e:
             raise UsageError(f"{flag}: {e}")
-    if not out:
-        raise UsageError(f"{flag}: no eps values given")
-    if any(e <= 0 for e in out):
-        raise UsageError(f"{flag}: eps values must be positive")
-    return out
+    return _checked_eps(out, flag)
 
 
 def _out_dir(args, cfg: dict) -> str:
-    """--out-dir, else the config's out_dir, else $OSCAVG_OUT_DIR, else ./oscavg_out."""
-    d = args.out_dir or cfg.get("out_dir") or os.environ.get("OSCAVG_OUT_DIR") or "oscavg_out"
-    os.makedirs(d, exist_ok=True)
-    return d
+    """--out-dir, else the config's out_dir, else $OSCAVG_OUT_DIR, else ./oscavg_out.
+    Only resolved here: a command creates it once its inputs have passed."""
+    return args.out_dir or cfg.get("out_dir") or os.environ.get("OSCAVG_OUT_DIR") or "oscavg_out"
 
 
 def _write_json(path: str, payload: dict) -> dict:
@@ -145,10 +150,7 @@ def _ladder_job(payload: dict) -> dict:
 
 
 def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
-    cfg = sc.extras.get("precession")
-    if cfg is None:
-        raise UsageError(f"--orbits: scenario {sc.name!r} has no precession comparison; "
-                         "use the spinning_satellite scenario")
+    cfg = sc.extras["precession"]
     eps = cfg["eps"]
     sigma = sc.extras["sigma"]
     z0 = np.asarray(cfg["z0"], dtype=float)
@@ -209,6 +211,8 @@ def cmd_run(args) -> int:
             cfg = load_config(args.config)
         except (OSError, ValueError) as e:
             raise UsageError(f"--config: {e}")
+    # every input is checked before any work, and before the output directory
+    # exists, so a usage error leaves nothing behind
     out_dir = _out_dir(args, cfg)
     name = args.scenario or cfg.get("scenario")
     if not name:
@@ -217,7 +221,7 @@ def cmd_run(args) -> int:
     sign = args.sign if args.sign is not None else cfg.get("sign")
     if sign is not None and float(sign) not in (1.0, -1.0):
         raise UsageError(f"config key 'sign': must be +1 or -1, got {sign:g}")
-    sc = _get_scenario(name, sign)
+    sc, scenario_kwargs = _get_scenario(name, sign)
 
     if args.eps is not None and args.eps_ladder is not None:
         raise UsageError("--eps and --eps-ladder are mutually exclusive")
@@ -226,7 +230,7 @@ def cmd_run(args) -> int:
     elif args.eps_ladder is not None:
         eps_values = _parse_eps_list(args.eps_ladder, "--eps-ladder")
     elif "eps" in cfg:
-        eps_values = list(np.atleast_1d(cfg["eps"]))
+        eps_values = _checked_eps(list(np.atleast_1d(cfg["eps"])), "config key 'eps'")
     else:
         eps_values = list(sc.default_eps)
 
@@ -243,8 +247,14 @@ def cmd_run(args) -> int:
             resolved[key] = int(resolved[key])
         if resolved[key] <= 0:
             raise UsageError(f"--{key.replace('_', '-')}: must be positive, got {resolved[key]}")
+    if args.orbits is not None:
+        if "precession" not in sc.extras:
+            raise UsageError(f"--orbits: scenario {sc.name!r} has no precession comparison; "
+                             "use the spinning_satellite scenario")
+        if args.orbits < 3:
+            raise UsageError("--orbits: need at least 3 orbits to measure precession")
+    os.makedirs(out_dir, exist_ok=True)
 
-    scenario_kwargs = {"sigma": float(sign)} if sign is not None else {}
     payloads = [{"scenario": sc.name, "scenario_kwargs": scenario_kwargs, "eps": e,
                  "overrides": {k: resolved[k] for k in RUNG_OVERRIDES}, "out_dir": out_dir}
                 for e in eps_values]
@@ -279,8 +289,6 @@ def cmd_run(args) -> int:
         print(f"fitted log-log slope: {rep.slope:.3f}")
 
     if args.orbits is not None:
-        if args.orbits < 3:
-            raise UsageError("--orbits: need at least 3 orbits to measure precession")
         pre = _run_precession(sc, args.orbits, out_dir, files)
         reports["precession"] = pre
         print(f"precession: dumbbell {pre['dumbbell']['mean_advance']:+.5f} rad/orbit, "
@@ -307,6 +315,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     t0 = time.time()
     out_dir = _out_dir(args, {})
+    os.makedirs(out_dir, exist_ok=True)
     names = list(SUITES) if args.suite == "all" else [args.suite]
 
     seed = args.seed if args.seed is not None else 0

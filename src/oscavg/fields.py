@@ -208,9 +208,11 @@ class TimePeriodicPotential:
     stencil points.  The default calls value/grad/hess once per point.
     Overriding it pays when those calls cost more than the arithmetic in
     them: a potential built from a few spatial pieces times a few phase
-    factors can compute the pieces once as arrays over the points and the
-    phase factors once per call.  SatelliteOscillating and the separable
-    drives a(tau) u(x) (SeparableDrivePotential) override it.
+    factors can compute the pieces once per point and the phase factors once
+    per call.  SatelliteOscillating and RotatingWavePotential (three pieces
+    times one harmonic, through scenarios._HarmonicPieces) and the separable
+    drives a(tau) u(x) (SeparableDrivePotential) override it.  The taus it
+    gets are the shared, read-only sample grid.
     """
 
     dim: int = 0

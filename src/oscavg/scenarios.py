@@ -285,20 +285,82 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
 
 # ---- rotating angular wave ----
 
-class RotatingWavePotential(TimePeriodicPotential):
+@lru_cache(maxsize=8)
+def _cached_phase_table(harmonic, shape, tau_bytes):
+    ang = harmonic * TWO_PI * np.frombuffer(tau_bytes).reshape(shape)
+    table = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+class _HarmonicPieces(TimePeriodicPotential):
+    """A plane potential P0(x) + P1(x) cos(m theta) + P2(x) sin(m theta),
+    theta = 2 pi tau: three spatial pieces times one harmonic's phase factors.
+
+    Subclasses set the harmonic m and give _pieces(x): the three pieces and
+    their derivatives at one point, in float math, as one flat list of 3
+    rows (the columns of _phase_table) of 7 channels each: the value, the two
+    gradient components and the four Hessian entries (row major).  sample()
+    computes the pieces once per point and the phase table once per grid,
+    and combines them in one matmul.
+    """
+
+    dim = 2
+    harmonic = 1.0
+
+    def _pieces(self, x):
+        raise NotImplementedError
+
+    def _phase_table(self, tau):
+        """(1, cos m theta, sin m theta), shape shape(tau) + (3,), read-only.
+
+        Every force call samples the same tau grid, so tables are cached by
+        the harmonic and the bytes of tau.
+        """
+        tau = np.asarray(tau, dtype=float)
+        return _cached_phase_table(self.harmonic, tau.shape, tau.tobytes())
+
+    def _combine(self, x, tau):
+        """All seven channels at one point, shape shape(tau) + (7,)."""
+        return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
+
+    def sample(self, points, taus):
+        pieces = np.array([self._pieces(x) for x in points]).reshape(-1, 3, 7)
+        s = self._phase_table(taus) @ pieces   # (P, n, 7)
+        return s[..., 0], s[..., 1:3], s[..., 3:].reshape(s.shape[:-1] + (2, 2))
+
+    def in_region(self, x):
+        return math.hypot(x[0], x[1]) >= self.r_min
+
+
+class RotatingWavePotential(_HarmonicPieces):
     """U(x, tau) = cos(phi - 2 pi tau) + offset, phi the polar angle of x.
 
     A pure angular wave sweeping around the origin once per cycle.  Its mean
     is constant, so the entire averaged force comes from the oscillation
     corrections; the magnetic-like vector decays like 1/r^3.  Singular at the
     origin, so a disk around it is excluded from the trusted region.
+
+    value, grad and hess are array formulas in the phase; sample() takes the
+    pieces offset, x / r and y / r (times 1, cos 2 pi tau, sin 2 pi tau).
     """
 
     def __init__(self, offset: float = 0.3, r_min: float = 0.5):
         self.offset = float(offset)
         self.r_min = float(r_min)
 
-    dim = 2
+    def _pieces(self, x):
+        xx, yy = float(x[0]), float(x[1])
+        r2 = xx * xx + yy * yy
+        r = math.sqrt(r2)
+        r3 = r2 * r
+        r5 = r2 * r3
+        cross = -xx * yy / r3                          # d(x/r)/dy = d(y/r)/dx
+        mix_x = yy * (2.0 * xx * xx - yy * yy) / r5    # d2(x/r)/dx dy = d2(y/r)/dx2
+        mix_y = xx * (2.0 * yy * yy - xx * xx) / r5    # d2(x/r)/dy2 = d2(y/r)/dx dy
+        return [self.offset, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                xx / r, yy * yy / r3, cross, -3.0 * xx * yy * yy / r5, mix_x, mix_x, mix_y,
+                yy / r, cross, xx * xx / r3, mix_x, mix_y, mix_y, -3.0 * xx * xx * yy / r5]
 
     def _e(self, tau):
         ang = TWO_PI * np.asarray(tau, dtype=float)
@@ -332,9 +394,6 @@ class RotatingWavePotential(TimePeriodicPotential):
                     term = term - dot / r3
                 out[..., i, j] = term
         return out
-
-    def in_region(self, x):
-        return math.hypot(x[0], x[1]) >= self.r_min
 
 
 def rotating_wave(offset: float = 0.3, r_min: float = 0.5) -> Scenario:
@@ -410,15 +469,7 @@ class SatelliteStatic(StaticPotential):
         return math.hypot(x[0], x[1]) >= self.r_min
 
 
-@lru_cache(maxsize=8)
-def _cached_phase_table(shape, tau_bytes):
-    ang = 2.0 * TWO_PI * np.frombuffer(tau_bytes).reshape(shape)
-    table = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
-    table.flags.writeable = False
-    return table
-
-
-class SatelliteOscillating(TimePeriodicPotential):
+class SatelliteOscillating(_HarmonicPieces):
     """First-order tidal term of a spinning dumbbell, phase-averaged form.
 
     In angular variables the term is sigma (1 + 3 cos 2(theta - phi)) / (2 r^3)
@@ -428,64 +479,42 @@ class SatelliteOscillating(TimePeriodicPotential):
     eps.
     """
 
-    dim = 2
+    harmonic = 2.0
 
     def __init__(self, sigma=-1.0, r_min=0.1):
         self.sigma = float(sigma)
         self.r_min = float(r_min)
 
-    # value = p + C cos(2 theta) + B sin(2 theta) with k = sigma / (2 pi) and
-    # p = k / (2 r^3), C = 3k (x^2 - y^2) / (2 r^5), B = 3k xy / r^5: each
-    # piece is a quadratic form z.A z / 2 times r^-5, with k times these A
-    _FORMS = np.array([[[1.0, 0.0], [0.0, 1.0]],      # p
-                       [[3.0, 0.0], [0.0, -3.0]],     # C
-                       [[0.0, 3.0], [3.0, 0.0]]])     # B
-    _EYE = np.eye(2)
+    def _pieces(self, x):
+        """value = p + C cos(2 theta) + B sin(2 theta) with k = sigma / (2 pi),
+        p = k / (2 r^3), C = 3k (x^2 - y^2) / (2 r^5) and B = 3k xy / r^5.
 
-    def _pieces(self, points):
-        """p, C, B and their derivatives at P points, shape (P, 3, 7).
-
-        Axis 1 is the piece, in the order of the columns of _phase_table;
-        axis 2 the channel: value, the two gradient components and the four
-        Hessian entries (row major).  Product rule on f = z.A z / 2 and
-        g = r^-5: grad = A z g + f grad g, and
+        Each piece is a quadratic form f = z.A z / 2 times g = r^-5, with
+        A = k [[1, 0], [0, 1]], k [[3, 0], [0, -3]] and k [[0, 3], [3, 0]];
+        the product rule gives grad = A z g + f grad g and
         hess = A g + f hess g + (A z) (grad g)^T + (grad g) (A z)^T.
         """
-        z = np.asarray(points, dtype=float).reshape(-1, 2)
-        forms = (self.sigma / TWO_PI) * self._FORMS
-        r2 = (z * z).sum(axis=1)
+        xx, yy = float(x[0]), float(x[1])
+        k = self.sigma / TWO_PI
+        k3 = 3.0 * k
+        r2 = xx * xx + yy * yy
         g = r2 ** -2.5
         dg = -5.0 * g / r2
-        grad_g = dg[:, None] * z
-        hess_g = (dg[:, None, None] * self._EYE
-                  + (35.0 * g / (r2 * r2))[:, None, None] * (z[:, :, None] * z[:, None, :]))
-        az = np.swapaxes(z @ forms, 0, 1)                    # grad f, (P, 3, 2)
-        f = 0.5 * (az * z[:, None, :]).sum(axis=2)
-        out = np.empty((z.shape[0], 3, 7))
-        out[:, :, 0] = f * g[:, None]
-        out[:, :, 1:3] = az * g[:, None, None] + f[:, :, None] * grad_g[:, None, :]
-        cross = az[:, :, :, None] * grad_g[:, None, None, :]
-        hess = (forms * g[:, None, None, None] + f[:, :, None, None] * hess_g[:, None]
-                + cross + np.swapaxes(cross, 2, 3))
-        out[:, :, 3:] = hess.reshape(-1, 3, 4)
+        gx, gy = dg * xx, dg * yy                    # grad g
+        e = 35.0 * g / (r2 * r2)                     # hess g = dg I + e z z^T
+        hxx, hxy, hyy = dg + e * xx * xx, e * xx * yy, dg + e * yy * yy
+        out = []
+        for a, b, c in ((k, 0.0, k), (k3, 0.0, -k3), (0.0, k3, 0.0)):  # A = [[a, b], [b, c]]
+            ax, ay = a * xx + b * yy, b * xx + c * yy  # grad f = A z
+            f = 0.5 * (ax * xx + ay * yy)
+            off = b * g + f * hxy + (ax * gy + gx * ay)
+            out += [f * g, ax * g + f * gx, ay * g + f * gy,
+                    a * g + f * hxx + 2.0 * ax * gx, off, off,
+                    c * g + f * hyy + 2.0 * ay * gy]
         return out
 
-    @staticmethod
-    def _phase_table(tau):
-        """(1, cos 2 theta, sin 2 theta), shape shape(tau) + (3,), read-only.
-
-        Every force call samples the same tau grid, so tables are cached by
-        the bytes of tau.
-        """
-        tau = np.asarray(tau, dtype=float)
-        return _cached_phase_table(tau.shape, tau.tobytes())
-
-    def _combine(self, x, tau):
-        """All seven channels at one point, shape shape(tau) + (7,)."""
-        return self._phase_table(tau) @ self._pieces(x)[0]
-
     def value(self, x, tau):
-        return self._phase_table(tau) @ self._pieces(x)[0, :, 0]
+        return self._phase_table(tau) @ np.array(self._pieces(x)[::7])
 
     def grad(self, x, tau):
         if np.ndim(tau) != 0:
@@ -513,13 +542,6 @@ class SatelliteOscillating(TimePeriodicPotential):
     def hess(self, x, tau):
         h = self._combine(x, tau)[..., 3:]
         return h.reshape(h.shape[:-1] + (2, 2))
-
-    def sample(self, points, taus):
-        s = self._phase_table(taus) @ self._pieces(points)   # (P, n, 7)
-        return s[..., 0], s[..., 1:3], s[..., 3:].reshape(s.shape[:-1] + (2, 2))
-
-    def in_region(self, x):
-        return math.hypot(x[0], x[1]) >= self.r_min
 
 
 def spinning_satellite(sigma: float = -1.0, r_min: float = 0.1) -> Scenario:

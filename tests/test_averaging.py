@@ -69,7 +69,18 @@ def test_stack_rejects_non_finite_samples():
 def test_satellite_sample_matches_per_point_calls(n_tau):
     """The batched satellite samples equal value/grad/hess point by point and
     the float-math grad at each scalar tau, to rounding of the largest sample."""
-    pot = get_scenario("spinning_satellite").potential.oscillating
+    _check_sample_matches_per_point_calls(get_scenario("spinning_satellite").potential.oscillating,
+                                          n_tau)
+
+
+@pytest.mark.parametrize("n_tau", [15, 16, 48])
+def test_wave_sample_matches_per_point_calls(n_tau):
+    """The wave's batched samples (pieces offset, x / r, y / r) equal its
+    array-formula value/grad/hess and the grad at each scalar tau."""
+    _check_sample_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
+
+
+def _check_sample_matches_per_point_calls(pot, n_tau):
     rng = np.random.default_rng(n_tau)
     r = rng.uniform(pot.r_min, 3.0, 50)
     phi = rng.uniform(0.0, TWO_PI, 50)
@@ -609,3 +620,35 @@ def test_assemble_rejects_bad_epsilon():
     sc = get_scenario("rotating_saddle")
     with pytest.raises(ValueError, match="epsilon must be positive"):
         assemble(sc.potential, 0.0)
+
+
+@pytest.mark.parametrize("name", ["rotating_saddle", "quartic_drive", "kapitza_pendulum",
+                                  "rotating_wave", "spinning_satellite", "value_only"])
+def test_force_is_the_sum_of_its_field_terms(name):
+    """force(x, v) = -grad(Ubar) - eps^p grad W + eps^q B(x) v, with each term
+    from the field definitions: the means and grad W of stack(x), B from
+    b_matrix(x).  Agreement to 1e-15 of the largest term ties the force's
+    one-build path to them."""
+    if name == "value_only":
+        rng = np.random.default_rng(8)
+        analytic = _random_trig_potential(rng, 2, kmax=3)
+        system = assemble(CallablePotential(value=analytic.value, dim=2), 0.07, n_tau=16)
+        states = [(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)) for _ in range(3)]
+    else:
+        sc = get_scenario(name)
+        system = sc.build_system(sc.default_eps[0])
+        rng = np.random.default_rng(9)
+        states = [(sc.x0, sc.v0)] + [(sc.x0 * rng.uniform(0.8, 1.2), rng.uniform(-1.0, 1.0, sc.dim))
+                                     for _ in range(2)]
+    eps = system.epsilon
+    for x, v in states:
+        st = system.stack(x)
+        if system.order == "standard":
+            mean_grad = st.g_mean
+        else:
+            mean_grad = system.potential.static.grad(x) + eps * st.g_mean
+        terms = [-mean_grad, -eps ** system.w_power * st.w_grad(),
+                 eps ** system.b_power * (system.b_matrix(x) @ v)]
+        scale = max(float(np.max(np.abs(t))) for t in terms)
+        _assert_close(f"{name} force at x={x}", system.force(x, v), sum(terms), scale,
+                      rtol=1e-15)

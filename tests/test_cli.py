@@ -102,6 +102,52 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps = -1/64, 1/128\n",
+     "config key 'eps': eps values must be positive"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps =\n",
+     "config key 'eps': no eps values given"),
+    (["quartic_drive", "--orbits", "5"], None,
+     "--orbits: scenario 'quartic_drive' has no precession comparison"),
+    (["spinning_satellite", "--orbits", "2"], None,
+     "--orbits: need at least 3 orbits to measure precession"),
+    (["--config", "{cfg}"], "scenario = spinning_satellite\nsign = 0.5\n",
+     "config key 'sign': must be +1 or -1, got 0.5"),
+    (["quartic_drive", "--sign", "+1"], None,
+     "--sign only applies to the spinning_satellite scenario"),
+    (["rotating_sadle"], None, "unknown scenario 'rotating_sadle'"),
+    (["quartic_drive", "--t-end", "-1"], None, "--t-end: must be positive, got -1.0"),
+])
+def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, tmp_path, capsys):
+    """Every run input is checked first: a usage error exits 2 with its
+    message and leaves no output directory behind."""
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    out = tmp_path / "o"
+    code = cli.main(["run", *[a.format(cfg=cfg) for a in argv], "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ladder_workers_rebuild_the_scenario_from_its_sign(tmp_path, capsys, monkeypatch):
+    """The sign -> sigma mapping of _get_scenario is what each rung's payload carries."""
+    payloads = []
+
+    def job(payload):
+        payloads.append(payload)
+        return {"eps": payload["eps"], "gap": None, "files": {}, "note": "not run"}
+
+    monkeypatch.setattr(cli, "_ladder_job", job)
+    assert cli.main(["run", "satellite", "--sign", "+1", "--eps-ladder", "1/64,1/128",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    assert [p["scenario_kwargs"] for p in payloads] == [{"sigma": 1.0}] * 2
+    sc, kwargs = cli._get_scenario("satellite", "+1")
+    assert kwargs == {"sigma": 1.0} and sc.extras["sigma"] == 1.0
+    assert cli._get_scenario("quartic")[1] == {}
+
+
 def test_seed_is_not_a_run_config_key(tmp_path, capsys):
     cfg = tmp_path / "seeded.cfg"
     cfg.write_text("scenario = quartic_drive\nseed = 3\n")
