@@ -308,10 +308,11 @@ class AveragedSystem:
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
     def full_acceleration(self, x, tau):
-        """Instantaneous acceleration of the underlying full system at phase tau."""
+        """Instantaneous acceleration of the underlying full system at the
+        float phase tau, as a list of floats."""
         if self._static is None:
-            return -np.asarray(self._osc.grad(x, tau), dtype=float)
-        return -np.asarray(self.potential.grad(x, tau, self.epsilon), dtype=float)
+            return [-g for g in self._osc.phase_grad(x, tau)]
+        return [-g for g in self.potential.phase_grad(x, tau, self.epsilon)]
 
     def in_region(self, x):
         return self.potential.in_region(x)

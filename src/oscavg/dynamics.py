@@ -9,7 +9,9 @@ sample without interpolation.
 Inside the loop x, v and the accelerations are lists of floats, combined in
 the order array arithmetic would use, so results are bit-identical to it at a
 fraction of numpy's per-operation cost on 2- and 3-vectors.  The callbacks
-still get float arrays: potential.grad, system.force and in_region see ndarrays.
+still get float arrays: potential.phase_grad (the full flow's gradient at one
+float phase, returned as a list of floats), system.force and in_region see
+ndarrays.
 """
 from __future__ import annotations
 
@@ -145,12 +147,10 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     eps = float(epsilon)
     if isinstance(potential, Order1Potential):
         def acc(t, x, v):
-            return [-g for g in potential.grad(np.array(x), (t / eps) % 1.0, eps).tolist()]
+            return [-g for g in potential.phase_grad(np.array(x), (t / eps) % 1.0, eps)]
     else:
         def acc(t, x, v):
-            g = potential.grad(np.array(x), (t / eps) % 1.0)
-            # a custom potential's grad may return a sequence of numbers
-            return [-gi for gi in np.asarray(g, dtype=float).tolist()]
+            return [-g for g in potential.phase_grad(np.array(x), (t / eps) % 1.0)]
 
     h = eps / steps_per_period
     traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
@@ -191,7 +191,8 @@ def _guiding_centers(system: AveragedSystem, xs, vs, ts):
     grad, hess = slice(1, 1 + d), slice(1 + d, None)
     a_hess_stencil = a3[:, hess].reshape(n, m, d, d)
     a_hess = a_hess_stencil[:, 0]
-    a_full = np.array([system.full_acceleration(x, tau) for x, tau in zip(xs, taus[::m])])
+    a_full = np.array([system.full_acceleration(x, tau)
+                       for x, tau in zip(xs, taus[::m].tolist())])
 
     def times(mats, vecs):
         return np.einsum("nij,nj->ni", mats, vecs)

@@ -196,10 +196,11 @@ class TimePeriodicPotential:
     roughly 1e-10 (gradient) and 1e-8 (Hessian).  value/grad/hess must accept
     tau as a scalar or a 1-d array and vectorize over it.
 
-    The full flow calls grad at a scalar phase, four times per RK4 substep,
-    so that call's fixed cost sets the speed of the full run; a scalar branch
-    in plain float math or on numpy scalars avoids the 0-d array overhead
-    (see SatelliteOscillating.grad and SeparableDrivePotential).
+    The full flow calls phase_grad(x, tau), the gradient at one float phase
+    as a list of floats, four times per RK4 substep, so that call's fixed cost
+    sets the speed of the full run.  The default converts grad(x, tau); the
+    bundled potentials override it in float math, which skips the 0-d array
+    overhead of the array path.
 
     sample(points, taus) gives value, gradient and Hessian at P points and n
     phases in one call, as arrays of shape (P, n), (P, n, dim) and
@@ -233,6 +234,10 @@ class TimePeriodicPotential:
 
     def grad(self, x, tau):
         return fd_gradient(lambda y: self.value(y, tau), x)
+
+    def phase_grad(self, x, tau):
+        """grad at the float array x and one float phase tau, as a list of floats."""
+        return np.asarray(self.grad(x, tau), dtype=float).tolist()
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)
@@ -332,9 +337,12 @@ class Order1Potential:
         self.dim = static.dim
 
     def grad(self, x, tau, eps):
-        # the full flow calls this four times per substep: the ufuncs take
-        # arrays or sequences alike, so no np.asarray round trips
         return np.add(self.static.grad(x), np.multiply(eps, self.oscillating.grad(x, tau)))
+
+    def phase_grad(self, x, tau, eps):
+        """grad at one float phase as a list of floats: the same sums as grad."""
+        static = np.asarray(self.static.grad(x), dtype=float).tolist()
+        return [s + eps * o for s, o in zip(static, self.oscillating.phase_grad(x, tau))]
 
     def in_region(self, x):
         return self.static.in_region(x) and self.oscillating.in_region(x)

@@ -79,12 +79,14 @@ class RotatingSaddlePotential(TimePeriodicPotential):
         return 0.5 * c * (x[0] ** 2 - x[1] ** 2) + s * x[0] * x[1]
 
     def grad(self, x, tau):
-        if np.ndim(tau) == 0:
-            ang = -TWO_PI * tau
-            c, s = math.cos(ang), math.sin(ang)
-            return np.array([c * x[0] + s * x[1], s * x[0] - c * x[1]])
         c, s = self._cs(tau)
         return np.stack([c * x[0] + s * x[1], s * x[0] - c * x[1]], axis=-1)
+
+    def phase_grad(self, x, tau):
+        ang = -TWO_PI * tau
+        c, s = math.cos(ang), math.sin(ang)
+        x0, x1 = float(x[0]), float(x[1])
+        return [c * x0 + s * x1, s * x0 - c * x1]
 
     def hess(self, x, tau):
         c, s = self._cs(tau)
@@ -138,6 +140,9 @@ class SeparableDrivePotential(TimePeriodicPotential):
     and their product has zero mean.  The only surviving correction is the
     velocity-independent one with coefficient avg over tau of the squared
     zero-mean antiderivative of a.
+
+    a gets float arrays of phases, and one float phase in phase_grad; the
+    profile u_value/u_grad/u_hess gets float arrays.
     """
 
     def __init__(self, a, u_value, u_grad, u_hess, dim):
@@ -148,29 +153,20 @@ class SeparableDrivePotential(TimePeriodicPotential):
         self._uh = u_hess
 
     def _drive(self, tau):
-        """a(tau).  A scalar phase (the full flow calls grad at one phase, four
-        times per substep) goes in as a numpy scalar rather than a 0-d array:
-        the same numbers, without the 0-d array's per-operation cost."""
-        if isinstance(tau, float):
-            return self._a(np.float64(tau))
         return self._a(np.asarray(tau, dtype=float))
 
     def value(self, x, tau):
         return self._drive(tau) * self._uv(x)
 
     def grad(self, x, tau):
-        a = self._drive(tau)
-        g = np.asarray(self._ug(x), dtype=float)
-        if isinstance(a, float) or np.ndim(a) == 0:
-            return float(a) * g
-        return np.asarray(a)[..., None] * g
+        return np.asarray(self._drive(tau))[..., None] * np.asarray(self._ug(x), dtype=float)
+
+    def phase_grad(self, x, tau):
+        a = float(self._a(tau))
+        return [a * float(g) for g in self._ug(x)]
 
     def hess(self, x, tau):
-        a = self._drive(tau)
-        hm = np.asarray(self._uh(x), dtype=float)
-        if isinstance(a, float) or np.ndim(a) == 0:
-            return float(a) * hm
-        return np.asarray(a)[..., None, None] * hm
+        return np.asarray(self._drive(tau))[..., None, None] * np.asarray(self._uh(x), dtype=float)
 
     def sample(self, points, taus):
         """The drive once over taus and the profile once per point, combined
@@ -215,10 +211,10 @@ def quartic_drive() -> Scenario:
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
     def u_grad(x):
-        # the full flow calls this four times per substep: float math gives
-        # numpy-scalar arithmetic's values at a fraction of its cost
-        x0, x1 = float(x[0]), float(x[1])
-        return np.array([x0 ** 3 + x1, x0])
+        # phase_grad calls this four times per full-flow substep: float math
+        # gives numpy-scalar arithmetic's values at a fraction of its cost
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        return [x0 ** 3 + x1, x0]
 
     def u_hess(x):
         return np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
@@ -378,6 +374,16 @@ class RotatingWavePotential(_HarmonicPieces):
         dot = (x[0] * c + x[1] * s) / (r2 * r)
         return np.stack([c / r - dot * x[0], s / r - dot * x[1]], axis=-1)
 
+    def phase_grad(self, x, tau):
+        # grad's operations in grad's order, on floats
+        ang = TWO_PI * tau
+        c, s = float(np.cos(ang)), float(np.sin(ang))
+        x0, x1 = float(x[0]), float(x[1])
+        r2 = x0 ** 2 + x1 ** 2
+        r = math.sqrt(r2)
+        dot = (x0 * c + x1 * s) / (r2 * r)
+        return [c / r - dot * x0, s / r - dot * x1]
+
     def hess(self, x, tau):
         c, s = self._e(tau)
         r2 = x[0] ** 2 + x[1] ** 2
@@ -517,11 +523,11 @@ class SatelliteOscillating(_HarmonicPieces):
         return self._phase_table(tau) @ np.array(self._pieces(x)[::7])
 
     def grad(self, x, tau):
-        if np.ndim(tau) != 0:
-            return self._combine(x, tau)[..., 1:3]
-        # the full flow calls this four times per substep: plain float math on
-        # grad p = -3k z / (2 r^5), grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7)
-        # and grad B = 3k ((y, x) / r^5 - 5 xy z / r^7), q = x^2 - y^2
+        return self._combine(x, tau)[..., 1:3]
+
+    def phase_grad(self, x, tau):
+        # float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5 - 5 xy z / r^7)
+        # and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
         xx, yy = float(x[0]), float(x[1])
         r2 = xx * xx + yy * yy
         r5 = r2 * r2 * math.sqrt(r2)
@@ -537,7 +543,7 @@ class SatelliteOscillating(_HarmonicPieces):
                   + 3.0 * s * (yy * u - xy * xx * w))
         gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
                   + 3.0 * s * (xx * u - xy * yy * w))
-        return np.array([gx, gy])
+        return [gx, gy]
 
     def hess(self, x, tau):
         h = self._combine(x, tau)[..., 3:]

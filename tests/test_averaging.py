@@ -67,8 +67,9 @@ def test_stack_rejects_non_finite_samples():
 
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 def test_satellite_sample_matches_per_point_calls(n_tau):
-    """The batched satellite samples equal value/grad/hess point by point and
-    the float-math grad at each scalar tau, to rounding of the largest sample."""
+    """The batched satellite samples equal value/grad/hess point by point,
+    grad at each scalar tau and the float-math phase_grad, to rounding of the
+    largest sample."""
     _check_sample_matches_per_point_calls(get_scenario("spinning_satellite").potential.oscillating,
                                           n_tau)
 
@@ -76,7 +77,7 @@ def test_satellite_sample_matches_per_point_calls(n_tau):
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 def test_wave_sample_matches_per_point_calls(n_tau):
     """The wave's batched samples (pieces offset, x / r, y / r) equal its
-    array-formula value/grad/hess and the grad at each scalar tau."""
+    array-formula value/grad/hess, grad at each scalar tau and phase_grad."""
     _check_sample_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
 
 
@@ -95,7 +96,9 @@ def _check_sample_matches_per_point_calls(pot, n_tau):
                                 ("grad", grads[p], pot.grad(x, taus)),
                                 ("hess", hesss[p], pot.hess(x, taus)),
                                 ("scalar grad", grads[p],
-                                 np.array([pot.grad(x, float(t)) for t in taus]))):
+                                 np.array([pot.grad(x, float(t)) for t in taus])),
+                                ("phase grad", grads[p],
+                                 np.array([pot.phase_grad(x, float(t)) for t in taus]))):
             _assert_close(f"{name} at r={r[p]:.3f}", got, want, np.max(np.abs(got)), rtol=1e-14)
 
 

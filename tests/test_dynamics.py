@@ -11,7 +11,7 @@ from oscavg import (CallablePotential, energy_drift, guiding_center,
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
 from oscavg.dynamics import Trajectory, atomic_write
-from oscavg.scenarios import get_scenario
+from oscavg.scenarios import SeparableDrivePotential, get_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,6 +196,25 @@ def test_callbacks_receive_float_arrays():
     traj = integrate_full(pot, 1.0, np.array([1.0, 0.5]), np.zeros(2), 2.0, out_dt=0.1)
     want = np.column_stack([np.cos(traj.times), 0.5 * np.cos(2.0 * traj.times)])
     assert np.max(np.abs(traj.positions - want)) < 1e-8
+
+
+def test_separable_profiles_receive_float_arrays_in_the_full_flow():
+    """phase_grad hands a separable profile the float array x, so a u_grad
+    written with ndarray operations runs through the full flow."""
+    M = np.diag([1.0, 4.0])
+    seen = set()
+
+    def u_grad(x):
+        seen.add((type(x), x.dtype, x.shape))
+        return x @ M
+
+    pot = SeparableDrivePotential(lambda tau: np.ones(np.shape(tau)),
+                                  lambda x: 0.5 * float(x @ M @ x), u_grad,
+                                  lambda x: M, dim=2)
+    traj = integrate_full(pot, 1.0, np.array([1.0, 0.5]), np.zeros(2), 2.0, out_dt=0.1)
+    want = np.column_stack([np.cos(traj.times), 0.5 * np.cos(2.0 * traj.times)])
+    assert np.max(np.abs(traj.positions - want)) < 1e-8
+    assert seen == {(np.ndarray, np.dtype(float), (2,))}
 
 
 def test_full_flow_accepts_a_grad_that_returns_a_list():

@@ -9,7 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oscavg.scenarios import SatelliteOscillating  # noqa: E402
+from oscavg import CallablePotential, Order1Potential  # noqa: E402
+from oscavg.scenarios import (RotatingSaddlePotential, SatelliteOscillating,  # noqa: E402
+                              SeparableDrivePotential, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,3 +63,85 @@ def test_satellite_float_pieces_match_the_array_product_rule(r, phi, sigma):
         err = float(np.max(np.abs(got[:, cols] - want[:, cols])))
         scale = float(np.max(np.abs(want[:, cols])))
         assert err <= 1e-14 * scale, f"{block} at r={r}, phi={phi}: off by {err:.2e} of {scale:.2e}"
+
+
+# ---- phase_grad: the full flow's gradient at one float phase ----
+
+def _old_scalar_grad(pot, x, tau):
+    """grad at one float phase as grad's scalar-phase branches gave it before
+    phase_grad existed (the wave and the callables had none: their grad is
+    the oracle as it stands)."""
+    if isinstance(pot, RotatingSaddlePotential):
+        ang = -TWO_PI * tau
+        c, s = math.cos(ang), math.sin(ang)
+        return np.array([c * x[0] + s * x[1], s * x[0] - c * x[1]])
+    if isinstance(pot, SeparableDrivePotential):
+        return float(pot._a(np.float64(tau))) * np.asarray(pot._ug(x), dtype=float)
+    if isinstance(pot, SatelliteOscillating):
+        xx, yy = float(x[0]), float(x[1])
+        r2 = xx * xx + yy * yy
+        r5 = r2 * r2 * math.sqrt(r2)
+        u = 1.0 / r5
+        w = 5.0 / (r5 * r2)
+        q = xx * xx - yy * yy
+        xy = xx * yy
+        ang = 2.0 * TWO_PI * tau
+        c = math.cos(ang)
+        s = math.sin(ang)
+        k = pot.sigma / TWO_PI
+        gx = k * (-1.5 * xx * u + 1.5 * c * (2.0 * xx * u - q * xx * w)
+                  + 3.0 * s * (yy * u - xy * xx * w))
+        gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
+                  + 3.0 * s * (xx * u - xy * yy * w))
+        return np.array([gx, gy])
+    return np.asarray(pot.grad(x, tau), dtype=float)
+
+
+def _drive(tau):
+    tau = np.asarray(tau, dtype=float)
+    return np.cos(TWO_PI * tau) + 0.5 * np.sin(2.0 * TWO_PI * tau)
+
+
+def _value(x, tau):
+    return _drive(tau) * (x[0] ** 2 * x[1] + math.sin(x[1]))
+
+
+def _list_grad(x, tau):
+    """A list of floats at a float phase, nested lists over an array of phases."""
+    return np.multiply.outer(_drive(tau), [2.0 * x[0] * x[1], x[0] ** 2 + math.cos(x[1])]).tolist()
+
+
+_PHASE_POTENTIALS = {
+    **{name: (lambda name=name: get_scenario(name).potential)
+       for name in ("rotating_saddle", "quartic_drive", "kapitza_pendulum", "rotating_wave")},
+    "spinning_satellite-": lambda: get_scenario("spinning_satellite", sigma=-1.0).potential,
+    "spinning_satellite+": lambda: get_scenario("spinning_satellite", sigma=1.0).potential,
+    "value_only": lambda: CallablePotential(_value, 2),
+    "list_grad": lambda: CallablePotential(_value, 2, grad=_list_grad),
+}
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
+       phi=st.floats(0.0, TWO_PI), tau=st.floats(0.0, 1.0, exclude_max=True),
+       eps=st.floats(1e-4, 0.2))
+def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
+    """phase_grad(x, tau) is a list of floats equal bit for bit to the
+    scalar-phase grad it replaces in the full flow, and within 1e-14 of the
+    largest entry to the array path grad(x, [tau])[0]; for the satellite's
+    split potential, to static.grad + eps * (that oscillating gradient)."""
+    pot = _PHASE_POTENTIALS[name]()
+    x = np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
+    if isinstance(pot, Order1Potential):
+        got = pot.phase_grad(x, tau, eps)
+        want = np.add(pot.static.grad(x), np.multiply(eps, _old_scalar_grad(pot.oscillating, x, tau)))
+        array_path = pot.grad(x, np.array([tau]), eps)[0]
+    else:
+        got = pot.phase_grad(x, tau)
+        want = _old_scalar_grad(pot, x, tau)
+        array_path = np.asarray(pot.grad(x, np.array([tau])), dtype=float)[0]
+    assert [type(g) for g in got] == [float] * pot.dim
+    assert got == want.tolist(), f"{name} at x={x}, tau={tau}: {got} != {want.tolist()}"
+    err = float(np.max(np.abs(np.subtract(got, array_path))))
+    scale = float(np.max(np.abs(array_path)))
+    assert err <= 1e-14 * scale, f"{name} at x={x}, tau={tau}: off the array path by {err:.2e}"
