@@ -34,13 +34,14 @@ are float math.  The guiding-center map takes that stencil around every
 state of a trajectory in one call and reads V, S, A at each state's own phase
 from the coefficients.
 
-Powers of eps carried by each piece of the averaged force:
+Every potential is U = U0(x) + eps^s U1(x, tau), its static, oscillating and
+shift s (s = 0 and no U0 is the standard split, s = 1 the slow-plus-eps split
+of Order1Potential), and every eps power of the averaged force follows from s:
 
-    standard split   F = -grad(Ubar) - eps^2 grad(W) + eps^3 B xd
-    slow+eps split   F = -grad(U0) - eps grad(U1bar) - eps^4 grad(W) + eps^5 B xd
+    F = -grad(U0) - eps^s grad(U1bar) - eps^(2+2s) grad(W) + eps^(3+2s) B xd
 
 with W = avg(V' . V')/2, b = avg(S'' V'), B = (Db)^T - Db, where V, S are the
-first and second zero-mean tau antiderivatives of the oscillating part and
+first and second zero-mean tau antiderivatives of U1 and
 (Db)[i, j] = d b_i / d x_j.
 """
 from __future__ import annotations
@@ -49,8 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (Order1Potential, TimePeriodicPotential, antiderivative_factors,
-                     central_stencil, checked_sample, phase_weights, stencil_jacobian)
+from .fields import (TimePeriodicPotential, antiderivative_factors, central_stencil,
+                     checked_sample, phase_weights, stencil_jacobian)
+
+MIN_N_TAU = 4  # the coarsest tau grid _checked_samples accepts
 
 
 def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
@@ -67,7 +70,7 @@ def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
     for x in points:
         if x.shape != (d,):
             raise ValueError(f"point shape {x.shape} does not match potential dim {d}")
-    if n_tau < 4:
+    if n_tau < MIN_N_TAU:
         raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
     taus = _tau_grid(n_tau)
     n_pts = len(points)
@@ -226,11 +229,12 @@ class PeriodicFieldStack:
 class AveragedSystem:
     """The assembled averaged dynamics for one potential at one eps.
 
-    force(x, v) evaluates the averaged force law; the eps powers of each term
-    depend on whether the potential oscillates at leading order or one order
-    down (see the module docstring).  The instance also exposes the raw b
-    vector, the antisymmetric coupling matrix B, the effective potential and an
-    adiabatic-invariant style energy for drift checks.
+    force(x, v) evaluates the averaged force law, with every eps power taken
+    from the potential's shift s (see the module docstring): w_power 2 + 2s,
+    b_power 3 + 2s.  The instance also exposes the raw b vector, the
+    antisymmetric coupling matrix B, the effective potential, an
+    adiabatic-invariant style energy for drift checks and the full flow's
+    acceleration.
     """
 
     def __init__(self, potential, epsilon: float, n_tau: int = 48):
@@ -239,18 +243,12 @@ class AveragedSystem:
         self.potential = potential
         self.epsilon = float(epsilon)
         self.n_tau = int(n_tau)
-        if isinstance(potential, Order1Potential):
-            self.order = "slow_plus_eps"
-            self._osc = potential.oscillating
-            self._static = potential.static
-            self.w_power = 4
-            self.b_power = 5
-        else:
-            self.order = "standard"
-            self._osc = potential
-            self._static = None
-            self.w_power = 2
-            self.b_power = 3
+        self._osc = potential.oscillating
+        self._static = potential.static
+        self.shift = s = potential.shift
+        self.order = ("standard", "slow_plus_eps")[s]
+        self.w_power = 2 + 2 * s
+        self.b_power = 3 + 2 * s
         self.dim = self._osc.dim
 
     def spectra(self, points) -> FieldSpectra:
@@ -263,20 +261,14 @@ class AveragedSystem:
     # ---- assembled fields ----
 
     def _conservative_grad(self, x, g_mean, w_grad):
-        g = self.epsilon ** self.w_power * w_grad
-        if self._static is None:
-            return g + g_mean
-        return g + self.epsilon * g_mean + np.asarray(self._static.grad(x), dtype=float)
+        g = self.epsilon ** self.w_power * w_grad + self.epsilon ** self.shift * g_mean
+        return g if self._static is None else g + np.asarray(self._static.grad(x), dtype=float)
 
     def effective_potential(self, x) -> float:
         st = self.stack(x)
-        eps = self.epsilon
-        u = eps ** self.w_power * st.w_value()
-        if self._static is None:
-            u += st.u_mean
-        else:
-            u += eps * st.u_mean + float(self._static.value(x))
-        return float(u)
+        u = self.epsilon ** self.w_power * st.w_value()
+        static = 0.0 if self._static is None else float(self._static.value(x))
+        return float(u + (self.epsilon ** self.shift * st.u_mean + static))
 
     def b_vector(self, x):
         return self.spectra([x]).b_vector()[0]
@@ -308,21 +300,20 @@ class AveragedSystem:
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
     def full_acceleration(self, x, tau):
-        """Instantaneous acceleration of the underlying full system at the
-        float phase tau, as a list of floats."""
+        """Acceleration -grad(U0 + eps^s U1) of the full system at the float
+        array x and the float phase tau, as a list of floats."""
+        osc = self._osc.phase_grad(x, tau)
         if self._static is None:
-            return [-g for g in self._osc.phase_grad(x, tau)]
-        return [-g for g in self.potential.phase_grad(x, tau, self.epsilon)]
+            return [-g for g in osc]
+        scale = self.epsilon ** self.shift
+        static = np.asarray(self._static.grad(x), dtype=float).tolist()
+        return [-(s + scale * o) for s, o in zip(static, osc)]
 
     def in_region(self, x):
         return self.potential.in_region(x)
 
 
 def assemble(potential, epsilon: float, n_tau: int = 48) -> AveragedSystem:
-    """Build the averaged system for a potential at a given eps.
-
-    The potential type selects the eps bookkeeping: a plain
-    TimePeriodicPotential oscillates at leading order, an Order1Potential
-    carries its oscillation one power of eps down.
-    """
+    """Build the averaged system for a potential at a given eps; the
+    potential's shift selects the eps bookkeeping (see AveragedSystem)."""
     return AveragedSystem(potential, epsilon, n_tau=n_tau)

@@ -33,10 +33,11 @@ from . import __version__
 # (compare calls them), but bench/tracer.py patches them by name on this
 # module as well as on analysis
 from .analysis import compare, fit_order, measure_precession, position_gap
+from .averaging import MIN_N_TAU
 from .checks import SUITES
-from .dynamics import (atomic_write, file_digests, integrate_averaged, integrate_dumbbell,
-                       integrate_full, integrate_second_order, save_dumbbell,
-                       save_trajectory, transform_trajectory)
+from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integrate_averaged,
+                       integrate_dumbbell, integrate_full, integrate_second_order,
+                       save_dumbbell, save_trajectory, transform_trajectory)
 from .scenarios import (CATALOG, ScenarioUsageError, get_scenario, load_config,
                         parse_number)
 
@@ -242,11 +243,13 @@ def cmd_run(args) -> int:
                 "out_dir": out_dir, **{k: pick(k, getattr(sc, k)) for k in RUNG_OVERRIDES}}
     if sign is not None:
         resolved["sign"] = float(sign)
+    minimum = {"steps_per_period": MIN_STEPS_PER_PERIOD, "n_tau": MIN_N_TAU, "jobs": 1}
     for key in ("t_end", "h_avg", "out_dt", "steps_per_period", "n_tau", "jobs"):
-        if key in ("steps_per_period", "n_tau", "jobs"):
+        if key in minimum:
             resolved[key] = int(resolved[key])
-        if resolved[key] <= 0:
-            raise UsageError(f"--{key.replace('_', '-')}: must be positive, got {resolved[key]}")
+        if resolved[key] <= 0 or resolved[key] < minimum.get(key, 0):
+            rule = f"at least {minimum[key]}" if key in minimum else "positive"
+            raise UsageError(f"--{key.replace('_', '-')}: must be {rule}, got {resolved[key]}")
     if args.orbits is not None:
         if "precession" not in sc.extras:
             raise UsageError(f"--orbits: scenario {sc.name!r} has no precession comparison; "
@@ -365,7 +368,7 @@ def cmd_list(args) -> int:
                   "user potential, library only (oscavg.scenarios.custom_scenario)")
             continue
         sc = get_scenario(name)
-        split = "slow + eps" if sc.eps_scale and hasattr(sc.potential, "static") else "standard"
+        split = "slow + eps" if sc.potential.shift else "standard"
         ladder = ",".join(f"{e:.8g}" for e in sc.default_eps)
         print(f"{name:<20s} {sc.dim:>3d}  {split:<14s} {ladder:<34s} {sc.description}")
     return 0

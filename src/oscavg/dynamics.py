@@ -9,7 +9,7 @@ sample without interpolation.
 Inside the loop x, v and the accelerations are lists of floats, combined in
 the order array arithmetic would use, so results are bit-identical to it at a
 fraction of numpy's per-operation cost on 2- and 3-vectors.  The callbacks
-still get float arrays: potential.phase_grad (the full flow's gradient at one
+still get float arrays: system.full_acceleration (the full flow's, at one
 float phase, returned as a list of floats), system.force and in_region see
 ndarrays.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import AveragedSystem
-from .fields import Order1Potential, central_stencil, stencil_jacobian
+from .averaging import AveragedSystem, assemble
+from .fields import central_stencil, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
 
@@ -137,20 +137,17 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     """
     if steps_per_period < MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_period={steps_per_period} is below the minimum {MIN_STEPS_PER_PERIOD}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    system = assemble(potential, epsilon)
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not potential.in_region(x0):
         raise ValueError("initial position is outside the potential's trusted region")
 
-    eps = float(epsilon)
-    if isinstance(potential, Order1Potential):
-        def acc(t, x, v):
-            return [-g for g in potential.phase_grad(np.array(x), (t / eps) % 1.0, eps)]
-    else:
-        def acc(t, x, v):
-            return [-g for g in potential.phase_grad(np.array(x), (t / eps) % 1.0)]
+    eps = system.epsilon
+    full_acceleration = system.full_acceleration
+
+    def acc(t, x, v):
+        return full_acceleration(np.array(x), (t / eps) % 1.0)
 
     h = eps / steps_per_period
     traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
@@ -197,7 +194,7 @@ def _guiding_centers(system: AveragedSystem, xs, vs, ts):
     def times(mats, vecs):
         return np.einsum("nij,nj->ni", mats, vecs)
 
-    p = 2 if system.order == "standard" else 3
+    p = 2 + system.shift
     ep, ep1 = eps ** p, eps ** (p + 1)
     X = xs + ep * s2[::m, grad] - 2.0 * ep1 * times(a_hess, vs)
 
@@ -210,15 +207,18 @@ def _guiding_centers(system: AveragedSystem, xs, vs, ts):
 
     # phase velocity of the first dropped corrector: its tau derivative is
     # the antiderivative of  U'' S' - 3 grad(A'' v) v - 3 A'' vdot  with vdot
-    # the mean acceleration; j_av_v doubles as the middle term
-    if system.order == "standard":
+    # the mean acceleration; j_av_v doubles as the middle term.  With
+    # U = U0 + eps^s U1, the U0 shares of U'' S' and vdot land at eps^(3+s)
+    # and the U1 shares at eps^(3+2s); the map keeps terms through eps^(3+s)
+    drive = mean_acc = 0.0
+    if system.shift == 0:
         drive = spectra.hess_s_grad_antiderivative_at(taus)[::m]
         mean_acc = -spectra.g_mean[::m]
-    else:
-        static = system.potential.static
-        drive = np.array([np.asarray(static.hess(x), dtype=float) @ a_grad
-                          for x, a_grad in zip(xs, a3[::m, grad])])
-        mean_acc = -np.array([np.asarray(static.grad(x), dtype=float) for x in xs])
+    static = system.potential.static
+    if static is not None:
+        drive = drive + np.array([np.asarray(static.hess(x), dtype=float) @ a_grad
+                                  for x, a_grad in zip(xs, a3[::m, grad])])
+        mean_acc = mean_acc - np.array([np.asarray(static.grad(x), dtype=float) for x in xs])
     V = V - ep1 * (drive - 3.0 * j_av_v - 3.0 * times(a_hess, mean_acc))
     return X, V
 
@@ -264,6 +264,8 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     """
     if steps_per_spin < MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     eps = float(epsilon)
     arm = math.sqrt(eps)
 

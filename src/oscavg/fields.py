@@ -189,7 +189,9 @@ class FourierSeries:
 
 
 class TimePeriodicPotential:
-    """Base class for potentials U(x, tau) with period 1 in tau.
+    """Base class for potentials U(x, tau) with period 1 in tau: the shift 0
+    case of U = static(x) + eps^shift * oscillating(x, tau), with no static
+    part and itself as the oscillating part (Order1Potential is shift 1).
 
     Subclasses must implement value() and should implement grad() and hess()
     analytically when possible; the finite-difference fallbacks are accurate to
@@ -217,6 +219,12 @@ class TimePeriodicPotential:
     """
 
     dim: int = 0
+    static = None
+    shift = 0
+
+    @property
+    def oscillating(self):
+        return self
 
     def value(self, x, tau):
         raise NotImplementedError
@@ -322,12 +330,14 @@ class CallableStatic(StaticPotential):
 
 
 class Order1Potential:
-    """Split potential U0(x) + eps * U1(x, tau).
+    """Split potential U0(x) + eps * U1(x, tau), the shift 1 case.
 
     The oscillating part U1 rides one power of eps above the slow part, which
     pushes every averaged correction two orders higher than in the standard
-    case.  The averaging layer detects this type and shifts the powers.
+    case (see averaging).
     """
+
+    shift = 1
 
     def __init__(self, static: StaticPotential, oscillating: TimePeriodicPotential):
         if static.dim != oscillating.dim:
@@ -335,14 +345,6 @@ class Order1Potential:
         self.static = static
         self.oscillating = oscillating
         self.dim = static.dim
-
-    def grad(self, x, tau, eps):
-        return np.add(self.static.grad(x), np.multiply(eps, self.oscillating.grad(x, tau)))
-
-    def phase_grad(self, x, tau, eps):
-        """grad at one float phase as a list of floats: the same sums as grad."""
-        static = np.asarray(self.static.grad(x), dtype=float).tolist()
-        return [s + eps * o for s, o in zip(static, self.oscillating.phase_grad(x, tau))]
 
     def in_region(self, x):
         return self.static.in_region(x) and self.oscillating.in_region(x)

@@ -589,12 +589,85 @@ def test_satellite_internal_mean_matches_closed_form():
 
 def test_order_detection_and_correction_powers():
     standard = get_scenario("rotating_saddle").build_system(1.0 / 64)
-    assert standard.order == "standard"
+    assert (standard.order, standard.shift) == ("standard", 0)
     assert (standard.w_power, standard.b_power) == (2, 3)
 
     split = get_scenario("spinning_satellite").build_system(1.0 / 64)
-    assert split.order == "slow_plus_eps"
+    assert (split.order, split.shift) == ("slow_plus_eps", 1)
     assert (split.w_power, split.b_power) == (4, 5)
+
+
+# ---- one eps ordering: a split with a zero static part is the standard split of eps U1 ----
+
+def _oracle_drive(scale):
+    """scale * U1 with U1 = a(tau) f(x) + b(tau) g(x): a (with a mean) and b
+    trig polynomials of degree 3, f = x0^2 x1 + x1^3 / 2, g = sin x0 + x0 x1^2,
+    all derivatives analytic."""
+    def ab(tau):
+        tau = np.asarray(tau, dtype=float)
+        a = 0.2 + 0.5 * np.cos(TWO_PI * tau) + 0.15 * np.sin(2.0 * TWO_PI * tau)
+        return a, 0.4 * np.sin(TWO_PI * tau) - 0.1 * np.cos(3.0 * TWO_PI * tau)
+
+    def value(x, tau):
+        a, b = ab(tau)
+        return scale * (a * (x[0] ** 2 * x[1] + 0.5 * x[1] ** 3) + b * (math.sin(x[0]) + x[0] * x[1] ** 2))
+
+    def grad(x, tau):
+        a, b = ab(tau)
+        f = [2.0 * x[0] * x[1], x[0] ** 2 + 1.5 * x[1] ** 2]
+        g = [math.cos(x[0]) + x[1] ** 2, 2.0 * x[0] * x[1]]
+        return scale * (np.multiply.outer(a, f) + np.multiply.outer(b, g))
+
+    def hess(x, tau):
+        a, b = ab(tau)
+        f = [[2.0 * x[1], 2.0 * x[0]], [2.0 * x[0], 3.0 * x[1]]]
+        g = [[-math.sin(x[0]), 2.0 * x[1]], [2.0 * x[1], 2.0 * x[0]]]
+        return scale * (np.multiply.outer(a, f) + np.multiply.outer(b, g))
+
+    return CallablePotential(value, 2, grad=grad, hess=hess)
+
+
+def _u1_shares(osc, x, tau, n_tau):
+    """D + 3 A'' avg(U'): the antiderivative D of U'' S' and the level-3
+    antiderivative A'' times the mean gradient at x and phase tau, from
+    FourierSeries chains."""
+    taus = np.arange(n_tau) / n_tau
+    grads = FourierSeries.from_samples(osc.grad(x, taus))
+    s_grad = grads.without_mean().antiderivative().antiderivative()
+    prod = np.einsum("nij,nj->ni", osc.hess(x, taus), s_grad.grid())
+    drive = FourierSeries.from_samples(prod).without_mean().antiderivative().eval(tau)
+    v_hess = FourierSeries.from_samples(osc.hess(x, taus)).without_mean().antiderivative()
+    return drive + 3.0 * (v_hess.antiderivative().antiderivative().eval(tau) @ grads.mean)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
+def test_zero_static_split_matches_the_standard_split_of_eps_u1(eps):
+    """Order1Potential(0, U1) and the plain potential eps U1 are one system
+    written with shift 1 and shift 0.  The force (the mean at eps^s, W at
+    eps^(2+2s), B at eps^(3+2s)) and the mapped X (leading power 2 + s) agree
+    to rounding.  The mapped V differs by the U1 shares of U'' S' and of the
+    mean acceleration alone: they land at eps^(3+2s), past the map's
+    eps^(3+s), so only the standard split keeps them, and the gap must be
+    exactly -eps^5 (D + 3 A'' avg U') of U1."""
+    zero = CallableStatic(lambda x: 0.0, 2, grad=lambda x: np.zeros(2), hess=lambda x: np.zeros((2, 2)))
+    split = assemble(Order1Potential(zero, _oracle_drive(1.0)), eps, n_tau=16)
+    standard = assemble(_oracle_drive(eps), eps, n_tau=16)
+    assert (split.b_power, standard.b_power) == (5, 3)
+    rng = np.random.default_rng(41)
+    n = 6
+    traj = Trajectory(np.sort(rng.uniform(0.0, 1.0, n)), rng.uniform(-1.0, 1.0, (n, 2)),
+                      rng.uniform(-1.0, 1.0, (n, 2)))
+    for x, v in zip(traj.positions, traj.velocities):
+        want = standard.force(x, v)
+        _assert_close(f"force at x={x}", split.force(x, v), want, np.max(np.abs(want)), rtol=1e-14)
+    got, want = transform_trajectory(split, traj), transform_trajectory(standard, traj)
+    _assert_close("X", got.positions, want.positions, np.max(np.abs(want.positions)), rtol=1e-14)
+    dropped = eps ** 5 * np.array([_u1_shares(_oracle_drive(1.0), x, (t / eps) % 1.0, 16)
+                                   for x, t in zip(traj.positions, traj.times)])
+    # both maps round V (of order 1) on their own, hence the few-ulp floor
+    err = float(np.max(np.abs(want.velocities - got.velocities + dropped)))
+    allowed = 1e-3 * float(np.max(np.abs(dropped))) + 8.0 * np.finfo(float).eps * np.max(np.abs(want.velocities))
+    assert err <= allowed, f"V_std - V_split is off -eps^5 (D + 3 A'' avg U') by {err:.2e}, allowed {allowed:.2e}"
 
 
 def test_energy_is_kinetic_plus_effective_potential():
@@ -646,10 +719,9 @@ def test_force_is_the_sum_of_its_field_terms(name):
     eps = system.epsilon
     for x, v in states:
         st = system.stack(x)
-        if system.order == "standard":
-            mean_grad = st.g_mean
-        else:
-            mean_grad = system.potential.static.grad(x) + eps * st.g_mean
+        mean_grad = eps ** system.shift * st.g_mean
+        if system.potential.static is not None:
+            mean_grad = system.potential.static.grad(x) + mean_grad
         terms = [-mean_grad, -eps ** system.w_power * st.w_grad(),
                  eps ** system.b_power * (system.b_matrix(x) @ v)]
         scale = max(float(np.max(np.abs(t))) for t in terms)

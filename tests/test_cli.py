@@ -33,6 +33,19 @@ def test_list_names_every_scenario(capsys):
         assert name in out, f"{name} missing from listing"
 
 
+def test_list_names_each_scenario_split(capsys):
+    """The split column reads the potential's shift: only the satellite's
+    oscillation sits one eps order down."""
+    assert cli.main(["list"]) == 0
+    splits = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        name, _dim, rest = line.split(maxsplit=2)
+        splits[name] = rest[:len("slow + eps")].strip()
+    assert splits == {"custom": "-", "kapitza_pendulum": "standard", "quartic_drive": "standard",
+                      "rotating_saddle": "standard", "rotating_wave": "standard",
+                      "spinning_satellite": "slow + eps"}
+
+
 def test_unknown_scenario_suggests_and_exits_2(capsys):
     assert cli.main(["run", "rotating_sadle"]) == 2
     err = capsys.readouterr().err
@@ -117,6 +130,9 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
      "--sign only applies to the spinning_satellite scenario"),
     (["rotating_sadle"], None, "unknown scenario 'rotating_sadle'"),
     (["quartic_drive", "--t-end", "-1"], None, "--t-end: must be positive, got -1.0"),
+    (["quartic_drive", "--steps-per-period", "8"], None,
+     "--steps-per-period: must be at least 16, got 8"),
+    (["quartic_drive", "--n-tau", "3"], None, "--n-tau: must be at least 4, got 3"),
 ])
 def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, tmp_path, capsys):
     """Every run input is checked first: a usage error exits 2 with its

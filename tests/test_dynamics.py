@@ -351,6 +351,14 @@ def test_dumbbell_rejects_slow_or_backward_spin():
                            0.0, -50.0, 1.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.02])
+def test_dumbbell_rejects_nonpositive_epsilon(eps):
+    """A zero arm would divide by zero partway through the run, and a negative
+    eps has no square root: both are refused up front, as assemble does."""
+    with pytest.raises(ValueError, match=f"epsilon must be positive, got {eps}"):
+        integrate_dumbbell(eps, np.array([1.0, 0.0]), np.array([0.0, 0.9]), 0.0, 50.0, 1.0)
+
+
 # ---- serialization ----
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oscavg import CallablePotential, Order1Potential  # noqa: E402
+from oscavg import CallablePotential, assemble  # noqa: E402
 from oscavg.scenarios import (RotatingSaddlePotential, SatelliteOscillating,  # noqa: E402
                               SeparableDrivePotential, get_scenario)
 
@@ -126,20 +126,20 @@ _PHASE_POTENTIALS = {
        phi=st.floats(0.0, TWO_PI), tau=st.floats(0.0, 1.0, exclude_max=True),
        eps=st.floats(1e-4, 0.2))
 def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
-    """phase_grad(x, tau) is a list of floats equal bit for bit to the
-    scalar-phase grad it replaces in the full flow, and within 1e-14 of the
-    largest entry to the array path grad(x, [tau])[0]; for the satellite's
-    split potential, to static.grad + eps * (that oscillating gradient)."""
+    """The full flow's gradient, minus full_acceleration(x, tau) (phase_grad
+    for a standard potential), is a list of floats equal bit for bit to the
+    scalar-phase grad it replaces, and within 1e-14 of the largest entry to
+    the array path grad(x, [tau])[0]; for the satellite's split potential,
+    to static.grad + eps * (that oscillating gradient)."""
     pot = _PHASE_POTENTIALS[name]()
     x = np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
-    if isinstance(pot, Order1Potential):
-        got = pot.phase_grad(x, tau, eps)
-        want = np.add(pot.static.grad(x), np.multiply(eps, _old_scalar_grad(pot.oscillating, x, tau)))
-        array_path = pot.grad(x, np.array([tau]), eps)[0]
-    else:
-        got = pot.phase_grad(x, tau)
-        want = _old_scalar_grad(pot, x, tau)
-        array_path = np.asarray(pot.grad(x, np.array([tau])), dtype=float)[0]
+    got = [-a for a in assemble(pot, eps).full_acceleration(x, tau)]
+    osc, scale = pot.oscillating, eps ** pot.shift
+    want = np.multiply(scale, _old_scalar_grad(osc, x, tau))
+    array_path = np.multiply(scale, np.asarray(osc.grad(x, np.array([tau])), dtype=float)[0])
+    if pot.static is not None:
+        want = np.add(pot.static.grad(x), want)
+        array_path = np.add(pot.static.grad(x), array_path)
     assert [type(g) for g in got] == [float] * pot.dim
     assert got == want.tolist(), f"{name} at x={x}, tau={tau}: {got} != {want.tolist()}"
     err = float(np.max(np.abs(np.subtract(got, array_path))))

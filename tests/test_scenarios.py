@@ -6,7 +6,7 @@ import pytest
 
 from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
                     fd_gradient, fd_hessian)
-from oscavg.averaging import _checked_samples
+from oscavg.averaging import _checked_samples, assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
 from oscavg.scenarios import (CATALOG, ScenarioUsageError, SeparableDrivePotential,
                               custom_scenario, format_config, get_scenario,
@@ -68,7 +68,7 @@ def test_analytic_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     for name in BUILTIN:
         sc = get_scenario(name)
-        pot = sc.potential.oscillating if isinstance(sc.potential, Order1Potential) else sc.potential
+        pot = sc.potential.oscillating
         for _ in range(3):
             x = _probe_point(name, rng)
             tau = rng.uniform(0.0, 1.0)
@@ -82,7 +82,7 @@ def test_analytic_hessians_match_finite_differences():
     rng = np.random.default_rng(22)
     for name in BUILTIN:
         sc = get_scenario(name)
-        pot = sc.potential.oscillating if isinstance(sc.potential, Order1Potential) else sc.potential
+        pot = sc.potential.oscillating
         for _ in range(2):
             x = _probe_point(name, rng)
             tau = rng.uniform(0.0, 1.0)
@@ -109,7 +109,7 @@ def test_oscillating_potentials_broadcast_over_tau():
     taus = np.linspace(0.0, 1.0, 8, endpoint=False)
     for name in BUILTIN:
         sc = get_scenario(name)
-        pot = sc.potential.oscillating if isinstance(sc.potential, Order1Potential) else sc.potential
+        pot = sc.potential.oscillating
         d = pot.dim
         x = np.full(d, 0.9)
         vals = np.asarray(pot.value(x, taus))
@@ -211,10 +211,15 @@ def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
 
 # ---- split potentials: the full flow's one-phase gradient ----
 
+def _full_flow_grad(potential, x, tau, eps):
+    """The gradient the full flow integrates: minus full_acceleration."""
+    return -np.array(assemble(potential, eps).full_acceleration(x, tau))
+
+
 def test_split_grads_equal_the_array_formulas():
-    """SatelliteStatic.grad and Order1Potential.grad in float math equal the
-    array expressions they replace, bit for bit.  sigma = -0.7 as well as -1,
-    since scaling by a power of two is exact in any order."""
+    """SatelliteStatic.grad and the split full-flow gradient in float math
+    equal the array expressions they replace, bit for bit.  sigma = -0.7 as
+    well as -1, since scaling by a power of two is exact in any order."""
     rng = np.random.default_rng(33)
     for _ in range(1000):
         pot = get_scenario("spinning_satellite", sigma=float(rng.choice([-1.0, -0.7]))).potential
@@ -224,15 +229,15 @@ def test_split_grads_equal_the_array_formulas():
         eps = float(rng.uniform(1e-4, 0.2))
         want_static = -2.0 * static.sigma * x / math.hypot(x[0], x[1]) ** 3
         assert np.array_equal(static.grad(x), want_static)
-        g1 = np.asarray(pot.oscillating.grad(x, tau), dtype=float)
-        assert np.array_equal(pot.grad(x, tau, eps), want_static + eps * g1)
+        g1 = np.asarray(pot.oscillating.phase_grad(x, tau), dtype=float)
+        assert np.array_equal(_full_flow_grad(pot, x, tau, eps), want_static + eps * g1)
 
 
 def test_split_grad_accepts_sequences_from_its_parts():
     static = CallableStatic(lambda x: x[0] ** 2, 2, grad=lambda x: [2.0 * x[0], 0.0])
     osc = CallablePotential(lambda x, tau: x[1] * math.cos(TWO_PI * tau), 2,
                             grad=lambda x, tau: [0.0, math.cos(TWO_PI * tau)])
-    got = Order1Potential(static, osc).grad(np.array([0.5, 0.2]), 0.125, 0.1)
+    got = _full_flow_grad(Order1Potential(static, osc), np.array([0.5, 0.2]), 0.125, 0.1)
     assert np.array_equal(got, np.array([1.0, 0.1 * math.cos(TWO_PI * 0.125)]))
 
 
