@@ -11,12 +11,12 @@ from .fields import (CallablePotential, CallableStatic, FourierSeries,
                      fd_gradient, fd_hessian, fd_jacobian)
 from .averaging import AveragedSystem, PeriodicFieldStack, assemble
 from .dynamics import (DumbbellTrajectory, Trajectory, guiding_center,
-                       integrate_averaged, integrate_dumbbell, integrate_full,
-                       integrate_second_order, load_trajectory, save_dumbbell,
-                       save_trajectory, transform_trajectory)
+                       integrate_averaged, integrate_averaged_ladder, integrate_dumbbell,
+                       integrate_full, integrate_second_order, load_trajectory,
+                       save_dumbbell, save_trajectory, transform_trajectory)
 from .analysis import (Comparison, ConvergenceReport, PrecessionReport,
-                       closed_form_checks, compare, energy_drift, fit_order,
-                       guiding_convergence, measure_precession, position_gap)
+                       closed_form_checks, compare, compare_ladder, energy_drift, fit_order,
+                       guiding_convergence, guided_run, measure_precession, position_gap)
 from . import scenarios
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 compare is the one pipeline behind every order check, in the library and on
 the command line: it runs the full flow, maps it to guiding centres, runs
 the averaged flow from the first guiding centre and takes the sup position
-gap.  guiding_convergence runs it over an eps ladder and fit_order fits the
-decay of the gap against eps on a log-log scale.
+gap.  compare_ladder runs it over an eps ladder, with the full flows rung by
+rung and the averaged flows in lockstep, and compare is its one-rung case;
+guiding_convergence fits the decay of the gaps against eps on a log-log
+scale with fit_order.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (Trajectory, integrate_averaged, integrate_full,
-                       transform_trajectory)
+# integrate_averaged is unused here (integrate_averaged_ladder steps the
+# averaged runs), but bench/tracer.py patches it by name on this module
+from .dynamics import (Trajectory, integrate_averaged, integrate_averaged_ladder,
+                       integrate_full, transform_trajectory)
 
 
 @dataclass
@@ -116,42 +120,69 @@ class Comparison:
         return None
 
 
+def guided_run(scenario, eps_user, t_end=None, steps_per_period=None, out_dt=None,
+               n_tau=None):
+    """The first half of compare on one rung: the full run and its guiding
+    centres, (full, guided)."""
+    sc = scenario
+    full = integrate_full(sc.potential, sc.internal_eps(eps_user), sc.x0, sc.v0,
+                          sc.t_end if t_end is None else t_end,
+                          steps_per_period=sc.steps_per_period if steps_per_period is None
+                          else steps_per_period,
+                          out_dt=sc.out_dt if out_dt is None else out_dt)
+    return full, transform_trajectory(sc.build_system(eps_user, n_tau=n_tau), full)
+
+
+def compare_ladder(scenario, eps_values, t_end=None, steps_per_period=None, h_avg=None,
+                   out_dt=None, n_tau=None, runs=None) -> list:
+    """compare on every rung of an eps ladder, one Comparison per rung.
+
+    The full runs and their transforms go rung by rung (guided_run; runs
+    may hold their (full, guided) pairs already).  The averaged runs share
+    t_end, h_avg and out_dt, so they step in lockstep from each rung's first
+    guiding centre: one spectra build per RK stage serves every rung.
+    """
+    sc = scenario
+    t_end = sc.t_end if t_end is None else t_end
+    out_dt = sc.out_dt if out_dt is None else out_dt
+    if runs is None:
+        runs = [guided_run(sc, e, t_end=t_end, steps_per_period=steps_per_period,
+                           out_dt=out_dt, n_tau=n_tau) for e in eps_values]
+    guided = [g for _, g in runs]
+    averaged = integrate_averaged_ladder(
+        [sc.build_system(e, n_tau=n_tau) for e in eps_values],
+        [g.positions[0] for g in guided], [g.velocities[0] for g in guided],
+        t_end, h=sc.h_avg if h_avg is None else h_avg, out_dt=out_dt)
+    rungs = [Comparison(full, g, avg) for (full, g), avg in zip(runs, averaged)]
+    for rung in rungs:
+        if rung.region_exit() is None:
+            rung.gap = float(np.max(position_gap(rung.guided, rung.averaged)))
+    return rungs
+
+
 def compare(scenario, eps_user, t_end=None, steps_per_period=None, h_avg=None,
             out_dt=None, n_tau=None) -> Comparison:
     """Full run -> guiding-centre transform -> averaged run -> sup gap, with
-    unset arguments taken from the scenario.  The averaged run starts from the
-    transformed initial state, so the whole gap is model error."""
-    sc = scenario
-    t_end = sc.t_end if t_end is None else t_end
-    spp = sc.steps_per_period if steps_per_period is None else steps_per_period
-    h_avg = sc.h_avg if h_avg is None else h_avg
-    out_dt = sc.out_dt if out_dt is None else out_dt
-
-    system = sc.build_system(eps_user, n_tau=n_tau)
-    full = integrate_full(sc.potential, sc.internal_eps(eps_user), sc.x0, sc.v0, t_end,
-                          steps_per_period=spp, out_dt=out_dt)
-    guided = transform_trajectory(system, full)
-    averaged = integrate_averaged(system, guided.positions[0], guided.velocities[0],
-                                  t_end, h=h_avg, out_dt=out_dt)
-    rung = Comparison(full, guided, averaged)
-    if rung.region_exit() is None:
-        rung.gap = float(np.max(position_gap(guided, averaged)))
-    return rung
+    unset arguments taken from the scenario: compare_ladder's one-rung case.
+    The averaged run starts from the transformed initial state, so the whole
+    gap is model error."""
+    return compare_ladder(scenario, [eps_user], t_end=t_end, steps_per_period=steps_per_period,
+                          h_avg=h_avg, out_dt=out_dt, n_tau=n_tau)[0]
 
 
 def guiding_convergence(scenario, eps_values=None, **kw) -> ConvergenceReport:
     """Run compare over an eps ladder and fit the slope of the gaps; raises
-    RuntimeError on a rung where a run left its trusted region."""
+    RuntimeError naming the first rung, in ladder order, where a run left its
+    trusted region."""
     eps_values = scenario.default_eps if eps_values is None else list(eps_values)
-    errors = []
-    for e in eps_values:
-        rung = compare(scenario, e, **kw)
+    rungs = compare_ladder(scenario, eps_values, **kw)
+    for e, rung in zip(eps_values, rungs):
         if rung.gap is None:
             run, t = rung.region_exit()
             raise RuntimeError(f"{scenario.name} at eps={e}: {run} run left the trusted "
                                f"region at t={t}")
-        errors.append(rung.gap)
-    return fit_order(eps_values, errors, label=f"{scenario.name} guiding-center gap")
+    return fit_order(eps_values, [rung.gap for rung in rungs],
+                     label=f"{scenario.name} guiding-center gap")
 
 
 def energy_drift(traj: Trajectory, energy_fn) -> float:

@@ -30,9 +30,14 @@ one potential.sample call over 2 dim + 1 points, one rfft and the Parseval
 sums for grad W and b.  At n_tau 16 that is about 100-110 us on the spinning
 satellite and 125 us on quartic_drive (2-core VM, Python 3.11, numpy 2.4):
 mostly fixed per-call numpy costs, which is why the satellite's tidal pieces
-are float math.  The guiding-center map takes that stencil around every
-state of a trajectory in one call and reads V, S, A at each state's own phase
-from the coefficients.
+are float math.  The fields depend on x alone and eps enters only as
+weights, so ladder_force pays those fixed costs once per RK stage for a whole
+eps ladder: one spectra build over the stencils of every rung, then each
+rung's force with its own weights.  Four rungs cost about 0.6x of four
+one-rung calls on the satellite and 0.65x on quartic_drive
+(AveragedSystem.force is the one-rung case).  The
+guiding-center map takes that stencil around every state of a trajectory in
+one call and reads V, S, A at each state's own phase from the coefficients.
 
 Every potential is U = U0(x) + eps^s U1(x, tau), its static, oscillating and
 shift s (s = 0 and no U0 is the standard split, s = 1 the slow-plus-eps split
@@ -249,6 +254,9 @@ class AveragedSystem:
         self.order = ("standard", "slow_plus_eps")[s]
         self.w_power = 2 + 2 * s
         self.b_power = 3 + 2 * s
+        # the eps weights of B xd, grad W and the mean gradient in the force
+        self.weights = (self.epsilon ** self.b_power, self.epsilon ** self.w_power,
+                        self.epsilon ** s)
         self.dim = self._osc.dim
 
     def spectra(self, points) -> FieldSpectra:
@@ -259,10 +267,6 @@ class AveragedSystem:
         return PeriodicFieldStack(self._osc, x, self.n_tau)
 
     # ---- assembled fields ----
-
-    def _conservative_grad(self, x, g_mean, w_grad):
-        g = self.epsilon ** self.w_power * w_grad + self.epsilon ** self.shift * g_mean
-        return g if self._static is None else g + np.asarray(self._static.grad(x), dtype=float)
 
     def effective_potential(self, x) -> float:
         st = self.stack(x)
@@ -280,14 +284,10 @@ class AveragedSystem:
         return Db.T - Db
 
     def force(self, x, v):
-        """One spectra build over x and its stencil: grad W and the mean
-        gradient at x, b at the stencil points."""
-        x = np.asarray(x, dtype=float)
-        points, h = central_stencil(x)
-        sp = self.spectra(points)
-        Db = stencil_jacobian(sp.b_vector()[1:], h)
-        g = self._conservative_grad(x, sp.g_mean[0], sp.w_grad()[0])
-        return self.epsilon ** self.b_power * ((Db.T - Db) @ np.asarray(v, dtype=float)) - g
+        """The averaged force at x for the velocity v: the one-row case of
+        ladder_force."""
+        x = np.asarray(x, dtype=float).tolist()
+        return np.array(ladder_force([self], x, np.asarray(v, dtype=float).tolist()))
 
     def energy(self, x, v) -> float:
         """Effective energy 0.5 |v|^2 + U_eff(x).
@@ -317,3 +317,32 @@ def assemble(potential, epsilon: float, n_tau: int = 48) -> AveragedSystem:
     """Build the averaged system for a potential at a given eps; the
     potential's shift selects the eps bookkeeping (see AveragedSystem)."""
     return AveragedSystem(potential, epsilon, n_tau=n_tau)
+
+
+def ladder_force(systems, x, v):
+    """The averaged force of each system at its own state, end to end in one
+    list of floats: row i of the float lists x and v (dim floats a row) is
+    the state of systems[i].
+
+    The fields depend on x alone and eps enters only as weights, so one
+    spectra build covers the central stencils of every row: grad W and the
+    mean gradient at each row's point, b at its stencil points.  Each row's
+    force is then assembled with its own system's eps weights.  The systems
+    must share their potential and n_tau.
+    """
+    d = systems[0].dim
+    m = 2 * d + 1
+    stencils = [central_stencil(np.array(x[i:i + d])) for i in range(0, len(x), d)]
+    sp = systems[0].spectra([p for points, _ in stencils for p in points])
+    b, g_mean, w_grad = sp.b_vector(), sp.g_mean, sp.w_grad()
+    static = systems[0].potential.static
+    out = []
+    for i, (system, (points, h)) in enumerate(zip(systems, stencils)):
+        c = i * m
+        Db = stencil_jacobian(b[c + 1:c + m], h)
+        b_weight, w_weight, mean_weight = system.weights
+        g = w_weight * w_grad[c] + mean_weight * g_mean[c]
+        if static is not None:
+            g = g + np.asarray(static.grad(points[0]), dtype=float)
+        out += (b_weight * ((Db.T - Db) @ np.array(v[i * d:(i + 1) * d])) - g).tolist()
+    return out

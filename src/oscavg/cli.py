@@ -30,9 +30,9 @@ import numpy as np
 
 from . import __version__
 # integrate_full, position_gap and transform_trajectory are unused here
-# (compare calls them), but bench/tracer.py patches them by name on this
-# module as well as on analysis
-from .analysis import compare, fit_order, measure_precession, position_gap
+# (guided_run and compare_ladder call them), but bench/tracer.py patches them
+# by name on this module as well as on analysis
+from .analysis import compare_ladder, fit_order, guided_run, measure_precession, position_gap
 from .averaging import MIN_N_TAU
 from .checks import SUITES
 from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integrate_averaged,
@@ -128,26 +128,28 @@ def _jsonable(obj):
 
 # ---- run ----
 
-# run settings that compare takes per rung; unset ones come from the scenario
+# run settings that compare_ladder takes; unset ones come from the scenario
 RUNG_OVERRIDES = ("t_end", "steps_per_period", "h_avg", "out_dt", "n_tau")
 
 
+def _save_rung(traj, out_dir, sc, eps, kind) -> dict:
+    """Write one rung's trajectory of the given kind; return its digests."""
+    return save_trajectory(traj, os.path.join(out_dir, f"{sc.name}_eps{eps:.10g}_{kind}.csv"),
+                           extra_meta={"scenario": sc.name, "eps_user": eps})
+
+
 def _ladder_job(payload: dict) -> dict:
-    """One eps rung: compare, then write and digest the three CSVs.
+    """One eps rung's full run and guiding centres, written and digested.
 
     Module-level and driven by a plain dict so a process pool can ship it to a
     worker; everything the job needs is rebuilt from names and numbers.
     """
     sc = get_scenario(payload["scenario"], **payload["scenario_kwargs"])
     eps = payload["eps"]
-    rung = compare(sc, eps, **payload["overrides"])
-    prefix = os.path.join(payload["out_dir"], f"{sc.name}_eps{eps:.10g}")
-    files = {}
-    for kind in ("full", "guided", "averaged"):
-        files.update(save_trajectory(getattr(rung, kind), f"{prefix}_{kind}.csv",
-                                     extra_meta={"scenario": sc.name, "eps_user": eps}))
-    note = None if rung.gap is not None else "a run left the trusted region; gap not comparable"
-    return {"eps": eps, "gap": rung.gap, "files": files, "note": note}
+    full, guided = guided_run(sc, eps, **payload["settings"])
+    files = {**_save_rung(full, payload["out_dir"], sc, eps, "full"),
+             **_save_rung(guided, payload["out_dir"], sc, eps, "guided")}
+    return {"runs": (full, guided), "files": files}
 
 
 def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
@@ -258,27 +260,29 @@ def cmd_run(args) -> int:
             raise UsageError("--orbits: need at least 3 orbits to measure precession")
     os.makedirs(out_dir, exist_ok=True)
 
+    # the full runs and their transforms go to the workers, rung by rung; the
+    # averaged runs then step in lockstep here
+    settings = {k: resolved[k] for k in RUNG_OVERRIDES if k != "h_avg"}
     payloads = [{"scenario": sc.name, "scenario_kwargs": scenario_kwargs, "eps": e,
-                 "overrides": {k: resolved[k] for k in RUNG_OVERRIDES}, "out_dir": out_dir}
-                for e in eps_values]
-
+                 "settings": settings, "out_dir": out_dir} for e in eps_values]
     workers = _worker_count(resolved["jobs"], len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ladder_job, payloads))
+            jobs = list(pool.map(_ladder_job, payloads))
     else:
-        results = [_ladder_job(p) for p in payloads]
+        jobs = [_ladder_job(p) for p in payloads]
+    rungs = compare_ladder(sc, eps_values, runs=[job["runs"] for job in jobs],
+                           **{k: resolved[k] for k in RUNG_OVERRIDES})
 
     files = {}
-    for r in results:
-        files.update(r["files"])
-
     reports = {}
-    usable = [(r["eps"], r["gap"]) for r in results if r["gap"] is not None]
-    for r in results:
-        note = f"  ({r['note']})" if r["note"] else ""
-        gap = "n/a" if r["gap"] is None else f"{r['gap']:.6e}"
-        print(f"eps={r['eps']:<12.6g} sup gap={gap}{note}")
+    for e, job, rung in zip(eps_values, jobs, rungs):
+        files.update(job["files"])
+        files.update(_save_rung(rung.averaged, out_dir, sc, e, "averaged"))
+        gap, note = ((f"{rung.gap:.6e}", "") if rung.gap is not None else
+                     ("n/a", "  (a run left the trusted region; gap not comparable)"))
+        print(f"eps={e:<12.6g} sup gap={gap}{note}")
+    usable = [(e, rung.gap) for e, rung in zip(eps_values, rungs) if rung.gap is not None]
     if len(usable) >= 2:
         rep = fit_order([e for e, _ in usable], [g for _, g in usable],
                         label=f"{sc.name} guiding-center gap")
@@ -361,16 +365,20 @@ def cmd_validate(args) -> int:
 # ---- list ----
 
 def cmd_list(args) -> int:
-    print(f"{'name':<20s} {'dim':>3s}  {'split':<14s} {'default eps ladder':<34s} description")
+    rows = []
     for name in sorted(CATALOG):
         if name == "custom":
-            print(f"{'custom':<20s} {'-':>3s}  {'-':<14s} {'-':<34s} "
-                  "user potential, library only (oscavg.scenarios.custom_scenario)")
+            rows.append((name, "-", "-", "-",
+                         "user potential, library only (oscavg.scenarios.custom_scenario)"))
             continue
         sc = get_scenario(name)
-        split = "slow + eps" if sc.potential.shift else "standard"
-        ladder = ",".join(f"{e:.8g}" for e in sc.default_eps)
-        print(f"{name:<20s} {sc.dim:>3d}  {split:<14s} {ladder:<34s} {sc.description}")
+        rows.append((name, sc.dim, "slow + eps" if sc.potential.shift else "standard",
+                     ",".join(f"{e:.8g}" for e in sc.default_eps), sc.description))
+    # the ladder column is as wide as its longest entry, so descriptions line up
+    width = max(len("default eps ladder"), *(len(row[3]) for row in rows))
+    print(f"{'name':<20s} {'dim':>3s}  {'split':<14s} {'default eps ladder':<{width}s} description")
+    for name, dim, split, ladder, description in rows:
+        print(f"{name:<20s} {dim!s:>3s}  {split:<14s} {ladder:<{width}s} {description}")
     return 0
 
 

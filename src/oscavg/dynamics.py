@@ -1,17 +1,26 @@
 """Trajectory integration for the full, averaged and two-body systems.
 
 Every flow goes through one fixed-step classical RK4 stepper,
-integrate_second_order.  Output samples land on an exact grid i * out_dt (each
-output interval restarts from t = i * out_dt and is cut into an integer number
-of substeps), so trajectories from different systems can be compared sample by
+integrate_second_order, over a (rows, dim) state; a single run is its
+one-row case.  Output samples land on an exact grid i * out_dt (each output
+interval restarts from t = i * out_dt and is cut into an integer number of
+substeps), so trajectories from different systems can be compared sample by
 sample without interpolation.
 
-Inside the loop x, v and the accelerations are lists of floats, combined in
-the order array arithmetic would use, so results are bit-identical to it at a
-fraction of numpy's per-operation cost on 2- and 3-vectors.  The callbacks
-still get float arrays: system.full_acceleration (the full flow's, at one
-float phase, returned as a list of floats), system.force and in_region see
-ndarrays.
+Rows that share the time grid step in lockstep, one acceleration call per RK
+stage for all of them.  The averaged flows of an eps ladder do
+(integrate_averaged_ladder): they share t_end, h and out_dt, and their fields
+depend on x alone, so each stage makes one spectra build for every rung.  A
+row that leaves its trusted region stops at that sample; the others step on.
+The full flows keep one row each, since their step follows eps.
+
+Inside the loop x, v and the accelerations are lists of floats, the rows end
+to end, combined in the order array arithmetic would use, so results are
+bit-identical to it (and each row to its own one-row run) at a fraction of
+numpy's per-operation cost on 2- and 3-vectors.  The callbacks still get
+float arrays where they look at positions: system.full_acceleration (the full
+flow's, at one float phase, returned as a list of floats), system.force and
+in_region see ndarrays.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import AveragedSystem, assemble
+from .averaging import AveragedSystem, assemble, ladder_force
 from .fields import central_stencil, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
@@ -73,57 +82,80 @@ def _substeps(out_dt, h):
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
-                           in_region=None) -> Trajectory:
+                           in_region=None):
     """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
 
-    acc gets t and the lists of floats x and v, and returns the acceleration
-    as a sequence of floats.  Samples land on the exact grid i * out_dt; if
-    in_region(x) (given a float array) turns false at a sample, the run stops
-    there and meta records exited_region_at.
+    x0 and v0 are one state of dim floats, or a (rows, dim) batch of states
+    that share the time grid and step in lockstep: one acceleration call per
+    RK stage serves every row.  acc(t, x, v) gets t and the lists of floats
+    x and v, the live rows' states end to end, and returns their
+    accelerations the same way.  For a batch, acc(rows) is called instead
+    with the indices of the live rows, at the start and whenever they
+    change, and returns that function.  Samples land on the exact grid
+    i * out_dt.  If in_region(x) (given one row's position as a float array)
+    turns false at a sample, that row stops there and its meta records
+    exited_region_at; the other rows step on.  Returns a Trajectory, or for
+    a batch a list of them, one per row.
     """
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
     n_out = _out_grid(t_end, out_dt)
     n_sub = _substeps(out_dt, h)
-    x = np.asarray(x0, dtype=float).tolist()
-    v = np.asarray(v0, dtype=float).tolist()
-    d = len(x)
+    x0 = np.asarray(x0, dtype=float)
+    batch = x0.ndim == 2
+    live = list(range(x0.shape[0] if batch else 1))
+    x = x0.ravel().tolist()
+    v = np.asarray(v0, dtype=float).ravel().tolist()
+    d = len(x) // len(live)
     times = np.empty(n_out + 1)
-    pos = np.empty((n_out + 1, d))
-    vel = np.empty((n_out + 1, d))
+    pos = [np.empty((n_out + 1, d)) for _ in live]
+    vel = [np.empty((n_out + 1, d)) for _ in live]
     h = out_dt / n_sub
     hh = 0.5 * h
     h6 = h / 6.0
-    meta = {"h": h, "out_dt": out_dt}
-    kept = n_out + 1
+    metas = [{"h": h, "out_dt": out_dt} for _ in live]
+    kept = [n_out + 1 for _ in live]
+    stage = acc(live) if batch else acc
     for i in range(n_out + 1):
         t = i * out_dt
-        if in_region is not None and not in_region(np.array(x)):
-            kept = i
-            meta["exited_region_at"] = t
-            break
+        if in_region is not None:
+            inside = [in_region(np.array(x[j * d:(j + 1) * d])) for j in range(len(live))]
+            if not all(inside):
+                for r, ok in zip(live, inside):
+                    if not ok:
+                        kept[r] = i
+                        metas[r]["exited_region_at"] = t
+                live = [r for r, ok in zip(live, inside) if ok]
+                x = [q for j, ok in enumerate(inside) if ok for q in x[j * d:(j + 1) * d]]
+                v = [q for j, ok in enumerate(inside) if ok for q in v[j * d:(j + 1) * d]]
+                if not live:
+                    break
+                stage = acc(live) if batch else acc
         times[i] = t
-        pos[i] = x
-        vel[i] = v
+        for j, r in enumerate(live):
+            pos[r][i] = x[j * d:(j + 1) * d]
+            vel[r][i] = v[j * d:(j + 1) * d]
         if i == n_out:
             break
         for s in range(n_sub):
             tt = t + s * h
-            a1 = acc(tt, x, v)
+            a1 = stage(tt, x, v)
             v2 = [q + hh * a for q, a in zip(v, a1)]
             x2 = [p + hh * q for p, q in zip(x, v)]
-            a2 = acc(tt + hh, x2, v2)
+            a2 = stage(tt + hh, x2, v2)
             v3 = [q + hh * a for q, a in zip(v, a2)]
             x3 = [p + hh * q for p, q in zip(x, v2)]
-            a3 = acc(tt + hh, x3, v3)
+            a3 = stage(tt + hh, x3, v3)
             v4 = [q + h * a for q, a in zip(v, a3)]
             x4 = [p + h * q for p, q in zip(x, v3)]
-            a4 = acc(tt + h, x4, v4)
+            a4 = stage(tt + h, x4, v4)
             x = [p + h6 * (k1 + 2.0 * (k2 + k3) + k4)
                  for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
             v = [q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
                  for q, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
-    return Trajectory(times[:kept], pos[:kept], vel[:kept], meta)
+    runs = [Trajectory(times[:k], p[:k], q[:k], meta)
+            for k, p, q, meta in zip(kept, pos, vel, metas)]
+    return runs if batch else runs[0]
 
 
 def integrate_full(potential, epsilon, x0, v0, t_end,
@@ -161,18 +193,53 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
 
 def integrate_averaged(system: AveragedSystem, x0, v0, t_end,
                        h=0.01, out_dt=0.01) -> Trajectory:
-    """Integrate the averaged force law from a guiding-center initial state."""
-    x0 = np.asarray(x0, dtype=float)
-    if not system.in_region(x0):
-        raise ValueError("initial position is outside the potential's trusted region")
+    """Integrate the averaged force law from a guiding-center initial state:
+    the one-row case of integrate_averaged_ladder."""
+    return integrate_averaged_ladder([system], [x0], [v0], t_end, h=h, out_dt=out_dt)[0]
 
-    def acc(t, x, v):
-        return np.asarray(system.force(np.array(x), np.array(v)), dtype=float).tolist()
 
-    traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
-                                  in_region=system.in_region)
-    traj.meta.update(kind="averaged", epsilon=system.epsilon, order=system.order)
-    return traj
+def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> list:
+    """Integrate the averaged flows of a ladder in lockstep, one Trajectory
+    per system, system i from (x0s[i], v0s[i]).
+
+    The systems share their potential and n_tau (one scenario at several
+    eps), so each RK stage makes one spectra build over the stencils of every
+    live rung (averaging.ladder_force).  A rung that leaves the trusted
+    region stops at that sample while the others step on, so each rung's
+    run is bit-identical to its own integrate_averaged.  A duck-typed system
+    that brings only force(x, v) and in_region(x), such as a point-mass
+    control, is stepped through its own force calls.
+    """
+    if not systems:
+        return []
+    x0s = np.asarray(x0s, dtype=float)
+    first = systems[0]
+    for system, x0 in zip(systems, x0s):
+        if not system.in_region(x0):
+            raise ValueError("initial position is outside the potential's trusted region")
+    if isinstance(first, AveragedSystem):
+        if any(s.potential is not first.potential or s.n_tau != first.n_tau for s in systems):
+            raise ValueError("a lockstep ladder needs one potential and one n_tau")
+
+        def acc(rows):
+            rungs = [systems[r] for r in rows]
+            return lambda t, x, v: ladder_force(rungs, x, v)
+    else:
+        d = x0s.shape[1]
+
+        def acc(rows):
+            def row_forces(t, x, v):
+                return [a for j, r in enumerate(rows)
+                        for a in np.asarray(systems[r].force(np.array(x[j * d:(j + 1) * d]),
+                                                             np.array(v[j * d:(j + 1) * d])),
+                                            dtype=float).tolist()]
+            return row_forces
+
+    runs = integrate_second_order(acc, x0s, v0s, t_end, h=h, out_dt=out_dt,
+                                  in_region=first.in_region)
+    for system, traj in zip(systems, runs):
+        traj.meta.update(kind="averaged", epsilon=system.epsilon, order=system.order)
+    return runs
 
 
 def _guiding_centers(system: AveragedSystem, xs, vs, ts):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -321,7 +322,8 @@ class _HarmonicPieces(TimePeriodicPotential):
         return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
 
     def sample(self, points, taus):
-        pieces = np.array([self._pieces(x) for x in points]).reshape(-1, 3, 7)
+        pieces = np.fromiter(chain.from_iterable(map(self._pieces, points)), float,
+                             21 * len(points)).reshape(-1, 3, 7)
         s = self._phase_table(taus) @ pieces   # (P, n, 7)
         return s[..., 0], s[..., 1:3], s[..., 3:].reshape(s.shape[:-1] + (2, 2))
 

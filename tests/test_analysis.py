@@ -4,14 +4,17 @@ The precession tests run on a synthetic orbit built from a closed ellipse
 rotated at a known constant rate, so the expected advance per orbit is an
 input, not something the library computed.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oscavg import compare, fit_order, guiding_convergence, measure_precession, position_gap
+from oscavg import (compare, compare_ladder, fit_order, guiding_convergence, measure_precession,
+                    position_gap)
 from oscavg.analysis import energy_drift, hermite_positions
 from oscavg.dynamics import Trajectory
+from oscavg.scenarios import get_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -216,3 +219,48 @@ def test_guiding_convergence_names_the_run_that_left_its_region(exit_probe):
                        match=r"^exit_probe at eps=0.0625: full run left the trusted "
                              r"region at t=0\.\d+$"):
         guiding_convergence(exit_probe)
+
+
+def _partial_exit_probe(exit_probe):
+    """exit_probe on a ladder where only some rungs leave |x| < 1 by t_end.
+
+    Every rung drifts at unit speed from about 0.5; the guiding centre of the
+    eps = 1.5 rung starts eps^2 / (4 pi^2) further in, so that rung is still
+    inside at t_end = 0.55 while the 1/32 and 1/16 rungs leave near t = 0.5.
+    """
+    return dataclasses.replace(exit_probe, t_end=0.55, default_eps=[1 / 32, 1.5, 1 / 16])
+
+
+def test_lockstep_ladder_truncates_only_the_rungs_that_leave(exit_probe):
+    sc = _partial_exit_probe(exit_probe)
+    ladder = compare_ladder(sc, sc.default_eps)
+    assert [rung.gap is None for rung in ladder] == [True, False, True]
+    for eps, rung in zip(sc.default_eps, ladder):
+        alone = compare(sc, eps)
+        assert rung.gap == alone.gap, f"eps={eps}: gap {rung.gap} vs {alone.gap} alone"
+        assert rung.region_exit() == alone.region_exit()
+        for kind in ("full", "guided", "averaged"):
+            got, want = getattr(rung, kind), getattr(alone, kind)
+            assert np.array_equal(got.times, want.times), f"eps={eps}: {kind} times differ"
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.velocities, want.velocities)
+            assert got.meta == want.meta
+    left = ladder[0].averaged
+    assert 0.45 < left.meta["exited_region_at"] < 0.55
+    assert ladder[1].averaged.times[-1] == pytest.approx(sc.t_end)
+
+
+def test_guiding_convergence_names_the_first_rung_that_left_in_ladder_order(exit_probe):
+    sc = _partial_exit_probe(exit_probe)
+    _, t = compare(sc, 1 / 32).region_exit()
+    with pytest.raises(RuntimeError) as info:
+        guiding_convergence(sc)
+    assert str(info.value) == (f"exit_probe at eps=0.03125: full run left the trusted "
+                               f"region at t={t}")
+
+
+def test_empty_ladder_is_refused_by_the_fit():
+    sc = get_scenario("rotating_saddle")
+    assert compare_ladder(sc, []) == []
+    with pytest.raises(ValueError, match="at least two ladder points"):
+        guiding_convergence(sc, [])

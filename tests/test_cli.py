@@ -150,14 +150,15 @@ def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, 
 def test_ladder_workers_rebuild_the_scenario_from_its_sign(tmp_path, capsys, monkeypatch):
     """The sign -> sigma mapping of _get_scenario is what each rung's payload carries."""
     payloads = []
+    real_job = cli._ladder_job
 
     def job(payload):
         payloads.append(payload)
-        return {"eps": payload["eps"], "gap": None, "files": {}, "note": "not run"}
+        return real_job(payload)
 
     monkeypatch.setattr(cli, "_ladder_job", job)
     assert cli.main(["run", "satellite", "--sign", "+1", "--eps-ladder", "1/64,1/128",
-                     "--out-dir", str(tmp_path / "o")]) == 0
+                     "--t-end", "0.0625", "--out-dir", str(tmp_path / "o")]) == 0
     assert [p["scenario_kwargs"] for p in payloads] == [{"sigma": 1.0}] * 2
     sc, kwargs = cli._get_scenario("satellite", "+1")
     assert kwargs == {"sigma": 1.0} and sc.extras["sigma"] == 1.0
@@ -269,13 +270,19 @@ def test_worker_count_is_bounded_by_rungs_and_cores(jobs, rungs, cores, want, mo
 
 
 def test_parallel_jobs_match_serial(tmp_path, capsys):
-    base = ["run", "quartic_drive", "--eps-ladder", "1/32,1/64", "--t-end", "0.3"]
-    ser = tmp_path / "serial"
-    par = tmp_path / "parallel"
-    assert cli.main(base + ["--out-dir", str(ser), "--jobs", "1"]) == 0
-    assert cli.main(base + ["--out-dir", str(par), "--jobs", "2"]) == 0
-    assert _manifest(ser)["files"] == _manifest(par)["files"], \
-        "parallel and serial runs should write identical artifacts"
+    """Workers run the full flows and transforms while the parent steps the
+    averaged flows in lockstep; the files match a run in one process."""
+    for name, ladder, t_end in (("quartic_drive", "1/32,1/64", "0.3"),
+                                ("spinning_satellite", "1/64,1/128,1/256", "0.0625")):
+        base = ["run", name, "--eps-ladder", ladder, "--t-end", t_end]
+        ser = tmp_path / f"{name}_serial"
+        par = tmp_path / f"{name}_parallel"
+        assert cli.main(base + ["--out-dir", str(ser), "--jobs", "1"]) == 0
+        assert cli.main(base + ["--out-dir", str(par), "--jobs", "2"]) == 0
+        files = _manifest(ser)["files"]
+        assert len(files) == 6 * len(ladder.split(",")) + 1  # 3 CSVs and sidecars a rung
+        assert files == _manifest(par)["files"], \
+            f"{name}: parallel and serial runs should write identical artifacts"
 
 
 def test_config_file_drives_a_run(tmp_path, capsys):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from oscavg import (CallablePotential, energy_drift, guiding_center,
-                    integrate_averaged, integrate_dumbbell, integrate_full,
-                    integrate_second_order, load_trajectory, position_gap,
+                    integrate_averaged, integrate_averaged_ladder, integrate_dumbbell,
+                    integrate_full, integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
 from oscavg.dynamics import Trajectory, atomic_write
-from oscavg.scenarios import SeparableDrivePotential, get_scenario
+from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,6 +233,76 @@ def test_plain_float_acceleration_and_step_check():
     assert np.max(np.abs(traj.positions[:, 0] - np.cos(traj.times))) < 1e-9
     with pytest.raises(ValueError, match="step h must be positive"):
         integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 3.0, h=0.0)
+
+
+# ---- averaged flows of a ladder in lockstep ----
+
+def _value_only_scenario():
+    """A 2-d trig drive given by its value alone: grad and hess, and so every
+    spectra sample, go through finite differences point by point."""
+    def value(x, tau):
+        ph = TWO_PI * np.asarray(tau, dtype=float)
+        return (np.cos(ph) * (x[0] ** 2 - 0.5 * x[1] ** 2) + np.sin(ph) * x[0] * x[1]
+                + 0.3 * np.cos(2.0 * ph) * x[0] + 0.2 * (x[0] ** 2 + x[1] ** 2))
+
+    return custom_scenario(CallablePotential(value, 2), default_eps=[1 / 16, 1 / 32, 1 / 64],
+                           x0=[0.6, -0.3], v0=[0.1, 0.2], n_tau=16, name="value_only")
+
+
+LOCKSTEP_CASES = {
+    "rotating_saddle": lambda: get_scenario("rotating_saddle"),
+    "quartic_drive": lambda: get_scenario("quartic_drive"),
+    "kapitza_pendulum": lambda: get_scenario("kapitza_pendulum"),
+    "rotating_wave": lambda: get_scenario("rotating_wave"),
+    "spinning_satellite+1": lambda: get_scenario("spinning_satellite", sigma=1.0),
+    "spinning_satellite-1": lambda: get_scenario("spinning_satellite", sigma=-1.0),
+    "value_only": _value_only_scenario,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_ladder_matches_each_rung_alone(case):
+    """Every rung of a lockstep ladder, started from its own state, is bit for
+    bit the run integrate_averaged makes for that rung alone."""
+    sc = LOCKSTEP_CASES[case]()
+    systems = [sc.build_system(e) for e in sc.default_eps]
+    x0s = [sc.x0 + 0.01 * i for i in range(len(systems))]
+    v0s = [sc.v0 - 0.02 * i for i in range(len(systems))]
+    ladder = integrate_averaged_ladder(systems, x0s, v0s, 0.1, h=sc.h_avg, out_dt=sc.out_dt)
+    assert len(ladder) == len(systems)
+    for system, x0, v0, got in zip(systems, x0s, v0s, ladder):
+        want = integrate_averaged(system, x0, v0, 0.1, h=sc.h_avg, out_dt=sc.out_dt)
+        for name in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                f"{case} eps={system.epsilon}: {name} differ from the rung alone"
+        assert list(got.meta.items()) == list(want.meta.items())
+
+
+def test_lockstep_ladder_needs_one_potential_and_one_n_tau():
+    sc = get_scenario("rotating_saddle")
+    x0s, v0s = [sc.x0, sc.x0], [sc.v0, sc.v0]
+    for other in (sc.build_system(1 / 64, n_tau=32),
+                  get_scenario("rotating_saddle").build_system(1 / 64)):
+        with pytest.raises(ValueError, match="one potential and one n_tau"):
+            integrate_averaged_ladder([sc.build_system(1 / 32), other], x0s, v0s, 0.1)
+
+
+def test_stepper_drops_a_row_that_leaves_and_steps_the_rest():
+    """Rows of one batch: the row that crosses x = 1 stops at that sample,
+    the other two run to t_end exactly as they would alone."""
+    def acc(rows):
+        return lambda t, x, v: [-0.5 * q for q in x]
+
+    x0s, v0s = [[0.0], [0.9], [-0.5]], [[0.2], [1.0], [0.1]]
+    rows = integrate_second_order(acc, x0s, v0s, 1.0, h=0.01, out_dt=0.05,
+                                  in_region=lambda x: x[0] < 1.0)
+    assert rows[1].meta["exited_region_at"] == len(rows[1]) * 0.05 < 1.0
+    for x0, v0, got in zip(x0s, v0s, rows):
+        want = integrate_second_order(lambda t, x, v: [-0.5 * x[0]], x0, v0, 1.0,
+                                      h=0.01, out_dt=0.05, in_region=lambda x: x[0] < 1.0)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.velocities, want.velocities)
+        assert got.meta == want.meta
 
 
 # ---- guiding-center map ----
