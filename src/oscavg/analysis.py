@@ -141,6 +141,8 @@ def compare_ladder(scenario, eps_values, t_end=None, steps_per_period=None, h_av
     may hold their (full, guided) pairs already).  The averaged runs share
     t_end, h_avg and out_dt, so they step in lockstep from each rung's first
     guiding centre: one spectra build per RK stage serves every rung.
+    Given runs must hold one pair per eps, in ladder order, each full run at
+    that rung's internal eps; anything else raises ValueError.
     """
     sc = scenario
     t_end = sc.t_end if t_end is None else t_end
@@ -148,6 +150,13 @@ def compare_ladder(scenario, eps_values, t_end=None, steps_per_period=None, h_av
     if runs is None:
         runs = [guided_run(sc, e, t_end=t_end, steps_per_period=steps_per_period,
                            out_dt=out_dt, n_tau=n_tau) for e in eps_values]
+    if len(runs) != len(eps_values):
+        raise ValueError(f"runs holds {len(runs)} (full, guided) pairs for "
+                         f"{len(eps_values)} eps values")
+    for e, (full, _) in zip(eps_values, runs):
+        if full.meta.get("epsilon") != sc.internal_eps(e):
+            raise ValueError(f"the run given for eps={e} is at internal eps "
+                             f"{full.meta.get('epsilon')}, not {sc.internal_eps(e)}")
     guided = [g for _, g in runs]
     averaged = integrate_averaged_ladder(
         [sc.build_system(e, n_tau=n_tau) for e in eps_values],

@@ -300,14 +300,27 @@ class AveragedSystem:
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
     def full_acceleration(self, x, tau):
-        """Acceleration -grad(U0 + eps^s U1) of the full system at the float
-        array x and the float phase tau, as a list of floats."""
+        """Acceleration -grad(U0 + eps^s U1) of the full system at x, a
+        sequence of floats, and the float phase tau, as a list of floats:
+        full_stage's value at the phase tau."""
         osc = self._osc.phase_grad(x, tau)
         if self._static is None:
             return [-g for g in osc]
         scale = self.epsilon ** self.shift
-        static = np.asarray(self._static.grad(x), dtype=float).tolist()
-        return [-(s + scale * o) for s, o in zip(static, osc)]
+        return [-(s + scale * o) for s, o in zip(self._static.float_grad(x), osc)]
+
+    def full_stage(self):
+        """The full flow's RK stage acc(t, x, v): full_acceleration at the
+        phase t / eps, in one call on the stepper's list of floats x.  The
+        full flow makes four of these per substep, so the stage calls the
+        parts' float gradients directly rather than through
+        full_acceleration, with the same arithmetic."""
+        eps, phase_grad = self.epsilon, self._osc.phase_grad
+        if self._static is None:
+            return lambda t, x, v: [-g for g in phase_grad(x, (t / eps) % 1.0)]
+        static_grad, scale = self._static.float_grad, eps ** self.shift
+        return lambda t, x, v: [-(s + scale * o) for s, o in
+                                zip(static_grad(x), phase_grad(x, (t / eps) % 1.0))]
 
     def in_region(self, x):
         return self.potential.in_region(x)

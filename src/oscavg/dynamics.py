@@ -15,12 +15,14 @@ row that leaves its trusted region stops at that sample; the others step on.
 The full flows keep one row each, since their step follows eps.
 
 Inside the loop x, v and the accelerations are lists of floats, the rows end
-to end, combined in the order array arithmetic would use, so results are
-bit-identical to it (and each row to its own one-row run) at a fraction of
-numpy's per-operation cost on 2- and 3-vectors.  The callbacks still get
-float arrays where they look at positions: system.full_acceleration (the full
-flow's, at one float phase, returned as a list of floats), system.force and
-in_region see ndarrays.
+to end.  Each RK4 substep is straight-line code generated once per state
+length (_rk4_substep) that combines every element in the order array
+arithmetic would use, so results are bit-identical to it (and each row to
+its own one-row run) at a fraction of numpy's per-operation cost on 2- and
+3-vectors.  The stages get those lists as they are: the full flow's stage
+(AveragedSystem.full_stage) hands x to the potential's phase_grad, and
+ladder_force reads each rung's state from them.  Only in_region and the
+force of a duck-typed system see float arrays.
 """
 from __future__ import annotations
 
@@ -28,8 +30,10 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +85,48 @@ def _substeps(out_dt, h):
     return max(1, int(math.ceil(out_dt / h - 1e-9)))
 
 
+# One classical RK4 substep of xdd = stage(t, x, v) on n floats, written out
+# element by element: <e> stands for e at every element, comma separated, and
+# a line holding {i} is repeated for each element.  Each element gets the
+# list form's expression in its order, e.g. v2 = [q + hh * a for q, a in
+# zip(v, a1)], so results are bit-identical to it.
+_RK4_SUBSTEP = """\
+def substep(stage, tt, x, v, h, hh, h6):
+    <x_{i}>, = x
+    <v_{i}>, = v
+    <a1_{i}>, = stage(tt, x, v)
+    v2_{i} = v_{i} + hh * a1_{i}
+    x2_{i} = x_{i} + hh * v_{i}
+    <a2_{i}>, = stage(tt + hh, [<x2_{i}>], [<v2_{i}>])
+    v3_{i} = v_{i} + hh * a2_{i}
+    x3_{i} = x_{i} + hh * v2_{i}
+    <a3_{i}>, = stage(tt + hh, [<x3_{i}>], [<v3_{i}>])
+    v4_{i} = v_{i} + h * a3_{i}
+    x4_{i} = x_{i} + h * v3_{i}
+    <a4_{i}>, = stage(tt + h, [<x4_{i}>], [<v4_{i}>])
+    return ([<x_{i} + h6 * (v_{i} + 2.0 * (v2_{i} + v3_{i}) + v4_{i})>],
+            [<v_{i} + h6 * (a1_{i} + 2.0 * (a2_{i} + a3_{i}) + a4_{i})>])
+"""
+
+
+@lru_cache(maxsize=32)
+def _rk4_substep(n):
+    """substep(stage, tt, x, v, h, hh, h6) -> (x, v): one RK4 substep from
+    time tt on the lists of n floats x and v, generated from _RK4_SUBSTEP.
+    It is straight-line code because on a few floats the list form's eight
+    comprehensions and zips cost more than the arithmetic in them."""
+    def each(match):
+        return ", ".join(match.group(1).replace("{i}", str(i)) for i in range(n))
+
+    lines = []
+    for line in _RK4_SUBSTEP.splitlines():
+        line = re.sub(r"<([^<>]*)>", each, line)
+        lines += [line.replace("{i}", str(i)) for i in range(n)] if "{i}" in line else [line]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<rk4 substep on {n} floats>", "exec"), namespace)
+    return namespace["substep"]
+
+
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
                            in_region=None):
     """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
@@ -116,6 +162,7 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
     metas = [{"h": h, "out_dt": out_dt} for _ in live]
     kept = [n_out + 1 for _ in live]
     stage = acc(live) if batch else acc
+    substep = _rk4_substep(len(x))
     for i in range(n_out + 1):
         t = i * out_dt
         if in_region is not None:
@@ -131,6 +178,7 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
                 if not live:
                     break
                 stage = acc(live) if batch else acc
+                substep = _rk4_substep(len(x))
         times[i] = t
         for j, r in enumerate(live):
             pos[r][i] = x[j * d:(j + 1) * d]
@@ -138,21 +186,7 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
         if i == n_out:
             break
         for s in range(n_sub):
-            tt = t + s * h
-            a1 = stage(tt, x, v)
-            v2 = [q + hh * a for q, a in zip(v, a1)]
-            x2 = [p + hh * q for p, q in zip(x, v)]
-            a2 = stage(tt + hh, x2, v2)
-            v3 = [q + hh * a for q, a in zip(v, a2)]
-            x3 = [p + hh * q for p, q in zip(x, v2)]
-            a3 = stage(tt + hh, x3, v3)
-            v4 = [q + h * a for q, a in zip(v, a3)]
-            x4 = [p + h * q for p, q in zip(x, v3)]
-            a4 = stage(tt + h, x4, v4)
-            x = [p + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                 for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)]
-            v = [q + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                 for q, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)]
+            x, v = substep(stage, t + s * h, x, v, h, hh, h6)
     runs = [Trajectory(times[:k], p[:k], q[:k], meta)
             for k, p, q, meta in zip(kept, pos, vel, metas)]
     return runs if batch else runs[0]
@@ -176,13 +210,8 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
         raise ValueError("initial position is outside the potential's trusted region")
 
     eps = system.epsilon
-    full_acceleration = system.full_acceleration
-
-    def acc(t, x, v):
-        return full_acceleration(np.array(x), (t / eps) % 1.0)
-
     h = eps / steps_per_period
-    traj = integrate_second_order(acc, x0, v0, t_end, h=h, out_dt=out_dt,
+    traj = integrate_second_order(system.full_stage(), x0, v0, t_end, h=h, out_dt=out_dt,
                                   in_region=potential.in_region)
     # the full run is described by its steps per period, not by its step
     del traj.meta["h"]

@@ -199,10 +199,11 @@ class TimePeriodicPotential:
     tau as a scalar or a 1-d array and vectorize over it.
 
     The full flow calls phase_grad(x, tau), the gradient at one float phase
-    as a list of floats, four times per RK4 substep, so that call's fixed cost
-    sets the speed of the full run.  The default converts grad(x, tau); the
-    bundled potentials override it in float math, which skips the 0-d array
-    overhead of the array path.
+    as a list of floats, four times per RK4 substep, with x the stepper's own
+    list of floats, so that call's fixed cost sets the speed of the full run.
+    The default converts x to a float array once and calls grad(x, tau); the
+    bundled potentials override it in float math on x's floats, which skips
+    the array round trip and the 0-d array overhead of the array path.
 
     sample(points, taus) gives value, gradient and Hessian at P points and n
     phases in one call, as arrays of shape (P, n), (P, n, dim) and
@@ -244,8 +245,10 @@ class TimePeriodicPotential:
         return fd_gradient(lambda y: self.value(y, tau), x)
 
     def phase_grad(self, x, tau):
-        """grad at the float array x and one float phase tau, as a list of floats."""
-        return np.asarray(self.grad(x, tau), dtype=float).tolist()
+        """grad at x, a sequence of floats (the stepper's list, or a float
+        array), and one float phase tau, as a list of floats.  The default
+        converts x to a float array once and calls grad."""
+        return np.asarray(self.grad(np.asarray(x, dtype=float), tau), dtype=float).tolist()
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)
@@ -294,6 +297,12 @@ class StaticPotential:
 
     def grad(self, x):
         return fd_gradient(self.value, np.asarray(x, dtype=float))
+
+    def float_grad(self, x):
+        """grad at x, a sequence of floats, as a list of floats: the static
+        part of a split potential's full-flow stage.  The default converts x
+        to a float array once and calls grad."""
+        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).tolist()
 
     def hess(self, x):
         return fd_hessian(self.value, np.asarray(x, dtype=float))

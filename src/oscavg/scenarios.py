@@ -143,7 +143,9 @@ class SeparableDrivePotential(TimePeriodicPotential):
     zero-mean antiderivative of a.
 
     a gets float arrays of phases, and one float phase in phase_grad; the
-    profile u_value/u_grad/u_hess gets float arrays.
+    profile u_value/u_grad/u_hess gets float arrays: phase_grad converts the
+    stepper's list of floats x once.  CosineDrivePotential is the float-math
+    form for a cosine drive.
     """
 
     def __init__(self, a, u_value, u_grad, u_hess, dim):
@@ -164,7 +166,7 @@ class SeparableDrivePotential(TimePeriodicPotential):
 
     def phase_grad(self, x, tau):
         a = float(self._a(tau))
-        return [a * float(g) for g in self._ug(x)]
+        return [a * float(g) for g in self._ug(np.asarray(x, dtype=float))]
 
     def hess(self, x, tau):
         return np.asarray(self._drive(tau))[..., None, None] * np.asarray(self._uh(x), dtype=float)
@@ -192,6 +194,27 @@ class SeparableDrivePotential(TimePeriodicPotential):
                 a[:, None, None] * uh[:, None, :, :])
 
 
+class CosineDrivePotential(SeparableDrivePotential):
+    """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with a profile
+    gradient u_grad that takes the floats of x (the stepper's list or a float
+    array) and returns a list of floats.
+
+    phase_grad is then float math on the stepper's list: math.cos for the
+    drive, which gives numpy's cos values at a fraction of its per-call cost
+    (tests/test_properties.py checks the two paths bit for bit), times
+    u_grad's floats, as the array path multiplies them.
+    """
+
+    def __init__(self, a_mean, alpha, u_value, u_grad, u_hess, dim):
+        self.a_mean, self.alpha = float(a_mean), float(alpha)
+        super().__init__(lambda tau: self.a_mean + self.alpha * np.cos(TWO_PI * tau),
+                         u_value, u_grad, u_hess, dim)
+
+    def phase_grad(self, x, tau):
+        a = self.a_mean + self.alpha * math.cos(TWO_PI * tau)
+        return [a * g for g in self._ug(x)]
+
+
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
     def w_grad(x):
         return avg_v2 * (np.asarray(u_hess(x), dtype=float) @ np.asarray(u_grad(x), dtype=float))
@@ -212,16 +235,15 @@ def quartic_drive() -> Scenario:
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
     def u_grad(x):
-        # phase_grad calls this four times per full-flow substep: float math
-        # gives numpy-scalar arithmetic's values at a fraction of its cost
-        x0, x1 = np.asarray(x, dtype=float).tolist()
+        # phase_grad hands it the stepper's list four times per full-flow
+        # substep: float math on x's floats, no array round trip
+        x0, x1 = float(x[0]), float(x[1])
         return [x0 ** 3 + x1, x0]
 
     def u_hess(x):
         return np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
 
-    pot = SeparableDrivePotential(lambda tau: np.cos(TWO_PI * tau),
-                                  u_value, u_grad, u_hess, dim=2)
+    pot = CosineDrivePotential(0.0, 1.0, u_value, u_grad, u_hess, dim=2)
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # drive antiderivative sin(2 pi tau)/(2 pi)
     return Scenario(
         name="quartic_drive",
@@ -252,13 +274,12 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         return -math.cos(x[0])
 
     def u_grad(x):
-        return np.array([math.sin(x[0])])
+        return [math.sin(x[0])]
 
     def u_hess(x):
         return np.array([[math.cos(x[0])]])
 
-    pot = SeparableDrivePotential(lambda tau: a_mean + alpha * np.cos(TWO_PI * tau),
-                                  u_value, u_grad, u_hess, dim=1)
+    pot = CosineDrivePotential(a_mean, alpha, u_value, u_grad, u_hess, dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
     sc = Scenario(
         name="kapitza_pendulum",
@@ -461,10 +482,13 @@ class SatelliteStatic(StaticPotential):
         return 2.0 * self.sigma / math.hypot(x[0], x[1])
 
     def grad(self, x):
+        return np.array(self.float_grad(x))
+
+    def float_grad(self, x):
         xx, yy = float(x[0]), float(x[1])
         c = -2.0 * self.sigma
         r3 = math.hypot(xx, yy) ** 3
-        return np.array([c * xx / r3, c * yy / r3])
+        return [c * xx / r3, c * yy / r3]
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)

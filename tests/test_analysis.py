@@ -12,7 +12,7 @@ import pytest
 
 from oscavg import (compare, compare_ladder, fit_order, guiding_convergence, measure_precession,
                     position_gap)
-from oscavg.analysis import energy_drift, hermite_positions
+from oscavg.analysis import energy_drift, guided_run, hermite_positions
 from oscavg.dynamics import Trajectory
 from oscavg.scenarios import get_scenario
 
@@ -257,6 +257,29 @@ def test_guiding_convergence_names_the_first_rung_that_left_in_ladder_order(exit
         guiding_convergence(sc)
     assert str(info.value) == (f"exit_probe at eps=0.03125: full run left the trusted "
                                f"region at t={t}")
+
+
+def _short_runs(sc, eps_values):
+    return [guided_run(sc, e, t_end=0.05) for e in eps_values]
+
+
+def test_compare_ladder_rejects_runs_of_another_length():
+    """Three eps with two runs raise instead of dropping a rung."""
+    sc = get_scenario("rotating_saddle")
+    eps_values = [1 / 64, 1 / 128, 1 / 256]
+    with pytest.raises(ValueError, match=r"^runs holds 2 \(full, guided\) pairs for 3 eps values$"):
+        compare_ladder(sc, eps_values, t_end=0.05, runs=_short_runs(sc, eps_values[:2]))
+
+
+def test_compare_ladder_rejects_runs_at_another_eps():
+    """A run for another eps, or runs out of ladder order, raise."""
+    sc = get_scenario("rotating_saddle")
+    runs = _short_runs(sc, [1 / 64, 1 / 128])
+    assert len(compare_ladder(sc, [1 / 64, 1 / 128], t_end=0.05, runs=runs)) == 2
+    with pytest.raises(ValueError, match=r"^the run given for eps=0\.0078125 is at internal eps "):
+        compare_ladder(sc, [1 / 64, 1 / 128], t_end=0.05, runs=[runs[0], runs[0]])
+    with pytest.raises(ValueError, match=r"^the run given for eps=0\.015625 is at internal eps "):
+        compare_ladder(sc, [1 / 64, 1 / 128], t_end=0.05, runs=runs[::-1])
 
 
 def test_empty_ladder_is_refused_by_the_fit():

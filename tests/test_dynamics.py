@@ -10,7 +10,7 @@ from oscavg import (CallablePotential, energy_drift, guiding_center,
                     integrate_full, integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
-from oscavg.dynamics import Trajectory, atomic_write
+from oscavg.dynamics import Trajectory, _rk4_substep, atomic_write
 from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -303,6 +303,81 @@ def test_stepper_drops_a_row_that_leaves_and_steps_the_rest():
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.velocities, want.velocities)
         assert got.meta == want.meta
+
+
+def _list_form_substep(stage, tt, x, v, h, hh, h6):
+    """The RK4 substep as eight list comprehensions: the oracle for the
+    generated straight-line substep."""
+    a1 = stage(tt, x, v)
+    v2 = [q + hh * a for q, a in zip(v, a1)]
+    x2 = [p + hh * q for p, q in zip(x, v)]
+    a2 = stage(tt + hh, x2, v2)
+    v3 = [q + hh * a for q, a in zip(v, a2)]
+    x3 = [p + hh * q for p, q in zip(x, v2)]
+    a3 = stage(tt + hh, x3, v3)
+    v4 = [q + h * a for q, a in zip(v, a3)]
+    x4 = [p + h * q for p, q in zip(x, v3)]
+    a4 = stage(tt + h, x4, v4)
+    return ([p + h6 * (k1 + 2.0 * (k2 + k3) + k4) for p, k1, k2, k3, k4 in zip(x, v, v2, v3, v4)],
+            [q + h6 * (k1 + 2.0 * (k2 + k3) + k4) for q, k1, k2, k3, k4 in zip(v, a1, a2, a3, a4)])
+
+
+def _coupled_stage(t, x, v):
+    """A nonlinear acceleration that mixes neighbouring elements and t."""
+    n = len(x)
+    return [-math.sin(x[i]) * (1.0 + 0.3 * t) + 0.2 * x[(i + 1) % n] * v[i] - 0.1 * v[i - 1]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_generated_substep_is_the_list_form_bit_for_bit(n):
+    """Twenty substeps of the generated code equal the list form's floats."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, n).tolist()
+    v = rng.uniform(-1.0, 1.0, n).tolist()
+    h = 0.037
+    want = (x, v)
+    for s in range(20):
+        x, v = _rk4_substep(n)(_coupled_stage, 0.25 + s * h, x, v, h, 0.5 * h, h / 6.0)
+        want = _list_form_substep(_coupled_stage, 0.25 + s * h, *want, h, 0.5 * h, h / 6.0)
+        assert (x, v) == want, f"n={n}: substep {s} differs"
+    assert {type(q) for q in x + v} == {float}
+
+
+@pytest.mark.parametrize("x0, v0", [
+    ([0.4], [0.1]),
+    ([0.4, -0.2], [0.1, 0.3]),
+    ([0.4, -0.2, 0.7], [0.1, 0.3, -0.2]),
+    # four rows of two floats (8 in all); the second row crosses x1 = 1
+    # mid-run, after which the rest step on as 6 floats
+    ([[0.4, -0.2], [0.9, 0.1], [-0.5, 0.3], [0.2, 0.6]],
+     [[0.1, 0.3], [0.8, 0.0], [0.2, -0.1], [-0.3, 0.2]]),
+], ids=["n1", "n2", "n3", "n8-exit"])
+def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
+    """Whole runs, row exits included, equal the same runs stepped by the
+    list form: the stepper picks the generated substep for each new length."""
+    def acc(rows):
+        return _coupled_stage
+
+    stage = acc if np.ndim(x0) == 2 else _coupled_stage
+
+    def run():
+        return integrate_second_order(stage, x0, v0, 1.5, h=0.02, out_dt=0.05,
+                                      in_region=lambda x: x[0] < 1.0)
+
+    got = run()
+    monkeypatch.setattr("oscavg.dynamics._rk4_substep", lambda n: _list_form_substep)
+    want = run()
+    if np.ndim(x0) == 2:
+        assert [len(r) for r in got] == [31, 3, 31, 31]
+        assert got[1].meta["exited_region_at"] == pytest.approx(0.15)
+    else:
+        got, want = [got], [want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.times, w.times)
+        assert np.array_equal(g.positions, w.positions)
+        assert np.array_equal(g.velocities, w.velocities)
+        assert g.meta == w.meta
 
 
 # ---- guiding-center map ----

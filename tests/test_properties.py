@@ -130,10 +130,18 @@ def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
     for a standard potential), is a list of floats equal bit for bit to the
     scalar-phase grad it replaces, and within 1e-14 of the largest entry to
     the array path grad(x, [tau])[0]; for the satellite's split potential,
-    to static.grad + eps * (that oscillating gradient)."""
+    to static.grad + eps * (that oscillating gradient).  Given x as the
+    stepper's list of floats it is the same bit for bit, and so is the full
+    flow's stage at a time t, at the phase t / eps mod 1."""
     pot = _PHASE_POTENTIALS[name]()
     x = np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
-    got = [-a for a in assemble(pot, eps).full_acceleration(x, tau)]
+    system = assemble(pot, eps)
+    got = [-a for a in system.full_acceleration(x, tau)]
+    assert [-a for a in system.full_acceleration(x.tolist(), tau)] == got, \
+        f"{name} at x={x}, tau={tau}: list input differs from array input"
+    t = (3.0 + tau) * system.epsilon
+    assert system.full_stage()(t, x.tolist(), None) == \
+        system.full_acceleration(x, (t / system.epsilon) % 1.0)
     osc, scale = pot.oscillating, eps ** pot.shift
     want = np.multiply(scale, _old_scalar_grad(osc, x, tau))
     array_path = np.multiply(scale, np.asarray(osc.grad(x, np.array([tau])), dtype=float)[0])
