@@ -4,14 +4,19 @@ For a particle obeying  xdd = -grad U(x, t/eps)  with U 1-periodic in its
 second argument, the motion splits into a small fast wiggle around a smooth
 guiding trajectory.  The guiding trajectory feels the mean potential, a
 velocity-independent correction built from the oscillating part, and a weak
-magnetic-like coupling.  This module builds those fields from tau samples of
-the potential and packages them as a force law.
+magnetic-like coupling.  This module builds those fields from the tau
+spectrum of the potential and packages them as a force law.
 
-Spectral core: sample value/grad/hess of the potential on a uniform tau grid
-at a batch of points and take one rfft over all of them.  With G_k and H_k the
-normalized rfft coefficients of U' and U'' (k >= 1), the antiderivatives are
-V_k = G_k / (2 pi i k) and so on, and discrete Parseval turns every tau average
-of a product into a weighted sum over k:
+Spectral core: the normalized rfft coefficients of value/grad/hess of the
+potential on a uniform tau grid, at a batch of points, from one
+potential.spectrum call (fields.TimePeriodicPotential).  The default samples
+the potential on the grid and takes one rfft over all of them; a potential
+whose coefficients follow in closed form hands them over directly, with no
+samples and no transform (the satellite's and the wave's one harmonic, the
+separable drives' a(tau) u(x)).  With G_k and H_k the coefficients of U' and
+U'' (k >= 1), the antiderivatives are V_k = G_k / (2 pi i k) and so on, and
+discrete Parseval turns every tau average of a product into a weighted sum
+over k:
 
     grad W = sum_k c_k Re(H_k conj G_k) / (2 pi k)^2
     b      = sum_k c_k Im(H_k conj G_k) / (2 pi k)^3
@@ -19,23 +24,23 @@ of a product into a weighted sum over k:
 with c_k = 2 for interior bins and 1 for the Nyquist bin of an even grid.
 The sums equal the averages of the products on the sample grid, which are
 exact as long as the potential is a trigonometric polynomial resolved by the
-grid (all bundled scenarios are).  On an even grid the sample grid holds
-only the real part of each antiderivative's Nyquist coefficient, so the
-Nyquist bin of G enters with its real part dropped (see
-FieldSpectra._parseval_products).
+grid (all bundled scenarios are; the closed-form spectra refuse a grid that
+would alias their harmonic).  On an even grid the sample grid holds only the
+real part of each antiderivative's Nyquist coefficient, so the Nyquist bin
+of G enters with its real part dropped (see FieldSpectra._parseval_products).
 
-The B matrix is a central difference of b; the force samples its centre point
+The B matrix is a central difference of b; the force takes its centre point
 and the 2 dim stencil points x +- h e_j in one sweep, so one force call costs
-one potential.sample call over 2 dim + 1 points, one rfft and the Parseval
-sums for grad W and b.  At n_tau 16 that is about 100-110 us on the spinning
-satellite and 125 us on quartic_drive (2-core VM, Python 3.11, numpy 2.4):
-mostly fixed per-call numpy costs, which is why the satellite's tidal pieces
-are float math.  The fields depend on x alone and eps enters only as
-weights, so ladder_force pays those fixed costs once per RK stage for a whole
-eps ladder: one spectra build over the stencils of every rung, then each
-rung's force with its own weights.  Four rungs cost about 0.6x of four
-one-rung calls on the satellite and 0.65x on quartic_drive
-(AveragedSystem.force is the one-rung case).  The
+one potential.spectrum call over 2 dim + 1 points and the Parseval sums for
+grad W and b.  At n_tau 16 a one-row force call takes about 90-110 us on the
+spinning satellite, 50-80 us on rotating_wave and about 90 us on
+quartic_drive: 0.75x, 0.73x and 0.58x of sampling and transforming
+(in-process alternating medians on a shared 2-core VM, Python 3.11, numpy
+2.4).  What is left on the satellite is mostly its float-math tidal pieces,
+about 2.5 us a point.  The fields depend on x alone and eps enters only as weights, so
+ladder_force pays the fixed costs once per RK stage for a whole eps ladder:
+one spectra build over the stencils of every rung, then each rung's force
+with its own weights (AveragedSystem.force is the one-rung case).  The
 guiding-center map takes that stencil around every state of a trajectory in
 one call and reads V, S, A at each state's own phase from the coefficients.
 
@@ -56,55 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (TimePeriodicPotential, antiderivative_factors, central_stencil,
-                     checked_sample, phase_weights, stencil_jacobian)
-
-MIN_N_TAU = 4  # the coarsest tau grid _checked_samples accepts
-
-
-def _checked_samples(potential: TimePeriodicPotential, points, n_tau: int):
-    """Value, gradient and Hessian of the potential on the tau grid at each
-    point (float arrays).
-
-    Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
-    the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
-    Makes one potential.sample call for all the points.  Rejects a point of the
-    wrong shape, a grid too coarse to resolve anything, samples of the wrong
-    shape and non-finite samples.
-    """
-    d = potential.dim
-    for x in points:
-        if x.shape != (d,):
-            raise ValueError(f"point shape {x.shape} does not match potential dim {d}")
-    if n_tau < MIN_N_TAU:
-        raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
-    taus = _tau_grid(n_tau)
-    n_pts = len(points)
-    sampled = [np.asarray(arr, dtype=float) for arr in potential.sample(points, taus)]
-    for name, arr, shape in zip(("value", "grad", "hess"), sampled,
-                                ((n_tau,), (n_tau, d), (n_tau, d, d))):
-        if arr.shape != (n_pts, *shape):
-            if arr.shape[:1] != (n_pts,):
-                raise ValueError(f"potential.sample returned {name} of shape {arr.shape} "
-                                 f"for {n_pts} points")
-            checked_sample(name, arr[0], shape)
-    vals, grads, hesss = sampled
-    samples = np.empty((n_pts, 1 + d + d * d, n_tau))
-    samples[:, 0] = vals
-    samples[:, 1:1 + d] = np.swapaxes(grads, 1, 2)
-    samples[:, 1 + d:] = np.swapaxes(hesss.reshape(n_pts, n_tau, d * d), 1, 2)
-    if not np.isfinite(samples).all():
-        bad_rows = ~np.all(np.isfinite(samples), axis=1)
-        bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
-        raise ValueError(f"potential returned non-finite samples at tau={bad[:4]}")
-    return samples
-
-
-@lru_cache(maxsize=16)
-def _tau_grid(n_tau: int):
-    """The sample phases n / n_tau, read-only: every spectra build shares them."""
-    taus = np.arange(n_tau) / n_tau
-    taus.flags.writeable = False
-    return taus
+                     phase_weights, stencil_jacobian)
 
 
 @lru_cache(maxsize=16)
@@ -123,11 +80,11 @@ def _parseval_weights(n_tau: int):
 class FieldSpectra:
     """Tau spectra of one potential at a batch of points.
 
-    Samples value/grad/hess at all the points on an n_tau grid in one
-    potential.sample call and keeps the normalized rfft coefficients of all
-    of them from one transform.  Means and the product averages W, grad W and
-    b come from the coefficients directly; antiderivative_at evaluates the
-    zero-mean tau antiderivatives at any phase for the guiding-center map.
+    Keeps the normalized rfft coefficients of value/grad/hess at all the
+    points on an n_tau grid, from one potential.spectrum call.  Means and the
+    product averages W, grad W and b come from the coefficients directly;
+    antiderivative_at evaluates the zero-mean tau antiderivatives at any
+    phase for the guiding-center map.
     """
 
     def __init__(self, potential: TimePeriodicPotential, points, n_tau: int = 48):
@@ -135,9 +92,12 @@ class FieldSpectra:
         self.dim = d = potential.dim
         self.n_tau = n_tau
         points = [np.asarray(x, dtype=float) for x in points]
-        self.samples = _checked_samples(potential, points, n_tau)
         # coeffs[p, c, k]: bin k of sample channel c at point p
-        self.coeffs = np.fft.rfft(self.samples, axis=-1, norm="forward")
+        self.coeffs = potential.spectrum(points, n_tau)
+        shape = (len(points), 1 + d + d * d, n_tau // 2 + 1)
+        if np.shape(self.coeffs) != shape:
+            raise ValueError(f"potential.spectrum returned shape {np.shape(self.coeffs)}, "
+                             f"expected {shape}")
         mean = self.coeffs[:, :, 0].real
         self.u_mean = mean[:, 0]
         self.g_mean = mean[:, 1:1 + d]
@@ -189,12 +149,14 @@ class FieldSpectra:
         This is the driven part of the phase velocity carried by the first
         corrector dropped from the guiding-center position map; the product is
         formed on the sample grid before transforming, which keeps it exact as
-        long as twice the potential's bandwidth is still resolved.
+        long as twice the potential's bandwidth is still resolved.  Both
+        factors come back to the grid from their coefficients.
         """
         d, n = self.dim, self.n_tau
         s_grad = np.fft.irfft(self.coeffs[:, 1:1 + d] * (n * antiderivative_factors(n, 2)),
                               n=n, axis=-1)
-        hess = self.samples[:, 1 + d:].reshape(-1, d, d, n)
+        hess = np.fft.irfft(self.coeffs[:, 1 + d:], n=n, axis=-1,
+                            norm="forward").reshape(-1, d, d, n)
         prod = np.einsum("pijn,pjn->pin", hess, s_grad)
         return _series_at(np.fft.rfft(prod, axis=-1, norm="forward"), n, 1, taus)
 

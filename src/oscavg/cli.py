@@ -33,11 +33,11 @@ from . import __version__
 # (guided_run and compare_ladder call them), but bench/tracer.py patches them
 # by name on this module as well as on analysis
 from .analysis import compare_ladder, fit_order, guided_run, measure_precession, position_gap
-from .averaging import MIN_N_TAU
 from .checks import SUITES
 from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integrate_averaged,
                        integrate_dumbbell, integrate_full, integrate_second_order,
                        save_dumbbell, save_trajectory, transform_trajectory)
+from .fields import MIN_N_TAU
 from .scenarios import (CATALOG, ScenarioUsageError, get_scenario, load_config,
                         parse_number)
 
@@ -252,6 +252,10 @@ def cmd_run(args) -> int:
         if resolved[key] <= 0 or resolved[key] < minimum.get(key, 0):
             rule = f"at least {minimum[key]}" if key in minimum else "positive"
             raise UsageError(f"--{key.replace('_', '-')}: must be {rule}, got {resolved[key]}")
+    try:  # a grid that aliases the potential's harmonics is refused by its spectrum
+        sc.potential.oscillating.spectrum([np.asarray(sc.x0, dtype=float)], resolved["n_tau"])
+    except ValueError as e:
+        raise UsageError(f"--n-tau: {e}")
     if args.orbits is not None:
         if "precession" not in sc.extras:
             raise UsageError(f"--orbits: scenario {sc.name!r} has no precession comparison; "

@@ -273,7 +273,7 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
 
 def _guiding_centers(system: AveragedSystem, xs, vs, ts):
     """guiding_center on rows of states (xs[i], vs[i]) at times ts[i]; one
-    potential.sample call covers every state and its central stencil."""
+    potential.spectrum call covers every state and its central stencil."""
     eps = system.epsilon
     n, d = xs.shape
     m = 2 * d + 1
@@ -338,7 +338,7 @@ def guiding_center(system: AveragedSystem, x, v, t):
 
 def transform_trajectory(system: AveragedSystem, traj: Trajectory) -> Trajectory:
     """Apply the guiding-center map to every sample of a full-system
-    trajectory, with one potential.sample call for all of them."""
+    trajectory, with one potential.spectrum call for all of them."""
     pos, vel = _guiding_centers(system, traj.positions, traj.velocities, traj.times)
     meta = dict(traj.meta)
     meta["kind"] = "guided"

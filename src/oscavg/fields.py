@@ -6,10 +6,13 @@ oscillation period, so all periodic quantities have period 1 in tau.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+
+MIN_N_TAU = 4  # the coarsest tau grid any spectrum accepts
 
 # central-difference steps, scaled by the point magnitude
 GRAD_STEP = _EPS ** (1.0 / 3.0)
@@ -188,6 +191,58 @@ class FourierSeries:
         return out
 
 
+@lru_cache(maxsize=16)
+def _tau_grid(n_tau: int):
+    """The sample phases n / n_tau, read-only: every spectra build shares them."""
+    taus = np.arange(n_tau) / n_tau
+    taus.flags.writeable = False
+    return taus
+
+
+def checked_grid(points, dim: int, n_tau: int):
+    """The tau grid of n_tau phases, after checking that every point has
+    shape (dim,) and that the grid is fine enough to resolve anything."""
+    for x in points:
+        if x.shape != (dim,):
+            raise ValueError(f"point shape {x.shape} does not match potential dim {dim}")
+    if n_tau < MIN_N_TAU:
+        raise ValueError(f"n_tau={n_tau} is too coarse to resolve any oscillation")
+    return _tau_grid(n_tau)
+
+
+def _checked_samples(potential, points, n_tau: int):
+    """Value, gradient and Hessian of the potential on the tau grid at each
+    point (float arrays).
+
+    Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
+    the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
+    Makes one potential.sample call for all the points.  Rejects a point of the
+    wrong shape, a grid too coarse to resolve anything, samples of the wrong
+    shape and non-finite samples.
+    """
+    d = potential.dim
+    taus = checked_grid(points, d, n_tau)
+    n_pts = len(points)
+    sampled = [np.asarray(arr, dtype=float) for arr in potential.sample(points, taus)]
+    for name, arr, shape in zip(("value", "grad", "hess"), sampled,
+                                ((n_tau,), (n_tau, d), (n_tau, d, d))):
+        if arr.shape != (n_pts, *shape):
+            if arr.shape[:1] != (n_pts,):
+                raise ValueError(f"potential.sample returned {name} of shape {arr.shape} "
+                                 f"for {n_pts} points")
+            checked_sample(name, arr[0], shape)
+    vals, grads, hesss = sampled
+    samples = np.empty((n_pts, 1 + d + d * d, n_tau))
+    samples[:, 0] = vals
+    samples[:, 1:1 + d] = np.swapaxes(grads, 1, 2)
+    samples[:, 1 + d:] = np.swapaxes(hesss.reshape(n_pts, n_tau, d * d), 1, 2)
+    if not np.isfinite(samples).all():
+        bad_rows = ~np.all(np.isfinite(samples), axis=1)
+        bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
+        raise ValueError(f"potential returned non-finite samples at tau={bad[:4]}")
+    return samples
+
+
 class TimePeriodicPotential:
     """Base class for potentials U(x, tau) with period 1 in tau: the shift 0
     case of U = static(x) + eps^shift * oscillating(x, tau), with no static
@@ -205,18 +260,24 @@ class TimePeriodicPotential:
     bundled potentials override it in float math on x's floats, which skips
     the array round trip and the 0-d array overhead of the array path.
 
-    sample(points, taus) gives value, gradient and Hessian at P points and n
-    phases in one call, as arrays of shape (P, n), (P, n, dim) and
-    (P, n, dim, dim).  The field averages take all their samples through it:
-    one call per force evaluation, for the force's point and its 2 dim
-    stencil points.  The default calls value/grad/hess once per point.
-    Overriding it pays when those calls cost more than the arithmetic in
-    them: a potential built from a few spatial pieces times a few phase
-    factors can compute the pieces once per point and the phase factors once
-    per call.  SatelliteOscillating and RotatingWavePotential (three pieces
-    times one harmonic, through scenarios._HarmonicPieces) and the separable
-    drives a(tau) u(x) (SeparableDrivePotential) override it.  The taus it
-    gets are the shared, read-only sample grid.
+    spectrum(points, n_tau) is all the field averages read: the normalized
+    rfft coefficients of value, gradient and Hessian over the n_tau-point
+    tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
+    channels laid out as in _checked_samples.  The averaged force makes one
+    call per evaluation, for its point and its 2 dim stencil points.  The
+    default samples through sample(points, taus), which gives value,
+    gradient and Hessian at every point and phase of the shared, read-only
+    grid as arrays of shape (P, n), (P, n, dim) and (P, n, dim, dim) (by
+    default one value/grad/hess call per point), checks the samples and
+    takes one rfft.  A potential whose coefficients follow in closed form
+    from a few spatial pieces can override spectrum and skip both the
+    samples and the transform: SatelliteOscillating and
+    RotatingWavePotential (three pieces times one harmonic, two nonzero
+    bins, through scenarios._HarmonicPieces) and the separable drives
+    a(tau) u(x) (SeparableDrivePotential: the drive's coefficients once per
+    grid times the profile at each point) do.  An override makes the checks
+    of checked_grid and refuses a grid too coarse for its harmonics, which
+    the samples would alias without notice.
     """
 
     dim: int = 0
@@ -230,9 +291,16 @@ class TimePeriodicPotential:
     def value(self, x, tau):
         raise NotImplementedError
 
+    def spectrum(self, points, n_tau):
+        """Normalized rfft coefficients out[p, c, k] of channel c at point p
+        over the n_tau-point tau grid: the default is one rfft of
+        _checked_samples."""
+        return np.fft.rfft(_checked_samples(self, points, n_tau), axis=-1, norm="forward")
+
     def sample(self, points, taus):
         """Value, gradient and Hessian at each point and each phase in taus,
-        stacked over the points: shapes (P, n), (P, n, dim), (P, n, dim, dim)."""
+        stacked over the points: shapes (P, n), (P, n, dim), (P, n, dim, dim).
+        The default spectrum samples through it."""
         n, d = len(taus), self.dim
         vals, grads, hesss = [], [], []
         for x in points:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .averaging import assemble
 from .fields import (CallableStatic, Order1Potential, StaticPotential,
-                     TimePeriodicPotential)
+                     TimePeriodicPotential, checked_grid)
 
 TWO_PI = 2.0 * math.pi
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -145,7 +144,8 @@ class SeparableDrivePotential(TimePeriodicPotential):
     a gets float arrays of phases, and one float phase in phase_grad; the
     profile u_value/u_grad/u_hess gets float arrays: phase_grad converts the
     stepper's list of floats x once.  CosineDrivePotential is the float-math
-    form for a cosine drive.
+    form for a cosine drive.  The tau spectrum is the drive's rfft, taken
+    once per grid, times the profile at each point.
     """
 
     def __init__(self, a, u_value, u_grad, u_hess, dim):
@@ -154,6 +154,7 @@ class SeparableDrivePotential(TimePeriodicPotential):
         self._uv = u_value
         self._ug = u_grad
         self._uh = u_hess
+        self._drive_spectra = {}
 
     def _drive(self, tau):
         return self._a(np.asarray(tau, dtype=float))
@@ -171,27 +172,39 @@ class SeparableDrivePotential(TimePeriodicPotential):
     def hess(self, x, tau):
         return np.asarray(self._drive(tau))[..., None, None] * np.asarray(self._uh(x), dtype=float)
 
-    def sample(self, points, taus):
-        """The drive once over taus and the profile once per point, combined
-        as outer products: each sample is the single multiply a(tau) * u of
-        the per-point path.  A drive or profile of an unexpected shape takes
-        the per-point path, so it meets the same checks and messages."""
-        n, d = len(taus), self.dim
-        a = np.asarray(self._drive(taus))
-        if a.shape != (n,) or a.dtype != np.float64:
-            return super().sample(points, taus)
-        uv, ug, uh = [], [], []
-        for x in points:
-            uv.append(self._uv(x))
-            ug.append(np.asarray(self._ug(x), dtype=float))
-            uh.append(np.asarray(self._uh(x), dtype=float))
-        if (any(np.shape(v) != () for v in uv) or any(g.shape != (d,) for g in ug)
-                or any(h.shape != (d, d) for h in uh)):
-            return super().sample(points, taus)
-        ug, uh = np.array(ug), np.array(uh)
-        return (np.array(uv, dtype=float)[:, None] * a,
-                a[:, None] * ug[:, None, :],
-                a[:, None, None] * uh[:, None, :, :])
+    def _drive_spectrum(self, taus):
+        """rfft(a(taus)) / n over the n-point grid taus, read-only and kept
+        per grid size; None when a does not give n finite floats."""
+        n = len(taus)
+        coeffs = self._drive_spectra.get(n)
+        if coeffs is None:
+            a = np.asarray(self._drive(taus))
+            if a.shape != (n,) or a.dtype != np.float64 or not np.isfinite(a).all():
+                return None
+            coeffs = self._drive_spectra[n] = np.fft.rfft(a, norm="forward")
+            coeffs.flags.writeable = False
+        return coeffs
+
+    def spectrum(self, points, n_tau):
+        """The drive's coefficients, once per grid, times the profile
+        channels u, grad u, hess u at each point.  A drive or profile of an
+        unexpected shape, or one that is not finite, takes the default path,
+        so it meets the same checks and messages."""
+        d, n_pts = self.dim, len(points)
+        drive = self._drive_spectrum(checked_grid(points, d, n_tau))
+        if drive is not None:
+            try:  # a ragged profile is refused by np.array
+                uv = np.array([self._uv(x) for x in points], dtype=float)
+                ug = np.array([self._ug(x) for x in points], dtype=float)
+                uh = np.array([self._uh(x) for x in points], dtype=float)
+            except ValueError:
+                uv = None
+            if (uv is not None and uv.shape == (n_pts,) and ug.shape == (n_pts, d)
+                    and uh.shape == (n_pts, d, d)):
+                profile = np.concatenate((uv[:, None], ug, uh.reshape(n_pts, d * d)), axis=1)
+                if np.isfinite(profile).all():
+                    return profile[:, :, None] * drive
+        return super().spectrum(points, n_tau)
 
 
 class CosineDrivePotential(SeparableDrivePotential):
@@ -303,50 +316,54 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
 
 # ---- rotating angular wave ----
 
-@lru_cache(maxsize=8)
-def _cached_phase_table(harmonic, shape, tau_bytes):
-    ang = harmonic * TWO_PI * np.frombuffer(tau_bytes).reshape(shape)
-    table = np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
-    table.flags.writeable = False
-    return table
-
-
 class _HarmonicPieces(TimePeriodicPotential):
     """A plane potential P0(x) + P1(x) cos(m theta) + P2(x) sin(m theta),
     theta = 2 pi tau: three spatial pieces times one harmonic's phase factors.
 
-    Subclasses set the harmonic m and give _pieces(x): the three pieces and
-    their derivatives at one point, in float math, as one flat list of 3
-    rows (the columns of _phase_table) of 7 channels each: the value, the two
-    gradient components and the four Hessian entries (row major).  sample()
-    computes the pieces once per point and the phase table once per grid,
-    and combines them in one matmul.
+    Subclasses set the integer harmonic m and give _pieces(x): the three
+    pieces and their derivatives at one point, in float math, as one flat
+    list of 3 rows (the columns of _phase_table) of 7 channels each: the
+    value, the two gradient components and the four Hessian entries (row
+    major).  The tau spectrum follows from the pieces alone: P0 in bin 0,
+    (P1 - i P2) / 2 in bin m and nothing else, so spectrum() takes no
+    samples and no transform.
     """
 
     dim = 2
-    harmonic = 1.0
+    harmonic = 1
 
     def _pieces(self, x):
         raise NotImplementedError
 
     def _phase_table(self, tau):
-        """(1, cos m theta, sin m theta), shape shape(tau) + (3,), read-only.
-
-        Every force call samples the same tau grid, so tables are cached by
-        the harmonic and the bytes of tau.
-        """
-        tau = np.asarray(tau, dtype=float)
-        return _cached_phase_table(self.harmonic, tau.shape, tau.tobytes())
+        """(1, cos m theta, sin m theta), shape shape(tau) + (3,)."""
+        ang = self.harmonic * TWO_PI * np.asarray(tau, dtype=float)
+        return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
 
     def _combine(self, x, tau):
         """All seven channels at one point, shape shape(tau) + (7,)."""
         return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
 
-    def sample(self, points, taus):
+    def spectrum(self, points, n_tau):
+        """Bin 0 is P0 and bin m is (P1 - i P2) / 2, from the pieces of every
+        point in one np.fromiter.  A grid of 2m phases or fewer is refused:
+        on it sin(m theta) falls into the Nyquist bin or below, and the
+        samples would lose it without notice."""
+        checked_grid(points, self.dim, n_tau)
+        m = self.harmonic
+        if n_tau <= 2 * m:
+            raise ValueError(f"n_tau={n_tau} aliases harmonic {m} of {type(self).__name__}: "
+                             f"sin({m} theta) needs more than {2 * m} phases; "
+                             f"use n_tau >= {2 * m + 1}")
         pieces = np.fromiter(chain.from_iterable(map(self._pieces, points)), float,
                              21 * len(points)).reshape(-1, 3, 7)
-        s = self._phase_table(taus) @ pieces   # (P, n, 7)
-        return s[..., 0], s[..., 1:3], s[..., 3:].reshape(s.shape[:-1] + (2, 2))
+        if not np.isfinite(pieces).all():
+            bad = np.argmin(np.isfinite(pieces).all(axis=(1, 2)))
+            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
+        out = np.zeros((len(points), 7, n_tau // 2 + 1), dtype=complex)
+        out[:, :, 0] = pieces[:, 0]
+        out[:, :, m] = 0.5 * pieces[:, 1] - 0.5j * pieces[:, 2]
+        return out
 
     def in_region(self, x):
         return math.hypot(x[0], x[1]) >= self.r_min
@@ -360,8 +377,8 @@ class RotatingWavePotential(_HarmonicPieces):
     corrections; the magnetic-like vector decays like 1/r^3.  Singular at the
     origin, so a disk around it is excluded from the trusted region.
 
-    value, grad and hess are array formulas in the phase; sample() takes the
-    pieces offset, x / r and y / r (times 1, cos 2 pi tau, sin 2 pi tau).
+    value, grad and hess are array formulas in the phase; spectrum() takes
+    the pieces offset, x / r and y / r (times 1, cos 2 pi tau, sin 2 pi tau).
     """
 
     def __init__(self, offset: float = 0.3, r_min: float = 0.5):
@@ -400,7 +417,7 @@ class RotatingWavePotential(_HarmonicPieces):
     def phase_grad(self, x, tau):
         # grad's operations in grad's order, on floats
         ang = TWO_PI * tau
-        c, s = float(np.cos(ang)), float(np.sin(ang))
+        c, s = math.cos(ang), math.sin(ang)
         x0, x1 = float(x[0]), float(x[1])
         r2 = x0 ** 2 + x1 ** 2
         r = math.sqrt(r2)
@@ -511,7 +528,7 @@ class SatelliteOscillating(_HarmonicPieces):
     eps.
     """
 
-    harmonic = 2.0
+    harmonic = 2
 
     def __init__(self, sigma=-1.0, r_min=0.1):
         self.sigma = float(sigma)

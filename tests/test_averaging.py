@@ -11,9 +11,10 @@ import pytest
 from oscavg import (CallablePotential, CallableStatic, FourierSeries, Order1Potential,
                     PeriodicFieldStack, assemble, fd_gradient, fd_jacobian,
                     guiding_center, transform_trajectory)
-from oscavg.averaging import FieldSpectra, _checked_samples
+from oscavg.averaging import FieldSpectra
 from oscavg.dynamics import Trajectory
-from oscavg.fields import GRAD_STEP, central_stencil, stencil_jacobian
+from oscavg.fields import (GRAD_STEP, TimePeriodicPotential, _checked_samples, central_stencil,
+                           stencil_jacobian)
 from oscavg.scenarios import get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -63,57 +64,96 @@ def test_stack_rejects_non_finite_samples():
         PeriodicFieldStack(pot, np.array([0.5]), 16)
 
 
-# ---- the sample hook ----
+# ---- the spectrum hook ----
 
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 def test_satellite_sample_matches_per_point_calls(n_tau):
-    """The batched satellite samples equal value/grad/hess point by point,
-    grad at each scalar tau and the float-math phase_grad, to rounding of the
-    largest sample."""
-    _check_sample_matches_per_point_calls(get_scenario("spinning_satellite").potential.oscillating,
-                                          n_tau)
+    """The satellite's closed-form spectrum is the rfft of value/grad/hess
+    point by point, and back on the grid it equals those calls, grad at each
+    scalar tau and the float-math phase_grad, to rounding of the largest
+    sample."""
+    _check_spectrum_matches_per_point_calls(
+        get_scenario("spinning_satellite").potential.oscillating, n_tau)
 
 
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 def test_wave_sample_matches_per_point_calls(n_tau):
-    """The wave's batched samples (pieces offset, x / r, y / r) equal its
-    array-formula value/grad/hess, grad at each scalar tau and phase_grad."""
-    _check_sample_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
+    """The wave's closed-form spectrum (pieces offset, x / r, y / r) is the
+    rfft of its array-formula value/grad/hess, grad at each scalar tau and
+    phase_grad."""
+    _check_spectrum_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
 
 
-def _check_sample_matches_per_point_calls(pot, n_tau):
+def _check_spectrum_matches_per_point_calls(pot, n_tau):
     rng = np.random.default_rng(n_tau)
     r = rng.uniform(pot.r_min, 3.0, 50)
     phi = rng.uniform(0.0, TWO_PI, 50)
     points = list(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1))
     taus = np.arange(n_tau) / n_tau
-    vals, grads, hesss = pot.sample(points, taus)
-    assert vals.shape == (50, n_tau)
-    assert grads.shape == (50, n_tau, 2)
-    assert hesss.shape == (50, n_tau, 2, 2)
+    coeffs = pot.spectrum(points, n_tau)
+    assert coeffs.shape == (50, 7, n_tau // 2 + 1)
+    grid = np.fft.irfft(coeffs, n=n_tau, axis=-1, norm="forward")
+    vals, grads, hesss = grid[:, 0], grid[:, 1:3], grid[:, 3:].reshape(50, 2, 2, n_tau)
     for p, x in enumerate(points):
+        per_point = np.concatenate([pot.value(x, taus)[None], pot.grad(x, taus).T,
+                                    pot.hess(x, taus).reshape(n_tau, 4).T])
+        want = np.fft.rfft(per_point, axis=-1, norm="forward")
+        _assert_close(f"coefficients at r={r[p]:.3f}", coeffs[p], want,
+                      np.max(np.abs(want)), rtol=1e-14)
         for name, got, want in (("value", vals[p], pot.value(x, taus)),
-                                ("grad", grads[p], pot.grad(x, taus)),
-                                ("hess", hesss[p], pot.hess(x, taus)),
-                                ("scalar grad", grads[p],
+                                ("grad", grads[p].T, pot.grad(x, taus)),
+                                ("hess", np.moveaxis(hesss[p], -1, 0), pot.hess(x, taus)),
+                                ("scalar grad", grads[p].T,
                                  np.array([pot.grad(x, float(t)) for t in taus])),
-                                ("phase grad", grads[p],
+                                ("phase grad", grads[p].T,
                                  np.array([pot.phase_grad(x, float(t)) for t in taus]))):
             _assert_close(f"{name} at r={r[p]:.3f}", got, want, np.max(np.abs(got)), rtol=1e-14)
 
 
-def test_satellite_phase_tables_are_cached_per_grid():
-    """Cached phase tables equal a fresh computation for any tau, also after
-    more grids than the cache holds, and cannot be written through."""
-    pot = get_scenario("spinning_satellite").potential.oscillating
+def test_drive_spectra_are_cached_per_grid():
+    """A separable drive's rfft is kept per grid size, equals a fresh rfft of
+    the drive on that grid, and cannot be written through; the satellite,
+    which keeps nothing between calls, gives the rfft of its samples on each
+    grid, also when a grid comes back after others."""
+    sat = get_scenario("spinning_satellite").potential.oscillating
+    quartic = get_scenario("quartic_drive").potential
     rng = np.random.default_rng(7)
-    grid = np.arange(16) / 16
-    for taus in [grid] + [rng.uniform(0.0, 1.0, 5) for _ in range(10)] + [grid, 0.3]:
-        ang = 4.0 * math.pi * np.asarray(taus)
-        table = pot._phase_table(taus)
-        assert np.array_equal(table, np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1))
-        assert not table.flags.writeable
-    assert pot._phase_table(np.arange(16) / 16) is pot._phase_table(grid)
+    points = [np.array([1.2, -0.4]), np.array([-0.3, 0.9])]
+    for n_tau in [16] + list(rng.integers(5, 49, 10)) + [16]:
+        n_tau = int(n_tau)
+        taus = np.arange(n_tau) / n_tau
+        drive = quartic._drive_spectrum(taus)
+        assert drive is quartic._drive_spectrum(taus)
+        assert not drive.flags.writeable
+        assert np.array_equal(drive, np.fft.rfft(np.cos(TWO_PI * taus), norm="forward"))
+        got = sat.spectrum(points, n_tau)
+        want = TimePeriodicPotential.spectrum(sat, points, n_tau)
+        _assert_close(f"satellite spectrum at n_tau={n_tau}", got, want,
+                      np.max(np.abs(want)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_tau", [4, 5])
+def test_satellite_refuses_a_grid_that_aliases_its_harmonic(n_tau):
+    """On 4 phases sin(4 pi tau) is the Nyquist wave, which the samples hold
+    as zeros: the satellite's spectrum refuses that grid by name and points
+    to 5, the least that works, where it is the rfft of the samples."""
+    pot = get_scenario("spinning_satellite").potential.oscillating
+    x = np.array([1.1, 0.7])
+    if n_tau == 4:
+        with pytest.raises(ValueError) as info:
+            FieldSpectra(pot, [x], n_tau)
+        assert str(info.value) == ("n_tau=4 aliases harmonic 2 of SatelliteOscillating: "
+                                   "sin(2 theta) needs more than 4 phases; use n_tau >= 5")
+        return
+    want = TimePeriodicPotential.spectrum(pot, [x], n_tau)
+    _assert_close("spectrum", pot.spectrum([x], n_tau), want, np.max(np.abs(want)), rtol=1e-14)
+
+
+def test_satellite_refuses_non_finite_pieces():
+    """A point whose pieces are not finite is named, as non-finite samples are."""
+    pot = get_scenario("spinning_satellite").potential.oscillating
+    with pytest.raises(ValueError, match=r"non-finite pieces at x=\[nan 0.5\]"):
+        pot.spectrum([np.array([1.0, 0.5]), np.array([np.nan, 0.5])], 16)
 
 
 def _old_sample_loop(pot, points, n_tau):
@@ -142,6 +182,8 @@ def test_default_sample_is_the_per_point_loop(analytic):
         assert np.array_equal(grads[p], pot.grad(x, taus))
         assert np.array_equal(hesss[p], pot.hess(x, taus))
     assert np.array_equal(_checked_samples(pot, points, 16), _old_sample_loop(pot, points, 16))
+    assert np.array_equal(pot.spectrum(points, 16),
+                          np.fft.rfft(_old_sample_loop(pot, points, 16), axis=-1, norm="forward"))
 
 
 class _OverridingSample(CallablePotential):

@@ -133,6 +133,8 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
     (["quartic_drive", "--steps-per-period", "8"], None,
      "--steps-per-period: must be at least 16, got 8"),
     (["quartic_drive", "--n-tau", "3"], None, "--n-tau: must be at least 4, got 3"),
+    (["spinning_satellite", "--n-tau", "4", "--t-end", "0.0625"], None,
+     "--n-tau: n_tau=4 aliases harmonic 2 of SatelliteOscillating"),
 ])
 def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, tmp_path, capsys):
     """Every run input is checked first: a usage error exits 2 with its
@@ -145,6 +147,21 @@ def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, 
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_satellite_n_tau_must_resolve_its_second_harmonic(tmp_path, capsys, monkeypatch):
+    """4 phases alias the satellite's sin 2 theta piece: the run is refused
+    before any rung starts, naming the least n_tau that works; 5 runs."""
+    started = []
+    real_job = cli._ladder_job
+    monkeypatch.setattr(cli, "_ladder_job", lambda payload: started.append(1) or real_job(payload))
+    argv = ["run", "spinning_satellite", "--eps", "1/64", "--t-end", "0.0625"]
+    assert cli.main(argv + ["--n-tau", "4", "--out-dir", str(tmp_path / "o4")]) == 2
+    assert "use n_tau >= 5" in capsys.readouterr().err
+    assert not started and not (tmp_path / "o4").exists()
+    assert cli.main(argv + ["--n-tau", "5", "--out-dir", str(tmp_path / "o5")]) == 0
+    assert started == [1]
+    assert json.loads((tmp_path / "o5" / "manifest.json").read_text())["config"]["n_tau"] == 5
 
 
 def test_ladder_workers_rebuild_the_scenario_from_its_sign(tmp_path, capsys, monkeypatch):

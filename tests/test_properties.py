@@ -9,7 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oscavg import CallablePotential, assemble  # noqa: E402
+from oscavg import CallablePotential, TimePeriodicPotential, assemble  # noqa: E402
+from oscavg.averaging import FieldSpectra, _parseval_weights  # noqa: E402
 from oscavg.scenarios import (RotatingSaddlePotential, SatelliteOscillating,  # noqa: E402
                               SeparableDrivePotential, get_scenario)
 
@@ -132,7 +133,9 @@ def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
     the array path grad(x, [tau])[0]; for the satellite's split potential,
     to static.grad + eps * (that oscillating gradient).  Given x as the
     stepper's list of floats it is the same bit for bit, and so is the full
-    flow's stage at a time t, at the phase t / eps mod 1."""
+    flow's stage at a time t, at the phase t / eps mod 1.  The wave's
+    phase_grad (math.cos, math.sin) also equals its grad (numpy's cos, sin)
+    bit for bit at 256 phases spread over the period."""
     pot = _PHASE_POTENTIALS[name]()
     x = np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
     system = assemble(pot, eps)
@@ -150,6 +153,75 @@ def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
         array_path = np.add(pot.static.grad(x), array_path)
     assert [type(g) for g in got] == [float] * pot.dim
     assert got == want.tolist(), f"{name} at x={x}, tau={tau}: {got} != {want.tolist()}"
+    if name == "rotating_wave":  # math.cos/math.sin against grad's numpy cos/sin
+        for t in ((tau + np.arange(256) / 256) % 1.0).tolist():
+            assert osc.phase_grad(x.tolist(), t) == osc.grad(x, t).tolist(), \
+                f"wave at x={x}, tau={t}: phase_grad is not grad"
     err = float(np.max(np.abs(np.subtract(got, array_path))))
     scale = float(np.max(np.abs(array_path)))
     assert err <= 1e-14 * scale, f"{name} at x={x}, tau={tau}: off the array path by {err:.2e}"
+
+
+# ---- spectrum: closed-form tau coefficients against the rfft of the samples ----
+
+class _Sampled(TimePeriodicPotential):
+    """A potential's value/grad/hess behind the default spectrum."""
+
+    def __init__(self, pot):
+        self.pot, self.dim = pot, pot.dim
+
+    def value(self, x, tau):
+        return self.pot.value(x, tau)
+
+    def grad(self, x, tau):
+        return self.pot.grad(x, tau)
+
+    def hess(self, x, tau):
+        return self.pot.hess(x, tau)
+
+
+def _sincos_profile_drive():
+    """A non-cosine drive cos(2 pi tau) + sin(4 pi tau) / 2 times
+    u = x^2 y + sin y."""
+    return SeparableDrivePotential(
+        _drive, lambda x: x[0] ** 2 * x[1] + math.sin(x[1]),
+        lambda x: np.array([2.0 * x[0] * x[1], x[0] ** 2 + math.cos(x[1])]),
+        lambda x: np.array([[2.0 * x[1], 2.0 * x[0]], [2.0 * x[0], -math.sin(x[1])]]), 2)
+
+
+_SPECTRUM_POTENTIALS = {
+    "spinning_satellite-": lambda: SatelliteOscillating(-1.0),
+    "spinning_satellite+": lambda: SatelliteOscillating(1.0),
+    **{name: (lambda name=name: get_scenario(name).potential)
+       for name in ("rotating_wave", "quartic_drive", "kapitza_pendulum")},
+    "sincos_drive": _sincos_profile_drive,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_SPECTRUM_POTENTIALS)),
+       polar=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.0, TWO_PI)),
+                      min_size=1, max_size=7),
+       n_tau=st.integers(5, 48))
+def test_spectrum_overrides_are_the_rfft_of_the_samples(name, polar, n_tau):
+    """Each spectrum override equals the default spectrum (the rfft of the
+    per-point samples) within 1e-14 of the largest coefficient, and the
+    fields FieldSpectra reads from it, g_mean, grad W and b, equal the
+    default's within 1e-14 of that coefficient (of its square times the
+    largest Parseval weight for the products)."""
+    pot = _SPECTRUM_POTENTIALS[name]()
+    points = [np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim] for r, phi in polar]
+    got = pot.spectrum(points, n_tau)
+    want = TimePeriodicPotential.spectrum(pot, points, n_tau)
+    scale = float(np.max(np.abs(want)))
+    assert got.shape == want.shape
+    err = float(np.max(np.abs(got - want)))
+    assert err <= 1e-14 * scale, f"{name}, n_tau={n_tau}: coefficients off by {err:.2e} of {scale:.2e}"
+    fast, sampled = FieldSpectra(pot, points, n_tau), FieldSpectra(_Sampled(pot), points, n_tau)
+    w2, w3 = _parseval_weights(n_tau)
+    for field, bound in (("g_mean", scale), ("w_grad", scale ** 2 * w2[0]),
+                         ("b_vector", scale ** 2 * w3[0])):
+        g, w = getattr(fast, field), getattr(sampled, field)
+        g, w = (g(), w()) if callable(g) else (g, w)
+        err = float(np.max(np.abs(g - w)))
+        assert err <= 1e-14 * bound, f"{name}, n_tau={n_tau}: {field} off by {err:.2e} of {bound:.2e}"

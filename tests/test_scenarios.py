@@ -6,7 +6,7 @@ import pytest
 
 from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
                     fd_gradient, fd_hessian)
-from oscavg.averaging import _checked_samples, assemble
+from oscavg.averaging import assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
 from oscavg.scenarios import (CATALOG, ScenarioUsageError, SeparableDrivePotential,
                               custom_scenario, format_config, get_scenario,
@@ -144,9 +144,10 @@ SEPARABLE = {"quartic_drive": lambda: get_scenario("quartic_drive").potential,
 
 
 class _PerPointSeparable(SeparableDrivePotential):
-    """The same potential sampled by the base class's per-point loop."""
+    """The same potential behind the default spectrum: the base class's
+    per-point samples and one rfft."""
 
-    sample = TimePeriodicPotential.sample
+    spectrum = TimePeriodicPotential.spectrum
 
 
 @pytest.mark.parametrize("which", sorted(SEPARABLE))
@@ -168,15 +169,16 @@ def test_separable_scalar_phase_equals_array_path(which):
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 @pytest.mark.parametrize("which", sorted(SEPARABLE))
 def test_separable_sample_equals_the_per_point_loop(which, n_tau):
+    """The drive's rfft times the profile equals the rfft of the per-point
+    samples to 1e-14 of the largest coefficient."""
     pot = SEPARABLE[which]()
     rng = np.random.default_rng(32)
     points = [rng.uniform(-1.5, 1.5, pot.dim) for _ in range(7)]
-    taus = np.arange(n_tau) / n_tau
-    got = pot.sample(points, taus)
-    want = TimePeriodicPotential.sample(pot, points, taus)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+    got = pot.spectrum(points, n_tau)
+    want = TimePeriodicPotential.spectrum(pot, points, n_tau)
+    assert got.shape == want.shape
+    err = float(np.max(np.abs(got - want)))
+    assert err <= 1e-14 * float(np.max(np.abs(want))), f"off by {err:.2e}"
 
 
 def _quartic_parts():
@@ -204,7 +206,7 @@ def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
     messages = []
     for cls in (SeparableDrivePotential, _PerPointSeparable):
         with pytest.raises(ValueError) as info:
-            _checked_samples(cls(**parts), points, 16)
+            cls(**parts).spectrum(points, 16)
         messages.append(str(info.value))
     assert messages == [want, want]
 
