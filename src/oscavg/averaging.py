@@ -264,25 +264,28 @@ class AveragedSystem:
     def full_acceleration(self, x, tau):
         """Acceleration -grad(U0 + eps^s U1) of the full system at x, a
         sequence of floats, and the float phase tau, as a list of floats:
-        full_stage's value at the phase tau."""
-        osc = self._osc.phase_grad(x, tau)
+        full_stage's value at the phase tau.  The oscillating part's
+        phase_force is minus its gradient, so scale * o - s is
+        -(s + scale * g) exactly."""
+        osc = self._osc.phase_force(x, tau)
         if self._static is None:
-            return [-g for g in osc]
+            return osc
         scale = self.epsilon ** self.shift
-        return [-(s + scale * o) for s, o in zip(self._static.float_grad(x), osc)]
+        return [scale * o - s for s, o in zip(self._static.float_grad(x), osc)]
 
     def full_stage(self):
         """The full flow's RK stage acc(t, x, v): full_acceleration at the
         phase t / eps, in one call on the stepper's list of floats x.  The
         full flow makes four of these per substep, so the stage calls the
         parts' float gradients directly rather than through
-        full_acceleration, with the same arithmetic."""
-        eps, phase_grad = self.epsilon, self._osc.phase_grad
+        full_acceleration, with the same arithmetic; with no static part it
+        is the potential's phase_force list as it comes."""
+        eps, phase_force = self.epsilon, self._osc.phase_force
         if self._static is None:
-            return lambda t, x, v: [-g for g in phase_grad(x, (t / eps) % 1.0)]
+            return lambda t, x, v: phase_force(x, (t / eps) % 1.0)
         static_grad, scale = self._static.float_grad, eps ** self.shift
-        return lambda t, x, v: [-(s + scale * o) for s, o in
-                                zip(static_grad(x), phase_grad(x, (t / eps) % 1.0))]
+        return lambda t, x, v: [scale * o - s for s, o in
+                                zip(static_grad(x), phase_force(x, (t / eps) % 1.0))]
 
     def in_region(self, x):
         return self.potential.in_region(x)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import os
 import platform
 import sys
@@ -81,6 +82,9 @@ def _get_scenario(name: str, sign=None):
 def _checked_eps(values, where: str):
     if not values:
         raise UsageError(f"{where}: no eps values given")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{where}: eps values must be finite, got "
+                         + ",".join(f"{e:g}" for e in values))
     if any(e <= 0 for e in values):
         raise UsageError(f"{where}: eps values must be positive")
     return values
@@ -249,6 +253,8 @@ def cmd_run(args) -> int:
     for key in ("t_end", "h_avg", "out_dt", "steps_per_period", "n_tau", "jobs"):
         if key in minimum:
             resolved[key] = int(resolved[key])
+        elif not math.isfinite(resolved[key]):
+            raise UsageError(f"--{key.replace('_', '-')}: must be finite, got {resolved[key]}")
         if resolved[key] <= 0 or resolved[key] < minimum.get(key, 0):
             rule = f"at least {minimum[key]}" if key in minimum else "positive"
             raise UsageError(f"--{key.replace('_', '-')}: must be {rule}, got {resolved[key]}")

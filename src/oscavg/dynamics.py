@@ -20,9 +20,10 @@ length (_rk4_substep) that combines every element in the order array
 arithmetic would use, so results are bit-identical to it (and each row to
 its own one-row run) at a fraction of numpy's per-operation cost on 2- and
 3-vectors.  The stages get those lists as they are: the full flow's stage
-(AveragedSystem.full_stage) hands x to the potential's phase_grad, and
-ladder_force reads each rung's state from them.  Only in_region and the
-force of a duck-typed system see float arrays.
+(AveragedSystem.full_stage) hands x to the potential's phase_force, whose
+list of floats, minus the gradient, is the stage's acceleration as it comes
+when there is no static part, and ladder_force reads each rung's state from
+them.  Only in_region and the force of a duck-typed system see float arrays.
 """
 from __future__ import annotations
 

@@ -253,12 +253,15 @@ class TimePeriodicPotential:
     roughly 1e-10 (gradient) and 1e-8 (Hessian).  value/grad/hess must accept
     tau as a scalar or a 1-d array and vectorize over it.
 
-    The full flow calls phase_grad(x, tau), the gradient at one float phase
-    as a list of floats, four times per RK4 substep, with x the stepper's own
-    list of floats, so that call's fixed cost sets the speed of the full run.
-    The default converts x to a float array once and calls grad(x, tau); the
-    bundled potentials override it in float math on x's floats, which skips
-    the array round trip and the 0-d array overhead of the array path.
+    The full flow calls phase_force(x, tau), minus the gradient at one float
+    phase as a list of floats, four times per RK4 substep, with x the
+    stepper's own list of floats, so that call's fixed cost sets the speed of
+    the full run: for a potential with no static part its list is the RK
+    stage as it stands.  The default converts x to a float array once, calls
+    grad(x, tau) and negates; the bundled potentials override it in float
+    math on x's floats, negating in the expression itself (IEEE negation is
+    exact), which skips the array round trip and the 0-d array overhead of
+    the array path.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
@@ -312,11 +315,12 @@ class TimePeriodicPotential:
     def grad(self, x, tau):
         return fd_gradient(lambda y: self.value(y, tau), x)
 
-    def phase_grad(self, x, tau):
-        """grad at x, a sequence of floats (the stepper's list, or a float
-        array), and one float phase tau, as a list of floats.  The default
-        converts x to a float array once and calls grad."""
-        return np.asarray(self.grad(np.asarray(x, dtype=float), tau), dtype=float).tolist()
+    def phase_force(self, x, tau):
+        """Minus grad at x, a sequence of floats (the stepper's list, or a
+        float array), and one float phase tau, as a list of floats.  The
+        default converts x to a float array once, calls grad and negates."""
+        return [-g for g in np.asarray(self.grad(np.asarray(x, dtype=float), tau),
+                                       dtype=float).tolist()]
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)

@@ -82,11 +82,11 @@ class RotatingSaddlePotential(TimePeriodicPotential):
         c, s = self._cs(tau)
         return np.stack([c * x[0] + s * x[1], s * x[0] - c * x[1]], axis=-1)
 
-    def phase_grad(self, x, tau):
+    def phase_force(self, x, tau):
         ang = -TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
         x0, x1 = float(x[0]), float(x[1])
-        return [c * x0 + s * x1, s * x0 - c * x1]
+        return [-(c * x0 + s * x1), -(s * x0 - c * x1)]
 
     def hess(self, x, tau):
         c, s = self._cs(tau)
@@ -141,9 +141,10 @@ class SeparableDrivePotential(TimePeriodicPotential):
     velocity-independent one with coefficient avg over tau of the squared
     zero-mean antiderivative of a.
 
-    a gets float arrays of phases, and one float phase in phase_grad; the
-    profile u_value/u_grad/u_hess gets float arrays: phase_grad converts the
-    stepper's list of floats x once.  CosineDrivePotential is the float-math
+    a gets float arrays of phases, and one float phase in phase_force; the
+    profile u_value/u_grad/u_hess gets float arrays: phase_force converts the
+    stepper's list of floats x once and scales u_grad's entries by -a(tau),
+    which is -(a g) bit for bit.  CosineDrivePotential is the float-math
     form for a cosine drive.  The tau spectrum is the drive's rfft, taken
     once per grid, times the profile at each point.
     """
@@ -165,8 +166,8 @@ class SeparableDrivePotential(TimePeriodicPotential):
     def grad(self, x, tau):
         return np.asarray(self._drive(tau))[..., None] * np.asarray(self._ug(x), dtype=float)
 
-    def phase_grad(self, x, tau):
-        a = float(self._a(tau))
+    def phase_force(self, x, tau):
+        a = -float(self._a(tau))
         return [a * float(g) for g in self._ug(np.asarray(x, dtype=float))]
 
     def hess(self, x, tau):
@@ -209,13 +210,18 @@ class SeparableDrivePotential(TimePeriodicPotential):
 
 class CosineDrivePotential(SeparableDrivePotential):
     """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with a profile
-    gradient u_grad that takes the floats of x (the stepper's list or a float
-    array) and returns a list of floats.
+    gradient u_grad(x, a=1.0) that takes the floats of x (the stepper's list
+    or a float array) and a float factor a, and returns the list of floats
+    a * g for each entry g of grad u(x), each product rounded once.  The
+    inherited grad, spectrum and closed forms call u_grad(x), and 1.0 * g
+    is g exactly.
 
-    phase_grad is then float math on the stepper's list: math.cos for the
-    drive, which gives numpy's cos values at a fraction of its per-call cost
-    (tests/test_properties.py checks the two paths bit for bit), times
-    u_grad's floats, as the array path multiplies them.
+    phase_force is then one u_grad call on the stepper's list with
+    a = -(a_mean + alpha cos(2 pi tau)): math.cos for the drive, which gives
+    numpy's cos values at a fraction of its per-call cost
+    (tests/test_properties.py checks the two paths bit for bit), and the
+    negation is exact, so each entry is -(a(tau) g) as the array path
+    multiplies them.
     """
 
     def __init__(self, a_mean, alpha, u_value, u_grad, u_hess, dim):
@@ -223,9 +229,8 @@ class CosineDrivePotential(SeparableDrivePotential):
         super().__init__(lambda tau: self.a_mean + self.alpha * np.cos(TWO_PI * tau),
                          u_value, u_grad, u_hess, dim)
 
-    def phase_grad(self, x, tau):
-        a = self.a_mean + self.alpha * math.cos(TWO_PI * tau)
-        return [a * g for g in self._ug(x)]
+    def phase_force(self, x, tau):
+        return self._ug(x, -(self.a_mean + self.alpha * math.cos(TWO_PI * tau)))
 
 
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
@@ -247,14 +252,15 @@ def quartic_drive() -> Scenario:
     def u_value(x):
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
-    def u_grad(x):
-        # phase_grad hands it the stepper's list four times per full-flow
-        # substep: float math on x's floats, no array round trip
+    def u_grad(x, a=1.0):
+        # phase_force hands it the stepper's list and minus the drive four
+        # times per full-flow substep: float math on x's floats, the drive
+        # factor applied here, no array round trip and no list to rescale
         x0, x1 = float(x[0]), float(x[1])
-        return [x0 ** 3 + x1, x0]
+        return [a * (x0 ** 3 + x1), a * x0]
 
     def u_hess(x):
-        return np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
+        return [[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]
 
     pot = CosineDrivePotential(0.0, 1.0, u_value, u_grad, u_hess, dim=2)
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # drive antiderivative sin(2 pi tau)/(2 pi)
@@ -286,8 +292,8 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
     def u_value(x):
         return -math.cos(x[0])
 
-    def u_grad(x):
-        return [math.sin(x[0])]
+    def u_grad(x, a=1.0):
+        return [a * math.sin(x[0])]
 
     def u_hess(x):
         return np.array([[math.cos(x[0])]])
@@ -414,15 +420,15 @@ class RotatingWavePotential(_HarmonicPieces):
         dot = (x[0] * c + x[1] * s) / (r2 * r)
         return np.stack([c / r - dot * x[0], s / r - dot * x[1]], axis=-1)
 
-    def phase_grad(self, x, tau):
-        # grad's operations in grad's order, on floats
+    def phase_force(self, x, tau):
+        # minus grad's operations in grad's order, on floats
         ang = TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
         x0, x1 = float(x[0]), float(x[1])
         r2 = x0 ** 2 + x1 ** 2
         r = math.sqrt(r2)
         dot = (x0 * c + x1 * s) / (r2 * r)
-        return [c / r - dot * x0, s / r - dot * x1]
+        return [-(c / r - dot * x0), -(s / r - dot * x1)]
 
     def hess(self, x, tau):
         c, s = self._e(tau)
@@ -568,8 +574,8 @@ class SatelliteOscillating(_HarmonicPieces):
     def grad(self, x, tau):
         return self._combine(x, tau)[..., 1:3]
 
-    def phase_grad(self, x, tau):
-        # float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5 - 5 xy z / r^7)
+    def phase_force(self, x, tau):
+        # minus float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5 - 5 xy z / r^7)
         # and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
         xx, yy = float(x[0]), float(x[1])
         r2 = xx * xx + yy * yy
@@ -586,7 +592,7 @@ class SatelliteOscillating(_HarmonicPieces):
                   + 3.0 * s * (yy * u - xy * xx * w))
         gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
                   + 3.0 * s * (xx * u - xy * yy * w))
-        return [gx, gy]
+        return [-gx, -gy]
 
     def hess(self, x, tau):
         h = self._combine(x, tau)[..., 3:]
@@ -711,11 +717,15 @@ _CONFIG_TYPES = {
 
 
 def parse_number(text: str) -> float:
-    """Parse a float, allowing fractions like 1/64."""
+    """Parse a float, allowing fractions like 1/64.  A zero denominator is a
+    ValueError, as any other text that names no number."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {text!r}") from None
     return float(text)
 
 

@@ -70,8 +70,8 @@ def test_stack_rejects_non_finite_samples():
 def test_satellite_sample_matches_per_point_calls(n_tau):
     """The satellite's closed-form spectrum is the rfft of value/grad/hess
     point by point, and back on the grid it equals those calls, grad at each
-    scalar tau and the float-math phase_grad, to rounding of the largest
-    sample."""
+    scalar tau and minus the float-math phase_force, to rounding of the
+    largest sample."""
     _check_spectrum_matches_per_point_calls(
         get_scenario("spinning_satellite").potential.oscillating, n_tau)
 
@@ -80,7 +80,7 @@ def test_satellite_sample_matches_per_point_calls(n_tau):
 def test_wave_sample_matches_per_point_calls(n_tau):
     """The wave's closed-form spectrum (pieces offset, x / r, y / r) is the
     rfft of its array-formula value/grad/hess, grad at each scalar tau and
-    phase_grad."""
+    minus phase_force."""
     _check_spectrum_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
 
 
@@ -105,8 +105,8 @@ def _check_spectrum_matches_per_point_calls(pot, n_tau):
                                 ("hess", np.moveaxis(hesss[p], -1, 0), pot.hess(x, taus)),
                                 ("scalar grad", grads[p].T,
                                  np.array([pot.grad(x, float(t)) for t in taus])),
-                                ("phase grad", grads[p].T,
-                                 np.array([pot.phase_grad(x, float(t)) for t in taus]))):
+                                ("phase force", -grads[p].T,
+                                 np.array([pot.phase_force(x, float(t)) for t in taus]))):
             _assert_close(f"{name} at r={r[p]:.3f}", got, want, np.max(np.abs(got)), rtol=1e-14)
 
 

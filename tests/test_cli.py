@@ -149,6 +149,46 @@ def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["quartic_drive", "--eps", "nan"], None, "--eps: eps values must be finite, got nan"),
+    (["quartic_drive", "--eps", "inf"], None, "--eps: eps values must be finite, got inf"),
+    (["quartic_drive", "--eps", "1/0"], None, "--eps: division by zero in '1/0'"),
+    (["quartic_drive", "--eps-ladder", "1/64,nan"], None,
+     "--eps-ladder: eps values must be finite, got 0.015625,nan"),
+    (["quartic_drive", "--t-end", "nan"], None, "--t-end: must be finite, got nan"),
+    (["quartic_drive", "--t-end", "inf"], None, "--t-end: must be finite, got inf"),
+    (["quartic_drive", "--h-avg", "nan"], None, "--h-avg: must be finite, got nan"),
+    (["quartic_drive", "--h-avg", "inf"], None, "--h-avg: must be finite, got inf"),
+    (["quartic_drive", "--out-dt", "nan"], None, "--out-dt: must be finite, got nan"),
+    (["quartic_drive", "--out-dt", "inf"], None, "--out-dt: must be finite, got inf"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64, inf\n",
+     "config key 'eps': eps values must be finite, got 0.015625,inf"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/0\n",
+     "--config: division by zero in '1/0'"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\nt_end = inf\n",
+     "--t-end: must be finite, got inf"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\nh_avg = nan\n",
+     "--h-avg: must be finite, got nan"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\nout_dt = nan\n",
+     "--out-dt: must be finite, got nan"),
+])
+def test_non_finite_numbers_are_usage_errors(argv, config, message, tmp_path, capsys,
+                                             monkeypatch):
+    """A NaN or infinite eps, t_end, h_avg or out_dt, from a flag or a config
+    key, exits 2 before any rung starts and writes nothing."""
+    started = []
+    monkeypatch.setattr(cli, "_ladder_job", lambda payload: started.append(payload))
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code = cli.main(["run", *[a.format(cfg=cfg) for a in argv],
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not started
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
 def test_satellite_n_tau_must_resolve_its_second_harmonic(tmp_path, capsys, monkeypatch):
     """4 phases alias the satellite's sin 2 theta piece: the run is refused
     before any rung starts, naming the least n_tau that works; 5 runs."""

@@ -66,12 +66,12 @@ def test_satellite_float_pieces_match_the_array_product_rule(r, phi, sigma):
         assert err <= 1e-14 * scale, f"{block} at r={r}, phi={phi}: off by {err:.2e} of {scale:.2e}"
 
 
-# ---- phase_grad: the full flow's gradient at one float phase ----
+# ---- phase_force: minus the full flow's gradient at one float phase ----
 
 def _old_scalar_grad(pot, x, tau):
     """grad at one float phase as grad's scalar-phase branches gave it before
-    phase_grad existed (the wave and the callables had none: their grad is
-    the oracle as it stands)."""
+    the full flow had a float-math hook (the wave and the callables had
+    none: their grad is the oracle as it stands)."""
     if isinstance(pot, RotatingSaddlePotential):
         ang = -TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
@@ -119,32 +119,39 @@ _PHASE_POTENTIALS = {
     "spinning_satellite+": lambda: get_scenario("spinning_satellite", sigma=1.0).potential,
     "value_only": lambda: CallablePotential(_value, 2),
     "list_grad": lambda: CallablePotential(_value, 2, grad=_list_grad),
+    "sincos_drive": lambda: _sincos_profile_drive(),  # defined below
 }
+
+
+def _bits(floats):
+    """The IEEE bit patterns of a sequence of floats: equal bits, not just
+    equal values, so a zero's sign counts too."""
+    return np.asarray(floats, dtype=float).view(np.uint64).tolist()
+
+
+def _point(pot, r, phi):
+    return np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
        phi=st.floats(0.0, TWO_PI), tau=st.floats(0.0, 1.0, exclude_max=True),
        eps=st.floats(1e-4, 0.2))
-def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
-    """The full flow's gradient, minus full_acceleration(x, tau) (phase_grad
-    for a standard potential), is a list of floats equal bit for bit to the
-    scalar-phase grad it replaces, and within 1e-14 of the largest entry to
-    the array path grad(x, [tau])[0]; for the satellite's split potential,
-    to static.grad + eps * (that oscillating gradient).  Given x as the
-    stepper's list of floats it is the same bit for bit, and so is the full
-    flow's stage at a time t, at the phase t / eps mod 1.  The wave's
-    phase_grad (math.cos, math.sin) also equals its grad (numpy's cos, sin)
-    bit for bit at 256 phases spread over the period."""
+def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, tau, eps):
+    """The full flow's gradient, minus full_acceleration(x, tau) (minus
+    phase_force for a standard potential), is a list of floats equal bit for
+    bit to the scalar-phase grad it replaces, and within 1e-14 of the
+    largest entry to the array path grad(x, [tau])[0]; for the satellite's
+    split potential, to static.grad + eps * (that oscillating gradient).
+    Given x as the stepper's list of floats it is the same bit for bit.  The
+    wave's phase_force (math.cos, math.sin) also equals minus its grad
+    (numpy's cos, sin) bit for bit at 256 phases spread over the period."""
     pot = _PHASE_POTENTIALS[name]()
-    x = np.array([r * math.cos(phi), r * math.sin(phi)])[:pot.dim]
+    x = _point(pot, r, phi)
     system = assemble(pot, eps)
     got = [-a for a in system.full_acceleration(x, tau)]
     assert [-a for a in system.full_acceleration(x.tolist(), tau)] == got, \
         f"{name} at x={x}, tau={tau}: list input differs from array input"
-    t = (3.0 + tau) * system.epsilon
-    assert system.full_stage()(t, x.tolist(), None) == \
-        system.full_acceleration(x, (t / system.epsilon) % 1.0)
     osc, scale = pot.oscillating, eps ** pot.shift
     want = np.multiply(scale, _old_scalar_grad(osc, x, tau))
     array_path = np.multiply(scale, np.asarray(osc.grad(x, np.array([tau])), dtype=float)[0])
@@ -155,11 +162,60 @@ def test_phase_grad_is_the_old_scalar_grad(name, r, phi, tau, eps):
     assert got == want.tolist(), f"{name} at x={x}, tau={tau}: {got} != {want.tolist()}"
     if name == "rotating_wave":  # math.cos/math.sin against grad's numpy cos/sin
         for t in ((tau + np.arange(256) / 256) % 1.0).tolist():
-            assert osc.phase_grad(x.tolist(), t) == osc.grad(x, t).tolist(), \
-                f"wave at x={x}, tau={t}: phase_grad is not grad"
+            assert osc.phase_force(x.tolist(), t) == [-g for g in osc.grad(x, t).tolist()], \
+                f"wave at x={x}, tau={t}: phase_force is not minus grad"
     err = float(np.max(np.abs(np.subtract(got, array_path))))
     scale = float(np.max(np.abs(array_path)))
     assert err <= 1e-14 * scale, f"{name} at x={x}, tau={tau}: off the array path by {err:.2e}"
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
+       phi=st.floats(0.0, TWO_PI), tau=st.floats(0.0, 1.0, exclude_max=True))
+def test_phase_force_is_minus_grad_bit_for_bit(name, r, phi, tau):
+    """phase_force on the stepper's list of floats is a list of floats, each
+    minus the scalar-phase grad's entry, bit for bit (IEEE negation is
+    exact).  The satellite's grad sums its closed-form pieces, which round
+    differently, so its oracle is the float math of the scalar gradient it
+    replaced; the test above holds that within 1e-14 of the array path."""
+    osc = _PHASE_POTENTIALS[name]().oscillating
+    x = _point(osc, r, phi)
+    want = (_old_scalar_grad(osc, x, tau) if isinstance(osc, SatelliteOscillating)
+            else osc.grad(x, tau))
+    got = osc.phase_force(x.tolist(), tau)
+    assert [type(g) for g in got] == [float] * osc.dim
+    assert _bits(got) == _bits([-g for g in np.asarray(want, dtype=float).tolist()]), \
+        f"{name} at x={x}, tau={tau}: {got} is not minus {want}"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(["quartic_drive", "kapitza_pendulum"]),
+       x=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       a=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)))
+def test_profile_gradient_takes_the_drive_factor(name, x, a):
+    """A cosine drive's u_grad(x, a) is a * g for each entry g of u_grad(x),
+    bit for bit, for x as a list of floats and as a float array."""
+    pot = get_scenario(name).potential
+    u_grad, x = pot._ug, np.array(x[:pot.dim])
+    want = _bits([a * g for g in u_grad(x)])
+    for arg in (x, x.tolist()):
+        got = u_grad(arg, a)
+        assert [type(g) for g in got] == [float] * len(x)
+        assert _bits(got) == want, f"{name} at x={x}, a={a}: {got}"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
+       phi=st.floats(0.0, TWO_PI), t=st.floats(0.0, 10.0), eps=st.floats(1e-4, 0.2))
+def test_full_stage_is_full_acceleration_at_the_phase(name, r, phi, t, eps):
+    """The full flow's stage at time t on the stepper's list of floats is
+    full_acceleration at the phase t / eps mod 1, bit for bit, for the
+    standard potentials (shift 0) and the satellite's split one (shift 1)."""
+    pot = _PHASE_POTENTIALS[name]()
+    x = _point(pot, r, phi)
+    system = assemble(pot, eps)
+    got = system.full_stage()(t, x.tolist(), None)
+    assert _bits(got) == _bits(system.full_acceleration(x, (t / system.epsilon) % 1.0))
 
 
 # ---- spectrum: closed-form tau coefficients against the rfft of the samples ----

@@ -170,7 +170,9 @@ def test_separable_scalar_phase_equals_array_path(which):
 @pytest.mark.parametrize("which", sorted(SEPARABLE))
 def test_separable_sample_equals_the_per_point_loop(which, n_tau):
     """The drive's rfft times the profile equals the rfft of the per-point
-    samples to 1e-14 of the largest coefficient."""
+    samples to 1e-14 of the largest coefficient.  The quartic's u_hess gives
+    nested lists of floats; its spectrum equals, bit for bit, the one with
+    the 2x2 array u_hess it replaced."""
     pot = SEPARABLE[which]()
     rng = np.random.default_rng(32)
     points = [rng.uniform(-1.5, 1.5, pot.dim) for _ in range(7)]
@@ -179,6 +181,10 @@ def test_separable_sample_equals_the_per_point_loop(which, n_tau):
     assert got.shape == want.shape
     err = float(np.max(np.abs(got - want)))
     assert err <= 1e-14 * float(np.max(np.abs(want))), f"off by {err:.2e}"
+    if which == "quartic_drive":
+        array_hess = SeparableDrivePotential(pot._a, pot._uv, pot._ug,
+                                             _quartic_parts()["u_hess"], pot.dim)
+        assert np.array_equal(got, array_hess.spectrum(points, n_tau))
 
 
 def _quartic_parts():
@@ -220,8 +226,9 @@ def _full_flow_grad(potential, x, tau, eps):
 
 def test_split_grads_equal_the_array_formulas():
     """SatelliteStatic.grad and the split full-flow gradient in float math
-    equal the array expressions they replace, bit for bit.  sigma = -0.7 as
-    well as -1, since scaling by a power of two is exact in any order."""
+    equal the array expressions they replace, bit for bit, with the
+    oscillating gradient read as minus phase_force.  sigma = -0.7 as well as
+    -1, since scaling by a power of two is exact in any order."""
     rng = np.random.default_rng(33)
     for _ in range(1000):
         pot = get_scenario("spinning_satellite", sigma=float(rng.choice([-1.0, -0.7]))).potential
@@ -231,7 +238,7 @@ def test_split_grads_equal_the_array_formulas():
         eps = float(rng.uniform(1e-4, 0.2))
         want_static = -2.0 * static.sigma * x / math.hypot(x[0], x[1]) ** 3
         assert np.array_equal(static.grad(x), want_static)
-        g1 = np.asarray(pot.oscillating.phase_grad(x, tau), dtype=float)
+        g1 = -np.asarray(pot.oscillating.phase_force(x, tau), dtype=float)
         assert np.array_equal(_full_flow_grad(pot, x, tau, eps), want_static + eps * g1)
 
 
