@@ -12,8 +12,9 @@ potential on a uniform tau grid, at a batch of points, from one
 potential.spectrum call (fields.TimePeriodicPotential).  The default samples
 the potential on the grid and takes one rfft over all of them; a potential
 whose coefficients follow in closed form hands them over directly, with no
-samples and no transform (the satellite's and the wave's one harmonic, the
-separable drives' a(tau) u(x)).  With G_k and H_k the coefficients of U' and
+samples and no transform (the plane potentials' three spatial pieces times
+one harmonic: the saddle, the wave and the satellite; the separable drives'
+a(tau) u(x)).  With G_k and H_k the coefficients of U' and
 U'' (k >= 1), the antiderivatives are V_k = G_k / (2 pi i k) and so on, and
 discrete Parseval turns every tau average of a product into a weighted sum
 over k:

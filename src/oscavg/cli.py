@@ -331,11 +331,13 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     t0 = time.time()
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"--seed: must be non-negative, got {seed}")
     out_dir = _out_dir(args, {})
     os.makedirs(out_dir, exist_ok=True)
     names = list(SUITES) if args.suite == "all" else [args.suite]
 
-    seed = args.seed if args.seed is not None else 0
     checks = []
     all_ok = True
     for suite in names:

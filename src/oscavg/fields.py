@@ -216,26 +216,18 @@ def _checked_samples(potential, points, n_tau: int):
 
     Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
     the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
-    Makes one potential.sample call for all the points.  Rejects a point of the
-    wrong shape, a grid too coarse to resolve anything, samples of the wrong
-    shape and non-finite samples.
+    Makes one value, one grad and one hess call per point, on the shared,
+    read-only grid.  Rejects a point of the wrong shape, a grid too coarse to
+    resolve anything, samples of the wrong shape and non-finite samples.
     """
     d = potential.dim
     taus = checked_grid(points, d, n_tau)
-    n_pts = len(points)
-    sampled = [np.asarray(arr, dtype=float) for arr in potential.sample(points, taus)]
-    for name, arr, shape in zip(("value", "grad", "hess"), sampled,
-                                ((n_tau,), (n_tau, d), (n_tau, d, d))):
-        if arr.shape != (n_pts, *shape):
-            if arr.shape[:1] != (n_pts,):
-                raise ValueError(f"potential.sample returned {name} of shape {arr.shape} "
-                                 f"for {n_pts} points")
-            checked_sample(name, arr[0], shape)
-    vals, grads, hesss = sampled
-    samples = np.empty((n_pts, 1 + d + d * d, n_tau))
-    samples[:, 0] = vals
-    samples[:, 1:1 + d] = np.swapaxes(grads, 1, 2)
-    samples[:, 1 + d:] = np.swapaxes(hesss.reshape(n_pts, n_tau, d * d), 1, 2)
+    samples = np.empty((len(points), 1 + d + d * d, n_tau))
+    for x, out in zip(points, samples):
+        out[0] = checked_sample("value", potential.value(x, taus), (n_tau,))
+        out[1:1 + d] = checked_sample("grad", potential.grad(x, taus), (n_tau, d)).T
+        out[1 + d:] = checked_sample("hess", potential.hess(x, taus),
+                                     (n_tau, d, d)).reshape(n_tau, d * d).T
     if not np.isfinite(samples).all():
         bad_rows = ~np.all(np.isfinite(samples), axis=1)
         bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
@@ -268,14 +260,12 @@ class TimePeriodicPotential:
     tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
     channels laid out as in _checked_samples.  The averaged force makes one
     call per evaluation, for its point and its 2 dim stencil points.  The
-    default samples through sample(points, taus), which gives value,
-    gradient and Hessian at every point and phase of the shared, read-only
-    grid as arrays of shape (P, n), (P, n, dim) and (P, n, dim, dim) (by
-    default one value/grad/hess call per point), checks the samples and
-    takes one rfft.  A potential whose coefficients follow in closed form
-    from a few spatial pieces can override spectrum and skip both the
-    samples and the transform: SatelliteOscillating and
-    RotatingWavePotential (three pieces times one harmonic, two nonzero
+    default calls value, grad and hess once per point on the shared,
+    read-only grid, checks the samples and takes one rfft.  A potential
+    whose coefficients follow in closed form from a few spatial pieces can
+    override spectrum and skip both the samples and the transform: the
+    plane potentials RotatingSaddlePotential, RotatingWavePotential and
+    SatelliteOscillating (three pieces times one harmonic, two nonzero
     bins, through scenarios._HarmonicPieces) and the separable drives
     a(tau) u(x) (SeparableDrivePotential: the drive's coefficients once per
     grid times the profile at each point) do.  An override makes the checks
@@ -299,18 +289,6 @@ class TimePeriodicPotential:
         over the n_tau-point tau grid: the default is one rfft of
         _checked_samples."""
         return np.fft.rfft(_checked_samples(self, points, n_tau), axis=-1, norm="forward")
-
-    def sample(self, points, taus):
-        """Value, gradient and Hessian at each point and each phase in taus,
-        stacked over the points: shapes (P, n), (P, n, dim), (P, n, dim, dim).
-        The default spectrum samples through it."""
-        n, d = len(taus), self.dim
-        vals, grads, hesss = [], [], []
-        for x in points:
-            vals.append(checked_sample("value", self.value(x, taus), (n,)))
-            grads.append(checked_sample("grad", self.grad(x, taus), (n, d)))
-            hesss.append(checked_sample("hess", self.hess(x, taus), (n, d, d)))
-        return np.array(vals), np.array(grads), np.array(hesss)
 
     def grad(self, x, tau):
         return fd_gradient(lambda y: self.value(y, tau), x)

@@ -58,41 +58,98 @@ class Scenario:
         return assemble(self.potential, self.internal_eps(eps_user), n_tau=n_tau)
 
 
+# ---- plane potentials: spatial pieces times one tau harmonic ----
+
+class _HarmonicPieces(TimePeriodicPotential):
+    """A plane potential P0(x) + C(x) cos(m theta) + S(x) sin(m theta),
+    theta = 2 pi tau: three spatial pieces times one harmonic's phase factors.
+
+    Subclasses set the integer harmonic m and give _pieces(x): the three
+    pieces and their derivatives at one point, in float math, as one flat
+    list of 3 rows (P0, C, S: the columns of _phase_table) of 7 channels
+    each: the value, the two gradient components and the four Hessian
+    entries (row major).  value, grad and hess on arrays of phases and the
+    tau spectrum all follow from the pieces: P0 in bin 0, (C - i S) / 2 in
+    bin m and nothing else, so spectrum() takes no samples and no
+    transform.  Only the full flow's phase_force, a float-math gradient at
+    one phase, is written out per subclass: built from the pieces, a call
+    costs about twice as much on the wave and three times on the satellite.
+    """
+
+    dim = 2
+    harmonic = 1
+
+    def _pieces(self, x):
+        raise NotImplementedError
+
+    def _phase_table(self, tau):
+        """(1, cos m theta, sin m theta), shape shape(tau) + (3,)."""
+        ang = self.harmonic * TWO_PI * np.asarray(tau, dtype=float)
+        return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
+
+    def _combine(self, x, tau):
+        """All seven channels at one point, shape shape(tau) + (7,)."""
+        return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
+
+    def value(self, x, tau):
+        return self._phase_table(tau) @ np.array(self._pieces(x)[::7])
+
+    def grad(self, x, tau):
+        return self._combine(x, tau)[..., 1:3]
+
+    def hess(self, x, tau):
+        h = self._combine(x, tau)[..., 3:]
+        return h.reshape(h.shape[:-1] + (2, 2))
+
+    def spectrum(self, points, n_tau):
+        """Bin 0 is P0 and bin m is (C - i S) / 2, from the pieces of every
+        point in one np.fromiter.  A grid of 2m phases or fewer is refused:
+        on it sin(m theta) falls into the Nyquist bin or below, and the
+        samples would lose it without notice."""
+        checked_grid(points, self.dim, n_tau)
+        m = self.harmonic
+        if n_tau <= 2 * m:
+            raise ValueError(f"n_tau={n_tau} aliases harmonic {m} of {type(self).__name__}: "
+                             f"sin({m} theta) needs more than {2 * m} phases; "
+                             f"use n_tau >= {2 * m + 1}")
+        pieces = np.fromiter(chain.from_iterable(map(self._pieces, points)), float,
+                             21 * len(points)).reshape(-1, 3, 7)
+        if not np.isfinite(pieces).all():
+            bad = np.argmin(np.isfinite(pieces).all(axis=(1, 2)))
+            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
+        out = np.zeros((len(points), 7, n_tau // 2 + 1), dtype=complex)
+        out[:, :, 0] = pieces[:, 0]
+        out[:, :, m] = 0.5 * pieces[:, 1] - 0.5j * pieces[:, 2]
+        return out
+
+    def in_region(self, x):
+        return math.hypot(x[0], x[1]) >= self.r_min
+
+
 # ---- rotating saddle ----
 
-class RotatingSaddlePotential(TimePeriodicPotential):
+class RotatingSaddlePotential(_HarmonicPieces):
     """Quadratic saddle whose principal axes spin clockwise, one turn per cycle.
 
-    U(x, tau) = x . Q(-2 pi tau) x / 2 with Q(t) = [[cos t, sin t], [sin t, -cos t]].
+    U(x, tau) = x . Q(-2 pi tau) x / 2 with Q(t) = [[cos t, sin t], [sin t, -cos t]],
+    that is C cos(theta) + S sin(theta) with C = (x^2 - y^2) / 2 and S = -x y.
     The clockwise sense fixes the sign of the induced magnetic-like coupling:
     the averaged force is -eps_u^2 X - 2 eps_u^3 J Xd in user (angular) units.
     """
 
-    dim = 2
+    in_region = TimePeriodicPotential.in_region  # trusted everywhere
 
-    def _cs(self, tau):
-        ang = -TWO_PI * np.asarray(tau, dtype=float)
-        return np.cos(ang), np.sin(ang)
-
-    def value(self, x, tau):
-        c, s = self._cs(tau)
-        return 0.5 * c * (x[0] ** 2 - x[1] ** 2) + s * x[0] * x[1]
-
-    def grad(self, x, tau):
-        c, s = self._cs(tau)
-        return np.stack([c * x[0] + s * x[1], s * x[0] - c * x[1]], axis=-1)
+    def _pieces(self, x):
+        xx, yy = float(x[0]), float(x[1])
+        return [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                0.5 * (xx * xx - yy * yy), xx, -yy, 1.0, 0.0, 0.0, -1.0,
+                -xx * yy, -yy, -xx, 0.0, -1.0, -1.0, 0.0]
 
     def phase_force(self, x, tau):
         ang = -TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
         x0, x1 = float(x[0]), float(x[1])
         return [-(c * x0 + s * x1), -(s * x0 - c * x1)]
-
-    def hess(self, x, tau):
-        c, s = self._cs(tau)
-        row1 = np.stack([c, s], axis=-1)
-        row2 = np.stack([s, -c], axis=-1)
-        return np.stack([row1, row2], axis=-2)
 
 
 def rotating_saddle() -> Scenario:
@@ -322,59 +379,6 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
 
 # ---- rotating angular wave ----
 
-class _HarmonicPieces(TimePeriodicPotential):
-    """A plane potential P0(x) + P1(x) cos(m theta) + P2(x) sin(m theta),
-    theta = 2 pi tau: three spatial pieces times one harmonic's phase factors.
-
-    Subclasses set the integer harmonic m and give _pieces(x): the three
-    pieces and their derivatives at one point, in float math, as one flat
-    list of 3 rows (the columns of _phase_table) of 7 channels each: the
-    value, the two gradient components and the four Hessian entries (row
-    major).  The tau spectrum follows from the pieces alone: P0 in bin 0,
-    (P1 - i P2) / 2 in bin m and nothing else, so spectrum() takes no
-    samples and no transform.
-    """
-
-    dim = 2
-    harmonic = 1
-
-    def _pieces(self, x):
-        raise NotImplementedError
-
-    def _phase_table(self, tau):
-        """(1, cos m theta, sin m theta), shape shape(tau) + (3,)."""
-        ang = self.harmonic * TWO_PI * np.asarray(tau, dtype=float)
-        return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
-
-    def _combine(self, x, tau):
-        """All seven channels at one point, shape shape(tau) + (7,)."""
-        return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
-
-    def spectrum(self, points, n_tau):
-        """Bin 0 is P0 and bin m is (P1 - i P2) / 2, from the pieces of every
-        point in one np.fromiter.  A grid of 2m phases or fewer is refused:
-        on it sin(m theta) falls into the Nyquist bin or below, and the
-        samples would lose it without notice."""
-        checked_grid(points, self.dim, n_tau)
-        m = self.harmonic
-        if n_tau <= 2 * m:
-            raise ValueError(f"n_tau={n_tau} aliases harmonic {m} of {type(self).__name__}: "
-                             f"sin({m} theta) needs more than {2 * m} phases; "
-                             f"use n_tau >= {2 * m + 1}")
-        pieces = np.fromiter(chain.from_iterable(map(self._pieces, points)), float,
-                             21 * len(points)).reshape(-1, 3, 7)
-        if not np.isfinite(pieces).all():
-            bad = np.argmin(np.isfinite(pieces).all(axis=(1, 2)))
-            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
-        out = np.zeros((len(points), 7, n_tau // 2 + 1), dtype=complex)
-        out[:, :, 0] = pieces[:, 0]
-        out[:, :, m] = 0.5 * pieces[:, 1] - 0.5j * pieces[:, 2]
-        return out
-
-    def in_region(self, x):
-        return math.hypot(x[0], x[1]) >= self.r_min
-
-
 class RotatingWavePotential(_HarmonicPieces):
     """U(x, tau) = cos(phi - 2 pi tau) + offset, phi the polar angle of x.
 
@@ -383,8 +387,8 @@ class RotatingWavePotential(_HarmonicPieces):
     corrections; the magnetic-like vector decays like 1/r^3.  Singular at the
     origin, so a disk around it is excluded from the trusted region.
 
-    value, grad and hess are array formulas in the phase; spectrum() takes
-    the pieces offset, x / r and y / r (times 1, cos 2 pi tau, sin 2 pi tau).
+    Its pieces are offset, x / r and y / r (times 1, cos 2 pi tau and
+    sin 2 pi tau).
     """
 
     def __init__(self, offset: float = 0.3, r_min: float = 0.5):
@@ -404,24 +408,8 @@ class RotatingWavePotential(_HarmonicPieces):
                 xx / r, yy * yy / r3, cross, -3.0 * xx * yy * yy / r5, mix_x, mix_x, mix_y,
                 yy / r, cross, xx * xx / r3, mix_x, mix_y, mix_y, -3.0 * xx * xx * yy / r5]
 
-    def _e(self, tau):
-        ang = TWO_PI * np.asarray(tau, dtype=float)
-        return np.cos(ang), np.sin(ang)
-
-    def value(self, x, tau):
-        c, s = self._e(tau)
-        r = math.hypot(x[0], x[1])
-        return (x[0] * c + x[1] * s) / r + self.offset
-
-    def grad(self, x, tau):
-        c, s = self._e(tau)
-        r2 = x[0] ** 2 + x[1] ** 2
-        r = math.sqrt(r2)
-        dot = (x[0] * c + x[1] * s) / (r2 * r)
-        return np.stack([c / r - dot * x[0], s / r - dot * x[1]], axis=-1)
-
     def phase_force(self, x, tau):
-        # minus grad's operations in grad's order, on floats
+        # minus the gradient of (x cos theta + y sin theta) / r in float math
         ang = TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
         x0, x1 = float(x[0]), float(x[1])
@@ -430,22 +418,6 @@ class RotatingWavePotential(_HarmonicPieces):
         dot = (x0 * c + x1 * s) / (r2 * r)
         return [-(c / r - dot * x0), -(s / r - dot * x1)]
 
-    def hess(self, x, tau):
-        c, s = self._e(tau)
-        r2 = x[0] ** 2 + x[1] ** 2
-        r = math.sqrt(r2)
-        r3 = r2 * r
-        r5 = r2 * r3
-        dot = x[0] * c + x[1] * s
-        e = [c, s]
-        out = np.empty(np.shape(c) + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                term = -(e[i] * x[j] + e[j] * x[i]) / r3 + 3.0 * dot * x[i] * x[j] / r5
-                if i == j:
-                    term = term - dot / r3
-                out[..., i, j] = term
-        return out
 
 
 def rotating_wave(offset: float = 0.3, r_min: float = 0.5) -> Scenario:
@@ -568,12 +540,6 @@ class SatelliteOscillating(_HarmonicPieces):
                     c * g + f * hyy + 2.0 * ay * gy]
         return out
 
-    def value(self, x, tau):
-        return self._phase_table(tau) @ np.array(self._pieces(x)[::7])
-
-    def grad(self, x, tau):
-        return self._combine(x, tau)[..., 1:3]
-
     def phase_force(self, x, tau):
         # minus float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5 - 5 xy z / r^7)
         # and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
@@ -593,10 +559,6 @@ class SatelliteOscillating(_HarmonicPieces):
         gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
                   + 3.0 * s * (xx * u - xy * yy * w))
         return [-gx, -gy]
-
-    def hess(self, x, tau):
-        h = self._combine(x, tau)[..., 3:]
-        return h.reshape(h.shape[:-1] + (2, 2))
 
 
 def spinning_satellite(sigma: float = -1.0, r_min: float = 0.1) -> Scenario:

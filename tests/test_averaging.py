@@ -71,22 +71,73 @@ def test_satellite_sample_matches_per_point_calls(n_tau):
     """The satellite's closed-form spectrum is the rfft of value/grad/hess
     point by point, and back on the grid it equals those calls, grad at each
     scalar tau and minus the float-math phase_force, to rounding of the
-    largest sample."""
+    largest sample.  (tests/test_properties.py holds its pieces to the array
+    product rule.)"""
     _check_spectrum_matches_per_point_calls(
         get_scenario("spinning_satellite").potential.oscillating, n_tau)
+
+
+def _old_wave_forms(pot, x, taus):
+    """value, grad and hess of cos(phi - 2 pi tau) + offset by the array
+    formulas the wave had before its pieces gave them."""
+    ang = TWO_PI * np.asarray(taus, dtype=float)
+    c, s = np.cos(ang), np.sin(ang)
+    r2 = x[0] ** 2 + x[1] ** 2
+    r = math.sqrt(r2)
+    r3 = r2 * r
+    r5 = r2 * r3
+    dot = x[0] * c + x[1] * s
+    grad = np.stack([c / r - dot / r3 * x[0], s / r - dot / r3 * x[1]], axis=-1)
+    e = [c, s]
+    hess = np.empty(np.shape(c) + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            term = -(e[i] * x[j] + e[j] * x[i]) / r3 + 3.0 * dot * x[i] * x[j] / r5
+            if i == j:
+                term = term - dot / r3
+            hess[..., i, j] = term
+    return dot / math.hypot(x[0], x[1]) + pot.offset, grad, hess
+
+
+def _old_saddle_forms(pot, x, taus):
+    """value, grad and hess of x . Q(-2 pi tau) x / 2, with
+    Q(t) = [[cos t, sin t], [sin t, -cos t]], by the saddle's old array
+    formulas."""
+    ang = -TWO_PI * np.asarray(taus, dtype=float)
+    c, s = np.cos(ang), np.sin(ang)
+    value = 0.5 * c * (x[0] ** 2 - x[1] ** 2) + s * x[0] * x[1]
+    grad = np.stack([c * x[0] + s * x[1], s * x[0] - c * x[1]], axis=-1)
+    hess = np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
+    return value, grad, hess
 
 
 @pytest.mark.parametrize("n_tau", [15, 16, 48])
 def test_wave_sample_matches_per_point_calls(n_tau):
     """The wave's closed-form spectrum (pieces offset, x / r, y / r) is the
-    rfft of its array-formula value/grad/hess, grad at each scalar tau and
-    minus phase_force."""
-    _check_spectrum_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau)
+    rfft of the array formulas it had before, and back on the grid it
+    equals them, grad at each scalar tau and minus phase_force."""
+    _check_spectrum_matches_per_point_calls(get_scenario("rotating_wave").potential, n_tau,
+                                            _old_wave_forms)
 
 
-def _check_spectrum_matches_per_point_calls(pot, n_tau):
+@pytest.mark.parametrize("n_tau", [15, 16, 48])
+def test_saddle_sample_matches_per_point_calls(n_tau):
+    """The saddle's closed-form spectrum (pieces 0, (x^2 - y^2) / 2, -x y) is
+    the rfft of its old Q(-2 pi tau) array formulas, and back on the grid it
+    equals them, grad at each scalar tau and minus phase_force."""
+    _check_spectrum_matches_per_point_calls(get_scenario("rotating_saddle").potential, n_tau,
+                                            _old_saddle_forms)
+
+
+def _own_forms(pot, x, taus):
+    return pot.value(x, taus), pot.grad(x, taus), pot.hess(x, taus)
+
+
+def _check_spectrum_matches_per_point_calls(pot, n_tau, forms=_own_forms):
+    """pot.spectrum at 50 random points against the rfft of value, grad and
+    hess from forms(pot, x, taus), to 1e-14 of the largest coefficient."""
     rng = np.random.default_rng(n_tau)
-    r = rng.uniform(pot.r_min, 3.0, 50)
+    r = rng.uniform(getattr(pot, "r_min", 0.1), 3.0, 50)
     phi = rng.uniform(0.0, TWO_PI, 50)
     points = list(np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1))
     taus = np.arange(n_tau) / n_tau
@@ -95,14 +146,14 @@ def _check_spectrum_matches_per_point_calls(pot, n_tau):
     grid = np.fft.irfft(coeffs, n=n_tau, axis=-1, norm="forward")
     vals, grads, hesss = grid[:, 0], grid[:, 1:3], grid[:, 3:].reshape(50, 2, 2, n_tau)
     for p, x in enumerate(points):
-        per_point = np.concatenate([pot.value(x, taus)[None], pot.grad(x, taus).T,
-                                    pot.hess(x, taus).reshape(n_tau, 4).T])
+        value, grad, hess = forms(pot, x, taus)
+        per_point = np.concatenate([value[None], grad.T, hess.reshape(n_tau, 4).T])
         want = np.fft.rfft(per_point, axis=-1, norm="forward")
         _assert_close(f"coefficients at r={r[p]:.3f}", coeffs[p], want,
                       np.max(np.abs(want)), rtol=1e-14)
-        for name, got, want in (("value", vals[p], pot.value(x, taus)),
-                                ("grad", grads[p].T, pot.grad(x, taus)),
-                                ("hess", np.moveaxis(hesss[p], -1, 0), pot.hess(x, taus)),
+        for name, got, want in (("value", vals[p], value),
+                                ("grad", grads[p].T, grad),
+                                ("hess", np.moveaxis(hesss[p], -1, 0), hess),
                                 ("scalar grad", grads[p].T,
                                  np.array([pot.grad(x, float(t)) for t in taus])),
                                 ("phase force", -grads[p].T,
@@ -157,7 +208,7 @@ def test_satellite_refuses_non_finite_pieces():
 
 
 def _old_sample_loop(pot, points, n_tau):
-    """samples[p, c, n] as the per-point loop assembled them before sample()."""
+    """samples[p, c, n] as the per-point loop assembled them, with no checks."""
     d = pot.dim
     taus = np.arange(n_tau) / n_tau
     samples = np.empty((len(points), 1 + d + d * d, n_tau))
@@ -170,67 +221,16 @@ def _old_sample_loop(pot, points, n_tau):
 
 @pytest.mark.parametrize("analytic", [True, False])
 def test_default_sample_is_the_per_point_loop(analytic):
+    """The checked samples and the default spectrum are the unchecked
+    per-point loop and its rfft, bit for bit."""
     rng = np.random.default_rng(5)
     pot = _random_trig_potential(rng, 2, kmax=4)
     if not analytic:  # value only: grad and hess by finite differences
         pot = CallablePotential(value=pot.value, dim=2)
     points = [rng.uniform(-1.0, 1.0, 2) for _ in range(5)]
-    taus = np.arange(16) / 16
-    vals, grads, hesss = pot.sample(points, taus)
-    for p, x in enumerate(points):
-        assert np.array_equal(vals[p], pot.value(x, taus))
-        assert np.array_equal(grads[p], pot.grad(x, taus))
-        assert np.array_equal(hesss[p], pot.hess(x, taus))
     assert np.array_equal(_checked_samples(pot, points, 16), _old_sample_loop(pot, points, 16))
     assert np.array_equal(pot.spectrum(points, 16),
                           np.fft.rfft(_old_sample_loop(pot, points, 16), axis=-1, norm="forward"))
-
-
-class _OverridingSample(CallablePotential):
-    """Samples through an overriding sample(), after an optional corruption."""
-
-    def __init__(self, corrupt, **kw):
-        super().__init__(**kw)
-        self._corrupt = corrupt
-
-    def sample(self, points, taus):
-        return self._corrupt(*super().sample(points, taus))
-
-
-def _rejection_message(pot, x):
-    with pytest.raises(ValueError) as info:
-        PeriodicFieldStack(pot, x, 16)
-    return str(info.value)
-
-
-def test_overridden_sample_hits_the_same_checks():
-    """A sample() override is validated like the per-point calls: same messages."""
-    x = np.array([0.5])
-    good = dict(value=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)) * x[0], dim=1,
-                grad=lambda x, tau: np.cos(TWO_PI * np.asarray(tau))[:, None],
-                hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
-    flat_grad = dict(good, grad=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)))
-    want = _rejection_message(CallablePotential(**flat_grad), x)
-    assert want == "potential.grad returned shape (16,), expected (16, 1)"
-    got = _rejection_message(
-        _OverridingSample(lambda v, g, h: (v, g[..., 0], h), **good), x)
-    assert got == want
-
-    def nan_value(x, tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.where(tau > 0.5, np.nan, np.cos(TWO_PI * tau))
-
-    want = _rejection_message(CallablePotential(**dict(good, value=nan_value)), x)
-    assert want.startswith("potential returned non-finite samples at tau=")
-
-    def with_nan(v, g, h):
-        v = v.copy()
-        v[:, 9:] = np.nan
-        return v, g, h
-
-    assert _rejection_message(_OverridingSample(with_nan, **good), x) == want
-    got = _rejection_message(_OverridingSample(lambda v, g, h: (v[:0], g, h), **good), x)
-    assert got == "potential.sample returned value of shape (0, 16) for 1 points"
 
 
 def test_ragged_samples_get_the_per_point_message():

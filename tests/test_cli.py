@@ -432,5 +432,17 @@ def test_validate_catches_a_corrupted_closed_form(tmp_path, capsys, monkeypatch)
     assert "rotating_saddle:b" in stdout, "failure should name the offending field"
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    """A negative --seed exits 2 with its message before any check runs or
+    the output directory exists."""
+    out = tmp_path / "val"
+    code = cli.main(["validate", "invariants", "--quick", "--seed", "-1", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--seed: must be non-negative, got -1" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not out.exists()
+
+
 def test_validate_unknown_suite_exits_2(capsys):
     assert cli.main(["validate", "everything"]) == 2

@@ -11,8 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from oscavg import CallablePotential, TimePeriodicPotential, assemble  # noqa: E402
 from oscavg.averaging import FieldSpectra, _parseval_weights  # noqa: E402
-from oscavg.scenarios import (RotatingSaddlePotential, SatelliteOscillating,  # noqa: E402
-                              SeparableDrivePotential, get_scenario)
+from oscavg.scenarios import (RotatingSaddlePotential, RotatingWavePotential,  # noqa: E402
+                              SatelliteOscillating, SeparableDrivePotential, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,14 +68,26 @@ def test_satellite_float_pieces_match_the_array_product_rule(r, phi, sigma):
 
 # ---- phase_force: minus the full flow's gradient at one float phase ----
 
+# the plane potentials: grad sums their pieces, phase_force is float math
+_PLANE = (RotatingSaddlePotential, RotatingWavePotential, SatelliteOscillating)
+
+
 def _old_scalar_grad(pot, x, tau):
     """grad at one float phase as grad's scalar-phase branches gave it before
-    the full flow had a float-math hook (the wave and the callables had
-    none: their grad is the oracle as it stands)."""
+    the full flow had a float-math hook, and before the plane potentials'
+    grad summed their pieces (the callables had no hook: their grad is the
+    oracle as it stands)."""
     if isinstance(pot, RotatingSaddlePotential):
         ang = -TWO_PI * tau
         c, s = math.cos(ang), math.sin(ang)
         return np.array([c * x[0] + s * x[1], s * x[0] - c * x[1]])
+    if isinstance(pot, RotatingWavePotential):  # numpy's cos, sin at the float phase
+        ang = TWO_PI * np.asarray(tau, dtype=float)
+        c, s = np.cos(ang), np.sin(ang)
+        r2 = x[0] ** 2 + x[1] ** 2
+        r = math.sqrt(r2)
+        dot = (x[0] * c + x[1] * s) / (r2 * r)
+        return np.stack([c / r - dot * x[0], s / r - dot * x[1]], axis=-1)
     if isinstance(pot, SeparableDrivePotential):
         return float(pot._a(np.float64(tau))) * np.asarray(pot._ug(x), dtype=float)
     if isinstance(pot, SatelliteOscillating):
@@ -142,10 +154,13 @@ def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, tau, eps):
     phase_force for a standard potential), is a list of floats equal bit for
     bit to the scalar-phase grad it replaces, and within 1e-14 of the
     largest entry to the array path grad(x, [tau])[0]; for the satellite's
-    split potential, to static.grad + eps * (that oscillating gradient).
-    Given x as the stepper's list of floats it is the same bit for bit.  The
-    wave's phase_force (math.cos, math.sin) also equals minus its grad
-    (numpy's cos, sin) bit for bit at 256 phases spread over the period."""
+    split potential, to static.grad + eps * (that oscillating gradient).  A
+    plane potential's array path sums pieces that can cancel, so its bound
+    is 1e-14 of the larger of that entry and the largest piece gradient at
+    x (times eps for the satellite).  Given x as the stepper's list of
+    floats it is the same bit for bit.  The wave's phase_force (math.cos,
+    math.sin) also equals minus its old scalar grad (numpy's cos, sin) bit
+    for bit at 256 phases spread over the period."""
     pot = _PHASE_POTENTIALS[name]()
     x = _point(pot, r, phi)
     system = assemble(pot, eps)
@@ -160,12 +175,16 @@ def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, tau, eps):
         array_path = np.add(pot.static.grad(x), array_path)
     assert [type(g) for g in got] == [float] * pot.dim
     assert got == want.tolist(), f"{name} at x={x}, tau={tau}: {got} != {want.tolist()}"
-    if name == "rotating_wave":  # math.cos/math.sin against grad's numpy cos/sin
+    if name == "rotating_wave":  # math.cos/math.sin against the old grad's numpy cos/sin
         for t in ((tau + np.arange(256) / 256) % 1.0).tolist():
-            assert osc.phase_force(x.tolist(), t) == [-g for g in osc.grad(x, t).tolist()], \
-                f"wave at x={x}, tau={t}: phase_force is not minus grad"
+            assert osc.phase_force(x.tolist(), t) == \
+                [-g for g in _old_scalar_grad(osc, x, t).tolist()], \
+                f"wave at x={x}, tau={t}: phase_force is not minus the old grad"
     err = float(np.max(np.abs(np.subtract(got, array_path))))
     scale = float(np.max(np.abs(array_path)))
+    if isinstance(osc, _PLANE):
+        pieces = np.array(osc._pieces(x)).reshape(3, 7)[:, 1:3]
+        scale = max(scale, eps ** pot.shift * float(np.max(np.abs(pieces))))
     assert err <= 1e-14 * scale, f"{name} at x={x}, tau={tau}: off the array path by {err:.2e}"
 
 
@@ -175,13 +194,12 @@ def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, tau, eps):
 def test_phase_force_is_minus_grad_bit_for_bit(name, r, phi, tau):
     """phase_force on the stepper's list of floats is a list of floats, each
     minus the scalar-phase grad's entry, bit for bit (IEEE negation is
-    exact).  The satellite's grad sums its closed-form pieces, which round
-    differently, so its oracle is the float math of the scalar gradient it
+    exact).  The plane potentials' grad sums their pieces, which round
+    differently, so their oracle is the scalar gradient their phase_force
     replaced; the test above holds that within 1e-14 of the array path."""
     osc = _PHASE_POTENTIALS[name]().oscillating
     x = _point(osc, r, phi)
-    want = (_old_scalar_grad(osc, x, tau) if isinstance(osc, SatelliteOscillating)
-            else osc.grad(x, tau))
+    want = _old_scalar_grad(osc, x, tau) if isinstance(osc, _PLANE) else osc.grad(x, tau)
     got = osc.phase_force(x.tolist(), tau)
     assert [type(g) for g in got] == [float] * osc.dim
     assert _bits(got) == _bits([-g for g in np.asarray(want, dtype=float).tolist()]), \
@@ -249,7 +267,7 @@ _SPECTRUM_POTENTIALS = {
     "spinning_satellite-": lambda: SatelliteOscillating(-1.0),
     "spinning_satellite+": lambda: SatelliteOscillating(1.0),
     **{name: (lambda name=name: get_scenario(name).potential)
-       for name in ("rotating_wave", "quartic_drive", "kapitza_pendulum")},
+       for name in ("rotating_saddle", "rotating_wave", "quartic_drive", "kapitza_pendulum")},
     "sincos_drive": _sincos_profile_drive,
 }
 
