@@ -39,8 +39,7 @@ from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integra
                        integrate_dumbbell, integrate_full, integrate_second_order,
                        save_dumbbell, save_trajectory, transform_trajectory)
 from .fields import MIN_N_TAU
-from .scenarios import (CATALOG, ScenarioUsageError, get_scenario, load_config,
-                        parse_number)
+from .scenarios import CATALOG, ScenarioUsageError, get_scenario
 
 # short aliases accepted anywhere a scenario name is
 ALIASES = {
@@ -82,25 +81,22 @@ def _get_scenario(name: str, sign=None):
 def _checked_eps(values, where: str):
     if not values:
         raise UsageError(f"{where}: no eps values given")
+    listed = ",".join(f"{e:g}" for e in values)
     if not all(map(math.isfinite, values)):
-        raise UsageError(f"{where}: eps values must be finite, got "
-                         + ",".join(f"{e:g}" for e in values))
+        raise UsageError(f"{where}: eps values must be finite, got {listed}")
     if any(e <= 0 for e in values):
         raise UsageError(f"{where}: eps values must be positive")
+    if len(set(values)) < len(values):  # the ladder's slope fit needs distinct rungs
+        raise UsageError(f"{where}: eps values must be distinct, got {listed}")
     return values
 
 
 def _parse_eps_list(text: str, flag: str):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(parse_number(part))
-        except ValueError as e:
-            raise UsageError(f"{flag}: {e}")
-    return _checked_eps(out, flag)
+    try:
+        values = _parse_numbers(text)
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}")
+    return _checked_eps(values, flag)
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -130,10 +126,62 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-# ---- run ----
+# ---- run settings and config files ----
 
-# run settings that compare_ladder takes; unset ones come from the scenario
-RUNG_OVERRIDES = ("t_end", "steps_per_period", "h_avg", "out_dt", "n_tau")
+# the run settings, each a run flag and a config key: name -> (type, least
+# value or None for positive and finite, help); unset ones come from the
+# scenario, jobs excepted (1), and all but jobs go to compare_ladder
+RUN_SETTINGS = {
+    "t_end": (float, None, "integration horizon (default: scenario)"),
+    "steps_per_period": (int, MIN_STEPS_PER_PERIOD, "full-run substeps per fast period"),
+    "h_avg": (float, None, "averaged-run step size"),
+    "out_dt": (float, None, "output sample spacing"),
+    "n_tau": (int, MIN_N_TAU, "tau samples per field stack"),
+    "jobs": (int, 1, "parallel worker processes for ladder runs "
+                     "(at most one per rung and per core)"),
+}
+
+
+def parse_number(text: str) -> float:
+    """Parse a float, allowing fractions like 1/64.  A zero denominator is a
+    ValueError, as any other text that names no number."""
+    text = text.strip()
+    if "/" in text:
+        num, den = text.split("/", 1)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {text!r}") from None
+    return float(text)
+
+
+def _parse_numbers(text: str) -> list:
+    return [parse_number(part) for part in text.split(",") if part.strip()]
+
+
+# each config key's parser: the run settings' (floats take fractions) and four more
+_CONFIG_PARSERS = {"scenario": str, "eps": _parse_numbers, "sign": parse_number, "out_dir": str,
+                   **{key: parse_number if kind is float else int
+                      for key, (kind, _, _) in RUN_SETTINGS.items()}}
+
+
+def parse_config(text: str) -> dict:
+    """{key: value} from flat `key = value` lines; `#` starts a comment."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno} is not key = value: {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_PARSERS:
+            raise ValueError(f"unknown config key {key!r} on line {lineno}")
+        out[key] = _CONFIG_PARSERS[key](val)
+    return out
+
+
+# ---- run ----
 
 
 def _save_rung(traj, out_dir, sc, eps, kind) -> dict:
@@ -215,7 +263,8 @@ def cmd_run(args) -> int:
     cfg = {}
     if args.config:
         try:
-            cfg = load_config(args.config)
+            with open(args.config) as fh:
+                cfg = parse_config(fh.read())
         except (OSError, ValueError) as e:
             raise UsageError(f"--config: {e}")
     # every input is checked before any work, and before the output directory
@@ -241,23 +290,24 @@ def cmd_run(args) -> int:
     else:
         eps_values = list(sc.default_eps)
 
-    def pick(key, default):
-        flag = getattr(args, key)
-        return flag if flag is not None else cfg.get(key, default)
-
-    resolved = {"scenario": sc.name, "eps": eps_values, "jobs": pick("jobs", 1),
-                "out_dir": out_dir, **{k: pick(k, getattr(sc, k)) for k in RUNG_OVERRIDES}}
+    resolved = {"scenario": sc.name, "eps": eps_values, "out_dir": out_dir}
     if sign is not None:
         resolved["sign"] = float(sign)
-    minimum = {"steps_per_period": MIN_STEPS_PER_PERIOD, "n_tau": MIN_N_TAU, "jobs": 1}
-    for key in ("t_end", "h_avg", "out_dt", "steps_per_period", "n_tau", "jobs"):
-        if key in minimum:
-            resolved[key] = int(resolved[key])
-        elif not math.isfinite(resolved[key]):
-            raise UsageError(f"--{key.replace('_', '-')}: must be finite, got {resolved[key]}")
-        if resolved[key] <= 0 or resolved[key] < minimum.get(key, 0):
-            rule = f"at least {minimum[key]}" if key in minimum else "positive"
-            raise UsageError(f"--{key.replace('_', '-')}: must be {rule}, got {resolved[key]}")
+    # each run setting is its flag, else its config key, else the scenario's
+    # value (jobs: 1), held to its least value
+    for key, (_, least, _) in RUN_SETTINGS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = cfg.get(key, 1 if key == "jobs" else getattr(sc, key))
+        flag = "--" + key.replace("_", "-")
+        if least is not None:
+            if value < least:
+                raise UsageError(f"{flag}: must be at least {least}, got {value}")
+        elif not math.isfinite(value):
+            raise UsageError(f"{flag}: must be finite, got {value}")
+        elif value <= 0:
+            raise UsageError(f"{flag}: must be positive, got {value}")
+        resolved[key] = value
     try:  # a grid that aliases the potential's harmonics is refused by its spectrum
         sc.potential.oscillating.spectrum([np.asarray(sc.x0, dtype=float)], resolved["n_tau"])
     except ValueError as e:
@@ -268,11 +318,15 @@ def cmd_run(args) -> int:
                              "use the spinning_satellite scenario")
         if args.orbits < 3:
             raise UsageError("--orbits: need at least 3 orbits to measure precession")
+        if sc.extras["sigma"] > 0:  # the repulsive satellite has no bound orbit
+            raise UsageError("--orbits: the precession comparison needs the attracting "
+                             "satellite (sign -1), got sign +1")
     os.makedirs(out_dir, exist_ok=True)
 
     # the full runs and their transforms go to the workers, rung by rung; the
     # averaged runs then step in lockstep here
-    settings = {k: resolved[k] for k in RUNG_OVERRIDES if k != "h_avg"}
+    rung_settings = {k: resolved[k] for k in RUN_SETTINGS if k != "jobs"}
+    settings = {k: v for k, v in rung_settings.items() if k != "h_avg"}
     payloads = [{"scenario": sc.name, "scenario_kwargs": scenario_kwargs, "eps": e,
                  "settings": settings, "out_dir": out_dir} for e in eps_values]
     workers = _worker_count(resolved["jobs"], len(payloads))
@@ -282,7 +336,7 @@ def cmd_run(args) -> int:
     else:
         jobs = [_ladder_job(p) for p in payloads]
     rungs = compare_ladder(sc, eps_values, runs=[job["runs"] for job in jobs],
-                           **{k: resolved[k] for k in RUNG_OVERRIDES})
+                           **rung_settings)
 
     files = {}
     reports = {}
@@ -408,17 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("scenario", nargs="?", help="scenario name (see 'oscavg list')")
     rp.add_argument("--eps", help="single eps value (accepts fractions like 1/128)")
     rp.add_argument("--eps-ladder", help="comma-separated eps values, e.g. 1/64,1/128,1/256")
-    rp.add_argument("--t-end", type=float, help="integration horizon (default: scenario)")
-    rp.add_argument("--steps-per-period", type=int, help="full-run substeps per fast period")
-    rp.add_argument("--h-avg", type=float, help="averaged-run step size")
-    rp.add_argument("--out-dt", type=float, help="output sample spacing")
-    rp.add_argument("--n-tau", type=int, help="tau samples per field stack")
+    for key, (kind, _, help_text) in RUN_SETTINGS.items():
+        rp.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     rp.add_argument("--orbits", type=int, help="also run the dumbbell precession comparison "
                                                "over this many orbits (satellite only)")
     rp.add_argument("--sign", choices=["+1", "-1", "1"], help="ambient field sign (satellite only)")
     rp.add_argument("--config", help="key-value config file; flags override file values")
-    rp.add_argument("--jobs", type=int, help="parallel worker processes for ladder runs "
-                                             "(at most one per rung and per core)")
 
     vp = sub.add_parser("validate", help="run a check suite and write a summary JSON")
     vp.add_argument("suite", choices=[*SUITES, "all"])
@@ -438,13 +487,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "list":
-            return cmd_list(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        # looked up per call, so a patched cmd_run is the one that runs
+        return {"list": cmd_list, "run": cmd_run, "validate": cmd_validate}[args.command](args)
     except (UsageError, ScenarioUsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Bundled scenario potentials, their closed-form fields, and run configs.
+"""Bundled scenario potentials, their closed-form fields, and run defaults.
 
 Each scenario packages a potential with analytic derivatives, sensible run
 defaults, and (where available) closed-form expressions for the averaged
@@ -7,7 +7,8 @@ eps measured so the phase is t / eps).  Scenarios whose natural phase is an
 angle that advances by 2 pi per cycle carry eps_scale = 2 pi: the eps a user
 passes is the angular one, and internal eps = eps_scale * eps_user.  With that
 bookkeeping every assembled field times its internal eps power equals the
-angular-convention field times the same power of the user eps.
+angular-convention field times the same power of the user eps.  The command
+line's flags and config files (oscavg.cli) override the run defaults.
 """
 from __future__ import annotations
 
@@ -353,7 +354,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         return [a * math.sin(x[0])]
 
     def u_hess(x):
-        return np.array([[math.cos(x[0])]])
+        return [[math.cos(x[0])]]
 
     pot = CosineDrivePotential(a_mean, alpha, u_value, u_grad, u_hess, dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
@@ -661,76 +662,3 @@ def get_scenario(name: str, **kwargs) -> Scenario:
     except TypeError as exc:
         raise ScenarioUsageError(f"scenario {name!r} does not accept {sorted(kwargs)}: {exc}")
 
-
-# ---- flat key=value config files ----
-
-_CONFIG_TYPES = {
-    "scenario": "str",
-    "eps": "numlist",
-    "t_end": "num",
-    "steps_per_period": "int",
-    "h_avg": "num",
-    "out_dt": "num",
-    "n_tau": "int",
-    "sign": "num",
-    "out_dir": "str",
-    "jobs": "int",
-}
-
-
-def parse_number(text: str) -> float:
-    """Parse a float, allowing fractions like 1/64.  A zero denominator is a
-    ValueError, as any other text that names no number."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        try:
-            return float(num) / float(den)
-        except ZeroDivisionError:
-            raise ValueError(f"division by zero in {text!r}") from None
-    return float(text)
-
-
-def parse_config(text: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno} is not key = value: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        kind = _CONFIG_TYPES[key]
-        if kind == "str":
-            out[key] = val
-        elif kind == "int":
-            out[key] = int(val)
-        elif kind == "num":
-            out[key] = parse_number(val)
-        elif kind == "numlist":
-            out[key] = [parse_number(part) for part in val.split(",") if part.strip()]
-    return out
-
-
-def format_config(cfg: dict) -> str:
-    lines = ["# oscavg run configuration"]
-    for key in sorted(cfg):
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        val = cfg[key]
-        if isinstance(val, (list, tuple)):
-            val = ", ".join(repr(float(v)) for v in val)
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
-
-
-def load_config(path) -> dict:
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def save_config(cfg: dict, path):
-    with open(path, "w") as fh:
-        fh.write(format_config(cfg))

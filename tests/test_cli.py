@@ -10,7 +10,7 @@ import oscavg.checks
 import oscavg.cli as cli
 import oscavg.scenarios
 from oscavg import compare, load_trajectory
-from oscavg.scenarios import get_scenario, save_config
+from oscavg.scenarios import get_scenario
 
 
 def _sha256(path):
@@ -135,6 +135,17 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
     (["quartic_drive", "--n-tau", "3"], None, "--n-tau: must be at least 4, got 3"),
     (["spinning_satellite", "--n-tau", "4", "--t-end", "0.0625"], None,
      "--n-tau: n_tau=4 aliases harmonic 2 of SatelliteOscillating"),
+    (["quartic_drive", "--eps-ladder", "1/64,1/64"], None,
+     "--eps-ladder: eps values must be distinct, got 0.015625,0.015625"),
+    (["quartic_drive", "--eps-ladder", "1/64,0.015625"], None,
+     "--eps-ladder: eps values must be distinct, got 0.015625,0.015625"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64, 1/64\n",
+     "config key 'eps': eps values must be distinct, got 0.015625,0.015625"),
+    (["spinning_satellite", "--sign", "+1", "--orbits", "3", "--eps", "0.02",
+      "--t-end", "0.05"], None,
+     "--orbits: the precession comparison needs the attracting satellite (sign -1)"),
+    (["--config", "{cfg}", "--orbits", "3"], "scenario = spinning_satellite\nsign = 1\n",
+     "--orbits: the precession comparison needs the attracting satellite (sign -1)"),
 ])
 def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, tmp_path, capsys):
     """Every run input is checked first: a usage error exits 2 with its
@@ -187,6 +198,60 @@ def test_non_finite_numbers_are_usage_errors(argv, config, message, tmp_path, ca
     assert message in capsys.readouterr().err
     assert not started
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+# (run setting, a value below its least value or, for a float, not finite, message)
+_BAD_SETTINGS = [
+    ("t_end", "0", "--t-end: must be positive, got 0.0"),
+    ("t_end", "inf", "--t-end: must be finite, got inf"),
+    ("t_end", "nan", "--t-end: must be finite, got nan"),
+    ("steps_per_period", "15", "--steps-per-period: must be at least 16, got 15"),
+    ("h_avg", "0", "--h-avg: must be positive, got 0.0"),
+    ("h_avg", "inf", "--h-avg: must be finite, got inf"),
+    ("h_avg", "nan", "--h-avg: must be finite, got nan"),
+    ("out_dt", "0", "--out-dt: must be positive, got 0.0"),
+    ("out_dt", "inf", "--out-dt: must be finite, got inf"),
+    ("out_dt", "nan", "--out-dt: must be finite, got nan"),
+    ("n_tau", "3", "--n-tau: must be at least 4, got 3"),
+    ("jobs", "0", "--jobs: must be at least 1, got 0"),
+]
+
+
+def test_bad_settings_cover_every_run_setting():
+    assert {key for key, _, _ in _BAD_SETTINGS} == set(cli.RUN_SETTINGS)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value, message", _BAD_SETTINGS)
+def test_each_run_setting_is_checked_from_flag_and_config(key, value, message, source,
+                                                          tmp_path, capsys, monkeypatch):
+    """A flag and its config key meet one check: the same --<flag> message,
+    exit 2, no rung started and nothing written."""
+    started = []
+    monkeypatch.setattr(cli, "_ladder_job", lambda payload: started.append(payload))
+    cfg = tmp_path / "run.cfg"
+    if source == "flag":
+        cfg.write_text("scenario = quartic_drive\n")
+        argv = ["--" + key.replace("_", "-"), value]
+    else:
+        cfg.write_text(f"scenario = quartic_drive\n{key} = {value}\n")
+        argv = []
+    code = cli.main(["run", "--config", str(cfg), "--eps", "1/64", *argv,
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not started
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_config_keys_parse_to_the_flags_types():
+    cfg = cli.parse_config("scenario = quartic\neps = 1/32, 1/64\nsign = -1\nout_dir = o\n"
+                           "t_end = 1/2\nsteps_per_period = 32\nh_avg = 0.01\nout_dt = 1/50\n"
+                           "n_tau = 8\njobs = 2\n")
+    assert cfg == {"scenario": "quartic", "eps": [1 / 32, 1 / 64], "sign": -1.0, "out_dir": "o",
+                   "t_end": 0.5, "steps_per_period": 32, "h_avg": 0.01, "out_dt": 0.02,
+                   "n_tau": 8, "jobs": 2}
+    assert all(type(cfg[k]) is kind for k, (kind, _, _) in cli.RUN_SETTINGS.items())
 
 
 def test_satellite_n_tau_must_resolve_its_second_harmonic(tmp_path, capsys, monkeypatch):
@@ -344,7 +409,7 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
 
 def test_config_file_drives_a_run(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    save_config({"scenario": "quartic_drive", "eps": [1.0 / 64], "t_end": 0.4}, cfg)
+    cfg.write_text("scenario = quartic_drive\neps = 1/64\nt_end = 0.4\n")
     out = tmp_path / "cfgrun"
     assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
     man = _manifest(out)
@@ -354,7 +419,7 @@ def test_config_file_drives_a_run(tmp_path, capsys):
 
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    save_config({"scenario": "quartic_drive", "eps": [1.0 / 64], "t_end": 0.4}, cfg)
+    cfg.write_text("scenario = quartic_drive\neps = 1/64\nt_end = 0.4\n")
     out = tmp_path / "cfgrun2"
     assert cli.main(["run", "--config", str(cfg), "--t-end", "0.2",
                      "--out-dir", str(out)]) == 0
@@ -365,8 +430,8 @@ def test_out_dir_precedence_flag_config_environment(tmp_path, capsys, monkeypatc
     """--out-dir beats the config's out_dir, which beats $OSCAVG_OUT_DIR."""
     monkeypatch.setenv("OSCAVG_OUT_DIR", str(tmp_path / "env"))
     cfg = tmp_path / "run.cfg"
-    save_config({"scenario": "quartic_drive", "eps": [1.0 / 64], "t_end": 0.1,
-                 "out_dir": str(tmp_path / "cfg")}, cfg)
+    cfg.write_text(f"scenario = quartic_drive\neps = 1/64\nt_end = 0.1\n"
+                   f"out_dir = {tmp_path / 'cfg'}\n")
     assert cli.main(["run", "--config", str(cfg)]) == 0
     assert _manifest(tmp_path / "cfg")["config"]["out_dir"] == str(tmp_path / "cfg")
     assert not (tmp_path / "env").exists()

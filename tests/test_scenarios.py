@@ -1,4 +1,5 @@
-"""Unit tests for the scenario catalog, its potentials and the config format."""
+"""Unit tests for the scenario catalog, its potentials and the command line's
+config format."""
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
                     fd_gradient, fd_hessian)
 from oscavg.averaging import assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
+from oscavg.cli import parse_config, parse_number
 from oscavg.scenarios import (CATALOG, ScenarioUsageError, SeparableDrivePotential,
-                              custom_scenario, format_config, get_scenario,
-                              load_config, parse_config, parse_number, save_config)
+                              custom_scenario, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 
@@ -303,16 +304,6 @@ def test_parse_number_accepts_fractions():
     assert parse_number(" 0.25 ") == 0.25
 
 
-def test_config_round_trip(tmp_path):
-    cfg = {"scenario": "rotating_saddle", "eps": [1.0 / 32, 1.0 / 64], "t_end": 1.5}
-    path = tmp_path / "run.cfg"
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back["scenario"] == "rotating_saddle"
-    assert back["eps"] == pytest.approx([1.0 / 32, 1.0 / 64])
-    assert back["t_end"] == pytest.approx(1.5)
-
-
 def test_parse_config_accepts_comments_and_fractions():
     cfg = parse_config("# header\nscenario = quartic_drive\neps = 1/128  # inline\n\n")
     assert cfg == {"scenario": "quartic_drive", "eps": [pytest.approx(1.0 / 128)]}
@@ -324,7 +315,3 @@ def test_parse_config_reports_line_numbers():
     with pytest.raises(ValueError, match="unknown config key 'walrus' on line 1"):
         parse_config("walrus = 3\n")
 
-
-def test_format_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config key"):
-        format_config({"walrus": 3})
