@@ -10,14 +10,14 @@ spectrum of the potential and packages them as a force law.
 Spectral core: the normalized rfft coefficients of value/grad/hess of the
 potential on a uniform tau grid, at a batch of points, from one
 potential.spectrum call (fields.TimePeriodicPotential).  The default samples
-the potential on the grid and takes one rfft over all of them; a potential
-whose coefficients follow in closed form hands them over directly, with no
-samples and no transform (the plane potentials' three spatial pieces times
-one harmonic: the saddle, the wave and the satellite; the separable drives'
-a(tau) u(x)).  With G_k and H_k the coefficients of U' and
-U'' (k >= 1), the antiderivatives are V_k = G_k / (2 pi i k) and so on, and
-discrete Parseval turns every tau average of a product into a weighted sum
-over k:
+the potential on the grid and takes one rfft over all of them.  Every
+bundled potential is tau factors times spatial pieces
+(scenarios.FactoredPotential: the saddle, the wave, the satellite, the
+separable drives a(tau) u(x)) and hands over its factors' bins times its
+pieces, with no samples and no transform.  With G_k and H_k the
+coefficients of U' and U'' (k >= 1), the antiderivatives are
+V_k = G_k / (2 pi i k) and so on, and discrete Parseval turns every tau
+average of a product into a weighted sum over k:
 
     grad W = sum_k c_k Re(H_k conj G_k) / (2 pi k)^2
     b      = sum_k c_k Im(H_k conj G_k) / (2 pi k)^3
@@ -25,7 +25,7 @@ over k:
 with c_k = 2 for interior bins and 1 for the Nyquist bin of an even grid.
 The sums equal the averages of the products on the sample grid, which are
 exact as long as the potential is a trigonometric polynomial resolved by the
-grid (all bundled scenarios are; the closed-form spectra refuse a grid that
+grid (all bundled scenarios are; exact harmonic bins refuse a grid that
 would alias their harmonic).  On an even grid the sample grid holds only the
 real part of each antiderivative's Nyquist coefficient, so the Nyquist bin
 of G enters with its real part dropped (see FieldSpectra._parseval_products).

@@ -132,7 +132,8 @@ def _jsonable(obj):
 # value or None for positive and finite, help); unset ones come from the
 # scenario, jobs excepted (1), and all but jobs go to compare_ladder
 RUN_SETTINGS = {
-    "t_end": (float, None, "integration horizon (default: scenario)"),
+    "t_end": (float, None, "integration horizon: a run ends at the first output "
+                           "sample at or past it (default: scenario)"),
     "steps_per_period": (int, MIN_STEPS_PER_PERIOD, "full-run substeps per fast period"),
     "h_avg": (float, None, "averaged-run step size"),
     "out_dt": (float, None, "output sample spacing"),

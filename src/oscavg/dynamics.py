@@ -139,10 +139,11 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
     accelerations the same way.  For a batch, acc(rows) is called instead
     with the indices of the live rows, at the start and whenever they
     change, and returns that function.  Samples land on the exact grid
-    i * out_dt.  If in_region(x) (given one row's position as a float array)
-    turns false at a sample, that row stops there and its meta records
-    exited_region_at; the other rows step on.  Returns a Trajectory, or for
-    a batch a list of them, one per row.
+    i * out_dt, and the run ends at the first at or past t_end (t_end 0.0625
+    at out_dt 0.01 ends at 0.07).  If in_region(x) (given one row's position
+    as a float array) turns false at a sample, that row stops there and its
+    meta records exited_region_at; the other rows step on.  Returns a
+    Trajectory, or for a batch a list of them, one per row.
     """
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")

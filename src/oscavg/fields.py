@@ -258,19 +258,15 @@ class TimePeriodicPotential:
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
     tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
-    channels laid out as in _checked_samples.  The averaged force makes one
-    call per evaluation, for its point and its 2 dim stencil points.  The
-    default calls value, grad and hess once per point on the shared,
-    read-only grid, checks the samples and takes one rfft.  A potential
-    whose coefficients follow in closed form from a few spatial pieces can
-    override spectrum and skip both the samples and the transform: the
-    plane potentials RotatingSaddlePotential, RotatingWavePotential and
-    SatelliteOscillating (three pieces times one harmonic, two nonzero
-    bins, through scenarios._HarmonicPieces) and the separable drives
-    a(tau) u(x) (SeparableDrivePotential: the drive's coefficients once per
-    grid times the profile at each point) do.  An override makes the checks
-    of checked_grid and refuses a grid too coarse for its harmonics, which
-    the samples would alias without notice.
+    channels laid out as in _checked_samples; the averaged force makes one
+    call for its point and its 2 dim stencil points.  The default calls
+    value, grad and hess once per point on the shared, read-only grid,
+    checks the samples and takes one rfft.  A sum of tau factors times
+    spatial pieces (scenarios.FactoredPotential, in any dim: the saddle,
+    the wave, the satellite and the separable drives) skips both: its
+    spectrum is the factors' bins times the pieces, after the checks of
+    checked_grid, and exact harmonic bins refuse a grid too coarse for
+    them, which the samples would alias without notice.
     """
 
     dim: int = 0

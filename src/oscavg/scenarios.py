@@ -59,77 +59,111 @@ class Scenario:
         return assemble(self.potential, self.internal_eps(eps_user), n_tau=n_tau)
 
 
-# ---- plane potentials: spatial pieces times one tau harmonic ----
+# ---- factored potentials: tau factors times spatial pieces ----
 
-class _HarmonicPieces(TimePeriodicPotential):
-    """A plane potential P0(x) + C(x) cos(m theta) + S(x) sin(m theta),
-    theta = 2 pi tau: three spatial pieces times one harmonic's phase factors.
-
-    Subclasses set the integer harmonic m and give _pieces(x): the three
-    pieces and their derivatives at one point, in float math, as one flat
-    list of 3 rows (P0, C, S: the columns of _phase_table) of 7 channels
-    each: the value, the two gradient components and the four Hessian
-    entries (row major).  value, grad and hess on arrays of phases and the
-    tau spectrum all follow from the pieces: P0 in bin 0, (C - i S) / 2 in
-    bin m and nothing else, so spectrum() takes no samples and no
-    transform.  Only the full flow's phase_force, a float-math gradient at
-    one phase, is written out per subclass: built from the pieces, a call
-    costs about twice as much on the wave and three times on the satellite.
+class FactoredPotential(TimePeriodicPotential):
+    """U(x, tau) = sum_j f_j(tau) P_j(x) in any dim.  A subclass gives
+    _factors(tau), the J factors at each phase (shape shape(tau) + (J,)),
+    and _pieces(x), the pieces at one point in float math, flat: J rows of
+    the value, the gradient and the Hessian (row major).  value, grad, hess
+    and spectrum follow here.  The spectrum is the factors' bins (_bins: by
+    default their rfft on the grid, read-only and kept per grid size) times
+    the pieces of every point, gathered in one np.fromiter: one matrix
+    product, no samples of U and no transform.  Factors or pieces that are
+    not that many floats take the default per-point path, for its checks
+    and messages.  Non-finite pieces are refused by naming the point, or,
+    if they are a user's callables (_checked_per_point; their _blocks keep
+    the callables' shapes), sent down that path too.  phase_force stays
+    written out per subclass: from the pieces it costs 2-3 times as much.
     """
+
+    _checked_per_point = False
+
+    def _blocks(self, x):
+        """The pieces' values, gradients and Hessians at x: (J,), (J, d), (J, d, d)."""
+        d = self.dim
+        rows = np.asarray(self._pieces(x), dtype=float).reshape(-1, 1 + d + d * d)
+        return rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:].reshape(-1, d, d)
+
+    # Sums start at -0.0, which keeps a lone term's sign: a(tau) u(x) bit for
+    # bit.  A block of another shape broadcasts as a(tau) u(x) would.
+    def value(self, x, tau):
+        return (self._factors(tau) * self._blocks(x)[0]).sum(axis=-1, initial=-0.0)
+
+    def grad(self, x, tau):
+        return (self._factors(tau)[..., None] * self._blocks(x)[1]).sum(axis=-2, initial=-0.0)
+
+    def hess(self, x, tau):
+        return (self._factors(tau)[..., None, None] * self._blocks(x)[2]).sum(axis=-3, initial=-0.0)
+
+    def _bins(self, taus):
+        """The factors' rfft on the grid, kept per grid size; None unless they
+        are J finite floats at each phase."""
+        cache = self.__dict__.setdefault("_factor_bins", {})
+        bins = cache.get(len(taus))
+        if bins is None:
+            f = np.asarray(self._factors(taus))
+            if (f.ndim != 2 or f.shape[0] != len(taus) or f.dtype != np.float64
+                    or not np.isfinite(f).all()):
+                return None
+            bins = cache[len(taus)] = np.fft.rfft(f.T, norm="forward")
+            bins.flags.writeable = False
+        return bins
+
+    def _gathered(self, points, n_pieces):
+        """The pieces of every point, shape (P, J, 1 + d + d d), or None."""
+        size = len(points) * n_pieces * (1 + self.dim * (1 + self.dim))
+        flat = chain.from_iterable(map(self._pieces, points))
+        try:
+            pieces = np.fromiter(flat, float, size)
+            if next(flat, flat) is not flat:
+                return None
+        except (TypeError, ValueError):
+            return None
+        if not np.isfinite(pieces).all():
+            if self._checked_per_point:
+                return None
+            bad = np.argmin(np.isfinite(pieces.reshape(len(points), -1)).all(axis=1))
+            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
+        return pieces.reshape(len(points), n_pieces, -1)
+
+    def spectrum(self, points, n_tau):
+        bins = self._bins(checked_grid(points, self.dim, n_tau))
+        pieces = None if bins is None else self._gathered(points, len(bins))
+        if pieces is None:
+            return super().spectrum(points, n_tau)
+        # one real product, each bin's real and imaginary parts side by side
+        return (pieces.transpose(0, 2, 1) @ bins.view(float)).view(complex)
+
+
+class HarmonicPotential(FactoredPotential):
+    """P0(x) + C(x) cos(m theta) + S(x) sin(m theta), theta = 2 pi tau: three
+    pieces times one harmonic's factors (1, cos m theta, sin m theta), whose
+    bins are exact: P0 in bin 0 and (C - i S) / 2 in bin m.  A grid of 2m
+    phases or fewer is refused: on it sin(m theta) falls into the Nyquist bin
+    or below, and the samples would lose it.  A subclass may set any dim."""
 
     dim = 2
     harmonic = 1
 
-    def _pieces(self, x):
-        raise NotImplementedError
-
-    def _phase_table(self, tau):
-        """(1, cos m theta, sin m theta), shape shape(tau) + (3,)."""
+    def _factors(self, tau):
         ang = self.harmonic * TWO_PI * np.asarray(tau, dtype=float)
         return np.stack([np.ones_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
 
-    def _combine(self, x, tau):
-        """All seven channels at one point, shape shape(tau) + (7,)."""
-        return self._phase_table(tau) @ np.array(self._pieces(x)).reshape(3, 7)
-
-    def value(self, x, tau):
-        return self._phase_table(tau) @ np.array(self._pieces(x)[::7])
-
-    def grad(self, x, tau):
-        return self._combine(x, tau)[..., 1:3]
-
-    def hess(self, x, tau):
-        h = self._combine(x, tau)[..., 3:]
-        return h.reshape(h.shape[:-1] + (2, 2))
-
-    def spectrum(self, points, n_tau):
-        """Bin 0 is P0 and bin m is (C - i S) / 2, from the pieces of every
-        point in one np.fromiter.  A grid of 2m phases or fewer is refused:
-        on it sin(m theta) falls into the Nyquist bin or below, and the
-        samples would lose it without notice."""
-        checked_grid(points, self.dim, n_tau)
-        m = self.harmonic
-        if n_tau <= 2 * m:
-            raise ValueError(f"n_tau={n_tau} aliases harmonic {m} of {type(self).__name__}: "
+    def _bins(self, taus):
+        n, m = len(taus), self.harmonic
+        if n <= 2 * m:
+            raise ValueError(f"n_tau={n} aliases harmonic {m} of {type(self).__name__}: "
                              f"sin({m} theta) needs more than {2 * m} phases; "
                              f"use n_tau >= {2 * m + 1}")
-        pieces = np.fromiter(chain.from_iterable(map(self._pieces, points)), float,
-                             21 * len(points)).reshape(-1, 3, 7)
-        if not np.isfinite(pieces).all():
-            bad = np.argmin(np.isfinite(pieces).all(axis=(1, 2)))
-            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
-        out = np.zeros((len(points), 7, n_tau // 2 + 1), dtype=complex)
-        out[:, :, 0] = pieces[:, 0]
-        out[:, :, m] = 0.5 * pieces[:, 1] - 0.5j * pieces[:, 2]
-        return out
-
-    def in_region(self, x):
-        return math.hypot(x[0], x[1]) >= self.r_min
+        bins = np.zeros((3, n // 2 + 1), dtype=complex)
+        bins[0, 0], bins[1, m], bins[2, m] = 1.0, 0.5, -0.5j
+        return bins
 
 
 # ---- rotating saddle ----
 
-class RotatingSaddlePotential(_HarmonicPieces):
+class RotatingSaddlePotential(HarmonicPotential):
     """Quadratic saddle whose principal axes spin clockwise, one turn per cycle.
 
     U(x, tau) = x . Q(-2 pi tau) x / 2 with Q(t) = [[cos t, sin t], [sin t, -cos t]],
@@ -137,8 +171,6 @@ class RotatingSaddlePotential(_HarmonicPieces):
     The clockwise sense fixes the sign of the induced magnetic-like coupling:
     the averaged force is -eps_u^2 X - 2 eps_u^3 J Xd in user (angular) units.
     """
-
-    in_region = TimePeriodicPotential.in_region  # trusted everywhere
 
     def _pieces(self, x):
         xx, yy = float(x[0]), float(x[1])
@@ -190,7 +222,7 @@ def rotating_saddle() -> Scenario:
 
 # ---- separable drives a(tau) u(x) ----
 
-class SeparableDrivePotential(TimePeriodicPotential):
+class SeparableDrivePotential(FactoredPotential):
     """U(x, tau) = a(tau) u(x): a scalar drive times a fixed spatial profile.
 
     The magnetic-like vector vanishes identically for this family, since the
@@ -199,71 +231,32 @@ class SeparableDrivePotential(TimePeriodicPotential):
     velocity-independent one with coefficient avg over tau of the squared
     zero-mean antiderivative of a.
 
-    a gets float arrays of phases, and one float phase in phase_force; the
-    profile u_value/u_grad/u_hess gets float arrays: phase_force converts the
-    stepper's list of floats x once and scales u_grad's entries by -a(tau),
-    which is -(a g) bit for bit.  CosineDrivePotential is the float-math
-    form for a cosine drive.  The tau spectrum is the drive's rfft, taken
-    once per grid, times the profile at each point.
+    One factor and one piece: a gets float arrays of phases, and one float
+    phase in phase_force; the profile u_value/u_grad/u_hess (d floats, d
+    rows of d) gets float arrays: phase_force converts the stepper's list
+    of floats x once and scales u_grad's entries by -a(tau), which is
+    -(a g) bit for bit.  CosineDrivePotential is the float-math form for a
+    cosine drive.
     """
+
+    _checked_per_point = True
 
     def __init__(self, a, u_value, u_grad, u_hess, dim):
         self.dim = int(dim)
-        self._a = a
-        self._uv = u_value
-        self._ug = u_grad
-        self._uh = u_hess
-        self._drive_spectra = {}
+        self._a, self._uv, self._ug, self._uh = a, u_value, u_grad, u_hess
 
-    def _drive(self, tau):
-        return self._a(np.asarray(tau, dtype=float))
+    def _factors(self, tau):
+        return np.asarray(self._a(np.asarray(tau, dtype=float)))[..., None]
 
-    def value(self, x, tau):
-        return self._drive(tau) * self._uv(x)
+    def _pieces(self, x):
+        return [self._uv(x), *self._ug(x), *chain.from_iterable(self._uh(x))]
 
-    def grad(self, x, tau):
-        return np.asarray(self._drive(tau))[..., None] * np.asarray(self._ug(x), dtype=float)
+    def _blocks(self, x):  # the profile's own shapes, for the per-point checks
+        return [self._uv(x)], [self._ug(x)], [self._uh(x)]
 
     def phase_force(self, x, tau):
         a = -float(self._a(tau))
         return [a * float(g) for g in self._ug(np.asarray(x, dtype=float))]
-
-    def hess(self, x, tau):
-        return np.asarray(self._drive(tau))[..., None, None] * np.asarray(self._uh(x), dtype=float)
-
-    def _drive_spectrum(self, taus):
-        """rfft(a(taus)) / n over the n-point grid taus, read-only and kept
-        per grid size; None when a does not give n finite floats."""
-        n = len(taus)
-        coeffs = self._drive_spectra.get(n)
-        if coeffs is None:
-            a = np.asarray(self._drive(taus))
-            if a.shape != (n,) or a.dtype != np.float64 or not np.isfinite(a).all():
-                return None
-            coeffs = self._drive_spectra[n] = np.fft.rfft(a, norm="forward")
-            coeffs.flags.writeable = False
-        return coeffs
-
-    def spectrum(self, points, n_tau):
-        """The drive's coefficients, once per grid, times the profile
-        channels u, grad u, hess u at each point.  A drive or profile of an
-        unexpected shape, or one that is not finite, takes the default path,
-        so it meets the same checks and messages."""
-        d, n_pts = self.dim, len(points)
-        drive = self._drive_spectrum(checked_grid(points, d, n_tau))
-        if drive is not None:
-            try:  # a ragged profile is refused by np.array
-                uv = np.array([self._uv(x) for x in points], dtype=float)
-                ug = np.array([self._ug(x) for x in points], dtype=float)
-                uh = np.array([self._uh(x) for x in points], dtype=float)
-            except ValueError:
-                uv = None
-            if (uv is not None and uv.shape == (n_pts,) and ug.shape == (n_pts, d)
-                    and uh.shape == (n_pts, d, d)):
-                profile = np.concatenate((uv[:, None], ug, uh.reshape(n_pts, d * d)), axis=1)
-                if np.isfinite(profile).all():
-                    return profile[:, :, None] * drive
-        return super().spectrum(points, n_tau)
 
 
 class CosineDrivePotential(SeparableDrivePotential):
@@ -380,7 +373,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
 
 # ---- rotating angular wave ----
 
-class RotatingWavePotential(_HarmonicPieces):
+class RotatingWavePotential(HarmonicPotential):
     """U(x, tau) = cos(phi - 2 pi tau) + offset, phi the polar angle of x.
 
     A pure angular wave sweeping around the origin once per cycle.  Its mean
@@ -409,6 +402,10 @@ class RotatingWavePotential(_HarmonicPieces):
                 xx / r, yy * yy / r3, cross, -3.0 * xx * yy * yy / r5, mix_x, mix_x, mix_y,
                 yy / r, cross, xx * xx / r3, mix_x, mix_y, mix_y, -3.0 * xx * xx * yy / r5]
 
+
+    def in_region(self, x):
+        return math.hypot(x[0], x[1]) >= self.r_min
+
     def phase_force(self, x, tau):
         # minus the gradient of (x cos theta + y sin theta) / r in float math
         ang = TWO_PI * tau
@@ -418,7 +415,6 @@ class RotatingWavePotential(_HarmonicPieces):
         r = math.sqrt(r2)
         dot = (x0 * c + x1 * s) / (r2 * r)
         return [-(c / r - dot * x0), -(s / r - dot * x1)]
-
 
 
 def rotating_wave(offset: float = 0.3, r_min: float = 0.5) -> Scenario:
@@ -497,7 +493,7 @@ class SatelliteStatic(StaticPotential):
         return math.hypot(x[0], x[1]) >= self.r_min
 
 
-class SatelliteOscillating(_HarmonicPieces):
+class SatelliteOscillating(HarmonicPotential):
     """First-order tidal term of a spinning dumbbell, phase-averaged form.
 
     In angular variables the term is sigma (1 + 3 cos 2(theta - phi)) / (2 r^3)
@@ -512,6 +508,8 @@ class SatelliteOscillating(_HarmonicPieces):
     def __init__(self, sigma=-1.0, r_min=0.1):
         self.sigma = float(sigma)
         self.r_min = float(r_min)
+
+    in_region = SatelliteStatic.in_region
 
     def _pieces(self, x):
         """value = p + C cos(2 theta) + B sin(2 theta) with k = sigma / (2 pi),

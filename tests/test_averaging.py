@@ -162,10 +162,11 @@ def _check_spectrum_matches_per_point_calls(pot, n_tau, forms=_own_forms):
 
 
 def test_drive_spectra_are_cached_per_grid():
-    """A separable drive's rfft is kept per grid size, equals a fresh rfft of
-    the drive on that grid, and cannot be written through; the satellite,
-    which keeps nothing between calls, gives the rfft of its samples on each
-    grid, also when a grid comes back after others."""
+    """A separable drive's factor bins, the rfft of the drive, are kept per
+    grid size, equal a fresh rfft of the drive on that grid, and cannot be
+    written through; the satellite, whose exact bins hold nothing of its
+    points, gives the rfft of its samples on each grid, also when a grid
+    comes back after others."""
     sat = get_scenario("spinning_satellite").potential.oscillating
     quartic = get_scenario("quartic_drive").potential
     rng = np.random.default_rng(7)
@@ -173,10 +174,10 @@ def test_drive_spectra_are_cached_per_grid():
     for n_tau in [16] + list(rng.integers(5, 49, 10)) + [16]:
         n_tau = int(n_tau)
         taus = np.arange(n_tau) / n_tau
-        drive = quartic._drive_spectrum(taus)
-        assert drive is quartic._drive_spectrum(taus)
+        drive = quartic._bins(taus)
+        assert drive is quartic._bins(taus)
         assert not drive.flags.writeable
-        assert np.array_equal(drive, np.fft.rfft(np.cos(TWO_PI * taus), norm="forward"))
+        assert np.array_equal(drive, [np.fft.rfft(np.cos(TWO_PI * taus), norm="forward")])
         got = sat.spectrum(points, n_tau)
         want = TimePeriodicPotential.spectrum(sat, points, n_tau)
         _assert_close(f"satellite spectrum at n_tau={n_tau}", got, want,

@@ -10,8 +10,8 @@ from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
 from oscavg.averaging import assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
 from oscavg.cli import parse_config, parse_number
-from oscavg.scenarios import (CATALOG, ScenarioUsageError, SeparableDrivePotential,
-                              custom_scenario, get_scenario)
+from oscavg.scenarios import (CATALOG, HarmonicPotential, ScenarioUsageError,
+                              SeparableDrivePotential, custom_scenario, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,10 +204,12 @@ def _quartic_parts():
      "potential.value returned shape (), expected (16,)"),
     (dict(a=lambda tau: np.where(np.asarray(tau) > 0.5, np.nan, 1.0)),
      "potential returned non-finite samples at tau=[0.5625 0.625  0.6875 0.75  ]"),
+    (dict(u_grad=lambda x: np.array([x[0] ** 3 + x[1], np.nan])),
+     "potential returned non-finite samples at tau=[0.     0.0625 0.125  0.1875]"),
 ])
 def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
-    """A profile or drive of the wrong shape, or a NaN drive, gets the
-    per-point path's exact message."""
+    """A profile or drive of the wrong shape, or a NaN drive or profile, gets
+    the per-point path's exact message."""
     parts = dict(_quartic_parts(), **broken)
     points = [np.array([0.8, 0.4]), np.array([-0.3, 1.1])]
     messages = []
@@ -216,6 +218,56 @@ def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
             cls(**parts).spectrum(points, 16)
         messages.append(str(info.value))
     assert messages == [want, want]
+
+
+# ---- factored potentials in any dim ----
+
+class _Harmonic3(HarmonicPotential):
+    """P0 + C cos(4 pi tau) + S sin(4 pi tau) in dim 3, with P0 = x y z,
+    C = x^2 y + sin z and S = cos x + y z^2."""
+
+    dim = 3
+    harmonic = 2
+
+    def _pieces(self, x):
+        x, y, z = (float(c) for c in x)
+        sx, cx, sz, cz = math.sin(x), math.cos(x), math.sin(z), math.cos(z)
+        # P0, C and S in turn: value, gradient, Hessian (row major)
+        return [x * y * z, y * z, x * z, x * y, 0.0, z, y, z, 0.0, x, y, x, 0.0,
+                x * x * y + sz, 2.0 * x * y, x * x, cz,
+                2.0 * y, 2.0 * x, 0.0, 2.0 * x, 0.0, 0.0, 0.0, 0.0, -sz,
+                cx + y * z * z, -sx, z * z, 2.0 * y * z,
+                -cx, 0.0, 0.0, 0.0, 0.0, 2.0 * z, 0.0, 2.0 * z, 2.0 * y]
+
+
+def test_harmonic_pieces_in_dim_three():
+    """A dim-3 harmonic potential with m = 2: value is P0 + C cos + S sin,
+    grad and hess agree with differences of value, its exact bins give the
+    rfft of its samples to 1e-14 of the largest coefficient, and a grid of
+    4 phases, which would alias sin(4 pi tau), is refused by name."""
+    pot = _Harmonic3()
+    rng = np.random.default_rng(35)
+    points = [rng.uniform(-1.5, 1.5, 3) for _ in range(7)]
+    for x in points:
+        tau = float(rng.uniform(0.0, 1.0))
+        c, s = math.cos(2.0 * TWO_PI * tau), math.sin(2.0 * TWO_PI * tau)
+        want = (x[0] * x[1] * x[2] + c * (x[0] ** 2 * x[1] + math.sin(x[2]))
+                + s * (math.cos(x[0]) + x[1] * x[2] ** 2))
+        assert abs(pot.value(x, tau) - want) < 1e-14
+        fd_g = fd_gradient(lambda y: pot.value(y, tau), x)
+        assert np.max(np.abs(pot.grad(x, tau) - fd_g)) < 1e-8
+        fd_h = fd_hessian(lambda y: pot.value(y, tau), x)
+        assert np.max(np.abs(pot.hess(x, tau) - fd_h)) < 1e-6
+    for n_tau in (5, 8, 16, 33):
+        got = pot.spectrum(points, n_tau)
+        want = TimePeriodicPotential.spectrum(pot, points, n_tau)
+        assert got.shape == want.shape == (7, 13, n_tau // 2 + 1)
+        err = float(np.max(np.abs(got - want)))
+        assert err <= 1e-14 * float(np.max(np.abs(want))), f"n_tau={n_tau}: off by {err:.2e}"
+    with pytest.raises(ValueError) as info:
+        pot.spectrum(points, 4)
+    assert str(info.value) == ("n_tau=4 aliases harmonic 2 of _Harmonic3: "
+                               "sin(2 theta) needs more than 4 phases; use n_tau >= 5")
 
 
 # ---- split potentials: the full flow's one-phase gradient ----

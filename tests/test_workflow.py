@@ -1,0 +1,20 @@
+"""The CI workflow file itself: if it does not parse, no CI step runs, so no
+CI step can report it."""
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def test_tier1_workflow_parses_and_every_step_runs_or_uses():
+    """A plain scalar holding ': ' (as a grep pattern for JSON may) makes the
+    whole file fail to parse; every step must come out with a string run
+    command or a uses action."""
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    assert steps
+    for step in steps:
+        assert isinstance(step.get("run"), str) or isinstance(step.get("uses"), str), step
