@@ -8,8 +8,8 @@ order of accuracy by direct simulation.
 
 from .fields import (CallablePotential, CallableStatic, FourierSeries,
                      Order1Potential, StaticPotential, TimePeriodicPotential,
-                     fd_gradient, fd_hessian, fd_jacobian)
-from .averaging import AveragedSystem, PeriodicFieldStack, assemble
+                     fd_gradient, fd_hessian)
+from .averaging import AveragedSystem, FieldSpectra, assemble
 from .dynamics import (DumbbellTrajectory, Trajectory, guiding_center,
                        integrate_averaged, integrate_averaged_ladder, integrate_dumbbell,
                        integrate_full, integrate_second_order, load_trajectory,

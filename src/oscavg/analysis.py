@@ -275,9 +275,9 @@ def measure_precession(times, positions, velocities, min_separation=0.0) -> Prec
 
 # the assembled field that each closed form in Scenario.closed_forms describes
 _ASSEMBLED_FIELDS = {
-    "mean_grad": lambda system, x: system.stack(x).g_mean,
-    "w_value": lambda system, x: system.stack(x).w_value(),
-    "w_grad": lambda system, x: system.stack(x).w_grad(),
+    "mean_grad": lambda system, x: system.stack(x).g_mean[0],
+    "w_value": lambda system, x: 0.5 * system.stack(x).vv_mean()[0],
+    "w_grad": lambda system, x: system.stack(x).w_grad()[0],
     "b": lambda system, x: system.b_vector(x),
     "b_matrix": lambda system, x: system.b_matrix(x),
 }

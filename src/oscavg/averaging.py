@@ -44,6 +44,7 @@ one spectra build over the stencils of every rung, then each rung's force
 with its own weights (AveragedSystem.force is the one-rung case).  The
 guiding-center map takes that stencil around every state of a trajectory in
 one call and reads V, S, A at each state's own phase from the coefficients.
+A single point's fields are row 0 of a one-point FieldSpectra (stack(x)).
 
 Every potential is U = U0(x) + eps^s U1(x, tau), its static, oscillating and
 shift s (s = 0 and no U0 is the standard split, s = 1 the slow-plus-eps split
@@ -169,31 +170,6 @@ def _series_at(coeffs, n_tau: int, level: int, taus):
     return (coeffs * phi[:, None, :]).sum(axis=-1).real
 
 
-class PeriodicFieldStack:
-    """The tau averages of one potential's oscillation at one point: means,
-    W, grad W and b from the spectral core."""
-
-    def __init__(self, potential: TimePeriodicPotential, x, n_tau: int = 48):
-        self._spectra = sp = FieldSpectra(potential, [x], n_tau)
-        self.u_mean = float(sp.u_mean[0])
-        self.g_mean = sp.g_mean[0].copy()
-
-    def vv_mean(self) -> float:
-        """avg over tau of V' . V'  (twice the velocity-independent correction)."""
-        return float(self._spectra.vv_mean()[0])
-
-    def w_value(self) -> float:
-        return 0.5 * self.vv_mean()
-
-    def w_grad(self):
-        """grad of W, computed as avg(V'' V') without differencing."""
-        return self._spectra.w_grad()[0]
-
-    def b_vector(self):
-        """Magnetic-like vector b = avg(S'' V')."""
-        return self._spectra.b_vector()[0]
-
-
 class AveragedSystem:
     """The assembled averaged dynamics for one potential at one eps.
 
@@ -202,7 +178,7 @@ class AveragedSystem:
     b_power 3 + 2s.  The instance also exposes the raw b vector, the
     antisymmetric coupling matrix B, the effective potential, an
     adiabatic-invariant style energy for drift checks and the full flow's
-    acceleration.
+    RK stage.
     """
 
     def __init__(self, potential, epsilon: float, n_tau: int = 48):
@@ -226,16 +202,17 @@ class AveragedSystem:
         """Tau spectra of the oscillating part at a batch of points."""
         return FieldSpectra(self._osc, points, self.n_tau)
 
-    def stack(self, x) -> PeriodicFieldStack:
-        return PeriodicFieldStack(self._osc, x, self.n_tau)
+    def stack(self, x) -> FieldSpectra:
+        """The spectra at the one point x: every field at x is row 0."""
+        return self.spectra([x])
 
     # ---- assembled fields ----
 
     def effective_potential(self, x) -> float:
         st = self.stack(x)
-        u = self.epsilon ** self.w_power * st.w_value()
+        u = self.epsilon ** self.w_power * (0.5 * st.vv_mean()[0])
         static = 0.0 if self._static is None else float(self._static.value(x))
-        return float(u + (self.epsilon ** self.shift * st.u_mean + static))
+        return float(u + (self.epsilon ** self.shift * st.u_mean[0] + static))
 
     def b_vector(self, x):
         return self.spectra([x]).b_vector()[0]
@@ -262,25 +239,13 @@ class AveragedSystem:
         v = np.asarray(v, dtype=float)
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
-    def full_acceleration(self, x, tau):
-        """Acceleration -grad(U0 + eps^s U1) of the full system at x, a
-        sequence of floats, and the float phase tau, as a list of floats:
-        full_stage's value at the phase tau.  The oscillating part's
-        phase_force is minus its gradient, so scale * o - s is
-        -(s + scale * g) exactly."""
-        osc = self._osc.phase_force(x, tau)
-        if self._static is None:
-            return osc
-        scale = self.epsilon ** self.shift
-        return [scale * o - s for s, o in zip(self._static.float_grad(x), osc)]
-
     def full_stage(self):
-        """The full flow's RK stage acc(t, x, v): full_acceleration at the
-        phase t / eps, in one call on the stepper's list of floats x.  The
-        full flow makes four of these per substep, so the stage calls the
-        parts' float gradients directly rather than through
-        full_acceleration, with the same arithmetic; with no static part it
-        is the potential's phase_force list as it comes."""
+        """The full flow's RK stage acc(t, x, v): -grad(U0 + eps^s U1) at x, a
+        sequence of floats, and the phase t / eps mod 1, as a list of floats,
+        four calls per substep.  phase_force is minus the oscillating
+        gradient, so scale * o - s is -(s + scale * g) exactly; with no
+        static part the stage is the phase_force list as it comes.  The
+        guiding-center map reads the full acceleration from it too."""
         eps, phase_force = self.epsilon, self._osc.phase_force
         if self._static is None:
             return lambda t, x, v: phase_force(x, (t / eps) % 1.0)

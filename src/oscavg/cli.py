@@ -167,8 +167,8 @@ _CONFIG_PARSERS = {"scenario": str, "eps": _parse_numbers, "sign": parse_number,
 
 
 def parse_config(text: str) -> dict:
-    """{key: value} from flat `key = value` lines; `#` starts a comment."""
-    out = {}
+    """{key: value} from flat `key = value` lines, each key once; `#` starts a comment."""
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,6 +178,9 @@ def parse_config(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
+        if key in seen:
+            raise ValueError(f"config key {key!r} given twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         out[key] = _CONFIG_PARSERS[key](val)
     return out
 

@@ -286,8 +286,8 @@ def _guiding_centers(system: AveragedSystem, xs, vs, ts):
     grad, hess = slice(1, 1 + d), slice(1 + d, None)
     a_hess_stencil = a3[:, hess].reshape(n, m, d, d)
     a_hess = a_hess_stencil[:, 0]
-    a_full = np.array([system.full_acceleration(x, tau)
-                       for x, tau in zip(xs, taus[::m].tolist())])
+    stage = system.full_stage()
+    a_full = np.array([stage(t, x, v) for t, x, v in zip(ts.tolist(), xs.tolist(), vs.tolist())])
 
     def times(mats, vecs):
         return np.einsum("nij,nj->ni", mats, vecs)

@@ -2,6 +2,7 @@
 
 Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
+First differences all take central_stencil's points and stencil_jacobian.
 """
 from __future__ import annotations
 
@@ -29,23 +30,6 @@ def _fd_step(x, base):
     return base * (1.0 + max(map(abs, xs)))
 
 
-def fd_gradient(f, x, h=None):
-    """Central-difference gradient of f at x.  f may be array valued; the
-    derivative axis is then last: g[..., i] = d f / d x_i."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = _fd_step(x, GRAD_STEP)
-    g = None
-    for i in range(x.shape[0]):
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        part = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-        if g is None:
-            g = np.empty(part.shape + x.shape)
-        g[..., i] = part
-    return g
-
-
 def central_stencil(x, h=None):
     """The point x followed by x + h e_j, x - h e_j for each j, and the step h."""
     x = np.asarray(x, dtype=float)
@@ -66,8 +50,10 @@ def stencil_jacobian(values, h):
     return ((values[0::2] - values[1::2]) / (2.0 * h)).T
 
 
-def fd_jacobian(f, x, h=None):
-    """Central-difference Jacobian J[i, j] = d f_i / d x_j."""
+def fd_gradient(f, x, h=None):
+    """Central-difference gradient of f at x over central_stencil's points.
+    f is scalar or vector valued; the derivative axis is then last:
+    g[i] = d f / d x_i, or g[i, j] = d f_i / d x_j."""
     points, h = central_stencil(x, h)
     return stencil_jacobian([f(p) for p in points[1:]], h)
 

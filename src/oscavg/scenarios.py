@@ -19,8 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .averaging import assemble
-from .fields import (CallableStatic, Order1Potential, StaticPotential,
-                     TimePeriodicPotential, checked_grid)
+from .fields import Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid
 
 TWO_PI = 2.0 * math.pi
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -72,29 +71,29 @@ class FactoredPotential(TimePeriodicPotential):
     product, no samples of U and no transform.  Factors or pieces that are
     not that many floats take the default per-point path, for its checks
     and messages.  Non-finite pieces are refused by naming the point, or,
-    if they are a user's callables (_checked_per_point; their _blocks keep
+    if they are a user's callables (_checked_per_point; their _block keeps
     the callables' shapes), sent down that path too.  phase_force stays
     written out per subclass: from the pieces it costs 2-3 times as much.
     """
 
     _checked_per_point = False
 
-    def _blocks(self, x):
-        """The pieces' values, gradients and Hessians at x: (J,), (J, d), (J, d, d)."""
+    def _block(self, x, k):
+        """Block k of the pieces at x: values (J,), gradients (J, d) or Hessians (J, d, d)."""
         d = self.dim
         rows = np.asarray(self._pieces(x), dtype=float).reshape(-1, 1 + d + d * d)
-        return rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:].reshape(-1, d, d)
+        return (rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:].reshape(-1, d, d))[k]
 
     # Sums start at -0.0, which keeps a lone term's sign: a(tau) u(x) bit for
     # bit.  A block of another shape broadcasts as a(tau) u(x) would.
     def value(self, x, tau):
-        return (self._factors(tau) * self._blocks(x)[0]).sum(axis=-1, initial=-0.0)
+        return (self._factors(tau) * self._block(x, 0)).sum(axis=-1, initial=-0.0)
 
     def grad(self, x, tau):
-        return (self._factors(tau)[..., None] * self._blocks(x)[1]).sum(axis=-2, initial=-0.0)
+        return (self._factors(tau)[..., None] * self._block(x, 1)).sum(axis=-2, initial=-0.0)
 
     def hess(self, x, tau):
-        return (self._factors(tau)[..., None, None] * self._blocks(x)[2]).sum(axis=-3, initial=-0.0)
+        return (self._factors(tau)[..., None, None] * self._block(x, 2)).sum(axis=-3, initial=-0.0)
 
     def _bins(self, taus):
         """The factors' rfft on the grid, kept per grid size; None unless they
@@ -251,8 +250,8 @@ class SeparableDrivePotential(FactoredPotential):
     def _pieces(self, x):
         return [self._uv(x), *self._ug(x), *chain.from_iterable(self._uh(x))]
 
-    def _blocks(self, x):  # the profile's own shapes, for the per-point checks
-        return [self._uv(x)], [self._ug(x)], [self._uh(x)]
+    def _block(self, x, k):  # the profile's own shapes, for the per-point checks
+        return [(self._uv, self._ug, self._uh)[k](x)]
 
     def phase_force(self, x, tau):
         a = -float(self._a(tau))

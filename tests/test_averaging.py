@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import (CallablePotential, CallableStatic, FourierSeries, Order1Potential,
-                    PeriodicFieldStack, assemble, fd_gradient, fd_jacobian,
-                    guiding_center, transform_trajectory)
-from oscavg.averaging import FieldSpectra
+from oscavg import (CallablePotential, CallableStatic, FieldSpectra, FourierSeries,
+                    Order1Potential, assemble, fd_gradient, guiding_center,
+                    transform_trajectory)
 from oscavg.dynamics import Trajectory
 from oscavg.fields import (GRAD_STEP, TimePeriodicPotential, _checked_samples, central_stencil,
                            stencil_jacobian)
@@ -23,7 +22,7 @@ J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def _saddle_stack(x, n_tau=16):
     sc = get_scenario("rotating_saddle")
-    return PeriodicFieldStack(sc.potential, np.asarray(x, dtype=float), n_tau)
+    return FieldSpectra(sc.potential, [np.asarray(x, dtype=float)], n_tau)
 
 
 # ---- stack construction and validation ----
@@ -31,13 +30,13 @@ def _saddle_stack(x, n_tau=16):
 def test_stack_rejects_wrong_point_shape():
     sc = get_scenario("rotating_saddle")
     with pytest.raises(ValueError, match="does not match potential dim"):
-        PeriodicFieldStack(sc.potential, np.zeros(3), 16)
+        FieldSpectra(sc.potential, [np.zeros(3)], 16)
 
 
 def test_stack_rejects_coarse_tau_grid():
     sc = get_scenario("rotating_saddle")
     with pytest.raises(ValueError, match="too coarse"):
-        PeriodicFieldStack(sc.potential, np.array([1.0, 0.0]), 2)
+        FieldSpectra(sc.potential, [np.array([1.0, 0.0])], 2)
 
 
 def test_stack_rejects_bad_grad_shape():
@@ -47,7 +46,7 @@ def test_stack_rejects_bad_grad_shape():
         grad=lambda x, tau: np.cos(TWO_PI * np.asarray(tau)),  # missing dim axis
         hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
     with pytest.raises(ValueError, match="potential.grad returned shape"):
-        PeriodicFieldStack(pot, np.array([0.5]), 16)
+        FieldSpectra(pot, [np.array([0.5])], 16)
 
 
 def test_stack_rejects_non_finite_samples():
@@ -61,7 +60,7 @@ def test_stack_rejects_non_finite_samples():
         grad=lambda x, tau: np.ones(np.shape(tau) + (1,)),
         hess=lambda x, tau: np.zeros(np.shape(tau) + (1, 1)))
     with pytest.raises(ValueError, match="non-finite"):
-        PeriodicFieldStack(pot, np.array([0.5]), 16)
+        FieldSpectra(pot, [np.array([0.5])], 16)
 
 
 # ---- the spectrum hook ----
@@ -318,15 +317,15 @@ def test_spectral_core_matches_grid_product_averages(n_tau, dim, seed):
         x = rng.uniform(-1.0, 1.0, dim)
         v = rng.uniform(-1.0, 1.0, dim)
         g_mean, w_grad, b = _grid_product_fields(pot, x, n_tau)
-        st = PeriodicFieldStack(pot, x, n_tau)
-        _assert_close("g_mean", st.g_mean, g_mean, np.max(np.abs(g_mean)))
-        _assert_close("w_grad", st.w_grad(), w_grad, np.max(np.abs(w_grad)))
-        _assert_close("b_vector", st.b_vector(), b, np.max(np.abs(b)))
+        st = FieldSpectra(pot, [x], n_tau)
+        _assert_close("g_mean", st.g_mean[0], g_mean, np.max(np.abs(g_mean)))
+        _assert_close("w_grad", st.w_grad()[0], w_grad, np.max(np.abs(w_grad)))
+        _assert_close("b_vector", st.b_vector()[0], b, np.max(np.abs(b)))
         _assert_close("system b_vector", system.b_vector(x), b, np.max(np.abs(b)))
 
         # B differences b at x +- h e_j, so rounding in b is divided by h:
         # the bound is relative to the differenced values, max|b| / h
-        Db = fd_jacobian(lambda y: _grid_product_fields(pot, y, n_tau)[2], x)
+        Db = fd_gradient(lambda y: _grid_product_fields(pot, y, n_tau)[2], x)
         h = GRAD_STEP * (1.0 + np.max(np.abs(x)))
         b_scale = np.max(np.abs(b)) / h
         _assert_close("b_matrix", system.b_matrix(x), Db.T - Db, b_scale)
@@ -355,7 +354,7 @@ def _series_guiding_center(system, osc, static, x, v, t):
     v_grad, s_hess = chains(x)
     s_grad = v_grad.antiderivative()
     a_hess = s_hess.antiderivative().eval(tau)
-    a_full = system.full_acceleration(x, tau)
+    a_full = system.full_stage()(t, x.tolist(), v.tolist())
     X = x + ep * s_grad.eval(tau) - 2.0 * ep1 * (a_hess @ v)
     points, h = central_stencil(x)
     j_av = stencil_jacobian([chains(q)[1].antiderivative().eval(tau) @ v
@@ -411,11 +410,13 @@ def test_saddle_fluctuation_energy():
     x = np.array([0.8, -0.5])
     st = _saddle_stack(x)
     want_vv = float(x @ x) / (4.0 * math.pi ** 2)
-    assert abs(st.vv_mean() - want_vv) < 1e-13, \
-        f"vv_mean {st.vv_mean():.15e} != {want_vv:.15e}"
-    assert abs(st.w_value() - 0.5 * want_vv) < 1e-13
+    vv = st.vv_mean()[0]
+    assert abs(vv - want_vv) < 1e-13, f"vv_mean {vv:.15e} != {want_vv:.15e}"
+    system = get_scenario("rotating_saddle").build_system(1.0 / 64)
+    # the saddle has no mean, so U_eff is eps^2 W with W = vv_mean / 2
+    assert abs(system.effective_potential(x) - system.epsilon ** 2 * 0.5 * want_vv) < 1e-13
     want_grad = x / (4.0 * math.pi ** 2)
-    err = np.max(np.abs(st.w_grad() - want_grad))
+    err = np.max(np.abs(st.w_grad()[0] - want_grad))
     assert err < 1e-13, f"w_grad off by {err:.2e}"
 
 
@@ -423,7 +424,7 @@ def test_saddle_magnetic_vector_and_matrix():
     x = np.array([-0.3, 1.1])
     st = _saddle_stack(x)
     want_b = (J @ x) / (8.0 * math.pi ** 3)
-    err = np.max(np.abs(st.b_vector() - want_b))
+    err = np.max(np.abs(st.b_vector()[0] - want_b))
     assert err < 1e-14, f"b vector off by {err:.2e}"
 
     system = get_scenario("rotating_saddle").build_system(1.0 / 64)
@@ -456,18 +457,18 @@ def test_saddle_user_unit_force():
 def test_quartic_fluctuation_and_null_magnetic_vector():
     sc = get_scenario("quartic_drive")
     x = np.array([0.9, -0.4])
-    st = PeriodicFieldStack(sc.potential, x, 16)
+    st = FieldSpectra(sc.potential, [x], 16)
     u_grad = np.array([x[0] ** 3 + x[1], x[0]])
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # cosine drive, antiderivative sin/(2 pi)
     want_vv = avg_v2 * float(u_grad @ u_grad)
-    assert abs(st.vv_mean() - want_vv) < 1e-14, \
-        f"quartic vv_mean {st.vv_mean():.15e} != {want_vv:.15e}"
-    bnorm = float(np.linalg.norm(st.b_vector()))
+    vv = st.vv_mean()[0]
+    assert abs(vv - want_vv) < 1e-14, f"quartic vv_mean {vv:.15e} != {want_vv:.15e}"
+    bnorm = float(np.linalg.norm(st.b_vector()[0]))
     assert bnorm < 1e-14, f"separable drive should have b = 0, got |b| = {bnorm:.2e}"
 
     u_hess = np.array([[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]])
     want_w_grad = avg_v2 * (u_hess @ u_grad)
-    err = np.max(np.abs(st.w_grad() - want_w_grad))
+    err = np.max(np.abs(st.w_grad()[0] - want_w_grad))
     assert err < 1e-13, f"quartic w_grad off by {err:.2e}"
 
 
@@ -478,9 +479,9 @@ def test_w_grad_matches_gradient_of_w_value():
         sc = get_scenario(name)
 
         def w_of(y, sc=sc):
-            return PeriodicFieldStack(sc.potential, y, 32).w_value()
+            return 0.5 * FieldSpectra(sc.potential, [y], 32).vv_mean()[0]
 
-        direct = PeriodicFieldStack(sc.potential, x, 32).w_grad()
+        direct = FieldSpectra(sc.potential, [x], 32).w_grad()[0]
         fd = fd_gradient(w_of, x)
         err = np.max(np.abs(direct - fd))
         assert err < 1e-8, f"{name}: w_grad vs grad of w_value differ by {err:.2e}"
@@ -622,10 +623,10 @@ def test_satellite_internal_mean_matches_closed_form():
     system = sc.build_system(1.0 / 128)
     for r in (0.7, 1.4, 2.6):
         x = np.array([r * math.cos(0.9), r * math.sin(0.9)])
-        st = system.stack(x)
+        mean = system.stack(x).u_mean[0]
         want = 1.0 / (TWO_PI * 2.0 * r ** 3)
-        assert abs(st.u_mean - want) < 1e-12 * abs(want), \
-            f"satellite mean at r={r}: {st.u_mean:.15e} != {want:.15e}"
+        assert abs(mean - want) < 1e-12 * abs(want), \
+            f"satellite mean at r={r}: {mean:.15e} != {want:.15e}"
 
 
 # ---- system-level wiring ----
@@ -762,10 +763,10 @@ def test_force_is_the_sum_of_its_field_terms(name):
     eps = system.epsilon
     for x, v in states:
         st = system.stack(x)
-        mean_grad = eps ** system.shift * st.g_mean
+        mean_grad = eps ** system.shift * st.g_mean[0]
         if system.potential.static is not None:
             mean_grad = system.potential.static.grad(x) + mean_grad
-        terms = [-mean_grad, -eps ** system.w_power * st.w_grad(),
+        terms = [-mean_grad, -eps ** system.w_power * st.w_grad()[0],
                  eps ** system.b_power * (system.b_matrix(x) @ v)]
         scale = max(float(np.max(np.abs(t))) for t in terms)
         _assert_close(f"{name} force at x={x}", system.force(x, v), sum(terms), scale,

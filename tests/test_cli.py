@@ -141,6 +141,8 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
      "--eps-ladder: eps values must be distinct, got 0.015625,0.015625"),
     (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64, 1/64\n",
      "config key 'eps': eps values must be distinct, got 0.015625,0.015625"),
+    (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64\neps = 1/128\n",
+     "--config: config key 'eps' given twice, on lines 2 and 3"),
     (["spinning_satellite", "--sign", "+1", "--orbits", "3", "--eps", "0.02",
       "--t-end", "0.05"], None,
      "--orbits: the precession comparison needs the attracting satellite (sign -1)"),

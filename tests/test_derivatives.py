@@ -5,7 +5,7 @@ import numpy as np
 
 import pytest
 
-from oscavg import CallablePotential, fd_gradient, fd_hessian, fd_jacobian
+from oscavg import CallablePotential, fd_gradient, fd_hessian
 from oscavg.fields import GRAD_STEP, _fd_step
 
 X0 = np.array([0.4, -0.7])
@@ -43,8 +43,8 @@ def test_jacobian_matches_analytic():
                          [0.0, math.cos(x[1])],
                          [1.0, 2.0]])
 
-    err = np.max(np.abs(fd_jacobian(f_vec, X0) - jac_true(X0)))
-    assert err < 1e-9, f"fd_jacobian error {err:.2e}"
+    err = np.max(np.abs(fd_gradient(f_vec, X0) - jac_true(X0)))
+    assert err < 1e-9, f"fd_gradient Jacobian error {err:.2e}"
 
 
 def test_hessian_matches_analytic_and_is_symmetric():
@@ -73,7 +73,7 @@ def test_hessian_is_second_order():
 
 def test_jacobian_of_linear_map_is_exact():
     A = np.array([[1.0, 2.0], [-0.5, 3.0]])
-    J = fd_jacobian(lambda x: A @ x, X0)
+    J = fd_gradient(lambda x: A @ x, X0)
     err = np.max(np.abs(J - A))
     # central differences are exact on affine maps up to rounding
     assert err < 1e-10, f"linear map Jacobian error {err:.2e}"

@@ -147,25 +147,26 @@ def _point(pot, r, phi):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
-       phi=st.floats(0.0, TWO_PI), tau=st.floats(0.0, 1.0, exclude_max=True),
-       eps=st.floats(1e-4, 0.2))
-def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, tau, eps):
-    """The full flow's gradient, minus full_acceleration(x, tau) (minus
-    phase_force for a standard potential), is a list of floats equal bit for
-    bit to the scalar-phase grad it replaces, and within 1e-14 of the
-    largest entry to the array path grad(x, [tau])[0]; for the satellite's
-    split potential, to static.grad + eps * (that oscillating gradient).  A
-    plane potential's array path sums pieces that can cancel, so its bound
-    is 1e-14 of the larger of that entry and the largest piece gradient at
-    x (times eps for the satellite).  Given x as the stepper's list of
-    floats it is the same bit for bit.  The wave's phase_force (math.cos,
-    math.sin) also equals minus its old scalar grad (numpy's cos, sin) bit
-    for bit at 256 phases spread over the period."""
+       phi=st.floats(0.0, TWO_PI), t=st.floats(0.0, 10.0), eps=st.floats(1e-4, 0.2))
+def test_phase_force_is_minus_the_old_scalar_grad(name, r, phi, t, eps):
+    """The full flow's gradient, minus its RK stage at time t (minus
+    phase_force for a standard potential), at the phase tau = t / eps mod 1,
+    is a list of floats equal bit for bit to the scalar-phase grad it
+    replaces, and within 1e-14 of the largest entry to the array path
+    grad(x, [tau])[0]; for the satellite's split potential, to static.grad +
+    eps * (that oscillating gradient).  A plane potential's array path sums
+    pieces that can cancel, so its bound is 1e-14 of the larger of that
+    entry and the largest piece gradient at x (times eps for the satellite).
+    Given x as the stepper's list of floats it is the same bit for bit.  The
+    wave's phase_force (math.cos, math.sin) also equals minus its old scalar
+    grad (numpy's cos, sin) bit for bit at 256 phases spread over the
+    period."""
     pot = _PHASE_POTENTIALS[name]()
     x = _point(pot, r, phi)
     system = assemble(pot, eps)
-    got = [-a for a in system.full_acceleration(x, tau)]
-    assert [-a for a in system.full_acceleration(x.tolist(), tau)] == got, \
+    tau = (t / system.epsilon) % 1.0
+    got = [-a for a in system.full_stage()(t, x, None)]
+    assert [-a for a in system.full_stage()(t, x.tolist(), None)] == got, \
         f"{name} at x={x}, tau={tau}: list input differs from array input"
     osc, scale = pot.oscillating, eps ** pot.shift
     want = np.multiply(scale, _old_scalar_grad(osc, x, tau))
@@ -220,20 +221,6 @@ def test_profile_gradient_takes_the_drive_factor(name, x, a):
         got = u_grad(arg, a)
         assert [type(g) for g in got] == [float] * len(x)
         assert _bits(got) == want, f"{name} at x={x}, a={a}: {got}"
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(name=st.sampled_from(sorted(_PHASE_POTENTIALS)), r=st.floats(0.5, 2.0),
-       phi=st.floats(0.0, TWO_PI), t=st.floats(0.0, 10.0), eps=st.floats(1e-4, 0.2))
-def test_full_stage_is_full_acceleration_at_the_phase(name, r, phi, t, eps):
-    """The full flow's stage at time t on the stepper's list of floats is
-    full_acceleration at the phase t / eps mod 1, bit for bit, for the
-    standard potentials (shift 0) and the satellite's split one (shift 1)."""
-    pot = _PHASE_POTENTIALS[name]()
-    x = _point(pot, r, phi)
-    system = assemble(pot, eps)
-    got = system.full_stage()(t, x.tolist(), None)
-    assert _bits(got) == _bits(system.full_acceleration(x, (t / system.epsilon) % 1.0))
 
 
 # ---- spectrum: closed-form tau coefficients against the rfft of the samples ----

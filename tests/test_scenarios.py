@@ -220,6 +220,24 @@ def test_separable_sample_rejects_like_the_per_point_loop(broken, want):
     assert messages == [want, want]
 
 
+def test_per_point_samples_run_each_profile_callable_once_a_point():
+    """On the per-point path value, grad and hess each run only their own
+    profile callable, so three points make three calls of each."""
+    calls = dict.fromkeys(("u_value", "u_grad", "u_hess"), 0)
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    parts = _quartic_parts()
+    parts.update({name: counted(name, parts[name]) for name in calls})
+    points = [np.array([0.8, 0.4]), np.array([-0.3, 1.1]), np.array([0.2, -0.5])]
+    TimePeriodicPotential.spectrum(SeparableDrivePotential(**parts), points, 16)
+    assert calls == {"u_value": 3, "u_grad": 3, "u_hess": 3}
+
+
 # ---- factored potentials in any dim ----
 
 class _Harmonic3(HarmonicPotential):
@@ -272,9 +290,9 @@ def test_harmonic_pieces_in_dim_three():
 
 # ---- split potentials: the full flow's one-phase gradient ----
 
-def _full_flow_grad(potential, x, tau, eps):
-    """The gradient the full flow integrates: minus full_acceleration."""
-    return -np.array(assemble(potential, eps).full_acceleration(x, tau))
+def _full_flow_grad(potential, x, t, eps):
+    """The gradient the full flow integrates: minus its RK stage at time t."""
+    return -np.array(assemble(potential, eps).full_stage()(t, x, None))
 
 
 def test_split_grads_equal_the_array_formulas():
@@ -287,19 +305,21 @@ def test_split_grads_equal_the_array_formulas():
         pot = get_scenario("spinning_satellite", sigma=float(rng.choice([-1.0, -0.7]))).potential
         static = pot.static
         x = _probe_point("spinning_satellite", rng)
-        tau = float(rng.uniform(0.0, 1.0))
+        t = float(rng.uniform(0.0, 10.0))
         eps = float(rng.uniform(1e-4, 0.2))
+        tau = (t / eps) % 1.0
         want_static = -2.0 * static.sigma * x / math.hypot(x[0], x[1]) ** 3
         assert np.array_equal(static.grad(x), want_static)
         g1 = -np.asarray(pot.oscillating.phase_force(x, tau), dtype=float)
-        assert np.array_equal(_full_flow_grad(pot, x, tau, eps), want_static + eps * g1)
+        assert np.array_equal(_full_flow_grad(pot, x, t, eps), want_static + eps * g1)
 
 
 def test_split_grad_accepts_sequences_from_its_parts():
     static = CallableStatic(lambda x: x[0] ** 2, 2, grad=lambda x: [2.0 * x[0], 0.0])
     osc = CallablePotential(lambda x, tau: x[1] * math.cos(TWO_PI * tau), 2,
                             grad=lambda x, tau: [0.0, math.cos(TWO_PI * tau)])
-    got = _full_flow_grad(Order1Potential(static, osc), np.array([0.5, 0.2]), 0.125, 0.1)
+    # t / eps = 0.125 exactly
+    got = _full_flow_grad(Order1Potential(static, osc), np.array([0.5, 0.2]), 0.0125, 0.1)
     assert np.array_equal(got, np.array([1.0, 0.1 * math.cos(TWO_PI * 0.125)]))
 
 
@@ -366,4 +386,14 @@ def test_parse_config_reports_line_numbers():
         parse_config("scenario = quartic_drive\nnot a key value pair\n")
     with pytest.raises(ValueError, match="unknown config key 'walrus' on line 1"):
         parse_config("walrus = 3\n")
+
+
+def test_parse_config_rejects_a_key_given_twice():
+    """A repeated key is refused, naming both lines, rather than the last
+    value silently winning."""
+    with pytest.raises(ValueError) as info:
+        parse_config("eps = 1/64\n# the finer rung\neps = 1/128\n")
+    assert str(info.value) == "config key 'eps' given twice, on lines 1 and 3"
+    with pytest.raises(ValueError, match="config key 'n_tau' given twice, on lines 2 and 4"):
+        parse_config("scenario = quartic_drive\nn_tau = 16\nt_end = 1\nn_tau = 4\n")
 
