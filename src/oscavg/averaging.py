@@ -28,23 +28,24 @@ exact as long as the potential is a trigonometric polynomial resolved by the
 grid (all bundled scenarios are; exact harmonic bins refuse a grid that
 would alias their harmonic).  On an even grid the sample grid holds only the
 real part of each antiderivative's Nyquist coefficient, so the Nyquist bin
-of G enters with its real part dropped (see FieldSpectra._parseval_products).
+of G enters with its real part dropped (see FieldSpectra._parseval_products),
+and B below leaves its Nyquist bin out (see FieldSpectra.b_matrix).
 
-The B matrix is a central difference of b; the force takes its centre point
-and the 2 dim stencil points x +- h e_j in one sweep, so one force call costs
-one potential.spectrum call over 2 dim + 1 points and the Parseval sums for
-grad W and b.  At n_tau 16 a one-row force call takes about 90-110 us on the
-spinning satellite, 50-80 us on rotating_wave and about 90 us on
-quartic_drive: 0.75x, 0.73x and 0.58x of sampling and transforming
-(in-process alternating medians on a shared 2-core VM, Python 3.11, numpy
-2.4).  What is left on the satellite is mostly its float-math tidal pieces,
-about 2.5 us a point.  The fields depend on x alone and eps enters only as weights, so
-ladder_force pays the fixed costs once per RK stage for a whole eps ladder:
-one spectra build over the stencils of every rung, then each rung's force
-with its own weights (AveragedSystem.force is the one-rung case).  The
-guiding-center map takes that stencil around every state of a trajectory in
-one call and reads V, S, A at each state's own phase from the coefficients.
-A single point's fields are row 0 of a one-point FieldSpectra (stack(x)).
+B = (Db)^T - Db, with (Db)[i, j] = d b_i / d x_j, needs no derivative of b:
+d_i b_j = avg(S'''_ijk V'_k + S''_jk V''_ki), whose S''' term is symmetric in
+i and j and cancels, which leaves a product average of the Hessian channel:
+
+    B = avg(V'' S'' - S'' V'') = M^T - M,  M = sum_k c_k Im(H_k conj H_k) / (2 pi k)^3
+
+So a force call costs one potential.spectrum call at its own point, where the
+central difference of b took 2 dim + 1 points: at n_tau 16 a one-row call
+takes 60-70 us (0.83-0.92x) on the satellite, the wave and the quartic, and a
+four-rung ladder_force call, which builds a whole eps ladder's spectra once
+per RK stage, 70-85 us (0.42-0.46x; in-process alternating medians, shared
+2-core VM, Python 3.11, numpy 2.4).  The guiding-center map needs a true
+third derivative: it takes a central stencil around every state in one call
+and reads V, S, A at each state's phase from the coefficients.  A single
+point's fields are row 0 of a one-point FieldSpectra (stack(x)).
 
 Every potential is U = U0(x) + eps^s U1(x, tau), its static, oscillating and
 shift s (s = 0 and no U0 is the standard split, s = 1 the slow-plus-eps split
@@ -52,9 +53,8 @@ of Order1Potential), and every eps power of the averaged force follows from s:
 
     F = -grad(U0) - eps^s grad(U1bar) - eps^(2+2s) grad(W) + eps^(3+2s) B xd
 
-with W = avg(V' . V')/2, b = avg(S'' V'), B = (Db)^T - Db, where V, S are the
-first and second zero-mean tau antiderivatives of U1 and
-(Db)[i, j] = d b_i / d x_j.
+with W = avg(V' . V')/2, b = avg(S'' V') and B = (Db)^T - Db as above, where
+V, S are the first and second zero-mean tau antiderivatives of U1.
 """
 from __future__ import annotations
 
@@ -62,8 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (TimePeriodicPotential, antiderivative_factors, central_stencil,
-                     phase_weights, stencil_jacobian)
+from .fields import TimePeriodicPotential, antiderivative_factors, phase_weights
 
 
 @lru_cache(maxsize=16)
@@ -84,7 +83,7 @@ class FieldSpectra:
 
     Keeps the normalized rfft coefficients of value/grad/hess at all the
     points on an n_tau grid, from one potential.spectrum call.  Means and the
-    product averages W, grad W and b come from the coefficients directly;
+    product averages W, grad W, b and B come from the coefficients directly;
     antiderivative_at evaluates the zero-mean tau antiderivatives at any
     phase for the guiding-center map.
     """
@@ -137,6 +136,17 @@ class FieldSpectra:
     def b_vector(self):
         """b = avg(S'' V') at each point."""
         return self._parseval_products()[1].imag @ _parseval_weights(self.n_tau)[1]
+
+    def b_matrix(self):
+        """B = M^T - M at each point, shape (points, dim, dim), M = avg(S'' V'')
+        = sum_k c_k Im(H_k conj H_k) / (2 pi k)^3.  An even grid's samples hold
+        only Re(H_N), whose Nyquist term is zero; a spectrum's complex Nyquist
+        bin gets the same treatment (Im(H_N) dropped): the bin is left out."""
+        d, interior = self.dim, (self.n_tau - 1) // 2
+        H = self.coeffs[:, 1 + d:, 1:interior + 1].reshape(-1, d, d, interior)
+        M = np.einsum("pimk,pmjk->pij", H * _parseval_weights(self.n_tau)[1][:interior],
+                      H.conj()).imag
+        return M.transpose(0, 2, 1) - M
 
     def antiderivative_at(self, level: int, taus):
         """Level-`level` zero-mean tau antiderivative of every sample channel,
@@ -218,10 +228,8 @@ class AveragedSystem:
         return self.spectra([x]).b_vector()[0]
 
     def b_matrix(self, x):
-        """B = (Db)^T - Db, exactly antisymmetric by construction."""
-        points, h = central_stencil(x)
-        Db = stencil_jacobian(self.spectra(points[1:]).b_vector(), h)
-        return Db.T - Db
+        """B = (Db)^T - Db at x, from the Hessian channel at x alone."""
+        return self.stack(x).b_matrix()[0]
 
     def force(self, x, v):
         """The averaged force at x for the velocity v: the one-row case of
@@ -268,25 +276,17 @@ def ladder_force(systems, x, v):
     list of floats: row i of the float lists x and v (dim floats a row) is
     the state of systems[i].
 
-    The fields depend on x alone and eps enters only as weights, so one
-    spectra build covers the central stencils of every row: grad W and the
-    mean gradient at each row's point, b at its stencil points.  Each row's
-    force is then assembled with its own system's eps weights.  The systems
-    must share their potential and n_tau.
+    The fields depend on x alone, so one spectra build at the rows' own
+    points serves every row, and each row's force takes its own system's eps
+    weights.  The systems must share their potential and n_tau.
     """
     d = systems[0].dim
-    m = 2 * d + 1
-    stencils = [central_stencil(np.array(x[i:i + d])) for i in range(0, len(x), d)]
-    sp = systems[0].spectra([p for points, _ in stencils for p in points])
-    b, g_mean, w_grad = sp.b_vector(), sp.g_mean, sp.w_grad()
+    points = [np.array(x[i:i + d]) for i in range(0, len(x), d)]
+    sp = systems[0].spectra(points)
+    b_weight, w_weight, mean_weight = np.array([s.weights for s in systems]).T[:, :, None]
+    g = w_weight * sp.w_grad() + mean_weight * sp.g_mean
     static = systems[0].potential.static
-    out = []
-    for i, (system, (points, h)) in enumerate(zip(systems, stencils)):
-        c = i * m
-        Db = stencil_jacobian(b[c + 1:c + m], h)
-        b_weight, w_weight, mean_weight = system.weights
-        g = w_weight * w_grad[c] + mean_weight * g_mean[c]
-        if static is not None:
-            g = g + np.asarray(static.grad(points[0]), dtype=float)
-        out += (b_weight * ((Db.T - Db) @ np.array(v[i * d:(i + 1) * d])) - g).tolist()
-    return out
+    if static is not None:
+        g = g + np.array([static.grad(point) for point in points], dtype=float)
+    bv = np.einsum("pij,pj->pi", sp.b_matrix(), np.reshape(v, (-1, d)))
+    return (b_weight * bv - g).ravel().tolist()

@@ -151,7 +151,7 @@ def _check_skew_curl(rng, quick):
             B = system.b_matrix(x)
             scale = max(float(np.max(np.abs(B))), 1e-14)
             worst_skew = max(worst_skew, float(np.max(np.abs(B + B.T))) / scale)
-            # independent curl stencil, deliberately not the step b_matrix uses
+            # the curl of b by central differences, a route independent of b_matrix
             h = 2e-4 * (1.0 + float(np.max(np.abs(x))))
             e1 = np.array([h, 0.0])
             e2 = np.array([0.0, h])

@@ -234,7 +234,7 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
     per system, system i from (x0s[i], v0s[i]).
 
     The systems share their potential and n_tau (one scenario at several
-    eps), so each RK stage makes one spectra build over the stencils of every
+    eps), so each RK stage makes one spectra build over the points of every
     live rung (averaging.ladder_force).  A rung that leaves the trusted
     region stops at that sample while the others step on, so each rung's
     run is bit-identical to its own integrate_averaged.  A duck-typed system

@@ -244,15 +244,14 @@ class TimePeriodicPotential:
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
     tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
-    channels laid out as in _checked_samples; the averaged force makes one
-    call for its point and its 2 dim stencil points.  The default calls
-    value, grad and hess once per point on the shared, read-only grid,
-    checks the samples and takes one rfft.  A sum of tau factors times
-    spatial pieces (scenarios.FactoredPotential, in any dim: the saddle,
-    the wave, the satellite and the separable drives) skips both: its
-    spectrum is the factors' bins times the pieces, after the checks of
-    checked_grid, and exact harmonic bins refuse a grid too coarse for
-    them, which the samples would alias without notice.
+    channels laid out as in _checked_samples, one call per averaged force,
+    at its point.  The default calls value, grad and hess once per point on
+    the shared, read-only grid, checks the samples and takes one rfft.  A
+    sum of tau factors times spatial pieces (scenarios.FactoredPotential, in
+    any dim: the saddle, the wave, the satellite and the separable drives)
+    skips both: its spectrum is the factors' bins times the pieces, after
+    the checks of checked_grid, and exact harmonic bins refuse a grid too
+    coarse for them, which the samples would alias without notice.
     """
 
     dim: int = 0

@@ -11,8 +11,9 @@ import pytest
 from oscavg import (CallablePotential, CallableStatic, FieldSpectra, FourierSeries,
                     Order1Potential, assemble, fd_gradient, guiding_center,
                     transform_trajectory)
-from oscavg.dynamics import Trajectory
-from oscavg.fields import (GRAD_STEP, TimePeriodicPotential, _checked_samples, central_stencil,
+from oscavg.averaging import ladder_force
+from oscavg.dynamics import Trajectory, integrate_averaged_ladder
+from oscavg.fields import (TimePeriodicPotential, _checked_samples, central_stencil,
                            stencil_jacobian)
 from oscavg.scenarios import get_scenario
 
@@ -285,17 +286,25 @@ def _random_trig_potential(rng, dim, kmax):
     return CallablePotential(value=value, dim=dim, grad=grad, hess=hess)
 
 
+def _grid_b_matrix(hess_samples):
+    """avg(V'' S'' - S'' V'') on the sample grid, from U'' samples (n, dim, dim)."""
+    v_hess = FourierSeries.from_samples(hess_samples).without_mean().antiderivative()
+    vh, sh = v_hess.grid(), v_hess.antiderivative().grid()
+    return (vh @ sh - sh @ vh).mean(axis=0)
+
+
 def _grid_product_fields(pot, x, n_tau):
-    """g_mean, grad W and b from products averaged on the sample grid."""
+    """g_mean, grad W, b and B from products averaged on the sample grid."""
     taus = np.arange(n_tau) / n_tau
     f_grad = FourierSeries.from_samples(pot.grad(x, taus))
-    f_hess = FourierSeries.from_samples(pot.hess(x, taus))
+    hess = pot.hess(x, taus)
+    f_hess = FourierSeries.from_samples(hess)
     v_grad = f_grad.without_mean().antiderivative()
     v_hess = f_hess.without_mean().antiderivative()
     s_hess = v_hess.antiderivative()
     vg, vh, sh = v_grad.grid(), v_hess.grid(), s_hess.grid()
     return (f_grad.mean, np.einsum("nij,nj->i", vh, vg) / n_tau,
-            np.einsum("nij,nj->i", sh, vg) / n_tau)
+            np.einsum("nij,nj->i", sh, vg) / n_tau, _grid_b_matrix(hess))
 
 
 def _assert_close(name, got, want, scale, rtol=1e-13):
@@ -316,23 +325,56 @@ def test_spectral_core_matches_grid_product_averages(n_tau, dim, seed):
     for _ in range(3):
         x = rng.uniform(-1.0, 1.0, dim)
         v = rng.uniform(-1.0, 1.0, dim)
-        g_mean, w_grad, b = _grid_product_fields(pot, x, n_tau)
+        g_mean, w_grad, b, B = _grid_product_fields(pot, x, n_tau)
         st = FieldSpectra(pot, [x], n_tau)
         _assert_close("g_mean", st.g_mean[0], g_mean, np.max(np.abs(g_mean)))
         _assert_close("w_grad", st.w_grad()[0], w_grad, np.max(np.abs(w_grad)))
         _assert_close("b_vector", st.b_vector()[0], b, np.max(np.abs(b)))
         _assert_close("system b_vector", system.b_vector(x), b, np.max(np.abs(b)))
+        _assert_close("b_matrix", system.b_matrix(x), B, np.max(np.abs(B)))
 
-        # B differences b at x +- h e_j, so rounding in b is divided by h:
-        # the bound is relative to the differenced values, max|b| / h
-        Db = fd_gradient(lambda y: _grid_product_fields(pot, y, n_tau)[2], x)
-        h = GRAD_STEP * (1.0 + np.max(np.abs(x)))
-        b_scale = np.max(np.abs(b)) / h
-        _assert_close("b_matrix", system.b_matrix(x), Db.T - Db, b_scale)
+        want = -(g_mean + eps ** 2 * w_grad) + eps ** 3 * (B @ v)
+        _assert_close("force", system.force(x, v), want, np.max(np.abs(want)))
 
-        want = -(g_mean + eps ** 2 * w_grad) + eps ** 3 * ((Db.T - Db) @ v)
-        scale = np.max(np.abs(want)) + eps ** 3 * b_scale * np.sum(np.abs(v))
-        _assert_close("force", system.force(x, v), want, scale)
+
+class _ComplexNyquist(TimePeriodicPotential):
+    """A potential whose spectrum adds an imaginary part to the Nyquist bin of
+    every gradient and Hessian channel (symmetric in the Hessian's indices):
+    no rfft of real samples has one, and the samples it stands for are those
+    of the wrapped potential."""
+
+    def __init__(self, inner, rng):
+        self.inner, self.dim = inner, inner.dim
+        extra = rng.standard_normal((self.dim, self.dim))
+        self.extra = np.concatenate([rng.standard_normal(self.dim), (extra + extra.T).ravel()])
+
+    def spectrum(self, points, n_tau):
+        coeffs = self.inner.spectrum(points, n_tau)
+        coeffs[:, 1:, -1] += 1j * self.extra
+        return coeffs
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_b_matrix_drops_the_nyquist_bin(override):
+    """On 8 phases a harmonic-4 potential fills the Nyquist bin, whose samples
+    hold only Re(H_N).  B equals avg(V'' S'' - S'' V'') on the grid of the
+    irfft'd U'' series to 1e-14, and a spectrum with a complex Nyquist bin
+    gives the B of its samples."""
+    n_tau, dim = 8, 3
+    rng = np.random.default_rng(41)
+    pot = _random_trig_potential(rng, dim, kmax=n_tau // 2)
+    if override:
+        pot = _ComplexNyquist(pot, rng)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, dim)
+        coeffs = pot.spectrum([x], n_tau)[0]
+        hess_bins = coeffs[1 + dim:]
+        assert np.max(np.abs(hess_bins[:, -1].real)) > 1e-3, "the Nyquist bin must be filled"
+        assert (np.max(np.abs(hess_bins[:, -1].imag)) > 1e-3) == override
+        samples = np.fft.irfft(hess_bins, n=n_tau, axis=-1, norm="forward")
+        want = _grid_b_matrix(np.moveaxis(samples, -1, 0).reshape(n_tau, dim, dim))
+        _assert_close(f"B at x={x}", FieldSpectra(pot, [x], n_tau).b_matrix()[0], want,
+                      np.max(np.abs(want)), rtol=1e-14)
 
 
 # ---- the batched guiding-center map against per-point series ----
@@ -431,8 +473,7 @@ def test_saddle_magnetic_vector_and_matrix():
     B = system.b_matrix(x)
     want_B = -J / (4.0 * math.pi ** 3)
     err = np.max(np.abs(B - want_B))
-    # finite differencing a linear field is exact up to rounding
-    assert err < 1e-12, f"B matrix off by {err:.2e}"
+    assert err < 1e-16, f"B matrix off by {err:.2e}"
     skew = np.max(np.abs(B + B.T))
     assert skew < 1e-18, f"B not antisymmetric, |B + B^T| = {skew:.2e}"
 
@@ -734,6 +775,65 @@ def test_b_matrix_antisymmetric_on_generic_scenarios():
             scale = max(float(np.max(np.abs(B))), 1e-14)
             skew = float(np.max(np.abs(B + B.T))) / scale
             assert skew < 1e-9, f"{name}: relative skew {skew:.2e} at {x}"
+
+
+@pytest.mark.parametrize("name", ["rotating_saddle", "rotating_wave", "spinning_satellite"])
+def test_b_matrix_matches_the_closed_forms(name):
+    """B from the Hessian channel at x alone equals each scenario's closed
+    form to 1e-13 relative (a central difference of b was off by up to 4e-9)."""
+    sc = get_scenario(name)
+    system = sc.build_system(sc.default_eps[0])
+    rng = np.random.default_rng(6)
+    for _ in range(8):
+        x = sc.x0 * rng.uniform(0.8, 1.5) + rng.uniform(-0.3, 0.3, sc.dim)
+        want = sc.closed_forms["b_matrix"](x)
+        _assert_close(f"{name} B at x={x}", system.b_matrix(x), want, np.max(np.abs(want)))
+
+
+def test_b_matrix_on_value_only_potentials_beats_the_stencil_of_b():
+    """With every derivative by finite differences, the one-point B agrees
+    with the central difference of b, (Db)^T - Db, within that stencil's
+    error, and lies closer than it to the B of the analytic potential."""
+    rng = np.random.default_rng(12)
+    analytic = _random_trig_potential(rng, 2, kmax=3)
+    exact = assemble(analytic, 0.07, n_tau=16)
+    system = assemble(CallablePotential(value=analytic.value, dim=2), 0.07, n_tau=16)
+    for _ in range(4):
+        x = rng.uniform(-1.0, 1.0, 2)
+        want = exact.b_matrix(x)
+        scale = float(np.max(np.abs(want)))
+        Db = fd_gradient(system.b_vector, x)
+        stencil_err = float(np.max(np.abs(Db.T - Db - want)))
+        one_point_err = float(np.max(np.abs(system.b_matrix(x) - want)))
+        _assert_close(f"B vs stencil at x={x}", system.b_matrix(x), Db.T - Db, scale, rtol=5e-3)
+        assert one_point_err <= 1e-6 * scale, f"one-point B off by {one_point_err / scale:.1e}"
+        assert one_point_err < stencil_err, f"stencil {stencil_err:.1e}, one point {one_point_err:.1e}"
+
+
+class _SpectrumSpy(TimePeriodicPotential):
+    """Records how many points each spectrum call asks for."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.calls = inner, inner.dim, []
+
+    def spectrum(self, points, n_tau):
+        self.calls.append(len(points))
+        return self.inner.spectrum(points, n_tau)
+
+
+def test_force_builds_spectra_at_one_point_per_row():
+    """force and ladder_force ask spectrum for each row's own point, once."""
+    spy = _SpectrumSpy(get_scenario("rotating_wave").potential)
+    systems = [assemble(spy, eps, n_tau=16) for eps in (0.1, 0.05, 0.025)]
+    x, v = np.array([1.2, -0.4]), np.array([0.3, 0.5])
+    systems[0].force(x, v)
+    assert spy.calls == [1]
+    spy.calls.clear()
+    ladder_force(systems, np.tile(x, 3).tolist(), np.tile(v, 3).tolist())
+    assert spy.calls == [3]
+    spy.calls.clear()
+    integrate_averaged_ladder(systems[:2], [x, x], [v, v], 0.05, h=0.01, out_dt=0.01)
+    assert spy.calls == [2] * 4 * 5
 
 
 def test_assemble_rejects_bad_epsilon():
