@@ -19,23 +19,25 @@ coefficients of U' and U'' (k >= 1), the antiderivatives are
 V_k = G_k / (2 pi i k) and so on, and discrete Parseval turns every tau
 average of a product into a weighted sum over k:
 
-    grad W = sum_k c_k Re(H_k conj G_k) / (2 pi k)^2
-    b      = sum_k c_k Im(H_k conj G_k) / (2 pi k)^3
+    grad W = sum_k 2 Re(H_k conj G_k) / (2 pi k)^2
+    b      = sum_k 2 Im(H_k conj G_k) / (2 pi k)^3
 
-with c_k = 2 for interior bins and 1 for the Nyquist bin of an even grid.
-The sums equal the averages of the products on the sample grid, which are
-exact as long as the potential is a trigonometric polynomial resolved by the
-grid (all bundled scenarios are; exact harmonic bins refuse a grid that
-would alias their harmonic).  On an even grid the sample grid holds only the
-real part of each antiderivative's Nyquist coefficient, so the Nyquist bin
-of G enters with its real part dropped (see FieldSpectra._parseval_products),
-and B below leaves its Nyquist bin out (see FieldSpectra.b_matrix).
+over the interior bins 1 <= k < n_tau / 2.  The sums equal the averages of
+the products on the sample grid, which are exact as long as the potential is
+a trigonometric polynomial resolved by the grid (all bundled scenarios are;
+exact harmonic bins refuse a grid that would alias their harmonic).  An even
+grid's Nyquist bin is left out of every product average, by one rule: each
+product pairs an odd-level antiderivative (V' or V''), whose Nyquist
+coefficient G_N / (2 pi i N) is imaginary for real samples, and the samples
+hold only the real part of a Nyquist coefficient, so that factor is zero on
+the grid.  The antiderivatives at a phase take their Nyquist entry from
+fields.phase_weights, which matches the samples when the bin is real.
 
 B = (Db)^T - Db, with (Db)[i, j] = d b_i / d x_j, needs no derivative of b:
 d_i b_j = avg(S'''_ijk V'_k + S''_jk V''_ki), whose S''' term is symmetric in
 i and j and cancels, which leaves a product average of the Hessian channel:
 
-    B = avg(V'' S'' - S'' V'') = M^T - M,  M = sum_k c_k Im(H_k conj H_k) / (2 pi k)^3
+    B = avg(V'' S'' - S'' V'') = M^T - M,  M = sum_k 2 Im(H_k conj H_k) / (2 pi k)^3
 
 So a force call costs one potential.spectrum call at its own point, where the
 central difference of b took 2 dim + 1 points: at n_tau 16 a one-row call
@@ -67,12 +69,9 @@ from .fields import TimePeriodicPotential, antiderivative_factors, phase_weights
 
 @lru_cache(maxsize=16)
 def _parseval_weights(n_tau: int):
-    """c_k / (2 pi k)^2 and c_k / (2 pi k)^3 for the bins k >= 1 of an n_tau grid."""
-    k = np.arange(1, n_tau // 2 + 1)
-    c = np.full(k.shape[0], 2.0)
-    if n_tau % 2 == 0:
-        c[-1] = 1.0  # the Nyquist bin appears once
-    w2 = c / (2.0 * np.pi * k) ** 2
+    """2 / (2 pi k)^2 and 2 / (2 pi k)^3 for the interior bins 1 <= k < n_tau / 2."""
+    k = np.arange(1, (n_tau + 1) // 2)
+    w2 = 2.0 / (2.0 * np.pi * k) ** 2
     w3 = w2 / (2.0 * np.pi * k)
     w2.flags.writeable = w3.flags.writeable = False
     return w2, w3
@@ -83,9 +82,9 @@ class FieldSpectra:
 
     Keeps the normalized rfft coefficients of value/grad/hess at all the
     points on an n_tau grid, from one potential.spectrum call.  Means and the
-    product averages W, grad W, b and B come from the coefficients directly;
-    antiderivative_at evaluates the zero-mean tau antiderivatives at any
-    phase for the guiding-center map.
+    product averages W, grad W, b and B come from the interior bins of the
+    gradient (G) and Hessian (H) channels; antiderivative_at evaluates the
+    zero-mean tau antiderivatives at any phase for the guiding-center map.
     """
 
     def __init__(self, potential: TimePeriodicPotential, points, n_tau: int = 48):
@@ -102,50 +101,32 @@ class FieldSpectra:
         mean = self.coeffs[:, :, 0].real
         self.u_mean = mean[:, 0]
         self.g_mean = mean[:, 1:1 + d]
-        self._products = None
+        interior = (n_tau - 1) // 2
+        self._G = self.coeffs[:, 1:1 + d, 1:interior + 1]
+        self._H = self.coeffs[:, 1 + d:, 1:interior + 1].reshape(len(points), d, d, interior)
 
-    def _parseval_products(self):
-        """conj(G_k) and H_k conj G_k summed over the inner index, for k >= 1,
-        shapes (points, dim, bins); formed on first use, since the
-        guiding-center map needs neither.
-
-        On an even grid irfft keeps only the real part of the Nyquist
-        coefficient of V' = G / (2 pi i k), which is Im(G) / (2 pi k): the
-        Nyquist G enters with its real part dropped, as the grid averages
-        have it.  V'' and S'' keep their Nyquist bins as they are, because
-        every product pairs them with V'.
-        """
-        if self._products is None:
-            d = self.dim
-            g_conj = self.coeffs[:, 1:1 + d, 1:].conj()
-            if self.n_tau % 2 == 0:
-                g_conj[:, :, -1].real = 0.0
-            H = self.coeffs[:, 1 + d:, 1:].reshape(len(self.coeffs), d, d, -1)
-            self._products = g_conj, (H * g_conj[:, None]).sum(axis=2)
-        return self._products
+    def _hess_conj_grad(self):
+        """H_k conj G_k summed over the inner index, shape (points, dim, bins)."""
+        return (self._H * self._G.conj()[:, None]).sum(axis=2)
 
     def vv_mean(self):
         """avg over tau of V' . V' at each point."""
-        G = self._parseval_products()[0]
+        G = self._G
         return (G.real ** 2 + G.imag ** 2).sum(axis=1) @ _parseval_weights(self.n_tau)[0]
 
     def w_grad(self):
         """grad W = avg(V'' V') at each point."""
-        return self._parseval_products()[1].real @ _parseval_weights(self.n_tau)[0]
+        return self._hess_conj_grad().real @ _parseval_weights(self.n_tau)[0]
 
     def b_vector(self):
         """b = avg(S'' V') at each point."""
-        return self._parseval_products()[1].imag @ _parseval_weights(self.n_tau)[1]
+        return self._hess_conj_grad().imag @ _parseval_weights(self.n_tau)[1]
 
     def b_matrix(self):
         """B = M^T - M at each point, shape (points, dim, dim), M = avg(S'' V'')
-        = sum_k c_k Im(H_k conj H_k) / (2 pi k)^3.  An even grid's samples hold
-        only Re(H_N), whose Nyquist term is zero; a spectrum's complex Nyquist
-        bin gets the same treatment (Im(H_N) dropped): the bin is left out."""
-        d, interior = self.dim, (self.n_tau - 1) // 2
-        H = self.coeffs[:, 1 + d:, 1:interior + 1].reshape(-1, d, d, interior)
-        M = np.einsum("pimk,pmjk->pij", H * _parseval_weights(self.n_tau)[1][:interior],
-                      H.conj()).imag
+        = sum_k 2 Im(H_k conj H_k) / (2 pi k)^3 over the interior bins."""
+        H = self._H
+        M = np.einsum("pimk,pmjk->pij", H * _parseval_weights(self.n_tau)[1], H.conj()).imag
         return M.transpose(0, 2, 1) - M
 
     def antiderivative_at(self, level: int, taus):
@@ -175,7 +156,8 @@ class FieldSpectra:
 
 def _series_at(coeffs, n_tau: int, level: int, taus):
     """The level-`level` zero-mean antiderivative of each series coeffs[p, c]
-    at its own phase taus[p] (Nyquist rule in fields.phase_weights)."""
+    at its own phase taus[p], with the Nyquist entry of fields.phase_weights,
+    the one place that rule lives."""
     phi = phase_weights(n_tau, taus, level)
     return (coeffs * phi[:, None, :]).sum(axis=-1).real
 
@@ -225,7 +207,7 @@ class AveragedSystem:
         return float(u + (self.epsilon ** self.shift * st.u_mean[0] + static))
 
     def b_vector(self, x):
-        return self.spectra([x]).b_vector()[0]
+        return self.stack(x).b_vector()[0]
 
     def b_matrix(self, x):
         """B = (Db)^T - Db at x, from the Hessian channel at x alone."""

@@ -231,14 +231,12 @@ def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
                                  extra_meta={"scenario": sc.name, "eps_user": eps}))
     rep_a = measure_precession(avg.times, avg.positions, avg.velocities, min_separation=sep)
 
-    def kepler(t, x, v):
-        # the point mass alone, with no tidal term: it must not precess
-        x1, x2 = x
-        r3 = (x1 * x1 + x2 * x2) ** 1.5
-        return [2.0 * sigma * x1 / r3, 2.0 * sigma * x2 / r3]
-
-    ctrl = integrate_second_order(kepler, z0, v0, t_avg, h=0.01, out_dt=0.05,
-                                  in_region=lambda x: float(x @ x) > 1e-12)
+    # the satellite's static part alone, the point mass with no tidal term:
+    # it must not precess
+    static = sc.potential.static
+    ctrl = integrate_second_order(lambda t, x, v: [-g for g in static.float_grad(x)],
+                                  z0, v0, t_avg, h=0.01, out_dt=0.05,
+                                  in_region=static.in_region)
     rep_k = measure_precession(ctrl.times, ctrl.positions, ctrl.velocities, min_separation=sep)
 
     def _rep(r):

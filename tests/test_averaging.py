@@ -377,6 +377,23 @@ def test_b_matrix_drops_the_nyquist_bin(override):
                       np.max(np.abs(want)), rtol=1e-14)
 
 
+@pytest.mark.parametrize("field", ["vv_mean", "w_grad", "b_vector", "b_matrix"])
+def test_product_averages_ignore_a_complex_nyquist_bin(field):
+    """Each product average pairs an odd-level antiderivative, whose Nyquist
+    coefficient is imaginary for real samples and so vanishes on the grid:
+    one rule, leave the bin out, holds for all four, and a spectrum with
+    complex Nyquist bins gives the fields of the wrapped potential."""
+    n_tau, dim = 8, 3
+    rng = np.random.default_rng(41)
+    pot = _random_trig_potential(rng, dim, kmax=n_tau // 2)
+    wrapped = _ComplexNyquist(pot, rng)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, dim)
+        want = getattr(FieldSpectra(pot, [x], n_tau), field)()[0]
+        got = getattr(FieldSpectra(wrapped, [x], n_tau), field)()[0]
+        _assert_close(f"{field} at x={x}", got, want, np.max(np.abs(want)), rtol=1e-14)
+
+
 # ---- the batched guiding-center map against per-point series ----
 
 def _series_guiding_center(system, osc, static, x, v, t):
