@@ -31,7 +31,8 @@ product pairs an odd-level antiderivative (V' or V''), whose Nyquist
 coefficient G_N / (2 pi i N) is imaginary for real samples, and the samples
 hold only the real part of a Nyquist coefficient, so that factor is zero on
 the grid.  The antiderivatives at a phase take their Nyquist entry from
-fields.phase_weights, which matches the samples when the bin is real.
+fields.phase_weights, which reads the real part of the bin, as the samples
+hold it.
 
 B = (Db)^T - Db, with (Db)[i, j] = d b_i / d x_j, needs no derivative of b:
 d_i b_j = avg(S'''_ijk V'_k + S''_jk V''_ki), whose S''' term is symmetric in

@@ -91,12 +91,12 @@ def _checked_eps(values, where: str):
     return values
 
 
-def _parse_eps_list(text: str, flag: str):
+def _parse_eps_list(text: str):
     try:
         values = _parse_numbers(text)
     except ValueError as e:
-        raise UsageError(f"{flag}: {e}")
-    return _checked_eps(values, flag)
+        raise UsageError(f"--eps: {e}")
+    return _checked_eps(values, "--eps")
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -281,12 +281,8 @@ def cmd_run(args) -> int:
         raise UsageError(f"config key 'sign': must be +1 or -1, got {sign:g}")
     sc, scenario_kwargs = _get_scenario(name, sign)
 
-    if args.eps is not None and args.eps_ladder is not None:
-        raise UsageError("--eps and --eps-ladder are mutually exclusive")
     if args.eps is not None:
-        eps_values = _parse_eps_list(args.eps, "--eps")
-    elif args.eps_ladder is not None:
-        eps_values = _parse_eps_list(args.eps_ladder, "--eps-ladder")
+        eps_values = _parse_eps_list(args.eps)
     elif "eps" in cfg:
         eps_values = _checked_eps(list(np.atleast_1d(cfg["eps"])), "config key 'eps'")
     else:
@@ -462,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("run", help="integrate a scenario over an eps ladder and write results")
     rp.add_argument("scenario", nargs="?", help="scenario name (see 'oscavg list')")
-    rp.add_argument("--eps", help="single eps value (accepts fractions like 1/128)")
-    rp.add_argument("--eps-ladder", help="comma-separated eps values, e.g. 1/64,1/128,1/256")
+    rp.add_argument("--eps", help="one eps value or a comma-separated ladder, fractions "
+                                  "accepted, e.g. 0.02 or 1/64,1/128,1/256")
     for key, (kind, _, help_text) in RUN_SETTINGS.items():
         rp.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     rp.add_argument("--orbits", type=int, help="also run the dumbbell precession comparison "

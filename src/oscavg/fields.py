@@ -104,8 +104,10 @@ def phase_weights(n: int, taus, level: int = 0):
 
     phi_k = w_k e^{2 pi i k tau} / (2 pi i k)^level with w_0 = 1 and w_k = 2
     above.  On an even grid the Nyquist bin appears once and the n samples
-    hold only the real part of its coefficient, as grid() and irfft have it:
-    its entry is cos(2 pi N tau) / (2 pi i N)^level.  This is the one place
+    hold only the real part of a coefficient there, as grid() and irfft have
+    it: its entry is the real cos(2 pi N tau) Re(1 / (2 pi i N)^level), so the
+    sum reads only Re(c_N), and it is zero at odd levels, where the
+    antiderivative's Nyquist coefficient is imaginary.  This is the one place
     that rule is kept.
     """
     k = np.arange(n // 2 + 1)
@@ -113,7 +115,11 @@ def phase_weights(n: int, taus, level: int = 0):
     phase[..., 0] = 1.0
     if n % 2 == 0:
         phase[..., -1] = phase[..., -1].real / 2.0
-    return phase if level == 0 else phase * antiderivative_factors(n, level)
+    if level:
+        phase = phase * antiderivative_factors(n, level)
+        if n % 2 == 0:
+            phase[..., -1] = phase[..., -1].real
+    return phase
 
 
 class FourierSeries:
@@ -291,35 +297,6 @@ class TimePeriodicPotential:
         return True
 
 
-class CallablePotential(TimePeriodicPotential):
-    """Wrap plain callables as a time-periodic potential."""
-
-    def __init__(self, value, dim, grad=None, hess=None, in_region=None):
-        self.dim = int(dim)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
-        self._in_region = in_region
-
-    def value(self, x, tau):
-        return self._value(x, tau)
-
-    def grad(self, x, tau):
-        if self._grad is None:
-            return super().grad(x, tau)
-        return self._grad(x, tau)
-
-    def hess(self, x, tau):
-        if self._hess is None:
-            return super().hess(x, tau)
-        return self._hess(x, tau)
-
-    def in_region(self, x):
-        if self._in_region is None:
-            return True
-        return bool(self._in_region(x))
-
-
 class StaticPotential:
     """Potential of position only.  Used as the slow part of split potentials."""
 
@@ -344,31 +321,31 @@ class StaticPotential:
         return True
 
 
-class CallableStatic(StaticPotential):
+class _Callables:
+    """Plain callables as a potential: value, and grad and hess when given,
+    are the instance's own methods of those names, called as given; an
+    omitted grad or hess keeps the class's finite-difference default.  An
+    instance of module-level functions pickles."""
+
     def __init__(self, value, dim, grad=None, hess=None, in_region=None):
         self.dim = int(dim)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
+        self.value = value
+        if grad is not None:
+            self.grad = grad
+        if hess is not None:
+            self.hess = hess
         self._in_region = in_region
 
-    def value(self, x):
-        return self._value(x)
-
-    def grad(self, x):
-        if self._grad is None:
-            return super().grad(x)
-        return self._grad(x)
-
-    def hess(self, x):
-        if self._hess is None:
-            return super().hess(x)
-        return self._hess(x)
-
     def in_region(self, x):
-        if self._in_region is None:
-            return True
-        return bool(self._in_region(x))
+        return self._in_region is None or bool(self._in_region(x))
+
+
+class CallablePotential(_Callables, TimePeriodicPotential):
+    """Wrap plain callables value(x, tau), grad, hess as a time-periodic potential."""
+
+
+class CallableStatic(_Callables, StaticPotential):
+    """Wrap plain callables value(x), grad, hess as a static potential."""
 
 
 class Order1Potential:

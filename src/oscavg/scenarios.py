@@ -328,7 +328,7 @@ def quartic_drive() -> Scenario:
         out_dt=0.01,
         n_tau=16,
         closed_forms=_separable_closed(0.0, avg_v2, u_grad, u_hess, 2),
-        extras={"slope_floor": 3.7, "avg_v2": avg_v2},
+        extras={"slope_floor": 3.7},
     )
 
 
@@ -350,7 +350,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
 
     pot = CosineDrivePotential(a_mean, alpha, u_value, u_grad, u_hess, dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
-    sc = Scenario(
+    return Scenario(
         name="kapitza_pendulum",
         description="pendulum with oscillating gravity; flips stability of the inverted point",
         potential=pot,
@@ -364,10 +364,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         out_dt=0.01,
         n_tau=16,
         closed_forms=_separable_closed(a_mean, avg_v2, u_grad, u_hess, 1),
-        extras={"a_mean": a_mean, "alpha": alpha, "avg_v2": avg_v2,
-                "inversion_threshold": "a_mean < eps^2 alpha^2 / (8 pi^2)"},
     )
-    return sc
 
 
 # ---- rotating angular wave ----
@@ -384,9 +381,8 @@ class RotatingWavePotential(HarmonicPotential):
     sin 2 pi tau).
     """
 
-    def __init__(self, offset: float = 0.3, r_min: float = 0.5):
-        self.offset = float(offset)
-        self.r_min = float(r_min)
+    offset = 0.3
+    r_min = 0.5
 
     def _pieces(self, x):
         xx, yy = float(x[0]), float(x[1])
@@ -416,8 +412,8 @@ class RotatingWavePotential(HarmonicPotential):
         return [-(c / r - dot * x0), -(s / r - dot * x1)]
 
 
-def rotating_wave(offset: float = 0.3, r_min: float = 0.5) -> Scenario:
-    pot = RotatingWavePotential(offset=offset, r_min=r_min)
+def rotating_wave() -> Scenario:
+    pot = RotatingWavePotential()
     c1 = 0.5  # avg over one turn of (cos)^2
 
     def w_value(x):
@@ -454,7 +450,7 @@ def rotating_wave(offset: float = 0.3, r_min: float = 0.5) -> Scenario:
         n_tau=16,
         closed_forms={"mean_grad": lambda x: np.zeros(2), "w_value": w_value,
                       "w_grad": w_grad, "b": b_closed, "b_matrix": b_matrix_closed},
-        extras={"r_min": r_min, "field_decay_slope": -3.0},
+        extras={"field_decay_slope": -3.0},
     )
 
 
@@ -464,10 +460,10 @@ class SatelliteStatic(StaticPotential):
     """Slow part 2 sigma / r: both endpoint masses feel the ambient field."""
 
     dim = 2
+    r_min = 0.1
 
-    def __init__(self, sigma=-1.0, r_min=0.1):
+    def __init__(self, sigma=-1.0):
         self.sigma = float(sigma)
-        self.r_min = float(r_min)
 
     def value(self, x):
         return 2.0 * self.sigma / math.hypot(x[0], x[1])
@@ -503,10 +499,10 @@ class SatelliteOscillating(HarmonicPotential):
     """
 
     harmonic = 2
+    r_min = SatelliteStatic.r_min
 
-    def __init__(self, sigma=-1.0, r_min=0.1):
+    def __init__(self, sigma=-1.0):
         self.sigma = float(sigma)
-        self.r_min = float(r_min)
 
     in_region = SatelliteStatic.in_region
 
@@ -559,13 +555,13 @@ class SatelliteOscillating(HarmonicPotential):
         return [-gx, -gy]
 
 
-def spinning_satellite(sigma: float = -1.0, r_min: float = 0.1) -> Scenario:
+def spinning_satellite(sigma: float = -1.0) -> Scenario:
     """Fast-spinning dumbbell around a point mass, reduced to a split potential.
 
     sigma = -1 is the attractive case with bound orbits; sigma = +1 is
     repulsive and only useful for field checks.
     """
-    pot = Order1Potential(SatelliteStatic(sigma, r_min), SatelliteOscillating(sigma, r_min))
+    pot = Order1Potential(SatelliteStatic(sigma), SatelliteOscillating(sigma))
     s2 = sigma * sigma
 
     def mean_grad(x):
@@ -607,7 +603,7 @@ def spinning_satellite(sigma: float = -1.0, r_min: float = 0.1) -> Scenario:
         n_tau=16,
         closed_forms={"mean_grad": mean_grad, "w_value": w_value, "w_grad": w_grad,
                       "b": b_closed, "b_matrix": b_matrix_closed},
-        extras={"sigma": sigma, "r_min": r_min, "slope_floor": 4.5,
+        extras={"sigma": sigma, "slope_floor": 4.5,
                 # defaults for the dumbbell-vs-model precession comparison;
                 # periods are rough vis-viva estimates used only to size t_end
                 "precession": {"eps": 0.02, "z0": [1.0, 0.0],

@@ -377,21 +377,32 @@ def test_b_matrix_drops_the_nyquist_bin(override):
                       np.max(np.abs(want)), rtol=1e-14)
 
 
-@pytest.mark.parametrize("field", ["vv_mean", "w_grad", "b_vector", "b_matrix"])
+_NYQUIST_READS = {
+    **{name: lambda sp, tau, name=name: getattr(sp, name)()
+       for name in ("vv_mean", "w_grad", "b_vector", "b_matrix")},
+    **{f"antiderivative_at_{level}": lambda sp, tau, level=level: sp.antiderivative_at(level, [tau])
+       for level in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("field", list(_NYQUIST_READS))
 def test_product_averages_ignore_a_complex_nyquist_bin(field):
     """Each product average pairs an odd-level antiderivative, whose Nyquist
     coefficient is imaginary for real samples and so vanishes on the grid:
     one rule, leave the bin out, holds for all four, and a spectrum with
-    complex Nyquist bins gives the fields of the wrapped potential."""
+    complex Nyquist bins gives the fields of the wrapped potential.  So do
+    the antiderivatives at a random phase, which read only Re(c_N)."""
     n_tau, dim = 8, 3
     rng = np.random.default_rng(41)
     pot = _random_trig_potential(rng, dim, kmax=n_tau // 2)
     wrapped = _ComplexNyquist(pot, rng)
+    read = _NYQUIST_READS[field]
     for _ in range(3):
-        x = rng.uniform(-1.0, 1.0, dim)
-        want = getattr(FieldSpectra(pot, [x], n_tau), field)()[0]
-        got = getattr(FieldSpectra(wrapped, [x], n_tau), field)()[0]
-        _assert_close(f"{field} at x={x}", got, want, np.max(np.abs(want)), rtol=1e-14)
+        x, tau = rng.uniform(-1.0, 1.0, dim), rng.uniform()
+        want = read(FieldSpectra(pot, [x], n_tau), tau)[0]
+        got = read(FieldSpectra(wrapped, [x], n_tau), tau)[0]
+        _assert_close(f"{field} at x={x}, tau={tau:.3f}", got, want, np.max(np.abs(want)),
+                      rtol=1e-14)
 
 
 # ---- the batched guiding-center map against per-point series ----

@@ -1,6 +1,8 @@
-"""The bench tracer patches package names from outside the package; if one
-of them is renamed or removed, only the traced bench passes would notice.
-Entering and leaving its installed() block here checks every target."""
+"""The bench drives the package from outside it: the tracer patches package
+names and the workloads send command lines.  If a name or a flag is renamed
+or removed, only the bench passes would notice, so entering and leaving the
+tracer's installed() block here checks every target, and every command line
+a workload sends is parsed by the CLI's own parser."""
 import importlib.util
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import oscavg.scenarios
 from oscavg.averaging import AveragedSystem
 from oscavg.scenarios import Scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # every owner whose attributes the tracer patches
 OWNERS = (oscavg.cli, oscavg.analysis, oscavg.dynamics, oscavg.scenarios, Scenario, AveragedSystem)
@@ -21,10 +23,15 @@ def _attributes():
     return [dict(vars(owner)) for owner in OWNERS]
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_patches_existing_names_and_restores_them():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     before = _attributes()
     with tracer.installed(tracer.Tracer()):
         patched = {(owner.__name__, attr) for owner, now, was in zip(OWNERS, _attributes(), before)
@@ -34,3 +41,17 @@ def test_tracer_patches_existing_names_and_restores_them():
     for owner, now, was in zip(OWNERS, _attributes(), before):
         assert now.keys() == was.keys(), owner.__name__
         assert all(now[attr] is was[attr] for attr in was), owner.__name__
+
+
+def test_every_command_line_a_workload_sends_parses(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports custom_potential
+    workloads = _load("workloads")
+    sent = []
+    monkeypatch.setattr(oscavg.cli, "main", lambda argv: sent.append(argv) or 0)
+    for workload in workloads.WORKLOADS.values():
+        if isinstance(workload, (workloads.CliLadder, workloads.Precession)):
+            workload.execute(0, str(tmp_path))
+    assert len(sent) == 3, sent
+    parser = oscavg.cli._build_parser()
+    for argv in sent:
+        assert parser.parse_args(argv).command == "run"

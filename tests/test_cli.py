@@ -58,12 +58,6 @@ def test_custom_scenario_is_a_usage_error(capsys):
     assert "in code" in capsys.readouterr().err
 
 
-def test_eps_and_ladder_are_mutually_exclusive(capsys):
-    code = cli.main(["run", "quartic_drive", "--eps", "1/64",
-                     "--eps-ladder", "1/32,1/64"])
-    assert code == 2
-
-
 def test_nonpositive_eps_is_a_usage_error(capsys):
     assert cli.main(["run", "quartic_drive", "--eps", "0"]) == 2
     assert "--eps" in capsys.readouterr().err
@@ -135,10 +129,10 @@ def test_config_sign_must_be_plus_or_minus_one(sign, tmp_path, capsys):
     (["quartic_drive", "--n-tau", "3"], None, "--n-tau: must be at least 4, got 3"),
     (["spinning_satellite", "--n-tau", "4", "--t-end", "0.0625"], None,
      "--n-tau: n_tau=4 aliases harmonic 2 of SatelliteOscillating"),
-    (["quartic_drive", "--eps-ladder", "1/64,1/64"], None,
-     "--eps-ladder: eps values must be distinct, got 0.015625,0.015625"),
-    (["quartic_drive", "--eps-ladder", "1/64,0.015625"], None,
-     "--eps-ladder: eps values must be distinct, got 0.015625,0.015625"),
+    (["quartic_drive", "--eps", "1/64,1/64"], None,
+     "--eps: eps values must be distinct, got 0.015625,0.015625"),
+    (["quartic_drive", "--eps", "1/64,0.015625"], None,
+     "--eps: eps values must be distinct, got 0.015625,0.015625"),
     (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64, 1/64\n",
      "config key 'eps': eps values must be distinct, got 0.015625,0.015625"),
     (["--config", "{cfg}"], "scenario = quartic_drive\neps = 1/64\neps = 1/128\n",
@@ -166,8 +160,8 @@ def test_run_usage_errors_come_before_any_work_or_output(argv, config, message, 
     (["quartic_drive", "--eps", "nan"], None, "--eps: eps values must be finite, got nan"),
     (["quartic_drive", "--eps", "inf"], None, "--eps: eps values must be finite, got inf"),
     (["quartic_drive", "--eps", "1/0"], None, "--eps: division by zero in '1/0'"),
-    (["quartic_drive", "--eps-ladder", "1/64,nan"], None,
-     "--eps-ladder: eps values must be finite, got 0.015625,nan"),
+    (["quartic_drive", "--eps", "1/64,nan"], None,
+     "--eps: eps values must be finite, got 0.015625,nan"),
     (["quartic_drive", "--t-end", "nan"], None, "--t-end: must be finite, got nan"),
     (["quartic_drive", "--t-end", "inf"], None, "--t-end: must be finite, got inf"),
     (["quartic_drive", "--h-avg", "nan"], None, "--h-avg: must be finite, got nan"),
@@ -281,7 +275,7 @@ def test_ladder_workers_rebuild_the_scenario_from_its_sign(tmp_path, capsys, mon
         return real_job(payload)
 
     monkeypatch.setattr(cli, "_ladder_job", job)
-    assert cli.main(["run", "satellite", "--sign", "+1", "--eps-ladder", "1/64,1/128",
+    assert cli.main(["run", "satellite", "--sign", "+1", "--eps", "1/64,1/128",
                      "--t-end", "0.0625", "--out-dir", str(tmp_path / "o")]) == 0
     assert [p["scenario_kwargs"] for p in payloads] == [{"sigma": 1.0}] * 2
     sc, kwargs = cli._get_scenario("satellite", "+1")
@@ -374,7 +368,7 @@ def test_run_reports_no_gap_when_a_run_leaves_its_region(tmp_path, capsys, monke
 
 def test_ladder_run_fits_a_slope(tmp_path, capsys):
     out = tmp_path / "ladder"
-    code = cli.main(["run", "rotating_saddle", "--eps-ladder", "1/32,1/64",
+    code = cli.main(["run", "rotating_saddle", "--eps", "1/32,1/64",
                      "--t-end", "0.5", "--out-dir", str(out)])
     assert code == 0
     conv = json.loads((out / "rotating_saddle_convergence.json").read_text())
@@ -398,7 +392,7 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
     averaged flows in lockstep; the files match a run in one process."""
     for name, ladder, t_end in (("quartic_drive", "1/32,1/64", "0.3"),
                                 ("spinning_satellite", "1/64,1/128,1/256", "0.0625")):
-        base = ["run", name, "--eps-ladder", ladder, "--t-end", t_end]
+        base = ["run", name, "--eps", ladder, "--t-end", t_end]
         ser = tmp_path / f"{name}_serial"
         par = tmp_path / f"{name}_parallel"
         assert cli.main(base + ["--out-dir", str(ser), "--jobs", "1"]) == 0

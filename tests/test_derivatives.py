@@ -1,11 +1,12 @@
 """Unit tests for the finite-difference helpers."""
 import math
+import pickle
 
 import numpy as np
 
 import pytest
 
-from oscavg import CallablePotential, fd_gradient, fd_hessian
+from oscavg import CallablePotential, CallableStatic, fd_gradient, fd_hessian
 from oscavg.analysis import guiding_convergence
 from oscavg.fields import GRAD_STEP, _fd_step
 from oscavg.scenarios import custom_scenario
@@ -91,6 +92,45 @@ def _value(x, tau):
 def _value_of_x0(x, tau):
     """Ignores x[1]: a NaN there reaches the gradient only through the step."""
     return np.cos(2.0 * math.pi * np.asarray(tau, dtype=float)) * x[0] ** 2
+
+
+def _drive_value(x, tau):
+    return math.cos(2.0 * math.pi * tau) * f_scalar(x)
+
+
+def _drive_grad(x, tau):
+    return math.cos(2.0 * math.pi * tau) * grad_true(x)
+
+
+def _drive_hess(x, tau):
+    return math.cos(2.0 * math.pi * tau) * hess_true(x)
+
+
+def _inside(x):
+    return np.max(np.abs(x)) < 1.0
+
+
+@pytest.mark.parametrize("cls, value, grad, hess, tau", [
+    (CallablePotential, _drive_value, _drive_grad, _drive_hess, (0.3,)),
+    (CallableStatic, f_scalar, grad_true, hess_true, ()),
+])
+def test_callable_wrappers_bind_the_callables_they_are_given(cls, value, grad, hess, tau):
+    """value, and grad and hess when given, are the instance's own methods;
+    an omitted grad or hess is the finite-difference default, in_region
+    answers a bool, and an instance of module-level functions pickles."""
+    bare = cls(value, 2)
+    assert bare.value is value
+    assert np.array_equal(bare.grad(X0, *tau), fd_gradient(lambda y: value(y, *tau), X0))
+    assert np.array_equal(bare.hess(X0, *tau), fd_hessian(lambda y: value(y, *tau), X0))
+    assert bare.in_region(X0) is True
+
+    given = cls(value, 2, grad=grad, hess=hess, in_region=_inside)
+    assert given.value is value and given.grad is grad and given.hess is hess
+    assert given.in_region(X0) is True and given.in_region(2.0 * X0) is False
+
+    clone = pickle.loads(pickle.dumps(given))
+    assert clone.dim == 2 and clone.value is value and clone.grad is grad and clone.hess is hess
+    assert clone.in_region(2.0 * X0) is False
 
 
 def _stacked_fd_grad(pot, x, tau):
