@@ -280,18 +280,48 @@ _ASSEMBLED_FIELDS = {
     "w_grad": lambda system, x: system.stack(x).w_grad()[0],
     "b": lambda system, x: system.b_vector(x),
     "b_matrix": lambda system, x: system.b_matrix(x),
+    "force": lambda system, x: system.force(x, _oracle_velocity(x)),
 }
 
 
+def _oracle_velocity(x):
+    """The velocity at which the force check evaluates the force law."""
+    return np.full(x.shape, 0.7)
+
+
+def _closed_force(scenario, system):
+    """The averaged force law at x and _oracle_velocity(x), assembled from
+    the closed forms mean_grad, w_grad and b_matrix, the static part's grad
+    and the system's eps powers; None unless the scenario has all three."""
+    forms = scenario.closed_forms
+    if not {"mean_grad", "w_grad", "b_matrix"} <= forms.keys():
+        return None
+    eps, static = system.epsilon, system.potential.static
+
+    def force(x):
+        f = (eps ** system.b_power * (forms["b_matrix"](x) @ _oracle_velocity(x))
+             - eps ** system.w_power * forms["w_grad"](x) - eps ** system.shift * forms["mean_grad"](x))
+        return f if static is None else f - static.grad(x)
+
+    return force
+
+
 def closed_form_checks(scenario, eps_user, points, rtol=1e-6, atol=1e-12):
-    """Compare assembled averaged fields against a scenario's closed forms.
+    """Compare assembled averaged fields against a scenario's closed forms,
+    and AveragedSystem.force at a nonzero velocity against the force law
+    built from them (the "force" check, when the scenario has mean_grad,
+    w_grad and b_matrix).
 
     Returns a list of (check_name, passed, detail) triples, one per closed
     form per point batch (worst point reported).
     """
     system = scenario.build_system(eps_user)
+    forms = list(scenario.closed_forms.items())
+    law = _closed_force(scenario, system)
+    if law is not None:
+        forms.append(("force", law))
     results = []
-    for name, closed in scenario.closed_forms.items():
+    for name, closed in forms:
         try:
             assembled = _ASSEMBLED_FIELDS[name]
         except KeyError:

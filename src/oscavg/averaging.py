@@ -40,15 +40,32 @@ i and j and cancels, which leaves a product average of the Hessian channel:
 
     B = avg(V'' S'' - S'' V'') = M^T - M,  M = sum_k 2 Im(H_k conj H_k) / (2 pi k)^3
 
-So a force call costs one potential.spectrum call at its own point, where the
-central difference of b took 2 dim + 1 points: at n_tau 16 a one-row call
-takes 60-70 us (0.83-0.92x) on the satellite, the wave and the quartic, and a
-four-rung ladder_force call, which builds a whole eps ladder's spectra once
-per RK stage, 70-85 us (0.42-0.46x; in-process alternating medians, shared
-2-core VM, Python 3.11, numpy 2.4).  The guiding-center map needs a true
+The force reads the means, grad W and B at its own point.  For a factored
+potential U1 = sum_j f_j(tau) P_j(x), with factor bins b_jk and g_j, h_j the
+gradient and Hessian of P_j, the channels are G_k = sum_j b_jk g_j and
+H_k = sum_j b_jk h_j, so every product average is a J x J weighted sum of
+piece products whose weights depend on the bins and n_tau alone:
+
+    grad W_i   = sum_jl Q2_jl sum_m h_j[i, m] g_l[m],  Q2 = Re sum_k w2_k b_jk conj(b_lk)
+    M_in       = sum_jl Q3_jl sum_m h_j[i, m] h_l[m, n],  Q3 = Im sum_k w3_k b_jk conj(b_lk)
+    grad U1bar = sum_j Re(b_j0) g_j
+
+with w2_k = 2 / (2 pi k)^2 and w3_k = 2 / (2 pi k)^3 over the interior bins.
+ladder_force therefore takes a factored potential's force from straight-line
+float code over its pieces, generated once per n_tau with the zero entries
+of Q2 and Q3 left out (_force_kernel: the satellite keeps two of each, a
+separable drive one Q2 entry and no Q3 entry), and a force call is one
+_pieces call and one kernel call per row, with no spectrum.  At n_tau 16 on
+the five bundled scenarios a one-row call takes 6-12 us and a four-row call
+16-36 us, against 60-86 us and 70-124 us on the FieldSpectra path (medians
+of 15 x 2000 calls, 3 alternating runs, shared 2-core VM, Python 3.11,
+numpy 2.4).  Any other potential takes that path: one potential.spectrum
+call at the rows' own points per force call, where the central difference
+of b took 2 dim + 1 points.  The guiding-center map needs a true
 third derivative: it takes a central stencil around every state in one call
 and reads V, S, A at each state's phase from the coefficients.  A single
-point's fields are row 0 of a one-point FieldSpectra (stack(x)).
+point's fields are row 0 of a one-point FieldSpectra (stack(x)); the tests
+hold the kernel to that path.
 
 Every potential is U = U0(x) + eps^s U1(x, tau), its static, oscillating and
 shift s (s = 0 and no U0 is the standard split, s = 1 the slow-plus-eps split
@@ -61,11 +78,12 @@ V, S are the first and second zero-mean tau antiderivatives of U1.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import TimePeriodicPotential, antiderivative_factors, phase_weights
+from .fields import TimePeriodicPotential, antiderivative_factors, checked_grid, phase_weights
 
 
 @lru_cache(maxsize=16)
@@ -216,7 +234,8 @@ class AveragedSystem:
 
     def force(self, x, v):
         """The averaged force at x for the velocity v: the one-row case of
-        ladder_force."""
+        ladder_force, from the potential's force kernel if it is factored
+        and from one spectra build at x otherwise."""
         x = np.asarray(x, dtype=float).tolist()
         return np.array(ladder_force([self], x, np.asarray(v, dtype=float).tolist()))
 
@@ -259,17 +278,158 @@ def ladder_force(systems, x, v):
     list of floats: row i of the float lists x and v (dim floats a row) is
     the state of systems[i].
 
-    The fields depend on x alone, so one spectra build at the rows' own
-    points serves every row, and each row's force takes its own system's eps
-    weights.  The systems must share their potential and n_tau.
+    The fields depend on x alone, and each row's force takes its own
+    system's eps weights.  The systems must share their potential and n_tau.
+    A factored potential's rows go through its force kernel (_force_kernel):
+    the pieces at each row's point (a float array) and one kernel call per
+    row, no spectra.  A call in which some row's pieces are not the kernel's
+    count of finite floats, and every call for any other potential, builds
+    one FieldSpectra at the rows' points instead, whose checks and messages
+    then apply.
     """
-    d = systems[0].dim
+    first = systems[0]
+    d = first.dim
     points = [np.array(x[i:i + d]) for i in range(0, len(x), d)]
-    sp = systems[0].spectra(points)
+    static = first._static
+    kernel = _force_kernel(first._osc, first.n_tau, static is not None)
+    if kernel is not None:
+        rows = list(map(first._osc._pieces, points))
+        if all(_finite_floats(row, kernel.size) for row in rows):
+            out = []
+            for i, (system, row) in enumerate(zip(systems, rows)):
+                lo, hi = i * d, i * d + d
+                sg = () if static is None else static.float_grad(x[lo:hi])
+                out += kernel(row, v[lo:hi], sg, *system.weights)
+            return out
+    sp = first.spectra(points)
     b_weight, w_weight, mean_weight = np.array([s.weights for s in systems]).T[:, :, None]
     g = w_weight * sp.w_grad() + mean_weight * sp.g_mean
-    static = systems[0].potential.static
     if static is not None:
         g = g + np.array([static.grad(point) for point in points], dtype=float)
     bv = np.einsum("pij,pj->pi", sp.b_matrix(), np.reshape(v, (-1, d)))
     return (b_weight * bv - g).ravel().tolist()
+
+
+def _finite_floats(row, size):
+    """True if row holds `size` finite floats: an array or a complex among
+    them makes their sum no float, and a NaN or an infinity makes it one."""
+    try:
+        return len(row) == size and isinstance(total := sum(row), float) and math.isfinite(total)
+    except TypeError:
+        return False
+
+
+# One row's force from a factored potential U1 = sum_j f_j(tau) P_j(x):
+# F = bw B v - (ww grad W + mw grad U1bar + sg), from the pieces p at the
+# row's point (J rows of value, gradient and Hessian, row major, end to end),
+# its velocity v, the static part's gradient sg and the row's eps weights.
+# _kernel_source writes the fields out in float math over the p's.
+_FORCE_KERNEL = """\
+def force(p, v, sg, bw, ww, mw):
+    {pieces}, = p
+    {velocity}, = v
+    {static}
+    {couplings}
+    return [{forces}]
+"""
+
+
+class _Kernels(dict):
+    """A potential's force kernels by (n_tau, static).  They are built by
+    exec and do not pickle, so the cache pickles empty and refills on use."""
+
+    def __reduce__(self):
+        return _Kernels, ()
+
+
+def _gram_terms(bins, n_tau):
+    """The nonzero entries of Q2 = Re sum_k w2_k b_jk conj(b_lk) and Q3 =
+    Im sum_k w3_k b_jk conj(b_lk) over the interior bins, each grouped as
+    {weight: [(j, l), ...]}.  Taken from the bins' real and imaginary parts,
+    so that Q2 is exactly symmetric and Q3 exactly antisymmetric with a zero
+    diagonal: a single factor's Q3 is no term at all."""
+    w2, w3 = _parseval_weights(n_tau)
+    b = bins[:, 1:len(w2) + 1]
+    re, im = b.real[:, None], b.imag[:, None]
+    grams = ((re * b.real + im * b.imag) @ w2, (im * b.real - re * b.imag) @ w3)
+    terms = ({}, {})
+    for q, grouped in zip(grams, terms):
+        for j, l in zip(*np.nonzero(q)):
+            grouped.setdefault(float(q[j, l]), []).append((j, l))
+    return terms
+
+
+def _force_kernel(potential, n_tau, static):
+    """force(p, v, sg, bw, ww, mw) from _FORCE_KERNEL for a factored
+    potential (one that gives _bins and _pieces) on an n_tau grid, with the
+    static gradient sg added when `static`; None for any other potential, or
+    for factors that are not floats.  Built at first use and kept on the
+    potential per (n_tau, static), as _bins keeps its bins; .size is the
+    length of p."""
+    try:
+        return potential._force_kernels[n_tau, static]
+    except (AttributeError, KeyError):
+        if not hasattr(potential, "_pieces"):
+            return None
+    kernels = potential.__dict__.setdefault("_force_kernels", _Kernels())
+    bins = potential._bins(checked_grid([], potential.dim, n_tau))
+    kernel = None
+    if bins is not None:
+        namespace = {}
+        exec(compile(_kernel_source(bins, n_tau, potential.dim, static),
+                     f"<force kernel of {type(potential).__name__} at n_tau {n_tau}>", "exec"),
+             namespace)
+        kernel = namespace["force"]
+        kernel.size = bins.shape[0] * (1 + potential.dim * (1 + potential.dim))
+    kernels[n_tau, static] = kernel
+    return kernel
+
+
+def _kernel_source(bins, n_tau, d, static):
+    """_FORCE_KERNEL written out for the factor bins b_jk, shape (J, n_tau // 2 + 1).
+
+    With g_j and h_j the gradient and Hessian of P_j, the mean gradient is
+    sum_j Re(b_j0) g_j, grad W_i = sum_jl Q2_jl sum_m h_j[i, m] g_l[m] and
+    M_in = sum_jl Q3_jl sum_m h_j[i, m] h_l[m, n] (module docstring).  Zero
+    entries are left out, and the pairs that share a weight share its
+    product.  Only B's upper triangle is written: the entries below are
+    their exact negatives and the diagonal is zero.
+    """
+    row = 1 + d + d * d
+
+    def g(j, m):
+        return f"p{j * row + 1 + m}"
+
+    def h(j, i, m):
+        return f"p{j * row + 1 + d + i * d + m}"
+
+    def weighted(terms, product):
+        """The sum over the weights q of q times the sum over m, m by m, of
+        the products of q's pairs."""
+        return " + ".join(
+            f"{q!r} * (" + " + ".join("(" + " + ".join(product(j, l, m) for j, l in pairs) + ")"
+                                      for m in range(d)) + ")"
+            for q, pairs in terms.items()) or "0.0"
+
+    def w_grad(i):
+        return weighted(q2, lambda j, l, m: f"{h(j, i, m)} * {g(l, m)}")
+
+    def m_entry(i, n):
+        return weighted(q3, lambda j, l, m: f"{h(j, i, m)} * {h(l, m, n)}")
+
+    q2, q3 = _gram_terms(bins, n_tau)
+    upper = [(i, n) for i in range(d) for n in range(i + 1, d)] if q3 else []
+    means = [(j, c) for j, c in enumerate(bins[:, 0].real.tolist()) if c]
+    forces = []
+    for i in range(d):
+        bv = " + ".join([f"-b{n}_{i} * v{n}" for n, k in upper if k == i]
+                        + [f"b{i}_{n} * v{n}" for k, n in upper if k == i]) or "0.0"
+        mean = " + ".join(f"{c!r} * {g(j, i)}" for j, c in means) or "0.0"
+        forces.append(f"bw * ({bv}) - (ww * ({w_grad(i)}) + mw * ({mean})"
+                      + (f" + s{i})" if static else ")"))
+    return _FORCE_KERNEL.format(
+        pieces=", ".join(f"p{c}" for c in range(len(bins) * row)),
+        velocity=", ".join(f"v{i}" for i in range(d)),
+        static=", ".join(f"s{i}" for i in range(d)) + ", = sg" if static else "",
+        couplings="\n    ".join(f"b{i}_{n} = ({m_entry(n, i)}) - ({m_entry(i, n)})" for i, n in upper),
+        forces=", ".join(forces))

@@ -3,8 +3,9 @@
 SUITES maps a suite name to its (name, fn) checks in run order.
 fn(rng, quick) returns (passed, detail); rng is a seeded numpy Generator, and
 quick asks for fewer points and shorter ladders.  invariants hold for any
-potential, oracles compare the assembled fields with the scenarios' closed
-forms, and convergence fits the order at which the guiding-centre gap falls.
+potential, oracles compare the assembled fields and the force with the
+scenarios' closed forms, and convergence fits the order at which the
+guiding-centre gap falls.
 """
 from __future__ import annotations
 
@@ -208,7 +209,7 @@ def _check_scenario_oracles(rng, quick):
                 failures.append(f"{check_name}: {detail}")
     if failures:
         return False, "; ".join(failures)
-    return True, "all bundled closed forms match the assembled fields (rtol 1e-6)"
+    return True, "all bundled closed forms and force laws match the assembled ones (rtol 1e-6)"
 
 
 def _check_satellite_trio(rng, quick):

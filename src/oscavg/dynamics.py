@@ -10,8 +10,10 @@ sample without interpolation.
 Rows that share the time grid step in lockstep, one acceleration call per RK
 stage for all of them.  The averaged flows of an eps ladder do
 (integrate_averaged_ladder): they share t_end, h and out_dt, and their fields
-depend on x alone, so each stage makes one spectra build for every rung.  A
-row that leaves its trusted region stops at that sample; the others step on.
+depend on x alone, so each stage makes one ladder_force call for every rung:
+a factored potential's force kernel once per rung, or for any other
+potential one spectra build over every rung's point.  A row that leaves its
+trusted region stops at that sample; the others step on.
 The full flows keep one row each, since their step follows eps.
 
 Inside the loop x, v and the accelerations are lists of floats, the rows end
@@ -234,8 +236,9 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
     per system, system i from (x0s[i], v0s[i]).
 
     The systems share their potential and n_tau (one scenario at several
-    eps), so each RK stage makes one spectra build over the points of every
-    live rung (averaging.ladder_force).  A rung that leaves the trusted
+    eps), so each RK stage makes one averaging.ladder_force call over every
+    live rung: a factored potential's force kernel per rung, or one spectra
+    build over all their points.  A rung that leaves the trusted
     region stops at that sample while the others step on, so each rung's
     run is bit-identical to its own integrate_averaged.  A duck-typed system
     that brings only force(x, v) and in_region(x), such as a point-mass

@@ -253,8 +253,10 @@ class TimePeriodicPotential:
     rfft coefficients of value, gradient and Hessian over the n_tau-point
     tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
     channels laid out as in _checked_samples, one call per averaged force,
-    at its point.  The default calls value, grad and hess once per point on
-    the shared, read-only grid, checks the samples and takes one rfft.  A
+    at its point, unless the potential is factored (below), whose averaged
+    force reads its factors' bins and its pieces directly.  The default
+    calls value, grad and hess once per point on the shared, read-only
+    grid, checks the samples and takes one rfft.  A
     sum of tau factors times spatial pieces (scenarios.FactoredPotential, in
     any dim: the saddle, the wave, the satellite and the separable drives)
     skips both: its spectrum is the factors' bins times the pieces, after

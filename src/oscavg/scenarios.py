@@ -72,7 +72,9 @@ class FactoredPotential(TimePeriodicPotential):
     not that many floats take the default per-point path, for its checks
     and messages.  Non-finite pieces are refused by naming the point, or,
     if they are a user's callables (_checked_per_point; their _block keeps
-    the callables' shapes), sent down that path too.  phase_force stays
+    the callables' shapes), sent down that path too.  The averaged force
+    needs no spectrum: it is generated code over _bins and _pieces
+    (averaging._force_kernel), with the same checks.  phase_force stays
     written out per subclass: from the pieces it costs 2-3 times as much.
     """
 
@@ -105,7 +107,8 @@ class FactoredPotential(TimePeriodicPotential):
             if (f.ndim != 2 or f.shape[0] != len(taus) or f.dtype != np.float64
                     or not np.isfinite(f).all()):
                 return None
-            bins = cache[len(taus)] = np.fft.rfft(f.T, norm="forward")
+            # contiguous bins: spectrum views each bin as two floats
+            bins = cache[len(taus)] = np.fft.rfft(np.ascontiguousarray(f.T), norm="forward")
             bins.flags.writeable = False
         return bins
 

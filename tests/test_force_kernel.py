@@ -1,0 +1,287 @@
+"""The force kernel of a factored potential against the FieldSpectra path.
+
+A factored potential U1 = sum_j f_j(tau) P_j(x) takes its averaged force
+from a kernel generated over its pieces (averaging._force_kernel); every
+other potential, and a call whose pieces are not finite floats, builds a
+FieldSpectra.  The reference here is that path on the same spectrum: the
+potential wrapped so that it no longer looks factored.
+"""
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from oscavg import CallablePotential, CallableStatic, Order1Potential, assemble, closed_form_checks
+from oscavg.averaging import AveragedSystem, _force_kernel, ladder_force
+from oscavg.dynamics import integrate_averaged_ladder
+from oscavg.fields import TimePeriodicPotential
+from oscavg.scenarios import (CATALOG, FactoredPotential, SeparableDrivePotential,
+                              get_scenario)
+
+TWO_PI = 2.0 * math.pi
+BUNDLED = [name for name in CATALOG if name != "custom"]
+
+
+class _RandomFactored(FactoredPotential):
+    """Seeded U1 = sum_j f_j(tau) P_j(x): factors drawn from 1, cos 2 pi k tau
+    and sin 2 pi k tau for k <= 2, each times a quadratic piece
+    c + a.x + x.Q x / 2, and with `cubic` one piece also carries
+    sum T_ikl x_i x_k x_l / 6 (T symmetric)."""
+
+    def __init__(self, rng, dim, cubic):
+        self.dim = dim
+        self.kinds = rng.choice(5, size=int(rng.integers(1, 6)), replace=False)
+        n = len(self.kinds)
+        self.c = rng.standard_normal(n)
+        self.a = rng.standard_normal((n, dim))
+        q = rng.standard_normal((n, dim, dim))
+        self.q = q + q.transpose(0, 2, 1)
+        t = rng.standard_normal((dim, dim, dim)) if cubic else np.zeros((dim, dim, dim))
+        self.t = sum(t.transpose(p) for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                              (1, 2, 0), (2, 0, 1), (2, 1, 0))) / 6.0
+        self.cubic_piece = int(rng.integers(n))
+
+    def _factors(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        k = (self.kinds + 1) // 2  # kind 0 is the constant, 1-2 harmonic 1, 3-4 harmonic 2
+        ang = TWO_PI * np.multiply.outer(tau, k)
+        return np.where(self.kinds == 0, 1.0, np.where(self.kinds % 2 == 1, np.cos(ang), np.sin(ang)))
+
+    def _pieces(self, x):
+        assert type(x) is np.ndarray and x.dtype == float
+        tx = self.t @ x
+        out = []
+        for j in range(len(self.kinds)):
+            qx = self.q[j] @ x
+            value = self.c[j] + self.a[j] @ x + 0.5 * x @ qx
+            grad, hess = self.a[j] + qx, self.q[j]
+            if j == self.cubic_piece:
+                value, grad, hess = value + x @ tx @ x / 6.0, grad + 0.5 * tx @ x, hess + tx
+            out += [float(value), *grad.tolist(), *hess.ravel().tolist()]
+        return out
+
+
+def _random_potential(seed, dim, cubic, static):
+    rng = np.random.default_rng(seed)
+    osc = _RandomFactored(rng, dim, cubic)
+    if not static:
+        return osc
+    a, q = rng.standard_normal(dim), rng.standard_normal((dim, dim))
+    q = q @ q.T
+    return Order1Potential(CallableStatic(lambda x: a @ x + 0.5 * x @ q @ x, dim,
+                                          grad=lambda x: a + q @ x, hess=lambda x: q), osc)
+
+
+GENERATED = [(seed, dim, cubic, static) for seed, (dim, cubic, static) in enumerate(
+    [(1, False, False), (1, True, True), (2, False, True), (2, True, False),
+     (3, True, False), (3, False, True), (2, True, True), (3, True, True)])]
+
+
+class _Unfactored(TimePeriodicPotential):
+    """The same spectrum behind a plain TimePeriodicPotential, which takes
+    the FieldSpectra path."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+
+    def spectrum(self, points, n_tau):
+        return self.inner.spectrum(points, n_tau)
+
+
+def _unfactored(potential):
+    if potential.static is None:
+        return _Unfactored(potential)
+    return Order1Potential(potential.static, _Unfactored(potential.oscillating))
+
+
+def _assert_kernel_matches_spectra(potential, eps_values, n_tau, xs, vs):
+    """ladder_force through the kernel against the FieldSpectra path, each
+    row within 1e-14 of that row's largest force entry."""
+    d = potential.dim
+    systems = [assemble(potential, eps, n_tau) for eps in eps_values]
+    reference = [assemble(_unfactored(potential), eps, n_tau) for eps in eps_values]
+    x, v = np.ravel(xs).tolist(), np.ravel(vs).tolist()
+    got = np.reshape(ladder_force(systems, x, v), (-1, d))
+    want = np.reshape(ladder_force(reference, x, v), (-1, d))
+    assert _force_kernel(potential.oscillating, n_tau, potential.static is not None) is not None
+    for row_got, row_want in zip(got, want):
+        scale = float(np.max(np.abs(row_want)))
+        err = float(np.max(np.abs(row_got - row_want)))
+        assert err <= 1e-14 * scale, f"off by {err / scale:.1e} of the largest entry"
+
+
+def _states(rng, x0, rows):
+    d = len(x0)
+    return (np.asarray(x0) * rng.uniform(0.8, 1.2, (rows, d)) + rng.uniform(-0.1, 0.1, (rows, d)),
+            rng.uniform(-1.0, 1.0, (rows, d)))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_kernel_matches_the_spectra_path_on_bundled_scenarios(name, rows):
+    sc = get_scenario(name)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        xs, vs = _states(rng, sc.x0, rows)
+        eps_values = [sc.internal_eps(e) for e in sc.default_eps[:rows]]
+        _assert_kernel_matches_spectra(sc.potential, eps_values, sc.n_tau, xs, vs)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("n_tau", [15, 16])
+@pytest.mark.parametrize("seed, dim, cubic, static", GENERATED)
+def test_kernel_matches_the_spectra_path_on_random_factored_potentials(seed, dim, cubic,
+                                                                       static, n_tau, rows):
+    potential = _random_potential(seed, dim, cubic, static)
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(3):
+        xs, vs = _states(rng, rng.uniform(-1.0, 1.0, dim), rows)
+        _assert_kernel_matches_spectra(potential, [0.3, 0.1, 0.05, 0.02][:rows], n_tau, xs, vs)
+
+
+@pytest.mark.parametrize("case", BUNDLED + [f"random{seed}" for seed, *_ in GENERATED])
+def test_kernel_b_is_exactly_antisymmetric(case):
+    """With weights (1, 0, 0) and v a unit vector the kernel returns a column
+    of B as it multiplies v: B = -B^T bit for bit, with a zero diagonal, and
+    it is FieldSpectra's b_matrix to 1e-14 of the larger of its entries and
+    grad W's (the quartic's B is zero, and rounding noise on that path)."""
+    if case in BUNDLED:
+        sc = get_scenario(case)
+        potential, n_tau, x = sc.potential, sc.n_tau, sc.x0 + 0.05
+    else:
+        seed, dim, cubic, static = GENERATED[int(case[len("random"):])]
+        potential, n_tau = _random_potential(seed, dim, cubic, static), 16
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+    osc, static, d = potential.oscillating, potential.static is not None, potential.dim
+    kernel = _force_kernel(osc, n_tau, static)
+    p = osc._pieces(x)
+    B = np.array([kernel(p, np.eye(d)[n].tolist(), [0.0] * d, 1.0, 0.0, 0.0)
+                  for n in range(d)]).T
+    assert np.array_equal(B, -B.T)
+    assert not np.diagonal(B).any()
+    stack = assemble(potential, 0.1, n_tau).stack(x)
+    want = stack.b_matrix()[0]
+    scale = max(np.max(np.abs(want)), np.max(np.abs(stack.w_grad())))
+    assert np.max(np.abs(B - want)) <= 1e-14 * scale
+
+
+def test_a_nan_point_is_named_through_force():
+    """Non-finite pieces send the call down the FieldSpectra path, which names
+    the point; a finite call afterwards takes the kernel again."""
+    sc = get_scenario("spinning_satellite")
+    system = sc.build_system(1 / 64)
+    with pytest.raises(ValueError, match=r"non-finite pieces at x=\[nan 0.5\]"):
+        system.force(np.array([np.nan, 0.5]), sc.v0)
+    assert np.isfinite(system.force(sc.x0, sc.v0)).all()
+
+
+def _array_drive(seen, nan_at=None):
+    """A separable drive whose profile callables take and return arrays and
+    record the type of x they get; a NaN gradient at x[0] == nan_at."""
+
+    def u_value(x):
+        seen.append(type(x))
+        return 0.5 * x @ x + np.sin(x[0])
+
+    def u_grad(x):
+        seen.append(type(x))
+        g = x + np.array([np.cos(x[0]), 0.0])
+        return np.where(x[0] == nan_at, np.nan, g)
+
+    def u_hess(x):
+        seen.append(type(x))
+        return np.eye(2) - np.diag([np.sin(x[0]), 0.0])
+
+    return SeparableDrivePotential(lambda tau: 0.4 + np.cos(TWO_PI * tau) + 0.3 * np.sin(2 * TWO_PI * tau),
+                                   u_value, u_grad, u_hess, dim=2)
+
+
+def test_array_valued_profile_callables_take_the_kernel(monkeypatch):
+    """Profile callables that return numpy arrays and scalars get float
+    arrays and give the spectra path's force, with no spectrum call; a NaN
+    from them gets the per-point message of the samples."""
+    seen = []
+    pot = _array_drive(seen, nan_at=0.25)
+    rng = np.random.default_rng(3)
+    xs, vs = _states(rng, [0.6, -0.4], 4)
+    _assert_kernel_matches_spectra(pot, [0.2, 0.1, 0.05, 0.02], 16, xs, vs)
+    assert set(seen) == {np.ndarray}
+    monkeypatch.setattr(FactoredPotential, "spectrum", _refuse)
+    system = assemble(pot, 0.1, 16)
+    force = system.force(xs[0], vs[0])
+    assert force.dtype == float and np.isfinite(force).all()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="non-finite samples at tau"):
+        system.force(np.array([0.25, 0.3]), vs[0])
+
+
+def _refuse(self, points, n_tau):
+    raise AssertionError("spectrum called on the kernel path")
+
+
+def test_satellites_with_different_sigma_keep_their_own_kernels():
+    attractive, repulsive = (get_scenario("spinning_satellite", sigma=s) for s in (-1.0, 1.0))
+    x, v = np.array([1.1, 0.3]), np.array([-0.2, 0.9])
+    forces = []
+    for sc in (attractive, repulsive):
+        _assert_kernel_matches_spectra(sc.potential, [0.1], 16, [x], [v])
+        forces.append(sc.build_system(1 / 64).force(x, v))
+    kernels = [_force_kernel(sc.potential.oscillating, 16, True) for sc in (attractive, repulsive)]
+    assert kernels[0] is not kernels[1]
+    assert not np.allclose(forces[0], forces[1])
+
+
+def test_a_potential_with_kernels_pickles():
+    sc = get_scenario("spinning_satellite")
+    system = sc.build_system(1 / 64)
+    force = system.force(sc.x0, sc.v0)
+    clone = pickle.loads(pickle.dumps(sc.potential))
+    assert np.array_equal(assemble(clone, system.epsilon, sc.n_tau).force(sc.x0, sc.v0), force)
+
+
+# ---- the fast path stays taken ----
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """Count spectrum calls on every potential class."""
+    calls = []
+    for cls in (TimePeriodicPotential, FactoredPotential):
+        original = cls.spectrum
+
+        def counted(self, points, n_tau, original=original):
+            calls.append(len(points))
+            return original(self, points, n_tau)
+
+        monkeypatch.setattr(cls, "spectrum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_ladders_build_no_spectra(name, spectrum_calls):
+    sc = get_scenario(name)
+    systems = [sc.build_system(e) for e in sc.default_eps]
+    runs = integrate_averaged_ladder(systems, [sc.x0] * len(systems), [sc.v0] * len(systems),
+                                     0.05, h=0.01, out_dt=0.01)
+    assert len(runs[0]) == 6
+    assert spectrum_calls == []
+
+
+def test_a_callable_potential_ladder_builds_one_spectrum_per_stage(spectrum_calls):
+    pot = CallablePotential(lambda x, tau: np.cos(TWO_PI * np.asarray(tau)) * (x[0] ** 2 + x[0] * x[1]), 2)
+    systems = [assemble(pot, eps, 16) for eps in (0.1, 0.05)]
+    x0, v0 = [0.5, 0.2], [0.1, -0.3]
+    integrate_averaged_ladder(systems, [x0, x0], [v0, v0], 0.05, h=0.01, out_dt=0.01)
+    assert spectrum_calls == [2] * (5 * 4)
+
+
+def test_the_force_oracle_catches_a_force_without_its_b_term(monkeypatch):
+    sc = get_scenario("rotating_saddle")
+    points = [np.array([0.7, -0.2]), np.array([-0.4, 0.9])]
+    checks = {name: passed for name, passed, _ in closed_form_checks(sc, 1 / 128, points)}
+    assert checks["rotating_saddle:force"]
+    force = AveragedSystem.force
+    monkeypatch.setattr(AveragedSystem, "force", lambda self, x, v: force(self, x, 0.0 * v))
+    checks = {name: passed for name, passed, _ in closed_form_checks(sc, 1 / 128, points)}
+    assert not checks["rotating_saddle:force"]
+    assert all(passed for name, passed in checks.items() if name != "rotating_saddle:force")
