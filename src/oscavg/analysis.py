@@ -280,7 +280,6 @@ _ASSEMBLED_FIELDS = {
     "w_grad": lambda system, x: system.stack(x).w_grad()[0],
     "b": lambda system, x: system.b_vector(x),
     "b_matrix": lambda system, x: system.b_matrix(x),
-    "force": lambda system, x: system.force(x, _oracle_velocity(x)),
 }
 
 
@@ -289,54 +288,65 @@ def _oracle_velocity(x):
     return np.full(x.shape, 0.7)
 
 
-def _closed_force(scenario, system):
-    """The averaged force law at x and _oracle_velocity(x), assembled from
-    the closed forms mean_grad, w_grad and b_matrix, the static part's grad
-    and the system's eps powers; None unless the scenario has all three."""
+def _force_terms(scenario, system):
+    """terms(x) for the force check: the correction terms of
+    AveragedSystem.force at x, each as (assembled, closed form).  The
+    magnetic term eps^b B v is the force at _oracle_velocity(x) less the
+    force at rest; the ponderomotive term -eps^w grad W is the force at rest
+    plus the mean part, eps^s mean_grad and the static part's grad.  None
+    unless the scenario has mean_grad, w_grad and b_matrix."""
     forms = scenario.closed_forms
     if not {"mean_grad", "w_grad", "b_matrix"} <= forms.keys():
         return None
     eps, static = system.epsilon, system.potential.static
 
-    def force(x):
-        f = (eps ** system.b_power * (forms["b_matrix"](x) @ _oracle_velocity(x))
-             - eps ** system.w_power * forms["w_grad"](x) - eps ** system.shift * forms["mean_grad"](x))
-        return f if static is None else f - static.grad(x)
+    def terms(x):
+        v = _oracle_velocity(x)
+        at_rest = system.force(x, np.zeros_like(v))
+        mean = eps ** system.shift * forms["mean_grad"](x)
+        if static is not None:
+            mean = mean + static.grad(x)
+        return [(system.force(x, v) - at_rest, eps ** system.b_power * (forms["b_matrix"](x) @ v)),
+                (at_rest + mean, -eps ** system.w_power * forms["w_grad"](x))]
 
-    return force
+    return terms
 
 
 def closed_form_checks(scenario, eps_user, points, rtol=1e-6, atol=1e-12):
     """Compare assembled averaged fields against a scenario's closed forms,
-    and AveragedSystem.force at a nonzero velocity against the force law
-    built from them (the "force" check, when the scenario has mean_grad,
-    w_grad and b_matrix).
+    and the correction terms of AveragedSystem.force at a nonzero velocity
+    against the ones built from them (the "force" check, when the scenario
+    has mean_grad, w_grad and b_matrix; see _force_terms).  Each field, and
+    each force term, is held to rtol of its own largest entry (at least
+    atol), so that a term far smaller than the mean force is seen.
 
     Returns a list of (check_name, passed, detail) triples, one per closed
     form per point batch (worst point reported).
     """
     system = scenario.build_system(eps_user)
-    forms = list(scenario.closed_forms.items())
-    law = _closed_force(scenario, system)
-    if law is not None:
-        forms.append(("force", law))
-    results = []
-    for name, closed in forms:
+    checks = []
+    for name, closed in scenario.closed_forms.items():
         try:
             assembled = _ASSEMBLED_FIELDS[name]
         except KeyError:
             raise KeyError(f"unknown closed form {name!r} in scenario {scenario.name}") from None
+        checks.append((name, lambda x, f=assembled, c=closed: [(f(system, x), c(x))]))
+    terms = _force_terms(scenario, system)
+    if terms is not None:
+        checks.append(("force", terms))
+    results = []
+    for name, pairs in checks:
         worst = 0.0
         worst_pt = None
         for x in points:
             x = np.asarray(x, dtype=float)
-            want = np.asarray(closed(x), dtype=float)
-            got = np.asarray(assembled(system, x), dtype=float)
-            scale = max(float(np.max(np.abs(want))), atol / rtol)
-            err = float(np.max(np.abs(got - want))) / scale
-            if err > worst:
-                worst = err
-                worst_pt = x
+            for got, want in pairs(x):
+                want = np.asarray(want, dtype=float)
+                scale = max(float(np.max(np.abs(want))), atol / rtol)
+                err = float(np.max(np.abs(np.asarray(got, dtype=float) - want))) / scale
+                if err > worst:
+                    worst = err
+                    worst_pt = x
         passed = worst <= rtol
         detail = f"max rel err {worst:.3e} (tol {rtol:.1e}) at x={worst_pt}"
         results.append((f"{scenario.name}:{name}", passed, detail))

@@ -193,8 +193,8 @@ class AveragedSystem:
     """
 
     def __init__(self, potential, epsilon: float, n_tau: int = 48):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.potential = potential
         self.epsilon = float(epsilon)
         self.n_tau = int(n_tau)
@@ -250,12 +250,13 @@ class AveragedSystem:
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
     def full_stage(self):
-        """The full flow's RK stage acc(t, x, v): -grad(U0 + eps^s U1) at x, a
-        sequence of floats, and the phase t / eps mod 1, as a list of floats,
-        four calls per substep.  phase_force is minus the oscillating
-        gradient, so scale * o - s is -(s + scale * g) exactly; with no
-        static part the stage is the phase_force list as it comes.  The
-        guiding-center map reads the full acceleration from it too."""
+        """The full flow's acceleration acc(t, x, v): -grad(U0 + eps^s U1) at
+        x, a sequence of floats, and the phase t / eps mod 1, as a list of
+        floats.  phase_force is minus the oscillating gradient, so
+        scale * o - s is -(s + scale * g) exactly; with no static part it is
+        the phase_force list as it comes.  The guiding-center map reads the
+        full acceleration from it.  integrate_full writes the same stage into
+        its RK4 loop (dynamics._full_form), bit for bit."""
         eps, phase_force = self.epsilon, self._osc.phase_force
         if self._static is None:
             return lambda t, x, v: phase_force(x, (t / eps) % 1.0)

@@ -16,16 +16,21 @@ potential one spectra build over every rung's point.  A row that leaves its
 trusted region stops at that sample; the others step on.
 The full flows keep one row each, since their step follows eps.
 
-Inside the loop x, v and the accelerations are lists of floats, the rows end
-to end.  Each RK4 substep is straight-line code generated once per state
-length (_rk4_substep) that combines every element in the order array
-arithmetic would use, so results are bit-identical to it (and each row to
-its own one-row run) at a fraction of numpy's per-operation cost on 2- and
-3-vectors.  The stages get those lists as they are: the full flow's stage
-(AveragedSystem.full_stage) hands x to the potential's phase_force, whose
-list of floats, minus the gradient, is the stage's acceleration as it comes
-when there is no static part, and ladder_force reads each rung's state from
-them.  Only in_region and the force of a duck-typed system see float arrays.
+Each output interval is one call of a function generated once per state
+length and stage form (_rk4_interval): its n_sub RK4 substeps run with x and
+v in local floats, the rows end to end, and combine every element in the
+order array arithmetic would use, so results are bit-identical to it (and
+each row to its own one-row run) at a fraction of numpy's per-operation
+cost on 2- and 3-vectors.  The stage is written into the loop in one of two
+forms.  A given acceleration acc(t, x, v) gets lists of floats and returns
+one; ladder_force reads each rung's state from them.  The full flow's stage
+(_full_form) takes the phase t / eps mod 1 at each of a substep's three
+stage times, and from it the potential's phase factor (_stage_parts: the
+cosine drive's -a(tau), else the phase itself), then calls the spatial
+force, phase_force or the drive's profile gradient, on a list of floats at
+each stage, and writes in the static part of a split potential.  It equals
+AveragedSystem.full_stage() bit for bit.  Only in_region and the force of a
+duck-typed system see float arrays.
 """
 from __future__ import annotations
 
@@ -75,8 +80,10 @@ class DumbbellTrajectory:
 
 
 def _out_grid(t_end, out_dt):
-    if out_dt <= 0:
+    if not out_dt > 0:
         raise ValueError(f"out_dt must be positive, got {out_dt}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     n_out = int(math.ceil(t_end / out_dt - 1e-9))
     if n_out < 1:
         raise ValueError(f"t_end={t_end} is shorter than one output interval {out_dt}")
@@ -88,46 +95,102 @@ def _substeps(out_dt, h):
     return max(1, int(math.ceil(out_dt / h - 1e-9)))
 
 
-# One classical RK4 substep of xdd = stage(t, x, v) on n floats, written out
-# element by element: <e> stands for e at every element, comma separated, and
-# a line holding {i} is repeated for each element.  Each element gets the
-# list form's expression in its order, e.g. v2 = [q + hh * a for q, a in
-# zip(v, a1)], so results are bit-identical to it.
-_RK4_SUBSTEP = """\
-def substep(stage, tt, x, v, h, hh, h6):
+# One output interval of classical RK4 on n floats: n_sub substeps from time
+# t, x and v held in local floats, written out element by element: <e>
+# stands for e at every element, comma separated, and a line holding {i} is
+# repeated for each element.  Each element gets the list form's expression
+# in its order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results
+# are bit-identical to it.  A stage form (_CALLED, _full_form) fills in
+# {args} and the @phase and @stage lines: "@phase p T" names the stage
+# time T's phase p, "@stage a p x v" sets a_{i} from the state x_{i}, v_{i}
+# at that phase.  Stages 2 and 3 share their time, and so their phase.
+_RK4_INTERVAL = """\
+def interval(t, x, v, n_sub, h, hh, h6, {args}):
     <x_{i}>, = x
     <v_{i}>, = v
-    <a1_{i}>, = stage(tt, x, v)
-    v2_{i} = v_{i} + hh * a1_{i}
-    x2_{i} = x_{i} + hh * v_{i}
-    <a2_{i}>, = stage(tt + hh, [<x2_{i}>], [<v2_{i}>])
-    v3_{i} = v_{i} + hh * a2_{i}
-    x3_{i} = x_{i} + hh * v2_{i}
-    <a3_{i}>, = stage(tt + hh, [<x3_{i}>], [<v3_{i}>])
-    v4_{i} = v_{i} + h * a3_{i}
-    x4_{i} = x_{i} + h * v3_{i}
-    <a4_{i}>, = stage(tt + h, [<x4_{i}>], [<v4_{i}>])
-    return ([<x_{i} + h6 * (v_{i} + 2.0 * (v2_{i} + v3_{i}) + v4_{i})>],
-            [<v_{i} + h6 * (a1_{i} + 2.0 * (a2_{i} + a3_{i}) + a4_{i})>])
+    for s in range(n_sub):
+        tt = t + s * h
+        @phase p1 tt
+        @stage a1 p1 x v
+        v2_{i} = v_{i} + hh * a1_{i}
+        x2_{i} = x_{i} + hh * v_{i}
+        @phase p2 tt + hh
+        @stage a2 p2 x2 v2
+        v3_{i} = v_{i} + hh * a2_{i}
+        x3_{i} = x_{i} + hh * v2_{i}
+        @stage a3 p2 x3 v3
+        v4_{i} = v_{i} + h * a3_{i}
+        x4_{i} = x_{i} + h * v3_{i}
+        @phase p4 tt + h
+        @stage a4 p4 x4 v4
+        x_{i} = x_{i} + h6 * (v_{i} + 2.0 * (v2_{i} + v3_{i}) + v4_{i})
+        v_{i} = v_{i} + h6 * (a1_{i} + 2.0 * (a2_{i} + a3_{i}) + a4_{i})
+    return [<x_{i}>], [<v_{i}>]
 """
+
+# Stage forms: (args, phase line, stage lines), with {t} the stage time and
+# {p}, {a}, {x}, {v} the names of an @phase or @stage line.  _CALLED calls
+# acc(t, x, v) as integrate_second_order is given it; _full_form builds the
+# full flow's.
+_CALLED = ("stage", "{p} = {t}", ("<{a}_{i}>, = stage({p}, [<{x}_{i}>], [<{v}_{i}>])",))
+
+
+def _full_form(system: AveragedSystem):
+    """The full flow's stage form and its arguments: -grad(U0 + eps^s U1) at
+    the phase t / eps mod 1, bit for bit AveragedSystem.full_stage().  The
+    oscillating part's _stage_parts give the phase factor, taken once per
+    stage time, and the spatial force, called at each stage; with a static
+    part the stage is scale * o_i - s_i, s its float_grad."""
+    factor, force = system._osc._stage_parts()
+    phase = "({t}) / eps % 1.0"
+    args, values = ["force", "eps"], [force, system.epsilon]
+    if factor is not None:
+        phase = f"factor({phase})"
+        args += ["factor"]
+        values += [factor]
+    stage = ("<{a}_{i}>, = force([<{x}_{i}>], {p})",)
+    static = system._static
+    if static is not None:
+        stage = ("xs = [<{x}_{i}>]", "<s_{i}>, = static_grad(xs)", "<o_{i}>, = force(xs, {p})",
+                 "{a}_{i} = scale * o_{i} - s_{i}")
+        args += ["static_grad", "scale"]
+        values += [static.float_grad, system.epsilon ** system.shift]
+    return (", ".join(args), "{p} = " + phase, stage), values
 
 
 @lru_cache(maxsize=32)
-def _rk4_substep(n):
-    """substep(stage, tt, x, v, h, hh, h6) -> (x, v): one RK4 substep from
-    time tt on the lists of n floats x and v, generated from _RK4_SUBSTEP.
-    It is straight-line code because on a few floats the list form's eight
-    comprehensions and zips cost more than the arithmetic in them."""
+def _rk4_interval(n, form):
+    """interval(t, x, v, n_sub, h, hh, h6, *args) -> (x, v): n_sub RK4
+    substeps from time t on the lists of n floats x and v, generated from
+    _RK4_INTERVAL in the stage form `form`.  It is straight-line code in
+    local floats because on a few floats the list form's eight
+    comprehensions and zips, and a call per substep, cost more than the
+    arithmetic in them."""
+    args, phase, stage = form
+
     def each(match):
         return ", ".join(match.group(1).replace("{i}", str(i)) for i in range(n))
 
+    def expanded(line):
+        """The form's lines for an @phase or @stage line, else the line."""
+        indent, _, rest = line.partition("@")
+        if not rest:
+            return [line]
+        kind, name, *operands = rest.split(" ", 2)
+        if kind == "phase":
+            return [indent + phase.replace("{p}", name).replace("{t}", operands[0])]
+        p, x, v = operands[0].split()
+        return [indent + part.replace("{a}", name).replace("{p}", p).replace("{x}", x)
+                .replace("{v}", v) for part in stage]
+
     lines = []
-    for line in _RK4_SUBSTEP.splitlines():
-        line = re.sub(r"<([^<>]*)>", each, line)
-        lines += [line.replace("{i}", str(i)) for i in range(n)] if "{i}" in line else [line]
+    for line in _RK4_INTERVAL.replace("{args}", args).splitlines():
+        for line in expanded(line):
+            line = re.sub(r"<([^<>]*)>", each, line)
+            lines += [line.replace("{i}", str(i)) for i in range(n)] if "{i}" in line else [line]
     namespace = {}
-    exec(compile("\n".join(lines), f"<rk4 substep on {n} floats>", "exec"), namespace)
-    return namespace["substep"]
+    exec(compile("\n".join(lines), f"<rk4 interval on {n} floats>", "exec"), namespace)
+    return namespace["interval"]
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
@@ -147,7 +210,16 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
     meta records exited_region_at; the other rows step on.  Returns a
     Trajectory, or for a batch a list of them, one per row.
     """
-    if h <= 0:
+    batch = np.ndim(x0) == 2
+    return _integrate(lambda rows: (_CALLED, [acc(rows) if batch else acc]),
+                      x0, v0, t_end, h, out_dt, in_region)
+
+
+def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
+    """integrate_second_order with the stage given as stage_of(rows) ->
+    (form, args) for the live rows: one _rk4_interval call per output
+    interval."""
+    if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     n_out = _out_grid(t_end, out_dt)
     n_sub = _substeps(out_dt, h)
@@ -165,8 +237,8 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
     h6 = h / 6.0
     metas = [{"h": h, "out_dt": out_dt} for _ in live]
     kept = [n_out + 1 for _ in live]
-    stage = acc(live) if batch else acc
-    substep = _rk4_substep(len(x))
+    form, args = stage_of(live)
+    interval = _rk4_interval(len(x), form)
     for i in range(n_out + 1):
         t = i * out_dt
         if in_region is not None:
@@ -181,16 +253,15 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
                 v = [q for j, ok in enumerate(inside) if ok for q in v[j * d:(j + 1) * d]]
                 if not live:
                     break
-                stage = acc(live) if batch else acc
-                substep = _rk4_substep(len(x))
+                form, args = stage_of(live)
+                interval = _rk4_interval(len(x), form)
         times[i] = t
         for j, r in enumerate(live):
             pos[r][i] = x[j * d:(j + 1) * d]
             vel[r][i] = v[j * d:(j + 1) * d]
         if i == n_out:
             break
-        for s in range(n_sub):
-            x, v = substep(stage, t + s * h, x, v, h, hh, h6)
+        x, v = interval(t, x, v, n_sub, h, hh, h6, *args)
     runs = [Trajectory(times[:k], p[:k], q[:k], meta)
             for k, p, q, meta in zip(kept, pos, vel, metas)]
     return runs if batch else runs[0]
@@ -205,7 +276,7 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     the wiggle phase would be integrated too coarsely to compare against the
     averaged model.
     """
-    if steps_per_period < MIN_STEPS_PER_PERIOD:
+    if not steps_per_period >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_period={steps_per_period} is below the minimum {MIN_STEPS_PER_PERIOD}")
     system = assemble(potential, epsilon)
     x0 = np.asarray(x0, dtype=float)
@@ -215,8 +286,8 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
 
     eps = system.epsilon
     h = eps / steps_per_period
-    traj = integrate_second_order(system.full_stage(), x0, v0, t_end, h=h, out_dt=out_dt,
-                                  in_region=potential.in_region)
+    form = _full_form(system)
+    traj = _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, potential.in_region)
     # the full run is described by its steps per period, not by its step
     del traj.meta["h"]
     traj.meta.update(kind="full", epsilon=eps, steps_per_period=steps_per_period,
@@ -363,10 +434,10 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     It runs through the shared stepper as a second-order system in
     (z1, z2, theta).
     """
-    if steps_per_spin < MIN_STEPS_PER_PERIOD:
+    if not steps_per_spin >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     eps = float(epsilon)
     arm = math.sqrt(eps)
 
@@ -387,8 +458,8 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
                 -(0.5 / arm) * ((gp1 - gm1) * -s + (gp2 - gm2) * c)]
 
     # the fast spin period is 2 pi / theta_dot0
-    if theta_dot0 <= 0:
-        raise ValueError("theta_dot0 must be positive (fast forward spin)")
+    if not 0 < theta_dot0 < math.inf:
+        raise ValueError(f"theta_dot0 must be positive and finite (fast forward spin), got {theta_dot0}")
     x0 = [*np.asarray(z0, dtype=float).tolist(), float(theta0)]
     v0 = [*np.asarray(zdot0, dtype=float).tolist(), float(theta_dot0)]
     traj = integrate_second_order(acc, x0, v0, t_end, out_dt=out_dt,

@@ -239,15 +239,19 @@ class TimePeriodicPotential:
     1/32 by at most 7.7e-6 relative (tested to 1e-4).  value/grad/hess must
     accept tau as a scalar or a 1-d array and vectorize over it.
 
-    The full flow calls phase_force(x, tau), minus the gradient at one float
-    phase as a list of floats, four times per RK4 substep, with x the
-    stepper's own list of floats, so that call's fixed cost sets the speed of
-    the full run: for a potential with no static part its list is the RK
-    stage as it stands.  The default converts x to a float array once, calls
-    grad(x, tau) and negates; the bundled potentials override it in float
-    math on x's floats, negating in the expression itself (IEEE negation is
-    exact), which skips the array round trip and the 0-d array overhead of
-    the array path.
+    The full flow's RK4 loop (dynamics) takes minus the gradient at one
+    float phase as _stage_parts gives it: force(x, factor(tau)) is
+    phase_force(x, tau) bit for bit, with x a list of floats.  It takes the
+    factor once per stage time (three times per substep, as stages 2 and 3
+    share one) and calls force four times, so that call's fixed cost sets
+    the speed of the full run.  By default the factor is the phase itself
+    and force is phase_force, minus the gradient as a list of floats: the
+    default converts x to a float array once, calls grad(x, tau) and
+    negates; the bundled potentials override it in float math on x's
+    floats, negating in the expression itself (IEEE negation is exact),
+    which skips the array round trip and the 0-d array overhead of the array
+    path.  A cosine drive splits off its drive factor instead
+    (scenarios.CosineDrivePotential).
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
@@ -290,6 +294,11 @@ class TimePeriodicPotential:
         default converts x to a float array once, calls grad and negates."""
         return [-g for g in np.asarray(self.grad(np.asarray(x, dtype=float), tau),
                                        dtype=float).tolist()]
+
+    def _stage_parts(self):
+        """(factor, force) with force(x, factor(tau)) equal to phase_force(x,
+        tau) bit for bit; factor None stands for the phase itself."""
+        return None, self.phase_force
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)

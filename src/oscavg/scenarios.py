@@ -269,12 +269,13 @@ class CosineDrivePotential(SeparableDrivePotential):
     inherited grad, spectrum and closed forms call u_grad(x), and 1.0 * g
     is g exactly.
 
-    phase_force is then one u_grad call on the stepper's list with
-    a = -(a_mean + alpha cos(2 pi tau)): math.cos for the drive, which gives
-    numpy's cos values at a fraction of its per-call cost
-    (tests/test_properties.py checks the two paths bit for bit), and the
-    negation is exact, so each entry is -(a(tau) g) as the array path
-    multiplies them.
+    phase_force is then one u_grad call on the stepper's list with the drive
+    factor a = -(a_mean + alpha cos(2 pi tau)) (_drive_factor): math.cos for
+    the drive, which gives numpy's cos values at a fraction of its per-call
+    cost (tests/test_properties.py checks the two paths bit for bit), and
+    the negation is exact, so each entry is -(a(tau) g) as the array path
+    multiplies them.  The full flow's loop takes the two apart
+    (_stage_parts): one factor per stage time and u_grad at each stage.
     """
 
     def __init__(self, a_mean, alpha, u_value, u_grad, u_hess, dim):
@@ -282,8 +283,14 @@ class CosineDrivePotential(SeparableDrivePotential):
         super().__init__(lambda tau: self.a_mean + self.alpha * np.cos(TWO_PI * tau),
                          u_value, u_grad, u_hess, dim)
 
+    def _drive_factor(self, tau):
+        return -(self.a_mean + self.alpha * math.cos(TWO_PI * tau))
+
+    def _stage_parts(self):
+        return self._drive_factor, self._ug
+
     def phase_force(self, x, tau):
-        return self._ug(x, -(self.a_mean + self.alpha * math.cos(TWO_PI * tau)))
+        return self._ug(x, self._drive_factor(tau))
 
 
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
@@ -306,9 +313,10 @@ def quartic_drive() -> Scenario:
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
     def u_grad(x, a=1.0):
-        # phase_force hands it the stepper's list and minus the drive four
-        # times per full-flow substep: float math on x's floats, the drive
-        # factor applied here, no array round trip and no list to rescale
+        # the full flow's loop hands it a list of floats and minus the drive
+        # at each of the four stages of a substep: float math on x's floats,
+        # the drive factor applied here, no array round trip and no list to
+        # rescale
         x0, x1 = float(x[0]), float(x[1])
         return [a * (x0 ** 3 + x1), a * x0]
 

@@ -11,7 +11,7 @@ import pytest
 from oscavg import (CallablePotential, CallableStatic, FieldSpectra, FourierSeries,
                     Order1Potential, assemble, fd_gradient, guiding_center,
                     transform_trajectory)
-from oscavg.averaging import ladder_force
+from oscavg.averaging import AveragedSystem, ladder_force
 from oscavg.dynamics import Trajectory, integrate_averaged_ladder
 from oscavg.fields import (TimePeriodicPotential, _checked_samples, central_stencil,
                            stencil_jacobian)
@@ -864,10 +864,14 @@ def test_force_builds_spectra_at_one_point_per_row():
     assert spy.calls == [2] * 4 * 5
 
 
-def test_assemble_rejects_bad_epsilon():
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_assemble_rejects_bad_epsilon(eps):
+    """A NaN or infinite eps would give NaN eps weights: refused by name."""
     sc = get_scenario("rotating_saddle")
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        assemble(sc.potential, 0.0)
+    with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
+        assemble(sc.potential, eps)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        AveragedSystem(sc.potential, np.float64(eps))
 
 
 @pytest.mark.parametrize("name", ["rotating_saddle", "quartic_drive", "kapitza_pendulum",

@@ -1,6 +1,7 @@
 """Unit tests for the integrators, the guiding-center map and serialization."""
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from oscavg import (CallablePotential, energy_drift, guiding_center,
                     integrate_full, integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
-from oscavg.dynamics import Trajectory, _rk4_substep, atomic_write
+from oscavg.averaging import assemble
+from oscavg.dynamics import _CALLED, Trajectory, _rk4_interval, atomic_write
 from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -59,15 +61,17 @@ def test_full_output_grid_is_exact():
     assert traj.meta["epsilon"] == 1.0
 
 
-def test_full_rejects_coarse_stepping():
+@pytest.mark.parametrize("steps", [8, math.nan])
+def test_full_rejects_coarse_stepping(steps):
     with pytest.raises(ValueError, match="below the minimum"):
         integrate_full(_static_well(), 1.0, np.zeros(2), np.zeros(2), 1.0,
-                       steps_per_period=8)
+                       steps_per_period=steps)
 
 
-def test_full_rejects_nonpositive_epsilon():
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        integrate_full(_static_well(), 0.0, np.zeros(2), np.zeros(2), 1.0)
+@pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+def test_full_rejects_nonpositive_epsilon(eps):
+    with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
+        integrate_full(_static_well(), eps, np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_full_rejects_bad_output_interval():
@@ -235,6 +239,28 @@ def test_plain_float_acceleration_and_step_check():
         integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 3.0, h=0.0)
 
 
+@pytest.mark.parametrize("arg, message", [
+    ({"h": math.nan}, "step h must be positive, got nan"),
+    ({"out_dt": math.nan}, "out_dt must be positive, got nan"),
+    ({"t_end": math.nan}, "t_end must be finite, got nan"),
+    ({"t_end": math.inf}, "t_end must be finite, got inf"),
+])
+def test_stepper_rejects_a_nan_step_by_name(arg, message):
+    kw = {"t_end": 1.0, "h": 0.01, "out_dt": 0.1, **arg}
+    with pytest.raises(ValueError, match=message):
+        integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], **kw)
+
+
+def test_an_infinite_step_is_one_substep_per_output_interval():
+    """h bounds the step from above, so h = inf is one substep per interval."""
+    got = integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 0.5, h=math.inf,
+                                 out_dt=0.1)
+    want = integrate_second_order(lambda t, x, v: [-x[0]], [1.0], [0.0], 0.5, h=0.1,
+                                  out_dt=0.1)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.meta == want.meta == {"h": 0.1, "out_dt": 0.1}
+
+
 # ---- averaged flows of a ladder in lockstep ----
 
 def _value_only_scenario():
@@ -329,18 +355,28 @@ def _coupled_stage(t, x, v):
             for i in range(n)]
 
 
+def _list_form_interval(t, x, v, n_sub, h, hh, h6, stage):
+    """n_sub list-form substeps from time t, with the generated interval's
+    arguments."""
+    for s in range(n_sub):
+        x, v = _list_form_substep(stage, t + s * h, x, v, h, hh, h6)
+    return x, v
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_generated_substep_is_the_list_form_bit_for_bit(n):
-    """Twenty substeps of the generated code equal the list form's floats."""
+def test_generated_interval_is_the_list_form_bit_for_bit(n):
+    """Five whole intervals of seven substeps of the generated code equal the
+    list form's floats."""
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.0, 1.0, n).tolist()
     v = rng.uniform(-1.0, 1.0, n).tolist()
     h = 0.037
     want = (x, v)
-    for s in range(20):
-        x, v = _rk4_substep(n)(_coupled_stage, 0.25 + s * h, x, v, h, 0.5 * h, h / 6.0)
-        want = _list_form_substep(_coupled_stage, 0.25 + s * h, *want, h, 0.5 * h, h / 6.0)
-        assert (x, v) == want, f"n={n}: substep {s} differs"
+    for i in range(5):
+        t = 0.25 + i * 7 * h
+        x, v = _rk4_interval(n, _CALLED)(t, x, v, 7, h, 0.5 * h, h / 6.0, _coupled_stage)
+        want = _list_form_interval(t, *want, 7, h, 0.5 * h, h / 6.0, _coupled_stage)
+        assert (x, v) == want, f"n={n}: interval {i} differs"
     assert {type(q) for q in x + v} == {float}
 
 
@@ -355,7 +391,7 @@ def test_generated_substep_is_the_list_form_bit_for_bit(n):
 ], ids=["n1", "n2", "n3", "n8-exit"])
 def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
     """Whole runs, row exits included, equal the same runs stepped by the
-    list form: the stepper picks the generated substep for each new length."""
+    list form: the stepper picks the generated interval for each new length."""
     def acc(rows):
         return _coupled_stage
 
@@ -366,9 +402,17 @@ def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
                                       in_region=lambda x: x[0] < 1.0)
 
     got = run()
-    monkeypatch.setattr("oscavg.dynamics._rk4_substep", lambda n: _list_form_substep)
+    lengths = []
+
+    def list_form(n, form):
+        assert form == _CALLED
+        lengths.append(n)
+        return _list_form_interval
+
+    monkeypatch.setattr("oscavg.dynamics._rk4_interval", list_form)
     want = run()
     if np.ndim(x0) == 2:
+        assert lengths == [8, 6]
         assert [len(r) for r in got] == [31, 3, 31, 31]
         assert got[1].meta["exited_region_at"] == pytest.approx(0.15)
     else:
@@ -378,6 +422,75 @@ def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
         assert np.array_equal(g.positions, w.positions)
         assert np.array_equal(g.velocities, w.velocities)
         assert g.meta == w.meta
+
+
+# ---- the full flow's stage forms ----
+
+def _separable_scenario():
+    """A generic separable drive a(tau) u(x) with numpy callables, through
+    SeparableDrivePotential's own phase_force."""
+    def a(tau):
+        ph = TWO_PI * np.asarray(tau, dtype=float)
+        return 0.4 + np.cos(ph) + 0.5 * np.sin(2.0 * ph)
+
+    def u_value(x):
+        return float(x[0] ** 2 * x[1] + np.sin(x[1]))
+
+    def u_grad(x):
+        return np.array([2.0 * x[0] * x[1], x[0] ** 2 + np.cos(x[1])])
+
+    def u_hess(x):
+        return np.array([[2.0 * x[1], 2.0 * x[0]], [2.0 * x[0], -np.sin(x[1])]])
+
+    pot = SeparableDrivePotential(a, u_value, u_grad, u_hess, dim=2)
+    return custom_scenario(pot, default_eps=[1 / 32], x0=[0.6, -0.3], v0=[0.1, 0.2],
+                           n_tau=16, name="separable")
+
+
+FULL_CASES = {**LOCKSTEP_CASES, "separable": _separable_scenario}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_CASES))
+def test_full_run_equals_the_callable_full_stage_bit_for_bit(case):
+    """integrate_full's generated stage (the phase factor once per stage
+    time, the spatial force at each stage, a static part written in) gives
+    the run that the callable AveragedSystem.full_stage() gives through
+    integrate_second_order, bit for bit."""
+    sc = FULL_CASES[case]()
+    eps = sc.internal_eps(sc.default_eps[0])
+    got = integrate_full(sc.potential, eps, sc.x0, sc.v0, 0.1,
+                         steps_per_period=sc.steps_per_period, out_dt=sc.out_dt)
+    want = integrate_second_order(assemble(sc.potential, eps).full_stage(), sc.x0, sc.v0, 0.1,
+                                  h=eps / sc.steps_per_period, out_dt=sc.out_dt,
+                                  in_region=sc.potential.in_region)
+    assert len(got) == 11
+    for name in ("times", "positions", "velocities"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), f"{case}: {name} differ"
+
+
+def test_cosine_drive_takes_one_factor_per_stage_time():
+    """A spy on the quartic drive: three phase factors (stages 2 and 3 share
+    theirs) and four u_grad calls per substep, and substeps_per_out times
+    the intervals run is the number of substeps taken, which the bench
+    tracer counts by."""
+    pot = get_scenario("quartic_drive").potential
+    calls = Counter()
+    factor, u_grad = pot._drive_factor, pot._ug
+
+    def counted_factor(tau):
+        calls["factor"] += 1
+        return factor(tau)
+
+    def counted_grad(x, a=1.0):
+        calls["u_grad"] += 1
+        return u_grad(x, a)
+
+    pot._drive_factor, pot._ug = counted_factor, counted_grad
+    traj = integrate_full(pot, 1 / 64, [0.8, 0.4], [0.2, -0.1], 0.05,
+                          steps_per_period=128, out_dt=0.01)
+    substeps = traj.meta["substeps_per_out"] * (len(traj) - 1)
+    assert substeps == 82 * 5
+    assert calls == {"factor": 3 * substeps, "u_grad": 4 * substeps}
 
 
 # ---- guiding-center map ----
@@ -491,16 +604,18 @@ def test_dumbbell_rejects_slow_or_backward_spin():
     with pytest.raises(ValueError, match="below the minimum"):
         integrate_dumbbell(0.02, np.array([1.0, 0.0]), np.array([0.0, 0.9]),
                            0.0, 50.0, 1.0, steps_per_spin=4)
-    with pytest.raises(ValueError, match="theta_dot0 must be positive"):
-        integrate_dumbbell(0.02, np.array([1.0, 0.0]), np.array([0.0, 0.9]),
-                           0.0, -50.0, 1.0)
+    for theta_dot0 in (-50.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta_dot0 must be positive"):
+            integrate_dumbbell(0.02, np.array([1.0, 0.0]), np.array([0.0, 0.9]),
+                               0.0, theta_dot0, 1.0)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.02])
+@pytest.mark.parametrize("eps", [0.0, -0.02, math.nan, math.inf])
 def test_dumbbell_rejects_nonpositive_epsilon(eps):
-    """A zero arm would divide by zero partway through the run, and a negative
-    eps has no square root: both are refused up front, as assemble does."""
-    with pytest.raises(ValueError, match=f"epsilon must be positive, got {eps}"):
+    """A zero arm would divide by zero partway through the run, a negative
+    eps has no square root, and a NaN or infinite one gives NaN orbits: all
+    are refused up front, as assemble does."""
+    with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
         integrate_dumbbell(eps, np.array([1.0, 0.0]), np.array([0.0, 0.9]), 0.0, 50.0, 1.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
                     fd_gradient, fd_hessian)
-from oscavg.averaging import assemble
+from oscavg.averaging import AveragedSystem, assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
 from oscavg.cli import parse_config, parse_number
 from oscavg.scenarios import (CATALOG, HarmonicPotential, ScenarioUsageError,
@@ -346,6 +346,28 @@ def test_closed_forms_match_assembled_fields():
         pts = np.stack([_probe_point(name, rng) for _ in range(4)])
         for check_name, passed, detail in closed_form_checks(sc, 1.0 / 128, pts):
             assert passed, f"{check_name}: {detail}"
+
+
+@pytest.mark.parametrize("term", ["b", "w"])
+@pytest.mark.parametrize("name", BUILTIN)
+def test_force_check_sees_each_correction_term(monkeypatch, name, term):
+    """With the eps weight of B xd or of grad W set to 0 in every assembled
+    system, the force check fails wherever that closed-form term is nonzero:
+    each term is held to its own scale, not to the mean force's."""
+    init = AveragedSystem.__init__
+
+    def dropped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        b_weight, w_weight, mean_weight = self.weights
+        self.weights = (0.0, w_weight, mean_weight) if term == "b" else (b_weight, 0.0, mean_weight)
+
+    monkeypatch.setattr(AveragedSystem, "__init__", dropped)
+    sc = get_scenario(name)
+    rng = np.random.default_rng(24)
+    pts = np.stack([_probe_point(name, rng) for _ in range(4)])
+    checks = {check: passed for check, passed, _ in closed_form_checks(sc, 1.0 / 128, pts)}
+    b_free = not any(np.any(sc.closed_forms["b_matrix"](x)) for x in pts)
+    assert checks[f"{name}:force"] is (term == "b" and b_free), checks
 
 
 def test_closed_form_checks_rejects_an_unknown_form():
