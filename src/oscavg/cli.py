@@ -36,7 +36,7 @@ from . import __version__
 from .analysis import compare_ladder, fit_order, guided_run, measure_precession, position_gap
 from .checks import SUITES
 from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integrate_averaged,
-                       integrate_dumbbell, integrate_full, integrate_second_order,
+                       integrate_dumbbell, integrate_full, integrate_static,
                        save_dumbbell, save_trajectory, transform_trajectory)
 from .fields import MIN_N_TAU
 from .scenarios import CATALOG, ScenarioUsageError, get_scenario
@@ -231,12 +231,8 @@ def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
                                  extra_meta={"scenario": sc.name, "eps_user": eps}))
     rep_a = measure_precession(avg.times, avg.positions, avg.velocities, min_separation=sep)
 
-    # the satellite's static part alone, the point mass with no tidal term:
-    # it must not precess
-    static = sc.potential.static
-    ctrl = integrate_second_order(lambda t, x, v: [-g for g in static.float_grad(x)],
-                                  z0, v0, t_avg, h=0.01, out_dt=0.05,
-                                  in_region=static.in_region)
+    # the satellite's static part alone, a point mass with no tidal term, must not precess
+    ctrl = integrate_static(sc.potential.static, z0, v0, t_avg, h=0.01, out_dt=0.05)
     rep_k = measure_precession(ctrl.times, ctrl.positions, ctrl.velocities, min_separation=sep)
 
     def _rep(r):

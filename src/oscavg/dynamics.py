@@ -21,16 +21,17 @@ length and stage form (_rk4_interval): its n_sub RK4 substeps run with x and
 v in local floats, the rows end to end, and combine every element in the
 order array arithmetic would use, so results are bit-identical to it (and
 each row to its own one-row run) at a fraction of numpy's per-operation
-cost on 2- and 3-vectors.  The stage is written into the loop in one of two
+cost on 2- and 3-vectors.  The stage is written into the loop in one of four
 forms.  A given acceleration acc(t, x, v) gets lists of floats and returns
-one; ladder_force reads each rung's state from them.  The full flow's stage
-(_full_form) takes the phase t / eps mod 1 at each of a substep's three
-stage times, and from it the potential's phase factor (_stage_parts: the
-cosine drive's -a(tau), else the phase itself), then calls the spatial
-force, phase_force or the drive's profile gradient, on a list of floats at
-each stage, and writes in the static part of a split potential.  It equals
-AveragedSystem.full_stage() bit for bit.  Only in_region and the force of a
-duck-typed system see float arrays.
+one; ladder_force reads each rung's state from them.  The dumbbell's
+(_DUMBBELL) and minus a static part's float_grad (_STATIC) are written out.
+The full flow's (_full_form) takes the phase t / eps mod 1 at each of a
+substep's three stage times, and from it the potential's phase factor
+(_stage_parts: the cosine drive's -a(tau), else the phase itself), then
+calls the spatial force, phase_force or the drive's profile gradient, on a
+list of floats at each stage, and writes in the static part of a split
+potential, bit for bit AveragedSystem.full_stage().  Only in_region and the
+force of a duck-typed system see float arrays.
 """
 from __future__ import annotations
 
@@ -100,10 +101,10 @@ def _substeps(out_dt, h):
 # stands for e at every element, comma separated, and a line holding {i} is
 # repeated for each element.  Each element gets the list form's expression
 # in its order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results
-# are bit-identical to it.  A stage form (_CALLED, _full_form) fills in
-# {args} and the @phase and @stage lines: "@phase p T" names the stage
-# time T's phase p, "@stage a p x v" sets a_{i} from the state x_{i}, v_{i}
-# at that phase.  Stages 2 and 3 share their time, and so their phase.
+# are bit-identical to it.  A stage form (_CALLED, _STATIC, _DUMBBELL,
+# _full_form) fills in {args} and the @phase and @stage lines: "@phase p T"
+# names the stage time T's phase p (no line if the form's is ""), "@stage a
+# p x v" sets a_{i} from x_{i}, v_{i} at that phase; stages 2 and 3 share p.
 _RK4_INTERVAL = """\
 def interval(t, x, v, n_sub, h, hh, h6, {args}):
     <x_{i}>, = x
@@ -130,9 +131,21 @@ def interval(t, x, v, n_sub, h, hh, h6, {args}):
 
 # Stage forms: (args, phase line, stage lines), with {t} the stage time and
 # {p}, {a}, {x}, {v} the names of an @phase or @stage line.  _CALLED calls
-# acc(t, x, v) as integrate_second_order is given it; _full_form builds the
-# full flow's.
+# acc(t, x, v) as integrate_second_order is given it; _STATIC is minus a
+# static part's float_grad; _full_form builds the full flow's.
 _CALLED = ("stage", "{p} = {t}", ("<{a}_{i}>, = stage({p}, [<{x}_{i}>], [<{v}_{i}>])",))
+_STATIC = ("static_grad", "", ("<g_{i}>, = static_grad([<{x}_{i}>])", "{a}_{i} = -g_{i}"))
+
+# The dumbbell on (z1, z2, theta): gq and gm are the gradients of sigma / r at
+# its ends z +- arm u, u = (cos theta, sin theta); the center feels minus their
+# mean, the spin minus their difference along u' = (-sin theta, cos theta).
+_DUMBBELL = ("arm, sigma, cos, sin", "", (
+    "c = cos({x}_2)", "sn = sin({x}_2)",
+    "q1, q2 = {x}_0 + arm * c, {x}_1 + arm * sn", "m1, m2 = {x}_0 - arm * c, {x}_1 - arm * sn",
+    "rq = (q1 * q1 + q2 * q2) ** 1.5", "rm = (m1 * m1 + m2 * m2) ** 1.5",
+    "gq1, gq2 = -sigma * q1 / rq, -sigma * q2 / rq", "gm1, gm2 = -sigma * m1 / rm, -sigma * m2 / rm",
+    "{a}_0 = -0.5 * (gq1 + gm1)", "{a}_1 = -0.5 * (gq2 + gm2)",
+    "{a}_2 = -(0.5 / arm) * ((gq1 - gm1) * -sn + (gq2 - gm2) * c)"))
 
 
 def _full_form(system: AveragedSystem):
@@ -178,7 +191,7 @@ def _rk4_interval(n, form):
             return [line]
         kind, name, *operands = rest.split(" ", 2)
         if kind == "phase":
-            return [indent + phase.replace("{p}", name).replace("{t}", operands[0])]
+            return [indent + phase.replace("{p}", name).replace("{t}", operands[0])] if phase else []
         p, x, v = operands[0].split()
         return [indent + part.replace("{a}", name).replace("{p}", p).replace("{x}", x)
                 .replace("{v}", v) for part in stage]
@@ -312,8 +325,8 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
     build over all their points.  A rung that leaves the trusted
     region stops at that sample while the others step on, so each rung's
     run is bit-identical to its own integrate_averaged.  A duck-typed system
-    that brings only force(x, v) and in_region(x), such as a point-mass
-    control, is stepped through its own force calls.
+    that brings only force(x, v) and in_region(x) is stepped through its
+    own force calls; a static potential alone goes through integrate_static.
     """
     if not systems:
         return []
@@ -345,6 +358,14 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
     for system, traj in zip(systems, runs):
         traj.meta.update(kind="averaged", epsilon=system.epsilon, order=system.order)
     return runs
+
+
+def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
+    """Integrate xdd = -grad S(x) for a static potential S, such as a split
+    potential's static part, until S.in_region turns false: bit for bit
+    integrate_second_order(lambda t, x, v: [-g for g in S.float_grad(x)], ...)."""
+    form = (_STATIC, [static.float_grad])
+    return _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, static.in_region)
 
 
 def _guiding_centers(system: AveragedSystem, xs, vs, ts):
@@ -432,40 +453,24 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     satellite scenario models.  Angular momentum 2 (z x zdot) + 2 eps thetadot
     is conserved in any central field, which the tests use as an invariant.
     It runs through the shared stepper as a second-order system in
-    (z1, z2, theta).
+    (z1, z2, theta), its stage written into the RK4 loop (_DUMBBELL).
     """
     if not steps_per_spin >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    eps = float(epsilon)
-    arm = math.sqrt(eps)
-
-    def acc(t, x, v):
-        # the ends sit at z +- arm u, u = (cos theta, sin theta); gp and gm are
-        # the gradients of sigma / r there, the center feels minus their mean
-        # and the spin minus their difference along u' = (-sin theta, cos theta)
-        z1, z2, th = x
-        c = math.cos(th)
-        s = math.sin(th)
-        p1, p2 = z1 + arm * c, z2 + arm * s
-        m1, m2 = z1 - arm * c, z2 - arm * s
-        rp = (p1 * p1 + p2 * p2) ** 1.5
-        rm = (m1 * m1 + m2 * m2) ** 1.5
-        gp1, gp2 = -sigma * p1 / rp, -sigma * p2 / rp
-        gm1, gm2 = -sigma * m1 / rm, -sigma * m2 / rm
-        return [-0.5 * (gp1 + gm1), -0.5 * (gp2 + gm2),
-                -(0.5 / arm) * ((gp1 - gm1) * -s + (gp2 - gm2) * c)]
-
-    # the fast spin period is 2 pi / theta_dot0
     if not 0 < theta_dot0 < math.inf:
         raise ValueError(f"theta_dot0 must be positive and finite (fast forward spin), got {theta_dot0}")
+    for name, value in (("z0", z0), ("zdot0", zdot0), ("theta0", theta0), ("sigma", sigma)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     x0 = [*np.asarray(z0, dtype=float).tolist(), float(theta0)]
     v0 = [*np.asarray(zdot0, dtype=float).tolist(), float(theta_dot0)]
-    traj = integrate_second_order(acc, x0, v0, t_end, out_dt=out_dt,
-                                  h=2.0 * math.pi / theta_dot0 / steps_per_spin)
+    form = (_DUMBBELL, [math.sqrt(epsilon), sigma, math.cos, math.sin])
+    h = 2.0 * math.pi / theta_dot0 / steps_per_spin  # the fast spin period is 2 pi / theta_dot0
+    traj = _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, None)
     pos, vel = traj.positions, traj.velocities
-    meta = {"kind": "dumbbell", "epsilon": eps, "sigma": sigma,
+    meta = {"kind": "dumbbell", "epsilon": float(epsilon), "sigma": sigma,
             "steps_per_spin": steps_per_spin, "out_dt": out_dt}
     return DumbbellTrajectory(traj.times, pos[:, 0:2], vel[:, 0:2], pos[:, 2], vel[:, 2], meta)
 
@@ -513,8 +518,7 @@ def _save_table(csv_path, header, columns, meta, extra_meta) -> dict:
     with atomic_write(csv_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.17g}" for v in row])
+        w.writerows([f"{v:.17g}" for v in row] for row in rows.tolist())
     meta = dict(meta)
     if extra_meta:
         meta.update(extra_meta)

@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oscavg import (CallablePotential, energy_drift, guiding_center,
+from oscavg import (CallablePotential, CallableStatic, energy_drift, guiding_center,
                     integrate_averaged, integrate_averaged_ladder, integrate_dumbbell,
                     integrate_full, integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
 from oscavg.averaging import assemble
-from oscavg.dynamics import _CALLED, Trajectory, _rk4_interval, atomic_write
+from oscavg.dynamics import (_CALLED, Trajectory, _rk4_interval, _save_table, atomic_write,
+                             integrate_static)
 from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -600,6 +601,81 @@ def test_dumbbell_matches_the_first_order_array_loop():
     assert np.max(np.abs(got - states)) < 1e-10
 
 
+def _dumbbell_acc(eps, sigma):
+    """The dumbbell's acceleration as a callable on lists of floats, as
+    integrate_dumbbell stepped it through integrate_second_order before its
+    stage was written into the RK4 loop."""
+    arm = math.sqrt(eps)
+
+    def acc(t, x, v):
+        z1, z2, th = x
+        c = math.cos(th)
+        s = math.sin(th)
+        p1, p2 = z1 + arm * c, z2 + arm * s
+        m1, m2 = z1 - arm * c, z2 - arm * s
+        rp = (p1 * p1 + p2 * p2) ** 1.5
+        rm = (m1 * m1 + m2 * m2) ** 1.5
+        gp1, gp2 = -sigma * p1 / rp, -sigma * p2 / rp
+        gm1, gm2 = -sigma * m1 / rm, -sigma * m2 / rm
+        return [-0.5 * (gp1 + gm1), -0.5 * (gp2 + gm2),
+                -(0.5 / arm) * ((gp1 - gm1) * -s + (gp2 - gm2) * c)]
+
+    return acc
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.005])
+@pytest.mark.parametrize("theta0", [0.0, 0.3])
+@pytest.mark.parametrize("sigma", [-1.0, 1.0])
+def test_dumbbell_equals_the_callable_acceleration_bit_for_bit(eps, theta0, sigma):
+    z0, zdot0, theta_dot0 = [1.0, 0.0], [0.0, 0.9], 1.0 / eps
+    traj = integrate_dumbbell(eps, np.array(z0), np.array(zdot0), theta0, theta_dot0, 0.5,
+                              steps_per_spin=96, out_dt=0.05, sigma=sigma)
+    ref = integrate_second_order(_dumbbell_acc(eps, sigma), [*z0, theta0], [*zdot0, theta_dot0],
+                                 0.5, h=TWO_PI / theta_dot0 / 96, out_dt=0.05)
+    assert len(traj) == 11
+    np.testing.assert_array_equal(traj.times, ref.times)
+    np.testing.assert_array_equal(np.column_stack([traj.center, traj.angle]), ref.positions)
+    np.testing.assert_array_equal(np.column_stack([traj.center_vel, traj.spin]), ref.velocities)
+
+
+@pytest.mark.parametrize("name", ["satellite", "callable"])
+def test_static_run_equals_the_negated_float_grad_bit_for_bit(name):
+    """integrate_static steps minus the static part's float_grad, written
+    into the RK4 loop: the precession run's point-mass control, and a
+    CallableStatic whose float_grad is the default over its grad; both stop
+    where in_region turns false, at the same sample."""
+    if name == "satellite":
+        static = get_scenario("spinning_satellite").potential.static
+        x0, v0, t_end = [1.0, 0.0], [0.0, 1.3], 8.0
+    else:
+        static = CallableStatic(lambda x: 0.5 * float(x @ x), 2,
+                                grad=lambda x: np.array([x[0], 4.0 * x[1]]),
+                                in_region=lambda x: x[0] < 0.9)
+        x0, v0, t_end = [0.3, -0.2], [1.0, 0.5], 3.0
+    got = integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.05)
+    ref = integrate_second_order(lambda t, x, v: [-g for g in static.float_grad(x)], x0, v0, t_end,
+                                 h=0.01, out_dt=0.05, in_region=static.in_region)
+    np.testing.assert_array_equal(got.times, ref.times)
+    np.testing.assert_array_equal(got.positions, ref.positions)
+    np.testing.assert_array_equal(got.velocities, ref.velocities)
+    assert got.meta == ref.meta
+    if name == "callable":
+        assert "exited_region_at" in got.meta and len(got) < 61
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["z0", "zdot0", "theta0", "sigma"])
+def test_dumbbell_rejects_a_non_finite_start_by_name(name, bad):
+    """A NaN or infinite start or field strength gave a NaN trajectory and
+    no error."""
+    given = {"z0": np.array([1.0, 0.0]), "zdot0": np.array([0.0, 0.9]), "theta0": 0.0,
+             "sigma": -1.0}
+    given[name] = np.array([1.0, bad]) if name in ("z0", "zdot0") else bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        integrate_dumbbell(0.02, given["z0"], given["zdot0"], given["theta0"], 50.0, 0.2,
+                           sigma=given["sigma"])
+
+
 def test_dumbbell_rejects_slow_or_backward_spin():
     with pytest.raises(ValueError, match="below the minimum"):
         integrate_dumbbell(0.02, np.array([1.0, 0.0]), np.array([0.0, 0.9]),
@@ -644,6 +720,24 @@ def test_load_trajectory_without_sidecar(tmp_path):
     back = load_trajectory(path)
     assert back.meta == {}, "missing sidecar should load as empty meta"
     assert len(back) == 2
+
+
+def test_table_text_is_the_per_float64_csv_writer_text(tmp_path):
+    """Rows formatted from Python floats give the text that a csv.writer fed
+    each np.float64 through f"{v:.17g}" gives, byte for byte."""
+    import csv
+    import io
+    values = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-17]
+    columns = [np.array(values), np.array(values[::-1]).reshape(-1, 1)]
+    header = ["a", "b"]
+    _save_table(tmp_path / "t.csv", header, columns, {}, None)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(header)
+    for row in np.column_stack(columns):
+        w.writerow([f"{v:.17g}" for v in row])
+    assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
+    assert want.getvalue().splitlines()[1] == "-0,-2.4999999999999999e-17"
 
 
 def test_csv_write_that_fails_midway_leaves_nothing(tmp_path):
