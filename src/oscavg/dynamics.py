@@ -21,17 +21,16 @@ length and stage form (_rk4_interval): its n_sub RK4 substeps run with x and
 v in local floats, the rows end to end, and combine every element in the
 order array arithmetic would use, so results are bit-identical to it (and
 each row to its own one-row run) at a fraction of numpy's per-operation
-cost on 2- and 3-vectors.  The stage is written into the loop in one of four
-forms.  A given acceleration acc(t, x, v) gets lists of floats and returns
-one; ladder_force reads each rung's state from them.  The dumbbell's
-(_DUMBBELL) and minus a static part's float_grad (_STATIC) are written out.
-The full flow's (_full_form) takes the phase t / eps mod 1 at each of a
-substep's three stage times, and from it the potential's phase factor
-(_stage_parts: the cosine drive's -a(tau), else the phase itself), then
-calls the spatial force, phase_force or the drive's profile gradient, on a
-list of floats at each stage, and writes in the static part of a split
-potential, bit for bit AveragedSystem.full_stage().  Only in_region and the
-force of a duck-typed system see float arrays.
+cost on 2- and 3-vectors.  The stage is written into the loop as a stage
+form: a given acceleration acc(t, x, v) is called on lists of floats
+(_CALLED; ladder_force reads each rung's state from them), the dumbbell's
+is written out (_DUMBBELL), and so is the full flow's (_full_form): the
+phase t / eps mod 1 and the potential's phase lines once per stage time,
+its stage lines at each stage, with no call but math's for every bundled
+potential (fields.generated).  A potential without float source, a
+user's, is called instead: phase_force once per stage, and float_grad for
+a static part.  Either way the run is AveragedSystem.full_stage() bit for
+bit.  Only in_region and the force of a duck-typed system see float arrays.
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ import csv
 import json
 import math
 import os
-import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .averaging import AveragedSystem, assemble, ladder_force
-from .fields import central_stencil, stencil_jacobian
+from .fields import SOURCE_NAMES, central_stencil, generated, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
 
@@ -97,14 +95,14 @@ def _substeps(out_dt, h):
 
 
 # One output interval of classical RK4 on n floats: n_sub substeps from time
-# t, x and v held in local floats, written out element by element: <e>
-# stands for e at every element, comma separated, and a line holding {i} is
-# repeated for each element.  Each element gets the list form's expression
-# in its order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results
-# are bit-identical to it.  A stage form (_CALLED, _STATIC, _DUMBBELL,
-# _full_form) fills in {args} and the @phase and @stage lines: "@phase p T"
-# names the stage time T's phase p (no line if the form's is ""), "@stage a
-# p x v" sets a_{i} from x_{i}, v_{i} at that phase; stages 2 and 3 share p.
+# t, x and v held in local floats, written out element by element
+# (fields.generated).  Each element gets the list form's expression in its
+# order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results are
+# bit-identical to it.  A stage form (_CALLED, _DUMBBELL, _full_form,
+# integrate_static's) fills in {args} and the @phase and @stage lines:
+# "@phase p T" names the stage time T's phase p (no line if the form has
+# none), "@stage a p x v" sets a_{i} from x_{i}, v_{i} at that phase;
+# stages 2 and 3 share p.
 _RK4_INTERVAL = """\
 def interval(t, x, v, n_sub, h, hh, h6, {args}):
     <x_{i}>, = x
@@ -129,17 +127,15 @@ def interval(t, x, v, n_sub, h, hh, h6, {args}):
     return [<x_{i}>], [<v_{i}>]
 """
 
-# Stage forms: (args, phase line, stage lines), with {t} the stage time and
+# Stage forms: (args, phase lines, stage lines), with {t} the stage time and
 # {p}, {a}, {x}, {v} the names of an @phase or @stage line.  _CALLED calls
-# acc(t, x, v) as integrate_second_order is given it; _STATIC is minus a
-# static part's float_grad; _full_form builds the full flow's.
-_CALLED = ("stage", "{p} = {t}", ("<{a}_{i}>, = stage({p}, [<{x}_{i}>], [<{v}_{i}>])",))
-_STATIC = ("static_grad", "", ("<g_{i}>, = static_grad([<{x}_{i}>])", "{a}_{i} = -g_{i}"))
+# acc(t, x, v) as integrate_second_order is given it.
+_CALLED = ("stage", ("{p} = {t}",), ("<{a}_{i}>, = stage({p}, [<{x}_{i}>], [<{v}_{i}>])",))
 
 # The dumbbell on (z1, z2, theta): gq and gm are the gradients of sigma / r at
 # its ends z +- arm u, u = (cos theta, sin theta); the center feels minus their
 # mean, the spin minus their difference along u' = (-sin theta, cos theta).
-_DUMBBELL = ("arm, sigma, cos, sin", "", (
+_DUMBBELL = ("arm, sigma, cos, sin", (), (
     "c = cos({x}_2)", "sn = sin({x}_2)",
     "q1, q2 = {x}_0 + arm * c, {x}_1 + arm * sn", "m1, m2 = {x}_0 - arm * c, {x}_1 - arm * sn",
     "rq = (q1 * q1 + q2 * q2) ** 1.5", "rm = (m1 * m1 + m2 * m2) ** 1.5",
@@ -148,62 +144,40 @@ _DUMBBELL = ("arm, sigma, cos, sin", "", (
     "{a}_2 = -(0.5 / arm) * ((gq1 - gm1) * -sn + (gq2 - gm2) * c)"))
 
 
+def _static_lines(static, out):
+    """Stage lines that set out_i to a static part's gradient: its
+    float_grad_source written in, else a float_grad call."""
+    lines = getattr(static, "float_grad_source", None) or ("<{a}_{i}>, = float_grad([<{x}_{i}>])",)
+    return tuple(line.replace("{a}", out) for line in lines)
+
+
 def _full_form(system: AveragedSystem):
     """The full flow's stage form and its arguments: -grad(U0 + eps^s U1) at
-    the phase t / eps mod 1, bit for bit AveragedSystem.full_stage().  The
-    oscillating part's _stage_parts give the phase factor, taken once per
-    stage time, and the spatial force, called at each stage; with a static
-    part the stage is scale * o_i - s_i, s its float_grad."""
-    factor, force = system._osc._stage_parts()
-    phase = "({t}) / eps % 1.0"
-    args, values = ["force", "eps"], [force, system.epsilon]
-    if factor is not None:
-        phase = f"factor({phase})"
-        args += ["factor"]
-        values += [factor]
-    stage = ("<{a}_{i}>, = force([<{x}_{i}>], {p})",)
-    static = system._static
+    the phase t / eps mod 1, bit for bit AveragedSystem.full_stage(), from
+    the oscillating part's phase_force_source, or a phase_force call per
+    stage if it has none; with a static part, scale * o_i - s_i (s from
+    _static_lines)."""
+    osc, static = system._osc, system._static
+    names = dict(SOURCE_NAMES, eps=system.epsilon, phase_force=osc.phase_force)
+    phase, stage = (getattr(osc, "phase_force_source", None)
+                    or ((), ("<{a}_{i}>, = phase_force([<{x}_{i}>], {p})",)))
     if static is not None:
-        stage = ("xs = [<{x}_{i}>]", "<s_{i}>, = static_grad(xs)", "<o_{i}>, = force(xs, {p})",
-                 "{a}_{i} = scale * o_{i} - s_{i}")
-        args += ["static_grad", "scale"]
-        values += [static.float_grad, system.epsilon ** system.shift]
-    return (", ".join(args), "{p} = " + phase, stage), values
+        names.update(float_grad=static.float_grad, scale=system.epsilon ** system.shift)
+        stage = (*_static_lines(static, "{a}s"), *(line.replace("{a}", "{a}o") for line in stage),
+                 "{a}_{i} = scale * {a}o_{i} - {a}s_{i}")
+    return (", ".join(names), ("{p} = ({t}) / eps % 1.0", *phase), stage), list(names.values())
 
 
 @lru_cache(maxsize=32)
 def _rk4_interval(n, form):
     """interval(t, x, v, n_sub, h, hh, h6, *args) -> (x, v): n_sub RK4
     substeps from time t on the lists of n floats x and v, generated from
-    _RK4_INTERVAL in the stage form `form`.  It is straight-line code in
-    local floats because on a few floats the list form's eight
+    _RK4_INTERVAL in the stage form `form` (fields.generated, which refuses
+    a form line that rebinds one of its names).  It is straight-line code
+    in local floats because on a few floats the list form's eight
     comprehensions and zips, and a call per substep, cost more than the
     arithmetic in them."""
-    args, phase, stage = form
-
-    def each(match):
-        return ", ".join(match.group(1).replace("{i}", str(i)) for i in range(n))
-
-    def expanded(line):
-        """The form's lines for an @phase or @stage line, else the line."""
-        indent, _, rest = line.partition("@")
-        if not rest:
-            return [line]
-        kind, name, *operands = rest.split(" ", 2)
-        if kind == "phase":
-            return [indent + phase.replace("{p}", name).replace("{t}", operands[0])] if phase else []
-        p, x, v = operands[0].split()
-        return [indent + part.replace("{a}", name).replace("{p}", p).replace("{x}", x)
-                .replace("{v}", v) for part in stage]
-
-    lines = []
-    for line in _RK4_INTERVAL.replace("{args}", args).splitlines():
-        for line in expanded(line):
-            line = re.sub(r"<([^<>]*)>", each, line)
-            lines += [line.replace("{i}", str(i)) for i in range(n)] if "{i}" in line else [line]
-    namespace = {}
-    exec(compile("\n".join(lines), f"<rk4 interval on {n} floats>", "exec"), namespace)
-    return namespace["interval"]
+    return generated(_RK4_INTERVAL, n, form, {})
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
@@ -364,7 +338,9 @@ def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
     """Integrate xdd = -grad S(x) for a static potential S, such as a split
     potential's static part, until S.in_region turns false: bit for bit
     integrate_second_order(lambda t, x, v: [-g for g in S.float_grad(x)], ...)."""
-    form = (_STATIC, [static.float_grad])
+    names = dict(SOURCE_NAMES, float_grad=static.float_grad)
+    form = ((", ".join(names), (), (*_static_lines(static, "{a}g"), "{a}_{i} = -{a}g_{i}")),
+            list(names.values()))
     return _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, static.in_region)
 
 

@@ -3,10 +3,14 @@
 Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
+Float source (generated) writes a force out as straight-line float code,
+for the full flow's RK4 loop and a potential's phase_force alike.
 """
 from __future__ import annotations
 
+import ast
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -227,6 +231,76 @@ def _checked_samples(potential, points, n_tau: int):
     return samples
 
 
+# ---- float source: a force as straight-line float code ----
+
+# The names float source may read; with inf and nan any float is its repr.
+SOURCE_NAMES = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "hypot": math.hypot,
+                "TWO_PI": 2.0 * math.pi, "inf": math.inf, "nan": math.nan}
+
+
+def generated(template, n, form, names):
+    """The function `template` defines, written out on n floats in the stage
+    form (args, phase lines, stage lines) and compiled with the globals
+    `names`.  In the template <e> is e at every element, comma separated, a
+    line holding {i} is repeated for each element, and "@phase p T" and
+    "@stage a p x v" are the form's lines with {p} named p, {t} T, {a} a,
+    {x} x and {v} v.  Other names the form's lines bind are temporaries in
+    the function's own scope, so a line that rebinds a name of the template
+    (other than its own p or a_i) is refused by name."""
+    args, phase, stage = form
+
+    def written(line):
+        line = re.sub(r"<([^<>]*)>", lambda m: ", ".join(m[1].replace("{i}", str(i)) for i in range(n)), line)
+        return [line.replace("{i}", str(i)) for i in range(n)] if "{i}" in line else [line]
+
+    lines, own, bound = [], set(), []
+    for line in template.replace("{args}", args).splitlines():
+        indent, _, rest = line.partition("@")
+        if not rest:
+            out = written(line)
+            lines += out
+            own.update(re.findall(r"[A-Za-z_]\w*", " ".join(out)))
+            continue
+        kind, name, operands = rest.split(" ", 2)
+        if kind == "phase":
+            parts, subs = phase, {"{p}": name, "{t}": operands}
+        else:
+            parts, subs = stage, dict(zip(("{a}", "{p}", "{x}", "{v}"), (name, *operands.split())))
+        for part in parts:
+            for key, value in subs.items():
+                part = part.replace(key, value)
+            out = written(indent + part)
+            lines += out
+            bound += [(name, node.id, q.strip()) for q in out for node in ast.walk(ast.parse(q.strip()))
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    for name, target, line in bound:
+        if target in own and target != name and not target.startswith(name + "_"):
+            raise ValueError(f"stage line {line!r} rebinds {target!r}, a name of the generated function")
+    function = re.match(r"def (\w+)", template)[1]
+    namespace = dict(names)
+    exec(compile("\n".join(lines), f"<{function} on {n} floats>", "exec"), namespace)
+    return namespace[function]
+
+
+_SOURCE_FUNCTION = """\
+def at_phase(x, p):
+    <x_{i}>, = map(float, x)
+    @phase p p
+    @stage a p x -
+    return [<a_{i}>]
+"""
+
+
+@lru_cache(maxsize=64)
+def source_function(n, phase, stage):
+    """at_phase(x, p) -> list of n floats: the float source's stage lines at
+    x, a sequence of floats, after its phase lines at p: a potential's
+    phase_force at the phase p, or with no phase lines its float_grad.
+    Compiled once per source and kept here, not on the potential, so
+    potentials pickle as before."""
+    return generated(_SOURCE_FUNCTION, n, ("", phase, stage), SOURCE_NAMES)
+
+
 class TimePeriodicPotential:
     """Base class for potentials U(x, tau) with period 1 in tau: the shift 0
     case of U = static(x) + eps^shift * oscillating(x, tau), with no static
@@ -240,18 +314,17 @@ class TimePeriodicPotential:
     accept tau as a scalar or a 1-d array and vectorize over it.
 
     The full flow's RK4 loop (dynamics) takes minus the gradient at one
-    float phase as _stage_parts gives it: force(x, factor(tau)) is
-    phase_force(x, tau) bit for bit, with x a list of floats.  It takes the
-    factor once per stage time (three times per substep, as stages 2 and 3
-    share one) and calls force four times, so that call's fixed cost sets
-    the speed of the full run.  By default the factor is the phase itself
-    and force is phase_force, minus the gradient as a list of floats: the
-    default converts x to a float array once, calls grad(x, tau) and
-    negates; the bundled potentials override it in float math on x's
-    floats, negating in the expression itself (IEEE negation is exact),
-    which skips the array round trip and the 0-d array overhead of the array
-    path.  A cosine drive splits off its drive factor instead
-    (scenarios.CosineDrivePotential).
+    float phase four times per substep.  Every bundled potential gives it
+    as float source, phase_force_source = (phase lines, stage lines): the
+    phase lines read the phase as {p}, the stage lines set {a}_i to minus
+    gradient entry i from {x}_i, with SOURCE_NAMES and literal constants.
+    The loop writes the phase lines in once per stage time (three times per
+    substep, as stages 2 and 3 share one) and the stage lines at each
+    stage; phase_force is compiled from the same lines.  Any other
+    potential is called: phase_force(x, tau) once per stage, with x the
+    stepper's list of floats, returning minus the gradient as a list of
+    floats; the default converts x to a float array once, calls grad and
+    negates, so a custom potential needs nothing more.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
@@ -271,6 +344,7 @@ class TimePeriodicPotential:
     dim: int = 0
     static = None
     shift = 0
+    phase_force_source = None
 
     @property
     def oscillating(self):
@@ -290,15 +364,13 @@ class TimePeriodicPotential:
 
     def phase_force(self, x, tau):
         """Minus grad at x, a sequence of floats (the stepper's list, or a
-        float array), and one float phase tau, as a list of floats.  The
-        default converts x to a float array once, calls grad and negates."""
+        float array), and one float phase tau, as a list of floats: compiled
+        from phase_force_source if there is one, else by converting x to a
+        float array once, calling grad and negating."""
+        if self.phase_force_source is not None:
+            return source_function(self.dim, *self.phase_force_source)(x, tau)
         return [-g for g in np.asarray(self.grad(np.asarray(x, dtype=float), tau),
                                        dtype=float).tolist()]
-
-    def _stage_parts(self):
-        """(factor, force) with force(x, factor(tau)) equal to phase_force(x,
-        tau) bit for bit; factor None stands for the phase itself."""
-        return None, self.phase_force
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)
@@ -312,6 +384,7 @@ class StaticPotential:
     """Potential of position only.  Used as the slow part of split potentials."""
 
     dim: int = 0
+    float_grad_source = None
 
     def value(self, x):
         raise NotImplementedError
@@ -321,8 +394,11 @@ class StaticPotential:
 
     def float_grad(self, x):
         """grad at x, a sequence of floats, as a list of floats: the static
-        part of a split potential's full-flow stage.  The default converts x
-        to a float array once and calls grad."""
+        part of a split potential's full-flow stage.  Compiled from
+        float_grad_source (stage lines only) if there is one, else by
+        converting x to a float array once and calling grad."""
+        if self.float_grad_source is not None:
+            return source_function(self.dim, (), self.float_grad_source)(x, None)
         return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).tolist()
 
     def hess(self, x):

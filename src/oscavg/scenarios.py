@@ -19,7 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .averaging import assemble
-from .fields import Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid
+from .fields import (Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid,
+                     source_function)
 
 TWO_PI = 2.0 * math.pi
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -74,8 +75,9 @@ class FactoredPotential(TimePeriodicPotential):
     if they are a user's callables (_checked_per_point; their _block keeps
     the callables' shapes), sent down that path too.  The averaged force
     needs no spectrum: it is generated code over _bins and _pieces
-    (averaging._force_kernel), with the same checks.  phase_force stays
-    written out per subclass: from the pieces it costs 2-3 times as much.
+    (averaging._force_kernel), with the same checks.  The full flow's force
+    is each bundled subclass's own float source (phase_force_source), not
+    the pieces: from the pieces it costs 2-3 times as much.
     """
 
     _checked_per_point = False
@@ -180,11 +182,10 @@ class RotatingSaddlePotential(HarmonicPotential):
                 0.5 * (xx * xx - yy * yy), xx, -yy, 1.0, 0.0, 0.0, -1.0,
                 -xx * yy, -yy, -xx, 0.0, -1.0, -1.0, 0.0]
 
-    def phase_force(self, x, tau):
-        ang = -TWO_PI * tau
-        c, s = math.cos(ang), math.sin(ang)
-        x0, x1 = float(x[0]), float(x[1])
-        return [-(c * x0 + s * x1), -(s * x0 - c * x1)]
+    # minus the gradient of C cos(theta) + S sin(theta), theta = -2 pi tau
+    phase_force_source = (("{p}c = cos(-TWO_PI * {p})", "{p}s = sin(-TWO_PI * {p})"),
+                          ("{a}_0 = -({p}c * {x}_0 + {p}s * {x}_1)",
+                           "{a}_1 = -({p}s * {x}_0 - {p}c * {x}_1)"))
 
 
 def rotating_saddle() -> Scenario:
@@ -237,7 +238,7 @@ class SeparableDrivePotential(FactoredPotential):
     phase in phase_force; the profile u_value/u_grad/u_hess (d floats, d
     rows of d) gets float arrays: phase_force converts the stepper's list
     of floats x once and scales u_grad's entries by -a(tau), which is
-    -(a g) bit for bit.  CosineDrivePotential is the float-math form for a
+    -(a g) bit for bit.  CosineDrivePotential is the float-source form for a
     cosine drive.
     """
 
@@ -262,35 +263,28 @@ class SeparableDrivePotential(FactoredPotential):
 
 
 class CosineDrivePotential(SeparableDrivePotential):
-    """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with a profile
-    gradient u_grad(x, a=1.0) that takes the floats of x (the stepper's list
-    or a float array) and a float factor a, and returns the list of floats
-    a * g for each entry g of grad u(x), each product rounded once.  The
-    inherited grad, spectrum and closed forms call u_grad(x), and 1.0 * g
-    is g exactly.
-
-    phase_force is then one u_grad call on the stepper's list with the drive
-    factor a = -(a_mean + alpha cos(2 pi tau)) (_drive_factor): math.cos for
-    the drive, which gives numpy's cos values at a fraction of its per-call
-    cost (tests/test_properties.py checks the two paths bit for bit), and
-    the negation is exact, so each entry is -(a(tau) g) as the array path
-    multiplies them.  The full flow's loop takes the two apart
-    (_stage_parts): one factor per stage time and u_grad at each stage.
+    """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with grad u given as
+    float source, one expression in {x}_0, {x}_1, ... per entry: the
+    quartic's is ("{x}_0 ** 3 + {x}_1", "{x}_0").  u_grad(x, a=1.0), which
+    grad, spectrum and the closed forms call, is compiled from them: a * g
+    for each entry g, on the floats of x.  phase_force_source takes the
+    factor a = -(a_mean + alpha cos(2 pi tau)) once per phase (math.cos,
+    which tests/test_properties.py holds to numpy's cos bit for bit) and the
+    same products at each stage, so each entry is -(a(tau) g) exactly.
     """
 
-    def __init__(self, a_mean, alpha, u_value, u_grad, u_hess, dim):
+    phase_force = TimePeriodicPotential.phase_force
+
+    def __init__(self, a_mean, alpha, u_value, grad_source, u_hess, dim):
         self.a_mean, self.alpha = float(a_mean), float(alpha)
+        if len(grad_source) != int(dim):
+            raise ValueError(f"{len(grad_source)} gradient expressions for dim {dim}")
+        stage = tuple("{a}_%d = {p} * (%s)" % item for item in enumerate(grad_source))
+        self.phase_force_source = (("{p} = -(%r + %r * cos(TWO_PI * {p}))" % (self.a_mean, self.alpha),),
+                                   stage)
+        grad = source_function(int(dim), (), stage)
         super().__init__(lambda tau: self.a_mean + self.alpha * np.cos(TWO_PI * tau),
-                         u_value, u_grad, u_hess, dim)
-
-    def _drive_factor(self, tau):
-        return -(self.a_mean + self.alpha * math.cos(TWO_PI * tau))
-
-    def _stage_parts(self):
-        return self._drive_factor, self._ug
-
-    def phase_force(self, x, tau):
-        return self._ug(x, self._drive_factor(tau))
+                         u_value, lambda x, a=1.0: grad(x, a), u_hess, dim)
 
 
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
@@ -312,18 +306,10 @@ def quartic_drive() -> Scenario:
     def u_value(x):
         return x[0] ** 4 / 4.0 + x[0] * x[1]
 
-    def u_grad(x, a=1.0):
-        # the full flow's loop hands it a list of floats and minus the drive
-        # at each of the four stages of a substep: float math on x's floats,
-        # the drive factor applied here, no array round trip and no list to
-        # rescale
-        x0, x1 = float(x[0]), float(x[1])
-        return [a * (x0 ** 3 + x1), a * x0]
-
     def u_hess(x):
         return [[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]
 
-    pot = CosineDrivePotential(0.0, 1.0, u_value, u_grad, u_hess, dim=2)
+    pot = CosineDrivePotential(0.0, 1.0, u_value, ("{x}_0 ** 3 + {x}_1", "{x}_0"), u_hess, dim=2)
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # drive antiderivative sin(2 pi tau)/(2 pi)
     return Scenario(
         name="quartic_drive",
@@ -338,7 +324,7 @@ def quartic_drive() -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(0.0, avg_v2, u_grad, u_hess, 2),
+        closed_forms=_separable_closed(0.0, avg_v2, pot._ug, u_hess, 2),
         extras={"slope_floor": 3.7},
     )
 
@@ -353,13 +339,10 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
     def u_value(x):
         return -math.cos(x[0])
 
-    def u_grad(x, a=1.0):
-        return [a * math.sin(x[0])]
-
     def u_hess(x):
         return [[math.cos(x[0])]]
 
-    pot = CosineDrivePotential(a_mean, alpha, u_value, u_grad, u_hess, dim=1)
+    pot = CosineDrivePotential(a_mean, alpha, u_value, ("sin({x}_0)",), u_hess, dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
     return Scenario(
         name="kapitza_pendulum",
@@ -374,7 +357,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(a_mean, avg_v2, u_grad, u_hess, 1),
+        closed_forms=_separable_closed(a_mean, avg_v2, pot._ug, u_hess, 1),
     )
 
 
@@ -412,15 +395,11 @@ class RotatingWavePotential(HarmonicPotential):
     def in_region(self, x):
         return math.hypot(x[0], x[1]) >= self.r_min
 
-    def phase_force(self, x, tau):
-        # minus the gradient of (x cos theta + y sin theta) / r in float math
-        ang = TWO_PI * tau
-        c, s = math.cos(ang), math.sin(ang)
-        x0, x1 = float(x[0]), float(x[1])
-        r2 = x0 ** 2 + x1 ** 2
-        r = math.sqrt(r2)
-        dot = (x0 * c + x1 * s) / (r2 * r)
-        return [-(c / r - dot * x0), -(s / r - dot * x1)]
+    # minus the gradient of (x cos theta + y sin theta) / r, theta = 2 pi tau
+    phase_force_source = (("{p}c = cos(TWO_PI * {p})", "{p}s = sin(TWO_PI * {p})"),
+                          ("r2 = {x}_0 ** 2 + {x}_1 ** 2", "r = sqrt(r2)",
+                           "dot = ({x}_0 * {p}c + {x}_1 * {p}s) / (r2 * r)",
+                           "{a}_0 = -({p}c / r - dot * {x}_0)", "{a}_1 = -({p}s / r - dot * {x}_1)"))
 
 
 def rotating_wave() -> Scenario:
@@ -475,18 +454,15 @@ class SatelliteStatic(StaticPotential):
 
     def __init__(self, sigma=-1.0):
         self.sigma = float(sigma)
+        c = -2.0 * self.sigma
+        self.float_grad_source = ("r3 = hypot({x}_0, {x}_1) ** 3",
+                                  "{a}_0 = %r * {x}_0 / r3" % c, "{a}_1 = %r * {x}_1 / r3" % c)
 
     def value(self, x):
         return 2.0 * self.sigma / math.hypot(x[0], x[1])
 
     def grad(self, x):
         return np.array(self.float_grad(x))
-
-    def float_grad(self, x):
-        xx, yy = float(x[0]), float(x[1])
-        c = -2.0 * self.sigma
-        r3 = math.hypot(xx, yy) ** 3
-        return [c * xx / r3, c * yy / r3]
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
@@ -514,6 +490,18 @@ class SatelliteOscillating(HarmonicPotential):
 
     def __init__(self, sigma=-1.0):
         self.sigma = float(sigma)
+        # minus float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5
+        # - 5 xy z / r^7) and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
+        k = self.sigma / TWO_PI
+        self.phase_force_source = (
+            ("{p}c = cos(2.0 * TWO_PI * {p})", "{p}s = sin(2.0 * TWO_PI * {p})"),
+            ("r2 = {x}_0 * {x}_0 + {x}_1 * {x}_1", "r5 = r2 * r2 * sqrt(r2)",
+             "u = 1.0 / r5", "w = 5.0 / (r5 * r2)", "q = {x}_0 * {x}_0 - {x}_1 * {x}_1",
+             "xy = {x}_0 * {x}_1",
+             "{a}_0 = -(%r * (-1.5 * {x}_0 * u + 1.5 * {p}c * (2.0 * {x}_0 * u - q * {x}_0 * w)"
+             " + 3.0 * {p}s * ({x}_1 * u - xy * {x}_0 * w)))" % k,
+             "{a}_1 = -(%r * (-1.5 * {x}_1 * u + 1.5 * {p}c * (-2.0 * {x}_1 * u - q * {x}_1 * w)"
+             " + 3.0 * {p}s * ({x}_0 * u - xy * {x}_1 * w)))" % k))
 
     in_region = SatelliteStatic.in_region
 
@@ -544,26 +532,6 @@ class SatelliteOscillating(HarmonicPotential):
                     a * g + f * hxx + 2.0 * ax * gx, off, off,
                     c * g + f * hyy + 2.0 * ay * gy]
         return out
-
-    def phase_force(self, x, tau):
-        # minus float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5 - 5 xy z / r^7)
-        # and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
-        xx, yy = float(x[0]), float(x[1])
-        r2 = xx * xx + yy * yy
-        r5 = r2 * r2 * math.sqrt(r2)
-        u = 1.0 / r5
-        w = 5.0 / (r5 * r2)
-        q = xx * xx - yy * yy
-        xy = xx * yy
-        ang = 2.0 * TWO_PI * tau
-        c = math.cos(ang)
-        s = math.sin(ang)
-        k = self.sigma / TWO_PI
-        gx = k * (-1.5 * xx * u + 1.5 * c * (2.0 * xx * u - q * xx * w)
-                  + 3.0 * s * (yy * u - xy * xx * w))
-        gy = k * (-1.5 * yy * u + 1.5 * c * (-2.0 * yy * u - q * yy * w)
-                  + 3.0 * s * (xx * u - xy * yy * w))
-        return [-gx, -gy]
 
 
 def spinning_satellite(sigma: float = -1.0) -> Scenario:

@@ -14,6 +14,7 @@ from oscavg.analysis import compare
 from oscavg.averaging import assemble
 from oscavg.dynamics import (_CALLED, Trajectory, _rk4_interval, _save_table, atomic_write,
                              integrate_static)
+from oscavg.fields import SOURCE_NAMES
 from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
@@ -469,29 +470,38 @@ def test_full_run_equals_the_callable_full_stage_bit_for_bit(case):
         assert np.array_equal(getattr(got, name), getattr(want, name)), f"{case}: {name} differ"
 
 
-def test_cosine_drive_takes_one_factor_per_stage_time():
-    """A spy on the quartic drive: three phase factors (stages 2 and 3 share
-    theirs) and four u_grad calls per substep, and substeps_per_out times
-    the intervals run is the number of substeps taken, which the bench
-    tracer counts by."""
-    pot = get_scenario("quartic_drive").potential
+def test_cosine_drive_takes_one_cos_per_stage_time(monkeypatch):
+    """A spy on the cos that the quartic's stage form binds: three drive
+    factors per substep (stages 2 and 3 share theirs), and substeps_per_out
+    times the intervals run is the number of substeps taken, which the
+    bench tracer counts by."""
     calls = Counter()
-    factor, u_grad = pot._drive_factor, pot._ug
 
-    def counted_factor(tau):
-        calls["factor"] += 1
-        return factor(tau)
+    def counted_cos(a):
+        calls["cos"] += 1
+        return math.cos(a)
 
-    def counted_grad(x, a=1.0):
-        calls["u_grad"] += 1
-        return u_grad(x, a)
-
-    pot._drive_factor, pot._ug = counted_factor, counted_grad
-    traj = integrate_full(pot, 1 / 64, [0.8, 0.4], [0.2, -0.1], 0.05,
-                          steps_per_period=128, out_dt=0.01)
+    monkeypatch.setitem(SOURCE_NAMES, "cos", counted_cos)
+    traj = integrate_full(get_scenario("quartic_drive").potential, 1 / 64, [0.8, 0.4], [0.2, -0.1],
+                          0.05, steps_per_period=128, out_dt=0.01)
     substeps = traj.meta["substeps_per_out"] * (len(traj) - 1)
     assert substeps == 82 * 5
-    assert calls == {"factor": 3 * substeps, "u_grad": 4 * substeps}
+    assert calls == {"cos": 3 * substeps}
+
+
+def test_a_stage_line_that_rebinds_an_interval_name_is_refused():
+    """Stage temporaries share the interval's local scope: one named s (the
+    substep counter) or eps (an argument) is refused by name, and a
+    temporary of a name of its own steps as the called form does."""
+    called = _CALLED[2][0]
+    for name in ("s", "eps", "a2_0"):
+        form = ("stage, eps", ("{p} = {t}",), (f"{name} = 0.5", called))
+        with pytest.raises(ValueError, match=f"rebinds '{name}'"):
+            _rk4_interval(2, form)
+    form = ("stage", ("{p} = {t}",), ("scratch = 0.5", called))
+    x, v, h = [0.4, -0.2], [0.1, 0.3], 0.037
+    assert (_rk4_interval(2, form)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, _coupled_stage)
+            == _rk4_interval(2, _CALLED)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, _coupled_stage))
 
 
 # ---- guiding-center map ----

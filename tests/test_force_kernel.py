@@ -14,7 +14,7 @@ import pytest
 
 from oscavg import CallablePotential, CallableStatic, Order1Potential, assemble, closed_form_checks
 from oscavg.averaging import AveragedSystem, _force_kernel, ladder_force
-from oscavg.dynamics import integrate_averaged_ladder
+from oscavg.dynamics import integrate_averaged_ladder, integrate_full
 from oscavg.fields import TimePeriodicPotential
 from oscavg.scenarios import (CATALOG, FactoredPotential, SeparableDrivePotential,
                               get_scenario)
@@ -233,11 +233,65 @@ def test_satellites_with_different_sigma_keep_their_own_kernels():
 
 
 def test_a_potential_with_kernels_pickles():
+    """A potential pickles after its force kernels and its full-flow stage
+    (compiled from its float source) have been built, and its clone gives
+    the same averaged force and the same full run, bit for bit."""
     sc = get_scenario("spinning_satellite")
     system = sc.build_system(1 / 64)
     force = system.force(sc.x0, sc.v0)
+
+    def full_run(potential):
+        return integrate_full(potential, system.epsilon, sc.x0, sc.v0, 0.05,
+                              steps_per_period=sc.steps_per_period, out_dt=sc.out_dt)
+
+    run = full_run(sc.potential)
     clone = pickle.loads(pickle.dumps(sc.potential))
     assert np.array_equal(assemble(clone, system.epsilon, sc.n_tau).force(sc.x0, sc.v0), force)
+    again = full_run(clone)
+    for name in ("times", "positions", "velocities"):
+        assert np.array_equal(getattr(again, name), getattr(run, name)), f"{name} differ"
+
+
+# ---- symmetries of B and grad W ----
+
+# generated potentials whose B is not zero: some of their factors share a harmonic
+SYMMETRY_CASES = [*BUNDLED, *(f"random{seed}" for seed in (0, 4, 6, 9))]
+
+
+def _at_phase(osc, phase):
+    """osc at the phase phase(tau), behind CallablePotential: the sampled path."""
+    return CallablePotential(lambda x, tau: osc.value(x, phase(tau)), osc.dim,
+                             grad=lambda x, tau: osc.grad(x, phase(tau)),
+                             hess=lambda x, tau: osc.hess(x, phase(tau)))
+
+
+@pytest.mark.parametrize("case", SYMMETRY_CASES)
+def test_b_and_w_grad_under_time_reversal_and_phase_shift(case):
+    """On the sampled path at n_tau 16, for the oscillating part of each
+    bundled potential and of seeded generated ones: B is antisymmetric with
+    a zero diagonal, bit for bit; the time reversal U(x, -tau) flips B and
+    keeps grad W, and the phase shift U(x, tau + 0.3) keeps both, to 1e-13
+    of their largest entry."""
+    if case in BUNDLED:
+        sc = get_scenario(case)
+        osc, x = sc.potential.oscillating, sc.x0 * 1.1 + 0.05
+    else:
+        rng = np.random.default_rng(int(case[len("random"):]))
+        osc = _RandomFactored(rng, int(rng.integers(2, 4)), True)
+        x = rng.uniform(-1.0, 1.0, osc.dim)
+    fields = {}
+    for name, phase in (("U", lambda tau: tau), ("reversed", lambda tau: -tau),
+                        ("shifted", lambda tau: tau + 0.3)):
+        spectra = assemble(_at_phase(osc, phase), 0.05, n_tau=16).stack(x)
+        fields[name] = spectra.b_matrix()[0], spectra.w_grad()[0]
+    b, w_grad = fields["U"]
+    for name, (b_other, _) in fields.items():
+        assert np.array_equal(b_other, -b_other.T) and not np.diag(b_other).any(), name
+    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(w_grad))))
+    for name, sign in (("reversed", -1.0), ("shifted", 1.0)):
+        b_other, w_other = fields[name]
+        err = max(float(np.max(np.abs(b_other - sign * b))), float(np.max(np.abs(w_other - w_grad))))
+        assert err <= 1e-13 * scale, f"{case} {name}: off by {err / scale:.1e} of the largest entry"
 
 
 # ---- the fast path stays taken ----
