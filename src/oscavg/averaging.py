@@ -52,16 +52,18 @@ piece products whose weights depend on the bins and n_tau alone:
 
 with w2_k = 2 / (2 pi k)^2 and w3_k = 2 / (2 pi k)^3 over the interior bins.
 ladder_force therefore takes a factored potential's force from straight-line
-float code over its pieces, generated once per n_tau with the zero entries
-of Q2 and Q3 left out (_force_kernel: the satellite keeps two of each, a
-separable drive one Q2 entry and no Q3 entry), and a force call is one
-_pieces call and one kernel call per row, with no spectrum.  At n_tau 16 on
-the five bundled scenarios a one-row call takes 6-12 us and a four-row call
-16-36 us, against 60-86 us and 70-124 us on the FieldSpectra path (medians
-of 15 x 2000 calls, 3 alternating runs, shared 2-core VM, Python 3.11,
-numpy 2.4).  Any other potential takes that path: one potential.spectrum
-call at the rows' own points per force call, where the central difference
-of b took 2 dim + 1 points.  The guiding-center map needs a true
+float code over its pieces, with the zero entries of Q2 and Q3 left out
+(_force_kernel: the satellite keeps two of each, a separable drive one Q2
+entry and no Q3 entry), and a force call is one _pieces call and one kernel
+call per row, with no spectrum.  An AveragedSystem writes the kernel's
+source text at its first force call and takes the kernel by that text from
+fields.generated's cache.  At n_tau 16 on the five bundled scenarios a
+one-row call takes 6-12 us and a four-row call 16-36 us, against 60-86 us
+and 70-124 us on the FieldSpectra path (medians of 15 x 2000 calls, 3
+alternating runs, shared 2-core VM, Python 3.11, numpy 2.4).  Any other
+potential takes that path: one potential.spectrum call at the rows' own
+points per force call, where the central difference of b took 2 dim + 1
+points.  The guiding-center map needs a true
 third derivative: it takes a central stencil around every state in one call
 and reads V, S, A at each state's phase from the coefficients.  A single
 point's fields are row 0 of a one-point FieldSpectra (stack(x)); the tests
@@ -79,11 +81,12 @@ V, S are the first and second zero-mean tau antiderivatives of U1.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import TimePeriodicPotential, antiderivative_factors, checked_grid, phase_weights
+from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors,
+                     checked_grid, generated, phase_weights)
 
 
 @lru_cache(maxsize=16)
@@ -249,23 +252,45 @@ class AveragedSystem:
         v = np.asarray(v, dtype=float)
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
+    def full_form(self):
+        """The full flow's stage form and its arguments: -grad(U0 + eps^s U1)
+        at the phase t / eps mod 1 from the oscillating part's
+        phase_force_source, or a phase_force call if it has none, and with a
+        static part scale * o_i - s_i (_static_lines), -(s + scale * g)
+        exactly.  integrate_full's RK4 loop and full_stage() both take it."""
+        osc, static = self._osc, self._static
+        names = dict(SOURCE_NAMES, eps=self.epsilon, phase_force=osc.phase_force)
+        phase, stage = (getattr(osc, "phase_force_source", None)
+                        or ((), ("<{a}_{i}>, = phase_force([<{x}_{i}>], {p})",)))
+        if static is not None:
+            names.update(float_grad=static.float_grad, scale=self.epsilon ** self.shift)
+            stage = (*_static_lines(static, "{a}s"), *(line.replace("{a}", "{a}o") for line in stage),
+                     "{a}_{i} = scale * {a}o_{i} - {a}s_{i}")
+        return (", ".join(names), ("{p} = ({t}) / eps % 1.0", *phase), stage), list(names.values())
+
     def full_stage(self):
-        """The full flow's acceleration acc(t, x, v): -grad(U0 + eps^s U1) at
-        x, a sequence of floats, and the phase t / eps mod 1, as a list of
-        floats.  phase_force is minus the oscillating gradient, so
-        scale * o - s is -(s + scale * g) exactly; with no static part it is
-        the phase_force list as it comes.  The guiding-center map reads the
-        full acceleration from it.  integrate_full writes the same stage into
-        its RK4 loop (dynamics._full_form), bit for bit."""
-        eps, phase_force = self.epsilon, self._osc.phase_force
-        if self._static is None:
-            return lambda t, x, v: phase_force(x, (t / eps) % 1.0)
-        static_grad, scale = self._static.float_grad, eps ** self.shift
-        return lambda t, x, v: [scale * o - s for s, o in
-                                zip(static_grad(x), phase_force(x, (t / eps) % 1.0))]
+        """The full flow's acceleration acc(t, x, v), a list of floats, for
+        the guiding-center map: full_form() in STAGE, integrate_full's stage
+        bit for bit."""
+        form, args = self.full_form()
+        stage = generated(STAGE, self.dim, form)
+        return lambda t, x, v: stage(t, x, v, *args)
+
+    @cached_property
+    def _kernel(self):
+        """_kernel_source of the oscillating part, taken at the first force:
+        text, not code, so that a system pickles."""
+        return _kernel_source(self._osc, self.n_tau, self._static is not None)
 
     def in_region(self, x):
         return self.potential.in_region(x)
+
+
+def _static_lines(static, out):
+    """Stage lines that set out_i to a static part's gradient: its
+    float_grad_source written in, else a float_grad call."""
+    lines = getattr(static, "float_grad_source", None) or ("<{a}_{i}>, = float_grad([<{x}_{i}>])",)
+    return tuple(line.replace("{a}", out) for line in lines)
 
 
 def assemble(potential, epsilon: float, n_tau: int = 48) -> AveragedSystem:
@@ -281,7 +306,7 @@ def ladder_force(systems, x, v):
 
     The fields depend on x alone, and each row's force takes its own
     system's eps weights.  The systems must share their potential and n_tau.
-    A factored potential's rows go through its force kernel (_force_kernel):
+    A factored potential's rows go through its force kernel (_kernel_source):
     the pieces at each row's point (a float array) and one kernel call per
     row, no spectra.  A call in which some row's pieces are not the kernel's
     count of finite floats, and every call for any other potential, builds
@@ -292,11 +317,11 @@ def ladder_force(systems, x, v):
     d = first.dim
     points = [np.array(x[i:i + d]) for i in range(0, len(x), d)]
     static = first._static
-    kernel = _force_kernel(first._osc, first.n_tau, static is not None)
-    if kernel is not None:
+    if first._kernel is not None:
+        source, size = first._kernel
         rows = list(map(first._osc._pieces, points))
-        if all(_finite_floats(row, kernel.size) for row in rows):
-            out = []
+        if all(_finite_floats(row, size) for row in rows):
+            kernel, out = generated(source), []
             for i, (system, row) in enumerate(zip(systems, rows)):
                 lo, hi = i * d, i * d + d
                 sg = () if static is None else static.float_grad(x[lo:hi])
@@ -335,14 +360,6 @@ def force(p, v, sg, bw, ww, mw):
 """
 
 
-class _Kernels(dict):
-    """A potential's force kernels by (n_tau, static).  They are built by
-    exec and do not pickle, so the cache pickles empty and refills on use."""
-
-    def __reduce__(self):
-        return _Kernels, ()
-
-
 def _gram_terms(bins, n_tau):
     """The nonzero entries of Q2 = Re sum_k w2_k b_jk conj(b_lk) and Q3 =
     Im sum_k w3_k b_jk conj(b_lk) over the interior bins, each grouped as
@@ -361,41 +378,31 @@ def _gram_terms(bins, n_tau):
 
 
 def _force_kernel(potential, n_tau, static):
-    """force(p, v, sg, bw, ww, mw) from _FORCE_KERNEL for a factored
-    potential (one that gives _bins and _pieces) on an n_tau grid, with the
-    static gradient sg added when `static`; None for any other potential, or
-    for factors that are not floats.  Built at first use and kept on the
-    potential per (n_tau, static), as _bins keeps its bins; .size is the
-    length of p."""
-    try:
-        return potential._force_kernels[n_tau, static]
-    except (AttributeError, KeyError):
-        if not hasattr(potential, "_pieces"):
-            return None
-    kernels = potential.__dict__.setdefault("_force_kernels", _Kernels())
-    bins = potential._bins(checked_grid([], potential.dim, n_tau))
-    kernel = None
-    if bins is not None:
-        namespace = {}
-        exec(compile(_kernel_source(bins, n_tau, potential.dim, static),
-                     f"<force kernel of {type(potential).__name__} at n_tau {n_tau}>", "exec"),
-             namespace)
-        kernel = namespace["force"]
-        kernel.size = bins.shape[0] * (1 + potential.dim * (1 + potential.dim))
-    kernels[n_tau, static] = kernel
-    return kernel
+    """force(p, v, sg, bw, ww, mw) of _kernel_source, generated by its text
+    (so potentials with the same bins share it), or None."""
+    found = _kernel_source(potential, n_tau, static)
+    return found and generated(found[0])
 
 
-def _kernel_source(bins, n_tau, d, static):
-    """_FORCE_KERNEL written out for the factor bins b_jk, shape (J, n_tau // 2 + 1).
+def _kernel_source(potential, n_tau, static):
+    """_FORCE_KERNEL written out for a factored potential (one that gives
+    _bins and _pieces) on an n_tau grid, with the static gradient sg added
+    when `static`, and the length of its p; None for any other potential,
+    or for factors that are not floats.
 
-    With g_j and h_j the gradient and Hessian of P_j, the mean gradient is
-    sum_j Re(b_j0) g_j, grad W_i = sum_jl Q2_jl sum_m h_j[i, m] g_l[m] and
-    M_in = sum_jl Q3_jl sum_m h_j[i, m] h_l[m, n] (module docstring).  Zero
-    entries are left out, and the pairs that share a weight share its
-    product.  Only B's upper triangle is written: the entries below are
-    their exact negatives and the diagonal is zero.
+    With b_jk the factor bins and g_j, h_j the gradient and Hessian of P_j,
+    the mean gradient is sum_j Re(b_j0) g_j, grad W_i = sum_jl Q2_jl sum_m
+    h_j[i, m] g_l[m] and M_in = sum_jl Q3_jl sum_m h_j[i, m] h_l[m, n]
+    (module docstring).  Zero entries are left out, and the pairs that share
+    a weight share its product.  Only B's upper triangle is written: the
+    entries below are their exact negatives and the diagonal is zero.
     """
+    if not hasattr(potential, "_pieces"):
+        return None
+    d = potential.dim
+    bins = potential._bins(checked_grid([], d, n_tau))
+    if bins is None:
+        return None
     row = 1 + d + d * d
 
     def g(j, m):
@@ -433,4 +440,4 @@ def _kernel_source(bins, n_tau, d, static):
         velocity=", ".join(f"v{i}" for i in range(d)),
         static=", ".join(f"s{i}" for i in range(d)) + ", = sg" if static else "",
         couplings="\n    ".join(f"b{i}_{n} = ({m_entry(n, i)}) - ({m_entry(i, n)})" for i, n in upper),
-        forces=", ".join(forces))
+        forces=", ".join(forces)), len(bins) * row

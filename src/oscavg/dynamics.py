@@ -17,20 +17,21 @@ trusted region stops at that sample; the others step on.
 The full flows keep one row each, since their step follows eps.
 
 Each output interval is one call of a function generated once per state
-length and stage form (_rk4_interval): its n_sub RK4 substeps run with x and
-v in local floats, the rows end to end, and combine every element in the
-order array arithmetic would use, so results are bit-identical to it (and
-each row to its own one-row run) at a fraction of numpy's per-operation
-cost on 2- and 3-vectors.  The stage is written into the loop as a stage
-form: a given acceleration acc(t, x, v) is called on lists of floats
-(_CALLED; ladder_force reads each rung's state from them), the dumbbell's
-is written out (_DUMBBELL), and so is the full flow's (_full_form): the
-phase t / eps mod 1 and the potential's phase lines once per stage time,
-its stage lines at each stage, with no call but math's for every bundled
-potential (fields.generated).  A potential without float source, a
-user's, is called instead: phase_force once per stage, and float_grad for
-a static part.  Either way the run is AveragedSystem.full_stage() bit for
-bit.  Only in_region and the force of a duck-typed system see float arrays.
+length and stage form (_rk4_interval, fields.generated): its n_sub RK4
+substeps run with x and v in local floats, the rows end to end, and combine
+every element in the order array arithmetic would use, so results are
+bit-identical to it (and each row to its own one-row run) at a fraction of
+numpy's per-operation cost on 2- and 3-vectors.  The stage is written into
+the loop as a stage form: a given acceleration acc(t, x, v) is called on
+lists of floats (_CALLED; ladder_force reads each rung's state from them),
+the dumbbell's is written out (_DUMBBELL), and so is the full flow's
+(AveragedSystem.full_form): the phase t / eps mod 1 and the potential's
+phase lines once per stage time, its stage lines at each stage.  A
+potential without float source, a user's, is called instead: phase_force
+once per stage, and float_grad for a static part.  full_stage() is one
+stage of the same form.  Only in_region and the force of a duck-typed
+system see float arrays.  _integrate refuses, for every flow, a start that
+is not finite or is outside the trusted region.
 """
 from __future__ import annotations
 
@@ -40,11 +41,9 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import lru_cache
-
 import numpy as np
 
-from .averaging import AveragedSystem, assemble, ladder_force
+from .averaging import AveragedSystem, _static_lines, assemble, ladder_force
 from .fields import SOURCE_NAMES, central_stencil, generated, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
@@ -98,10 +97,10 @@ def _substeps(out_dt, h):
 # t, x and v held in local floats, written out element by element
 # (fields.generated).  Each element gets the list form's expression in its
 # order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results are
-# bit-identical to it.  A stage form (_CALLED, _DUMBBELL, _full_form,
-# integrate_static's) fills in {args} and the @phase and @stage lines:
-# "@phase p T" names the stage time T's phase p (no line if the form has
-# none), "@stage a p x v" sets a_{i} from x_{i}, v_{i} at that phase;
+# bit-identical to it.  A stage form (_CALLED, _DUMBBELL, AveragedSystem's
+# full_form, integrate_static's) fills in {args} and the @phase and @stage
+# lines: "@phase p T" names the stage time T's phase p (no line if the form
+# has none), "@stage a p x v" sets a_{i} from x_{i}, v_{i} at that phase;
 # stages 2 and 3 share p.
 _RK4_INTERVAL = """\
 def interval(t, x, v, n_sub, h, hh, h6, {args}):
@@ -144,40 +143,13 @@ _DUMBBELL = ("arm, sigma, cos, sin", (), (
     "{a}_2 = -(0.5 / arm) * ((gq1 - gm1) * -sn + (gq2 - gm2) * c)"))
 
 
-def _static_lines(static, out):
-    """Stage lines that set out_i to a static part's gradient: its
-    float_grad_source written in, else a float_grad call."""
-    lines = getattr(static, "float_grad_source", None) or ("<{a}_{i}>, = float_grad([<{x}_{i}>])",)
-    return tuple(line.replace("{a}", out) for line in lines)
-
-
-def _full_form(system: AveragedSystem):
-    """The full flow's stage form and its arguments: -grad(U0 + eps^s U1) at
-    the phase t / eps mod 1, bit for bit AveragedSystem.full_stage(), from
-    the oscillating part's phase_force_source, or a phase_force call per
-    stage if it has none; with a static part, scale * o_i - s_i (s from
-    _static_lines)."""
-    osc, static = system._osc, system._static
-    names = dict(SOURCE_NAMES, eps=system.epsilon, phase_force=osc.phase_force)
-    phase, stage = (getattr(osc, "phase_force_source", None)
-                    or ((), ("<{a}_{i}>, = phase_force([<{x}_{i}>], {p})",)))
-    if static is not None:
-        names.update(float_grad=static.float_grad, scale=system.epsilon ** system.shift)
-        stage = (*_static_lines(static, "{a}s"), *(line.replace("{a}", "{a}o") for line in stage),
-                 "{a}_{i} = scale * {a}o_{i} - {a}s_{i}")
-    return (", ".join(names), ("{p} = ({t}) / eps % 1.0", *phase), stage), list(names.values())
-
-
-@lru_cache(maxsize=32)
 def _rk4_interval(n, form):
     """interval(t, x, v, n_sub, h, hh, h6, *args) -> (x, v): n_sub RK4
-    substeps from time t on the lists of n floats x and v, generated from
-    _RK4_INTERVAL in the stage form `form` (fields.generated, which refuses
-    a form line that rebinds one of its names).  It is straight-line code
-    in local floats because on a few floats the list form's eight
-    comprehensions and zips, and a call per substep, cost more than the
+    substeps from time t on the lists of n floats x and v, _RK4_INTERVAL in
+    the stage form `form`: straight-line code in local floats, since on a
+    few floats the list form's comprehensions and zips cost more than the
     arithmetic in them."""
-    return generated(_RK4_INTERVAL, n, form, {})
+    return generated(_RK4_INTERVAL, n, form)
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
@@ -205,16 +177,23 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
 def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
     """integrate_second_order with the stage given as stage_of(rows) ->
     (form, args) for the live rows: one _rk4_interval call per output
-    interval."""
+    interval, after refusing a start that is not finite or is outside
+    in_region."""
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    for name, value in (("x0", x0), ("v0", v0)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+    if in_region is not None and not all(map(in_region, x0.reshape(-1, x0.shape[-1]))):
+        raise ValueError("initial position is outside the potential's trusted region")
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     n_out = _out_grid(t_end, out_dt)
     n_sub = _substeps(out_dt, h)
-    x0 = np.asarray(x0, dtype=float)
     batch = x0.ndim == 2
     live = list(range(x0.shape[0] if batch else 1))
     x = x0.ravel().tolist()
-    v = np.asarray(v0, dtype=float).ravel().tolist()
+    v = v0.ravel().tolist()
     d = len(x) // len(live)
     times = np.empty(n_out + 1)
     pos = [np.empty((n_out + 1, d)) for _ in live]
@@ -266,14 +245,9 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
     if not steps_per_period >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_period={steps_per_period} is below the minimum {MIN_STEPS_PER_PERIOD}")
     system = assemble(potential, epsilon)
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if not potential.in_region(x0):
-        raise ValueError("initial position is outside the potential's trusted region")
-
     eps = system.epsilon
     h = eps / steps_per_period
-    form = _full_form(system)
+    form = system.full_form()
     traj = _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, potential.in_region)
     # the full run is described by its steps per period, not by its step
     del traj.meta["h"]
@@ -306,9 +280,6 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
         return []
     x0s = np.asarray(x0s, dtype=float)
     first = systems[0]
-    for system, x0 in zip(systems, x0s):
-        if not system.in_region(x0):
-            raise ValueError("initial position is outside the potential's trusted region")
     if isinstance(first, AveragedSystem):
         if any(s.potential is not first.potential or s.n_tau != first.n_tau for s in systems):
             raise ValueError("a lockstep ladder needs one potential and one n_tau")

@@ -3,8 +3,9 @@
 Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
-Float source (generated) writes a force out as straight-line float code,
-for the full flow's RK4 loop and a potential's phase_force alike.
+Every compiled function of oscavg comes from generated, under one cache:
+the full flow's RK4 loop, the full-flow stage, a potential's phase_force
+and float_grad from its float source, and the averaged force kernel.
 """
 from __future__ import annotations
 
@@ -231,22 +232,24 @@ def _checked_samples(potential, points, n_tau: int):
     return samples
 
 
-# ---- float source: a force as straight-line float code ----
+# ---- generated code: a force as straight-line float code ----
 
 # The names float source may read; with inf and nan any float is its repr.
 SOURCE_NAMES = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "hypot": math.hypot,
                 "TWO_PI": 2.0 * math.pi, "inf": math.inf, "nan": math.nan}
 
 
-def generated(template, n, form, names):
+@lru_cache(maxsize=256)
+def generated(template, n=0, form=("", (), ())):
     """The function `template` defines, written out on n floats in the stage
     form (args, phase lines, stage lines) and compiled with the globals
-    `names`.  In the template <e> is e at every element, comma separated, a
-    line holding {i} is repeated for each element, and "@phase p T" and
-    "@stage a p x v" are the form's lines with {p} named p, {t} T, {a} a,
-    {x} x and {v} v.  Other names the form's lines bind are temporaries in
-    the function's own scope, so a line that rebinds a name of the template
-    (other than its own p or a_i) is refused by name."""
+    SOURCE_NAMES: every compiled function of oscavg, in this one cache by
+    (template, n, form), none on a potential; plain source text is
+    compiled as it is.  In the template <e> is e at every element, comma
+    separated, a line holding {i} is repeated for each element, and "@phase
+    p T" and "@stage a p x v" are the form's lines with {p} named p, {t} T,
+    {a} a, {x} x and {v} v.  Other names the form's lines bind are local, so
+    one that rebinds a name of the template (but its p or a_i) is refused."""
     args, phase, stage = form
 
     def written(line):
@@ -276,29 +279,21 @@ def generated(template, n, form, names):
     for name, target, line in bound:
         if target in own and target != name and not target.startswith(name + "_"):
             raise ValueError(f"stage line {line!r} rebinds {target!r}, a name of the generated function")
-    function = re.match(r"def (\w+)", template)[1]
-    namespace = dict(names)
-    exec(compile("\n".join(lines), f"<{function} on {n} floats>", "exec"), namespace)
-    return namespace[function]
+    name = re.match(r"def (\w+)", template)[1]
+    namespace = dict(SOURCE_NAMES)
+    exec(compile("\n".join(lines), f"<{name} on {n} floats>", "exec"), namespace)
+    return namespace[name]
 
 
-_SOURCE_FUNCTION = """\
-def at_phase(x, p):
+# One stage of a form on the floats of x, a list of n floats: phase_force,
+# float_grad, a cosine drive's u_grad and AveragedSystem.full_stage().
+STAGE = """\
+def stage(t, x, v, {args}):
     <x_{i}>, = map(float, x)
-    @phase p p
-    @stage a p x -
+    @phase p t
+    @stage a p x v
     return [<a_{i}>]
 """
-
-
-@lru_cache(maxsize=64)
-def source_function(n, phase, stage):
-    """at_phase(x, p) -> list of n floats: the float source's stage lines at
-    x, a sequence of floats, after its phase lines at p: a potential's
-    phase_force at the phase p, or with no phase lines its float_grad.
-    Compiled once per source and kept here, not on the potential, so
-    potentials pickle as before."""
-    return generated(_SOURCE_FUNCTION, n, ("", phase, stage), SOURCE_NAMES)
 
 
 class TimePeriodicPotential:
@@ -320,7 +315,8 @@ class TimePeriodicPotential:
     gradient entry i from {x}_i, with SOURCE_NAMES and literal constants.
     The loop writes the phase lines in once per stage time (three times per
     substep, as stages 2 and 3 share one) and the stage lines at each
-    stage; phase_force is compiled from the same lines.  Any other
+    stage; phase_force is the same lines in STAGE (generated's cache, so
+    a potential keeps nothing compiled).  Any other
     potential is called: phase_force(x, tau) once per stage, with x the
     stepper's list of floats, returning minus the gradient as a list of
     floats; the default converts x to a float array once, calls grad and
@@ -364,11 +360,12 @@ class TimePeriodicPotential:
 
     def phase_force(self, x, tau):
         """Minus grad at x, a sequence of floats (the stepper's list, or a
-        float array), and one float phase tau, as a list of floats: compiled
-        from phase_force_source if there is one, else by converting x to a
-        float array once, calling grad and negating."""
+        float array), and one float phase tau, as a list of floats: the
+        STAGE of phase_force_source if there is one, else by converting x to
+        a float array once, calling grad and negating."""
         if self.phase_force_source is not None:
-            return source_function(self.dim, *self.phase_force_source)(x, tau)
+            phase, stage = self.phase_force_source
+            return generated(STAGE, self.dim, ("", ("{p} = {t}", *phase), stage))(tau, x, None)
         return [-g for g in np.asarray(self.grad(np.asarray(x, dtype=float), tau),
                                        dtype=float).tolist()]
 
@@ -394,11 +391,11 @@ class StaticPotential:
 
     def float_grad(self, x):
         """grad at x, a sequence of floats, as a list of floats: the static
-        part of a split potential's full-flow stage.  Compiled from
+        part of a split potential's full-flow stage.  The STAGE of
         float_grad_source (stage lines only) if there is one, else by
         converting x to a float array once and calling grad."""
         if self.float_grad_source is not None:
-            return source_function(self.dim, (), self.float_grad_source)(x, None)
+            return generated(STAGE, self.dim, ("", (), self.float_grad_source))(None, x, None)
         return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).tolist()
 
     def hess(self, x):

@@ -19,8 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .averaging import assemble
-from .fields import (Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid,
-                     source_function)
+from .fields import (STAGE, Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid,
+                     generated)
 
 TWO_PI = 2.0 * math.pi
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -77,7 +77,8 @@ class FactoredPotential(TimePeriodicPotential):
     needs no spectrum: it is generated code over _bins and _pieces
     (averaging._force_kernel), with the same checks.  The full flow's force
     is each bundled subclass's own float source (phase_force_source), not
-    the pieces: from the pieces it costs 2-3 times as much.
+    the pieces: from the pieces it costs 2-3 times as much.  An instance
+    holds data, no compiled code.
     """
 
     _checked_per_point = False
@@ -234,12 +235,11 @@ class SeparableDrivePotential(FactoredPotential):
     velocity-independent one with coefficient avg over tau of the squared
     zero-mean antiderivative of a.
 
-    One factor and one piece: a gets float arrays of phases, and one float
-    phase in phase_force; the profile u_value/u_grad/u_hess (d floats, d
-    rows of d) gets float arrays: phase_force converts the stepper's list
-    of floats x once and scales u_grad's entries by -a(tau), which is
-    -(a g) bit for bit.  CosineDrivePotential is the float-source form for a
-    cosine drive.
+    One factor and one piece: a gets float arrays of phases (and one float
+    phase in the full flow, through the base phase_force's grad); the
+    profile u_value/u_grad/u_hess (d floats, d rows of d) gets float
+    arrays.  CosineDrivePotential is the float-source form for a cosine
+    drive.
     """
 
     _checked_per_point = True
@@ -257,34 +257,33 @@ class SeparableDrivePotential(FactoredPotential):
     def _block(self, x, k):  # the profile's own shapes, for the per-point checks
         return [(self._uv, self._ug, self._uh)[k](x)]
 
-    def phase_force(self, x, tau):
-        a = -float(self._a(tau))
-        return [a * float(g) for g in self._ug(np.asarray(x, dtype=float))]
-
 
 class CosineDrivePotential(SeparableDrivePotential):
     """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with grad u given as
     float source, one expression in {x}_0, {x}_1, ... per entry: the
-    quartic's is ("{x}_0 ** 3 + {x}_1", "{x}_0").  u_grad(x, a=1.0), which
-    grad, spectrum and the closed forms call, is compiled from them: a * g
-    for each entry g, on the floats of x.  phase_force_source takes the
-    factor a = -(a_mean + alpha cos(2 pi tau)) once per phase (math.cos,
-    which tests/test_properties.py holds to numpy's cos bit for bit) and the
-    same products at each stage, so each entry is -(a(tau) g) exactly.
+    quartic's is ("{x}_0 ** 3 + {x}_1", "{x}_0").  The drive a(tau) and
+    u_grad(x, a=1.0), which grad, spectrum and the closed forms call, are
+    methods: u_grad is those expressions in fields.STAGE, a * g for each
+    entry g on the floats of x.  phase_force_source takes the factor
+    a = -(a_mean + alpha cos(2 pi tau)) once per phase (math.cos, which
+    tests/test_properties.py holds to numpy's cos bit for bit) and the same
+    products at each stage, so each entry is -(a(tau) g) exactly.
     """
 
-    phase_force = TimePeriodicPotential.phase_force
-
     def __init__(self, a_mean, alpha, u_value, grad_source, u_hess, dim):
+        self.dim = int(dim)
         self.a_mean, self.alpha = float(a_mean), float(alpha)
-        if len(grad_source) != int(dim):
+        if len(grad_source) != self.dim:
             raise ValueError(f"{len(grad_source)} gradient expressions for dim {dim}")
-        stage = tuple("{a}_%d = {p} * (%s)" % item for item in enumerate(grad_source))
+        self._uv, self._uh = u_value, u_hess
         self.phase_force_source = (("{p} = -(%r + %r * cos(TWO_PI * {p}))" % (self.a_mean, self.alpha),),
-                                   stage)
-        grad = source_function(int(dim), (), stage)
-        super().__init__(lambda tau: self.a_mean + self.alpha * np.cos(TWO_PI * tau),
-                         u_value, lambda x, a=1.0: grad(x, a), u_hess, dim)
+                                   tuple("{a}_%d = {p} * (%s)" % item for item in enumerate(grad_source)))
+
+    def _a(self, tau):
+        return self.a_mean + self.alpha * np.cos(TWO_PI * tau)
+
+    def _ug(self, x, a=1.0):
+        return generated(STAGE, self.dim, ("", ("{p} = {t}",), self.phase_force_source[1]))(a, x, None)
 
 
 def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
@@ -299,17 +298,19 @@ def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
     }
 
 
+def _quartic_value(x):
+    return x[0] ** 4 / 4.0 + x[0] * x[1]
+
+
+def _quartic_hess(x):
+    return [[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]
+
+
 def quartic_drive() -> Scenario:
     """Zero-mean cosine drive on a quartic-plus-shear profile (no closed orbitals,
     exercises the third-antiderivative terms of the guiding-center map)."""
-
-    def u_value(x):
-        return x[0] ** 4 / 4.0 + x[0] * x[1]
-
-    def u_hess(x):
-        return [[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]
-
-    pot = CosineDrivePotential(0.0, 1.0, u_value, ("{x}_0 ** 3 + {x}_1", "{x}_0"), u_hess, dim=2)
+    pot = CosineDrivePotential(0.0, 1.0, _quartic_value, ("{x}_0 ** 3 + {x}_1", "{x}_0"),
+                               _quartic_hess, dim=2)
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # drive antiderivative sin(2 pi tau)/(2 pi)
     return Scenario(
         name="quartic_drive",
@@ -324,9 +325,17 @@ def quartic_drive() -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(0.0, avg_v2, pot._ug, u_hess, 2),
+        closed_forms=_separable_closed(0.0, avg_v2, pot._ug, _quartic_hess, 2),
         extras={"slope_floor": 3.7},
     )
+
+
+def _pendulum_value(x):
+    return -math.cos(x[0])
+
+
+def _pendulum_hess(x):
+    return [[math.cos(x[0])]]
 
 
 def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
@@ -335,14 +344,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
     The inverted position becomes linearly stable once
     eps^2 alpha^2 / (8 pi^2) exceeds a_mean.
     """
-
-    def u_value(x):
-        return -math.cos(x[0])
-
-    def u_hess(x):
-        return [[math.cos(x[0])]]
-
-    pot = CosineDrivePotential(a_mean, alpha, u_value, ("sin({x}_0)",), u_hess, dim=1)
+    pot = CosineDrivePotential(a_mean, alpha, _pendulum_value, ("sin({x}_0)",), _pendulum_hess, dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
     return Scenario(
         name="kapitza_pendulum",
@@ -357,7 +359,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(a_mean, avg_v2, pot._ug, u_hess, 1),
+        closed_forms=_separable_closed(a_mean, avg_v2, pot._ug, _pendulum_hess, 1),
     )
 
 

@@ -12,10 +12,10 @@ from oscavg import (CallablePotential, CallableStatic, energy_drift, guiding_cen
                     save_dumbbell, save_trajectory, transform_trajectory)
 from oscavg.analysis import compare
 from oscavg.averaging import assemble
-from oscavg.dynamics import (_CALLED, Trajectory, _rk4_interval, _save_table, atomic_write,
-                             integrate_static)
-from oscavg.fields import SOURCE_NAMES
-from oscavg.scenarios import SeparableDrivePotential, custom_scenario, get_scenario
+from oscavg.dynamics import (_CALLED, _RK4_INTERVAL, Trajectory, _rk4_interval, _save_table,
+                             atomic_write, integrate_static)
+from oscavg.fields import SOURCE_NAMES, STAGE, generated
+from oscavg.scenarios import SatelliteStatic, SeparableDrivePotential, custom_scenario, get_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +87,50 @@ def test_full_rejects_start_outside_region():
     sc = get_scenario("rotating_wave")  # trusted region is r >= 0.5
     with pytest.raises(ValueError, match="outside the potential's trusted region"):
         integrate_full(sc.potential, 1.0 / 64, np.array([0.1, 0.0]), np.zeros(2), 1.0)
+
+
+def _nan_start_entry_points():
+    """Each flow's entry point, called from a start (x0, v0) on a callable
+    harmonic well with no region (a satellite's static part for
+    integrate_static)."""
+    well = _static_well()
+    system = assemble(well, 0.1)
+    static = SatelliteStatic()
+    return {
+        "second_order": lambda x0, v0: integrate_second_order(lambda t, x, v: [-q for q in x],
+                                                              x0, v0, 0.1),
+        "full": lambda x0, v0: integrate_full(well, 0.1, x0, v0, 0.1),
+        "averaged": lambda x0, v0: integrate_averaged(system, x0, v0, 0.1),
+        "ladder": lambda x0, v0: integrate_averaged_ladder([system, system], [x0, x0], [v0, v0], 0.1),
+        "static": lambda x0, v0: integrate_static(static, x0, v0, 0.1),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_nan_start_entry_points()))
+@pytest.mark.parametrize("name", ["x0", "v0"])
+def test_every_flow_refuses_a_non_finite_start_by_name(entry, name):
+    """A NaN start gave a trajectory of NaNs and no error (integrate_full on
+    a potential with no region); every flow now refuses it by name."""
+    start = {"x0": [1.0, 0.5], "v0": [0.0, 0.2]}
+    start[name] = [math.nan, 0.0]
+    with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+        _nan_start_entry_points()[entry](start["x0"], start["v0"])
+
+
+def test_static_run_refuses_a_start_inside_its_excluded_disk():
+    """integrate_static from inside r_min returned an empty run that had
+    left at 0.0; it is refused as the full and averaged flows refuse it."""
+    with pytest.raises(ValueError, match="outside the potential's trusted region"):
+        integrate_static(SatelliteStatic(), [0.01, 0.0], [0.0, 1.0], 0.1)
+
+
+def test_averaged_runs_refuse_a_start_outside_the_region():
+    system = get_scenario("rotating_wave").build_system(1.0 / 128)
+    outside, inside = [0.1, 0.0], [1.0, 0.0]
+    with pytest.raises(ValueError, match="outside the potential's trusted region"):
+        integrate_averaged(system, outside, [0.0, 0.0], 0.1)
+    with pytest.raises(ValueError, match="outside the potential's trusted region"):
+        integrate_averaged_ladder([system, system], [inside, outside], [[0.0, 0.0]] * 2, 0.1)
 
 
 def test_region_exit_truncates_averaged_run():
@@ -502,6 +546,21 @@ def test_a_stage_line_that_rebinds_an_interval_name_is_refused():
     x, v, h = [0.4, -0.2], [0.1, 0.3], 0.037
     assert (_rk4_interval(2, form)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, _coupled_stage)
             == _rk4_interval(2, _CALLED)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, _coupled_stage))
+
+
+def test_generated_is_one_cache_by_template_n_and_form():
+    """fields.generated gives the same function object for the same
+    (template, n, form), also when the form is an equal copy, and its own
+    function for another n, form or source text."""
+    form = ("", ("{p} = {t}",), ("{a}_{i} = -{p} * {x}_{i}",))
+    copy = ("", tuple(list(form[1])), tuple(list(form[2])))
+    assert copy == form and copy[2] is not form[2]
+    assert generated(STAGE, 2, form) is generated(STAGE, 2, copy)
+    assert generated(STAGE, 2, form)(0.5, [1.0, -2.0], None) == [-0.5, 1.0]
+    assert generated(STAGE, 3, form) is not generated(STAGE, 2, form)
+    assert generated(_RK4_INTERVAL, 2, _CALLED) is _rk4_interval(2, _CALLED)
+    text = "def force(p):\n    return -p\n"
+    assert generated(text) is generated("".join(text)) is not generated(text.replace("-p", "p"))
 
 
 # ---- guiding-center map ----

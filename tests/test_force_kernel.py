@@ -1,7 +1,8 @@
 """The force kernel of a factored potential against the FieldSpectra path.
 
 A factored potential U1 = sum_j f_j(tau) P_j(x) takes its averaged force
-from a kernel generated over its pieces (averaging._force_kernel); every
+from a kernel generated over its pieces (averaging._force_kernel, kept in
+fields.generated's cache by its source text); every
 other potential, and a call whose pieces are not finite floats, builds a
 FieldSpectra.  The reference here is that path on the same spectrum: the
 potential wrapped so that it no longer looks factored.
@@ -220,7 +221,10 @@ def _refuse(self, points, n_tau):
     raise AssertionError("spectrum called on the kernel path")
 
 
-def test_satellites_with_different_sigma_keep_their_own_kernels():
+def test_satellites_with_different_sigma_share_a_kernel_and_differ_in_force():
+    """A kernel depends on the factor bins and n_tau alone, so the sigma = -1
+    and +1 satellites share one (sigma enters through the pieces), and
+    their forces still differ."""
     attractive, repulsive = (get_scenario("spinning_satellite", sigma=s) for s in (-1.0, 1.0))
     x, v = np.array([1.1, 0.3]), np.array([-0.2, 0.9])
     forces = []
@@ -228,28 +232,31 @@ def test_satellites_with_different_sigma_keep_their_own_kernels():
         _assert_kernel_matches_spectra(sc.potential, [0.1], 16, [x], [v])
         forces.append(sc.build_system(1 / 64).force(x, v))
     kernels = [_force_kernel(sc.potential.oscillating, 16, True) for sc in (attractive, repulsive)]
-    assert kernels[0] is not kernels[1]
+    assert kernels[0] is kernels[1]
     assert not np.allclose(forces[0], forces[1])
 
 
 def test_a_potential_with_kernels_pickles():
-    """A potential pickles after its force kernels and its full-flow stage
-    (compiled from its float source) have been built, and its clone gives
-    the same averaged force and the same full run, bit for bit."""
-    sc = get_scenario("spinning_satellite")
-    system = sc.build_system(1 / 64)
-    force = system.force(sc.x0, sc.v0)
+    """Every bundled potential pickles after its force kernel and its
+    full-flow stage (generated from its float source) have been built, and
+    its clone gives the same averaged force and the same full run, bit for
+    bit; so does a system that has taken a force."""
+    for name in BUNDLED:
+        sc = get_scenario(name)
+        system = sc.build_system(sc.default_eps[0])
+        force = system.force(sc.x0, sc.v0)
 
-    def full_run(potential):
-        return integrate_full(potential, system.epsilon, sc.x0, sc.v0, 0.05,
-                              steps_per_period=sc.steps_per_period, out_dt=sc.out_dt)
+        def full_run(potential):
+            return integrate_full(potential, system.epsilon, sc.x0, sc.v0, 0.05,
+                                  steps_per_period=sc.steps_per_period, out_dt=sc.out_dt)
 
-    run = full_run(sc.potential)
-    clone = pickle.loads(pickle.dumps(sc.potential))
-    assert np.array_equal(assemble(clone, system.epsilon, sc.n_tau).force(sc.x0, sc.v0), force)
-    again = full_run(clone)
-    for name in ("times", "positions", "velocities"):
-        assert np.array_equal(getattr(again, name), getattr(run, name)), f"{name} differ"
+        run = full_run(sc.potential)
+        clone = pickle.loads(pickle.dumps(sc.potential))
+        assert np.array_equal(assemble(clone, system.epsilon, sc.n_tau).force(sc.x0, sc.v0), force), name
+        assert np.array_equal(pickle.loads(pickle.dumps(system)).force(sc.x0, sc.v0), force), name
+        again = full_run(clone)
+        for field in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(again, field), getattr(run, field)), f"{name}: {field} differ"
 
 
 # ---- symmetries of B and grad W ----
