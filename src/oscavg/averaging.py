@@ -51,19 +51,17 @@ piece products whose weights depend on the bins and n_tau alone:
     grad U1bar = sum_j Re(b_j0) g_j
 
 with w2_k = 2 / (2 pi k)^2 and w3_k = 2 / (2 pi k)^3 over the interior bins.
-ladder_force therefore takes a factored potential's force from straight-line
-float code over its pieces, with the zero entries of Q2 and Q3 left out
-(_force_kernel: the satellite keeps two of each, a separable drive one Q2
-entry and no Q3 entry), and a force call is one _pieces call and one kernel
-call per row, with no spectrum.  An AveragedSystem writes the kernel's
-source text at its first force call and takes the kernel by that text from
-fields.generated's cache.  At n_tau 16 on the five bundled scenarios a
-one-row call takes 6-12 us and a four-row call 16-36 us, against 60-86 us
-and 70-124 us on the FieldSpectra path (medians of 15 x 2000 calls, 3
-alternating runs, shared 2-core VM, Python 3.11, numpy 2.4).  Any other
-potential takes that path: one potential.spectrum call at the rows' own
-points per force call, where the central difference of b took 2 dim + 1
-points.  The guiding-center map needs a true
+ladder_force therefore takes a factored potential's force from one function
+generated over all its rows (ladder_kernel, also the averaged flow's RK
+stage): straight-line float code over each row's pieces, with the zero
+entries of Q2 and Q3 left out (the satellite keeps two of each, a separable
+drive one Q2 entry and no Q3 entry), and no spectrum.  At n_tau 16 on the
+five bundled scenarios a call takes 2-5 us for one row and 9-23 us for four
+(5-11 and 10-21 us through ladder_force), against 60-86 and 70-124 us on
+the FieldSpectra path (medians of 15 x 2000 calls, 3 runs, shared 2-core
+VM, Python 3.11, numpy 2.4).  Any other potential takes that path: one
+potential.spectrum call at the rows' own points per force call, where the
+central difference of b took 2 dim + 1 points.  The guiding-center map needs a true
 third derivative: it takes a central stencil around every state in one call
 and reads V, S, A at each state's phase from the coefficients.  A single
 point's fields are row 0 of a one-point FieldSpectra (stack(x)); the tests
@@ -81,12 +79,12 @@ V, S are the first and second zero-mean tau antiderivatives of U1.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors,
-                     checked_grid, generated, phase_weights)
+                     checked_grid, checked_state, generated, phase_weights)
 
 
 @lru_cache(maxsize=16)
@@ -236,11 +234,11 @@ class AveragedSystem:
         return self.stack(x).b_matrix()[0]
 
     def force(self, x, v):
-        """The averaged force at x for the velocity v: the one-row case of
-        ladder_force, from the potential's force kernel if it is factored
-        and from one spectra build at x otherwise."""
-        x = np.asarray(x, dtype=float).tolist()
-        return np.array(ladder_force([self], x, np.asarray(v, dtype=float).tolist()))
+        """The averaged force at x for the velocity v, dim floats each: the
+        one-row case of ladder_force, from the potential's force kernel if it
+        is factored and from one spectra build at x otherwise."""
+        x, v = (checked_state(name, q, self.dim).tolist() for name, q in (("x", x), ("v", v)))
+        return np.array(ladder_force([self], x, v))
 
     def energy(self, x, v) -> float:
         """Effective energy 0.5 |v|^2 + U_eff(x).
@@ -276,12 +274,6 @@ class AveragedSystem:
         stage = generated(STAGE, self.dim, form)
         return lambda t, x, v: stage(t, x, v, *args)
 
-    @cached_property
-    def _kernel(self):
-        """_kernel_source of the oscillating part, taken at the first force:
-        text, not code, so that a system pickles."""
-        return _kernel_source(self._osc, self.n_tau, self._static is not None)
-
     def in_region(self, x):
         return self.potential.in_region(x)
 
@@ -306,27 +298,37 @@ def ladder_force(systems, x, v):
 
     The fields depend on x alone, and each row's force takes its own
     system's eps weights.  The systems must share their potential and n_tau.
-    A factored potential's rows go through its force kernel (_kernel_source):
-    the pieces at each row's point (a float array) and one kernel call per
-    row, no spectra.  A call in which some row's pieces are not the kernel's
-    count of finite floats, and every call for any other potential, builds
-    one FieldSpectra at the rows' points instead, whose checks and messages
-    then apply.
+    A factored potential's rows take one call of ladder_kernel's force (the
+    averaged flow's RK stage); any other potential builds one FieldSpectra
+    at the rows' points, whose checks and messages then apply.
     """
+    found = ladder_kernel(systems)
+    return found[0](x, v, *found[1:]) if found else _spectra_force(systems, x, v)
+
+
+def ladder_kernel(systems):
+    """[force, *args], force(x, v, *args) the ladder_force of `systems` from
+    _kernel_source for their row count (the first system keeps the text, so
+    it pickles) and the static part's lines; None if not factored."""
+    first, rows = systems[0], len(systems)
+    texts = first.__dict__.setdefault("_kernels", {})
+    if rows not in texts:
+        texts[rows] = _kernel_source(first._osc, first.n_tau, first._static is not None, rows)
+    if texts[rows] is None:
+        return None
+    static = first._static
+    lines = () if static is None else _static_lines(static, "{a}")
+    weights = tuple(w for s in systems for w in s.weights)
+    return [generated(texts[rows], first.dim, ("", (), lines)), weights, first._osc._pieces, np.array,
+            getattr(static, "float_grad", None), partial(_spectra_force, systems)]
+
+
+def _spectra_force(systems, x, v):
+    """ladder_force from one FieldSpectra at the rows' points."""
     first = systems[0]
     d = first.dim
     points = [np.array(x[i:i + d]) for i in range(0, len(x), d)]
     static = first._static
-    if first._kernel is not None:
-        source, size = first._kernel
-        rows = list(map(first._osc._pieces, points))
-        if all(_finite_floats(row, size) for row in rows):
-            kernel, out = generated(source), []
-            for i, (system, row) in enumerate(zip(systems, rows)):
-                lo, hi = i * d, i * d + d
-                sg = () if static is None else static.float_grad(x[lo:hi])
-                out += kernel(row, v[lo:hi], sg, *system.weights)
-            return out
     sp = first.spectra(points)
     b_weight, w_weight, mean_weight = np.array([s.weights for s in systems]).T[:, :, None]
     g = w_weight * sp.w_grad() + mean_weight * sp.g_mean
@@ -336,26 +338,23 @@ def ladder_force(systems, x, v):
     return (b_weight * bv - g).ravel().tolist()
 
 
-def _finite_floats(row, size):
-    """True if row holds `size` finite floats: an array or a complex among
-    them makes their sum no float, and a NaN or an infinity makes it one."""
-    try:
-        return len(row) == size and isinstance(total := sum(row), float) and math.isfinite(total)
-    except TypeError:
-        return False
-
-
-# One row's force from a factored potential U1 = sum_j f_j(tau) P_j(x):
-# F = bw B v - (ww grad W + mw grad U1bar + sg), from the pieces p at the
-# row's point (J rows of value, gradient and Hessian, row major, end to end),
-# its velocity v, the static part's gradient sg and the row's eps weights.
-# _kernel_source writes the fields out in float math over the p's.
+# Row r's force F = bw B v - (ww grad W + mw grad U1bar + s) over its pieces p
+# (J rows of value, gradient and Hessian, row major, end to end) and the static
+# gradient s (@stage); fallback(x, v) gives every row's force unless all pieces
+# are finite floats (an array or a complex among them makes their sum no float).
 _FORCE_KERNEL = """\
-def force(p, v, sg, bw, ww, mw):
-    {pieces}, = p
-    {velocity}, = v
-    {static}
-    {couplings}
+def force(x, v, weights, pieces, array, float_grad, fallback):
+    {xs}, = x
+    {vs}, = v
+    {weights}, = weights
+    {calls}
+    try:
+        finite = {finite}
+    except TypeError:
+        finite = False
+    if not finite:
+        return fallback(x, v)
+    {rows}
     return [{forces}]
 """
 
@@ -377,18 +376,11 @@ def _gram_terms(bins, n_tau):
     return terms
 
 
-def _force_kernel(potential, n_tau, static):
-    """force(p, v, sg, bw, ww, mw) of _kernel_source, generated by its text
-    (so potentials with the same bins share it), or None."""
-    found = _kernel_source(potential, n_tau, static)
-    return found and generated(found[0])
-
-
-def _kernel_source(potential, n_tau, static):
-    """_FORCE_KERNEL written out for a factored potential (one that gives
-    _bins and _pieces) on an n_tau grid, with the static gradient sg added
-    when `static`, and the length of its p; None for any other potential,
-    or for factors that are not floats.
+def _kernel_source(potential, n_tau, static, rows):
+    """_FORCE_KERNEL written out for `rows` rows of a factored potential (one
+    that gives _bins and _pieces) on an n_tau grid, with an @stage line for
+    the static gradient s when `static`; None for any other potential, or
+    for factors that are not floats.
 
     With b_jk the factor bins and g_j, h_j the gradient and Hessian of P_j,
     the mean gradient is sum_j Re(b_j0) g_j, grad W_i = sum_jl Q2_jl sum_m
@@ -428,16 +420,23 @@ def _kernel_source(potential, n_tau, static):
     q2, q3 = _gram_terms(bins, n_tau)
     upper = [(i, n) for i in range(d) for n in range(i + 1, d)] if q3 else []
     means = [(j, c) for j, c in enumerate(bins[:, 0].real.tolist()) if c]
-    forces = []
+    size = len(bins) * row
+    # one row's lines, $ standing for the row
+    body = [", ".join(f"p{c}" for c in range(size)) + ", = q$", *(["@stage s$ _ x$ v$"] if static else []),
+            *(f"b{i}_{n} = ({m_entry(n, i)}) - ({m_entry(i, n)})" for i, n in upper)]
     for i in range(d):
-        bv = " + ".join([f"-b{n}_{i} * v{n}" for n, k in upper if k == i]
-                        + [f"b{i}_{n} * v{n}" for k, n in upper if k == i]) or "0.0"
+        bv = " + ".join([f"-b{n}_{i} * v$_{n}" for n, k in upper if k == i]
+                        + [f"b{i}_{n} * v$_{n}" for k, n in upper if k == i]) or "0.0"
         mean = " + ".join(f"{c!r} * {g(j, i)}" for j, c in means) or "0.0"
-        forces.append(f"bw * ({bv}) - (ww * ({w_grad(i)}) + mw * ({mean})"
-                      + (f" + s{i})" if static else ")"))
+        body.append(f"f$_{i} = bw$ * ({bv}) - (ww$ * ({w_grad(i)}) + mw$ * ({mean})"
+                    + (f" + s$_{i})" if static else ")"))
+
+    def each(line, sep):
+        return sep.join(line.replace("$", str(r)) for r in range(rows))
+
+    point = ", ".join(f"x$_{i}" for i in range(d))
     return _FORCE_KERNEL.format(
-        pieces=", ".join(f"p{c}" for c in range(len(bins) * row)),
-        velocity=", ".join(f"v{i}" for i in range(d)),
-        static=", ".join(f"s{i}" for i in range(d)) + ", = sg" if static else "",
-        couplings="\n    ".join(f"b{i}_{n} = ({m_entry(n, i)}) - ({m_entry(i, n)})" for i, n in upper),
-        forces=", ".join(forces)), len(bins) * row
+        xs=each(point, ", "), vs=each(point.replace("x", "v"), ", "),
+        weights=each("bw$, ww$, mw$", ", "), calls=each(f"q$ = pieces(array([{point}]))", "\n    "),
+        finite=each(f"len(q$) == {size} and isinstance(t := sum(q$), float) and isfinite(t)", " and "),
+        rows=each("\n    ".join(body), "\n    "), forces=each(point.replace("x", "f"), ", "))

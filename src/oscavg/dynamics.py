@@ -10,11 +10,11 @@ sample without interpolation.
 Rows that share the time grid step in lockstep, one acceleration call per RK
 stage for all of them.  The averaged flows of an eps ladder do
 (integrate_averaged_ladder): they share t_end, h and out_dt, and their fields
-depend on x alone, so each stage makes one ladder_force call for every rung:
-a factored potential's force kernel once per rung, or for any other
-potential one spectra build over every rung's point.  A row that leaves its
-trusted region stops at that sample; the others step on.
-The full flows keep one row each, since their step follows eps.
+depend on x alone, so each stage is one call for every live rung: of a
+factored potential's generated ladder force (averaging.ladder_kernel), else
+of ladder_force, one spectra build over every rung's point.  A row that
+leaves its trusted region stops at that sample; the others step on.  The
+full flows keep one row each, since their step follows eps.
 
 Each output interval is one call of a function generated once per state
 length and stage form (_rk4_interval, fields.generated): its n_sub RK4
@@ -23,8 +23,8 @@ every element in the order array arithmetic would use, so results are
 bit-identical to it (and each row to its own one-row run) at a fraction of
 numpy's per-operation cost on 2- and 3-vectors.  The stage is written into
 the loop as a stage form: a given acceleration acc(t, x, v) is called on
-lists of floats (_CALLED; ladder_force reads each rung's state from them),
-the dumbbell's is written out (_DUMBBELL), and so is the full flow's
+lists of floats (_CALLED), and so is the ladder force (_LADDER, with its
+arguments); the dumbbell's is written out (_DUMBBELL), and so is the full flow's
 (AveragedSystem.full_form): the phase t / eps mod 1 and the potential's
 phase lines once per stage time, its stage lines at each stage.  A
 potential without float source, a user's, is called instead: phase_force
@@ -43,8 +43,8 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 import numpy as np
 
-from .averaging import AveragedSystem, _static_lines, assemble, ladder_force
-from .fields import SOURCE_NAMES, central_stencil, generated, stencil_jacobian
+from .averaging import AveragedSystem, _static_lines, assemble, ladder_force, ladder_kernel
+from .fields import SOURCE_NAMES, central_stencil, checked_state, generated, stencil_jacobian
 
 MIN_STEPS_PER_PERIOD = 16
 
@@ -134,13 +134,18 @@ _CALLED = ("stage", ("{p} = {t}",), ("<{a}_{i}>, = stage({p}, [<{x}_{i}>], [<{v}
 # The dumbbell on (z1, z2, theta): gq and gm are the gradients of sigma / r at
 # its ends z +- arm u, u = (cos theta, sin theta); the center feels minus their
 # mean, the spin minus their difference along u' = (-sin theta, cos theta).
-_DUMBBELL = ("arm, sigma, cos, sin", (), (
+# nsigma = -sigma and nspin = -(0.5 / arm) come folded: negation is exact, so no bit changes.
+_DUMBBELL = ("arm, nsigma, nspin, cos, sin", (), (
     "c = cos({x}_2)", "sn = sin({x}_2)",
     "q1, q2 = {x}_0 + arm * c, {x}_1 + arm * sn", "m1, m2 = {x}_0 - arm * c, {x}_1 - arm * sn",
     "rq = (q1 * q1 + q2 * q2) ** 1.5", "rm = (m1 * m1 + m2 * m2) ** 1.5",
-    "gq1, gq2 = -sigma * q1 / rq, -sigma * q2 / rq", "gm1, gm2 = -sigma * m1 / rm, -sigma * m2 / rm",
+    "gq1, gq2 = nsigma * q1 / rq, nsigma * q2 / rq", "gm1, gm2 = nsigma * m1 / rm, nsigma * m2 / rm",
     "{a}_0 = -0.5 * (gq1 + gm1)", "{a}_1 = -0.5 * (gq2 + gm2)",
-    "{a}_2 = -(0.5 / arm) * ((gq1 - gm1) * -sn + (gq2 - gm2) * c)"))
+    "{a}_2 = nspin * ((gq2 - gm2) * c - (gq1 - gm1) * sn)"))
+
+# A factored potential's averaged flow: averaging.ladder_kernel's force and args
+_LADDER = ("force, weights, pieces, array, float_grad, fallback", (), (
+    "<{a}_{i}>, = force([<{x}_{i}>], [<{v}_{i}>], weights, pieces, array, float_grad, fallback)",))
 
 
 def _rk4_interval(n, form):
@@ -268,38 +273,40 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
     per system, system i from (x0s[i], v0s[i]).
 
     The systems share their potential and n_tau (one scenario at several
-    eps), so each RK stage makes one averaging.ladder_force call over every
-    live rung: a factored potential's force kernel per rung, or one spectra
-    build over all their points.  A rung that leaves the trusted
-    region stops at that sample while the others step on, so each rung's
-    run is bit-identical to its own integrate_averaged.  A duck-typed system
-    that brings only force(x, v) and in_region(x) is stepped through its
-    own force calls; a static potential alone goes through integrate_static.
+    eps), so each RK stage is one ladder force call over every live rung
+    (averaging.ladder_kernel, or ladder_force for a potential that is not
+    factored).  A rung that leaves the trusted region stops at that sample
+    while the others step on, so each rung's run is bit-identical to its own
+    integrate_averaged.  A state that is not dim floats is refused.  A
+    duck-typed system that brings only force(x, v) and in_region(x) is
+    stepped through its own force calls; a static potential alone goes
+    through integrate_static.
     """
     if not systems:
         return []
-    x0s = np.asarray(x0s, dtype=float)
     first = systems[0]
     if isinstance(first, AveragedSystem):
         if any(s.potential is not first.potential or s.n_tau != first.n_tau for s in systems):
             raise ValueError("a lockstep ladder needs one potential and one n_tau")
+        x0s, v0s = ([checked_state(name, q, first.dim) for q in states]
+                    for name, states in (("x0", x0s), ("v0", v0s)))
 
-        def acc(rows):
+        def stage_of(rows):
             rungs = [systems[r] for r in rows]
-            return lambda t, x, v: ladder_force(rungs, x, v)
+            found = ladder_kernel(rungs)
+            return (_LADDER, found) if found else (_CALLED, [lambda t, x, v: ladder_force(rungs, x, v)])
     else:
-        d = x0s.shape[1]
+        d = np.shape(x0s)[1]
 
-        def acc(rows):
+        def stage_of(rows):
             def row_forces(t, x, v):
                 return [a for j, r in enumerate(rows)
                         for a in np.asarray(systems[r].force(np.array(x[j * d:(j + 1) * d]),
                                                              np.array(v[j * d:(j + 1) * d])),
                                             dtype=float).tolist()]
-            return row_forces
+            return _CALLED, [row_forces]
 
-    runs = integrate_second_order(acc, x0s, v0s, t_end, h=h, out_dt=out_dt,
-                                  in_region=first.in_region)
+    runs = _integrate(stage_of, x0s, v0s, t_end, h, out_dt, first.in_region)
     for system, traj in zip(systems, runs):
         traj.meta.update(kind="averaged", epsilon=system.epsilon, order=system.order)
     return runs
@@ -413,7 +420,8 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
             raise ValueError(f"{name} must be finite, got {value}")
     x0 = [*np.asarray(z0, dtype=float).tolist(), float(theta0)]
     v0 = [*np.asarray(zdot0, dtype=float).tolist(), float(theta_dot0)]
-    form = (_DUMBBELL, [math.sqrt(epsilon), sigma, math.cos, math.sin])
+    arm = math.sqrt(epsilon)
+    form = (_DUMBBELL, [arm, -sigma, -(0.5 / arm), math.cos, math.sin])
     h = 2.0 * math.pi / theta_dot0 / steps_per_spin  # the fast spin period is 2 pi / theta_dot0
     traj = _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, None)
     pos, vel = traj.positions, traj.velocities

@@ -72,6 +72,14 @@ def checked_sample(name, arr, shape):
     return arr
 
 
+def checked_state(name, state, dim):
+    """state as a float array of dim floats, else a ValueError naming it."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (dim,):
+        raise ValueError(f"{name} must be {dim} floats (the potential's dim), got shape {state.shape}")
+    return state
+
+
 def fd_hessian(f, x, h=None):
     """Symmetric second-difference Hessian of f at x.  f may be array valued;
     the two derivative axes are then last: H[..., i, j]."""
@@ -236,7 +244,7 @@ def _checked_samples(potential, points, n_tau: int):
 
 # The names float source may read; with inf and nan any float is its repr.
 SOURCE_NAMES = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "hypot": math.hypot,
-                "TWO_PI": 2.0 * math.pi, "inf": math.inf, "nan": math.nan}
+                "isfinite": math.isfinite, "TWO_PI": 2.0 * math.pi, "inf": math.inf, "nan": math.nan}
 
 
 @lru_cache(maxsize=256)

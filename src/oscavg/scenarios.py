@@ -75,7 +75,7 @@ class FactoredPotential(TimePeriodicPotential):
     if they are a user's callables (_checked_per_point; their _block keeps
     the callables' shapes), sent down that path too.  The averaged force
     needs no spectrum: it is generated code over _bins and _pieces
-    (averaging._force_kernel), with the same checks.  The full flow's force
+    (averaging.ladder_kernel), with the same checks.  The full flow's force
     is each bundled subclass's own float source (phase_force_source), not
     the pieces: from the pieces it costs 2-3 times as much.  An instance
     holds data, no compiled code.

@@ -12,7 +12,7 @@ from oscavg import (CallablePotential, CallableStatic, FieldSpectra, FourierSeri
                     Order1Potential, assemble, fd_gradient, guiding_center,
                     transform_trajectory)
 from oscavg.averaging import AveragedSystem, ladder_force
-from oscavg.dynamics import Trajectory, integrate_averaged_ladder
+from oscavg.dynamics import Trajectory, integrate_averaged, integrate_averaged_ladder
 from oscavg.fields import (TimePeriodicPotential, _checked_samples, central_stencil,
                            stencil_jacobian)
 from oscavg.scenarios import get_scenario
@@ -872,6 +872,27 @@ def test_assemble_rejects_bad_epsilon(eps):
         assemble(sc.potential, eps)
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         AveragedSystem(sc.potential, np.float64(eps))
+
+
+@pytest.mark.parametrize("name", ["rotating_saddle", "quartic_drive", "kapitza_pendulum",
+                                  "rotating_wave", "spinning_satellite"])
+def test_a_state_that_is_not_dim_floats_is_refused_by_name(name):
+    """force, integrate_averaged and the lockstep ladder refuse an x or v one
+    float longer or shorter than dim, with one message naming the argument
+    and the dim (a longer v was cut to dim, a longer x reached the pieces)."""
+    sc = get_scenario(name)
+    system, d = sc.build_system(sc.default_eps[0]), sc.dim
+    x, v = sc.x0, sc.v0
+    for resized in (np.append(x, 0.5), x[:-1]):
+        n = len(resized)
+        for args, arg in (((resized, v), "x"), ((x, resized), "v")):
+            message = rf"^{arg} must be {d} floats \(the potential's dim\), got shape \({n},\)$"
+            with pytest.raises(ValueError, match=message):
+                system.force(*args)
+            with pytest.raises(ValueError, match=message.replace(arg, arg + "0", 1)):
+                integrate_averaged(system, *args, 0.05)
+            with pytest.raises(ValueError, match=message.replace(arg, arg + "0", 1)):
+                integrate_averaged_ladder([system, system], *([q, w] for q, w in zip((x, v), args)), 0.05)
 
 
 @pytest.mark.parametrize("name", ["rotating_saddle", "quartic_drive", "kapitza_pendulum",

@@ -1,7 +1,7 @@
 """The force kernel of a factored potential against the FieldSpectra path.
 
 A factored potential U1 = sum_j f_j(tau) P_j(x) takes its averaged force
-from a kernel generated over its pieces (averaging._force_kernel, kept in
+from a kernel generated over its pieces (averaging.ladder_kernel, kept in
 fields.generated's cache by its source text); every
 other potential, and a call whose pieces are not finite floats, builds a
 FieldSpectra.  The reference here is that path on the same spectrum: the
@@ -9,16 +9,17 @@ potential wrapped so that it no longer looks factored.
 """
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from oscavg import CallablePotential, CallableStatic, Order1Potential, assemble, closed_form_checks
-from oscavg.averaging import AveragedSystem, _force_kernel, ladder_force
+from oscavg.averaging import AveragedSystem, ladder_force, ladder_kernel
 from oscavg.dynamics import integrate_averaged_ladder, integrate_full
 from oscavg.fields import TimePeriodicPotential
-from oscavg.scenarios import (CATALOG, FactoredPotential, SeparableDrivePotential,
-                              get_scenario)
+from oscavg.scenarios import (CATALOG, FactoredPotential, RotatingSaddlePotential,
+                              SeparableDrivePotential, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 BUNDLED = [name for name in CATALOG if name != "custom"]
@@ -105,7 +106,7 @@ def _assert_kernel_matches_spectra(potential, eps_values, n_tau, xs, vs):
     x, v = np.ravel(xs).tolist(), np.ravel(vs).tolist()
     got = np.reshape(ladder_force(systems, x, v), (-1, d))
     want = np.reshape(ladder_force(reference, x, v), (-1, d))
-    assert _force_kernel(potential.oscillating, n_tau, potential.static is not None) is not None
+    assert ladder_kernel(systems) is not None
     for row_got, row_want in zip(got, want):
         scale = float(np.max(np.abs(row_want)))
         err = float(np.max(np.abs(row_got - row_want)))
@@ -154,10 +155,9 @@ def test_kernel_b_is_exactly_antisymmetric(case):
         seed, dim, cubic, static = GENERATED[int(case[len("random"):])]
         potential, n_tau = _random_potential(seed, dim, cubic, static), 16
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
-    osc, static, d = potential.oscillating, potential.static is not None, potential.dim
-    kernel = _force_kernel(osc, n_tau, static)
-    p = osc._pieces(x)
-    B = np.array([kernel(p, np.eye(d)[n].tolist(), [0.0] * d, 1.0, 0.0, 0.0)
+    osc, d = potential.oscillating, potential.dim
+    kernel, _, *args = ladder_kernel([assemble(osc, 0.1, n_tau)])
+    B = np.array([kernel(x.tolist(), np.eye(d)[n].tolist(), (1.0, 0.0, 0.0), *args)
                   for n in range(d)]).T
     assert np.array_equal(B, -B.T)
     assert not np.diagonal(B).any()
@@ -222,16 +222,18 @@ def _refuse(self, points, n_tau):
 
 
 def test_satellites_with_different_sigma_share_a_kernel_and_differ_in_force():
-    """A kernel depends on the factor bins and n_tau alone, so the sigma = -1
-    and +1 satellites share one (sigma enters through the pieces), and
-    their forces still differ."""
+    """The oscillating part's kernel depends on the factor bins and n_tau
+    alone, so the sigma = -1 and +1 satellites share one (sigma enters
+    through the pieces; the static part's lines, which hold it, are written
+    in when there is one), and their forces still differ."""
     attractive, repulsive = (get_scenario("spinning_satellite", sigma=s) for s in (-1.0, 1.0))
     x, v = np.array([1.1, 0.3]), np.array([-0.2, 0.9])
     forces = []
     for sc in (attractive, repulsive):
         _assert_kernel_matches_spectra(sc.potential, [0.1], 16, [x], [v])
         forces.append(sc.build_system(1 / 64).force(x, v))
-    kernels = [_force_kernel(sc.potential.oscillating, 16, True) for sc in (attractive, repulsive)]
+    kernels = [ladder_kernel([assemble(sc.potential.oscillating, 0.1, 16)])[0]
+               for sc in (attractive, repulsive)]
     assert kernels[0] is kernels[1]
     assert not np.allclose(forces[0], forces[1])
 
@@ -272,6 +274,19 @@ def _at_phase(osc, phase):
                              hess=lambda x, tau: osc.hess(x, phase(tau)))
 
 
+PHASES = (("U", lambda tau: tau), ("reversed", lambda tau: -tau), ("shifted", lambda tau: tau + 0.3))
+
+
+def _symmetry_case(case):
+    """The oscillating part of a case and a point off its start."""
+    if case in BUNDLED:
+        sc = get_scenario(case)
+        return sc.potential.oscillating, sc.x0 * 1.1 + 0.05
+    rng = np.random.default_rng(int(case[len("random"):]))
+    osc = _RandomFactored(rng, int(rng.integers(2, 4)), True)
+    return osc, rng.uniform(-1.0, 1.0, osc.dim)
+
+
 @pytest.mark.parametrize("case", SYMMETRY_CASES)
 def test_b_and_w_grad_under_time_reversal_and_phase_shift(case):
     """On the sampled path at n_tau 16, for the oscillating part of each
@@ -279,16 +294,9 @@ def test_b_and_w_grad_under_time_reversal_and_phase_shift(case):
     a zero diagonal, bit for bit; the time reversal U(x, -tau) flips B and
     keeps grad W, and the phase shift U(x, tau + 0.3) keeps both, to 1e-13
     of their largest entry."""
-    if case in BUNDLED:
-        sc = get_scenario(case)
-        osc, x = sc.potential.oscillating, sc.x0 * 1.1 + 0.05
-    else:
-        rng = np.random.default_rng(int(case[len("random"):]))
-        osc = _RandomFactored(rng, int(rng.integers(2, 4)), True)
-        x = rng.uniform(-1.0, 1.0, osc.dim)
+    osc, x = _symmetry_case(case)
     fields = {}
-    for name, phase in (("U", lambda tau: tau), ("reversed", lambda tau: -tau),
-                        ("shifted", lambda tau: tau + 0.3)):
+    for name, phase in PHASES:
         spectra = assemble(_at_phase(osc, phase), 0.05, n_tau=16).stack(x)
         fields[name] = spectra.b_matrix()[0], spectra.w_grad()[0]
     b, w_grad = fields["U"]
@@ -299,6 +307,71 @@ def test_b_and_w_grad_under_time_reversal_and_phase_shift(case):
         b_other, w_other = fields[name]
         err = max(float(np.max(np.abs(b_other - sign * b))), float(np.max(np.abs(w_other - w_grad))))
         assert err <= 1e-13 * scale, f"{case} {name}: off by {err / scale:.1e} of the largest entry"
+
+
+class _Rephased(FactoredPotential):
+    """A factored potential's factors at the phase phase(tau), with its own
+    pieces: factored again, so its force takes the generated kernel."""
+
+    def __init__(self, inner, phase):
+        self.inner, self.phase, self.dim = inner, phase, inner.dim
+
+    def _factors(self, tau):
+        return self.inner._factors(self.phase(np.asarray(tau, dtype=float)))
+
+    def _pieces(self, x):
+        return self.inner._pieces(x)
+
+
+@pytest.mark.parametrize("case", ["rotating_wave", "rotating_saddle", "spinning_satellite",
+                                  *(f"random{seed}" for seed in (0, 4, 6, 9))])
+def test_ladder_kernel_and_spectra_under_time_reversal_and_phase_shift(case):
+    """The same symmetries on the generated ladder force (B column by column
+    at weights (1, 0, 0), -grad W at weights (0, 1, 0) and v = 0) and on the
+    factored potential's spectra path, with the phase written into the
+    factors: the time reversal flips B and keeps grad W, the phase shift
+    keeps both, each to 1e-13 of its largest entry at the phase tau."""
+    osc, x = _symmetry_case(case)
+    d = osc.dim
+    fields = {}
+    for name, phase in PHASES:
+        system = assemble(_Rephased(osc, phase), 0.05, n_tau=16)
+        kernel, _, *args = ladder_kernel([system])
+        b = np.array([kernel(x.tolist(), np.eye(d)[n].tolist(), (1.0, 0.0, 0.0), *args)
+                      for n in range(d)]).T
+        w_grad = -np.array(kernel(x.tolist(), [0.0] * d, (0.0, 1.0, 0.0), *args))
+        stack = system.stack(x)
+        fields[name] = {"ladder": (b, w_grad), "spectra": (stack.b_matrix()[0], stack.w_grad()[0])}
+    for path in ("ladder", "spectra"):
+        b, w_grad = fields["U"][path]
+        assert np.max(np.abs(b)) > 0.0 and np.max(np.abs(w_grad)) > 0.0, (case, path)
+        for name, sign in (("reversed", -1.0), ("shifted", 1.0)):
+            for label, got, want in zip(("B", "grad W"), fields[name][path], (sign * b, w_grad)):
+                scale = float(np.max(np.abs(want)))
+                err = float(np.max(np.abs(got - want)))
+                assert err <= 1e-13 * scale, (f"{case} {path} {name} {label}: off by "
+                                              f"{err / scale:.1e} of the largest entry")
+
+
+NAN_MESSAGE = "potential returned non-finite pieces at x=[1.05249859 0.01049997]"
+
+
+class _NanBeyond(RotatingSaddlePotential):
+    """The saddle, with NaN pieces right of x1 = 1.05."""
+
+    def _pieces(self, x):
+        return [math.nan] * 21 if x[0] > 1.05 else super()._pieces(x)
+
+
+def test_a_ladder_row_whose_pieces_turn_non_finite_mid_run_is_named():
+    """The first rung drifts right and its pieces turn NaN during a stage of
+    the lockstep run: that stage takes the spectra path for every row, which
+    names the stage point where they turned, digit for digit."""
+    potential = _NanBeyond()
+    systems = [assemble(potential, eps, 16) for eps in (0.1, 0.05)]
+    with pytest.raises(ValueError, match=f"^{re.escape(NAN_MESSAGE)}$"):
+        integrate_averaged_ladder(systems, [[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.1], [0.0, 0.2]],
+                                  1.0, h=0.01, out_dt=0.01)
 
 
 # ---- the fast path stays taken ----
