@@ -84,7 +84,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors,
-                     checked_grid, checked_state, generated, phase_weights)
+                     checked_grid, checked_state, difference_lines, generated, phase_weights)
 
 
 @lru_cache(maxsize=16)
@@ -251,17 +251,18 @@ class AveragedSystem:
         return float(0.5 * np.dot(v, v) + self.effective_potential(x))
 
     def full_form(self):
-        """The full flow's stage form and its arguments: -grad(U0 + eps^s U1)
-        at the phase t / eps mod 1 from the oscillating part's
-        phase_force_source, or a phase_force call if it has none, and with a
-        static part scale * o_i - s_i (_static_lines), -(s + scale * g)
-        exactly.  integrate_full's RK4 loop and full_stage() both take it."""
+        """The full flow's stage form and its arguments, which integrate_full
+        and full_stage() take: -grad(U0 + eps^s U1) at the phase t / eps mod 1
+        from the oscillating part osc, by its phase_force_source, else
+        fields.difference_lines, else a phase_force call; with a static part
+        scale * o_i - s_i (_static_lines), -(s + scale * g) exactly."""
         osc, static = self._osc, self._static
-        names = dict(SOURCE_NAMES, eps=self.epsilon, phase_force=osc.phase_force)
+        names = dict(SOURCE_NAMES, eps=self.epsilon, osc=osc)
         phase, stage = (getattr(osc, "phase_force_source", None)
-                        or ((), ("<{a}_{i}>, = phase_force([<{x}_{i}>], {p})",)))
+                        or ((), difference_lines(osc, "osc")
+                            or ("<{a}_{i}>, = osc.phase_force([<{x}_{i}>], {p})",)))
         if static is not None:
-            names.update(float_grad=static.float_grad, scale=self.epsilon ** self.shift)
+            names.update(static=static, scale=self.epsilon ** self.shift)
             stage = (*_static_lines(static, "{a}s"), *(line.replace("{a}", "{a}o") for line in stage),
                      "{a}_{i} = scale * {a}o_{i} - {a}s_{i}")
         return (", ".join(names), ("{p} = ({t}) / eps % 1.0", *phase), stage), list(names.values())
@@ -279,9 +280,10 @@ class AveragedSystem:
 
 
 def _static_lines(static, out):
-    """Stage lines that set out_i to a static part's gradient: its
-    float_grad_source written in, else a float_grad call."""
-    lines = getattr(static, "float_grad_source", None) or ("<{a}_{i}>, = float_grad([<{x}_{i}>])",)
+    """Stage lines that set out_i to the gradient of the static part static:
+    float_grad_source, else fields.difference_lines, else a float_grad call."""
+    lines = (getattr(static, "float_grad_source", None) or difference_lines(static, "static")
+             or ("<{a}_{i}>, = static.float_grad([<{x}_{i}>])",))
     return tuple(line.replace("{a}", out) for line in lines)
 
 
@@ -320,7 +322,7 @@ def ladder_kernel(systems):
     lines = () if static is None else _static_lines(static, "{a}")
     weights = tuple(w for s in systems for w in s.weights)
     return [generated(texts[rows], first.dim, ("", (), lines)), weights, first._osc._pieces, np.array,
-            getattr(static, "float_grad", None), partial(_spectra_force, systems)]
+            static, partial(_spectra_force, systems)]
 
 
 def _spectra_force(systems, x, v):
@@ -343,7 +345,7 @@ def _spectra_force(systems, x, v):
 # gradient s (@stage); fallback(x, v) gives every row's force unless all pieces
 # are finite floats (an array or a complex among them makes their sum no float).
 _FORCE_KERNEL = """\
-def force(x, v, weights, pieces, array, float_grad, fallback):
+def force(x, v, weights, pieces, array, static, fallback):
     {xs}, = x
     {vs}, = v
     {weights}, = weights

@@ -24,14 +24,15 @@ bit-identical to it (and each row to its own one-row run) at a fraction of
 numpy's per-operation cost on 2- and 3-vectors.  The stage is written into
 the loop as a stage form: a given acceleration acc(t, x, v) is called on
 lists of floats (_CALLED), and so is the ladder force (_LADDER, with its
-arguments); the dumbbell's is written out (_DUMBBELL), and so is the full flow's
-(AveragedSystem.full_form): the phase t / eps mod 1 and the potential's
-phase lines once per stage time, its stage lines at each stage.  A
-potential without float source, a user's, is called instead: phase_force
-once per stage, and float_grad for a static part.  full_stage() is one
-stage of the same form.  Only in_region and the force of a duck-typed
-system see float arrays.  _integrate refuses, for every flow, a start that
-is not finite or is outside the trusted region.
+arguments); the dumbbell's is written out (_DUMBBELL), and so is the full
+flow's (AveragedSystem.full_form): the phase t / eps mod 1 and the
+potential's phase lines once per stage time, its stage lines at each stage.
+A user's potential that gives only value has its central difference
+written in (fields.difference_lines: value calls on float arrays); one with
+a grad of its own is called, phase_force once per stage and float_grad for
+a static part.  full_stage() is one stage of the same form.  _integrate
+refuses, for every flow, a start that is not finite or is outside the
+trusted region.
 """
 from __future__ import annotations
 
@@ -101,9 +102,12 @@ def _substeps(out_dt, h):
 # full_form, integrate_static's) fills in {args} and the @phase and @stage
 # lines: "@phase p T" names the stage time T's phase p (no line if the form
 # has none), "@stage a p x v" sets a_{i} from x_{i}, v_{i} at that phase;
-# stages 2 and 3 share p.
+# stages 2 and 3 share p.  The form's arguments come as one sequence: spread
+# into the call they would make a tuple of them all per call, and CPython
+# 3.11 pools tuples of 20 items (up to 2000 of them) without reusing them.
 _RK4_INTERVAL = """\
-def interval(t, x, v, n_sub, h, hh, h6, {args}):
+def interval(t, x, v, n_sub, h, hh, h6, args):
+    {args}, = args
     <x_{i}>, = x
     <v_{i}>, = v
     for s in range(n_sub):
@@ -144,12 +148,12 @@ _DUMBBELL = ("arm, nsigma, nspin, cos, sin", (), (
     "{a}_2 = nspin * ((gq2 - gm2) * c - (gq1 - gm1) * sn)"))
 
 # A factored potential's averaged flow: averaging.ladder_kernel's force and args
-_LADDER = ("force, weights, pieces, array, float_grad, fallback", (), (
-    "<{a}_{i}>, = force([<{x}_{i}>], [<{v}_{i}>], weights, pieces, array, float_grad, fallback)",))
+_LADDER = ("force, weights, pieces, array, static, fallback", (), (
+    "<{a}_{i}>, = force([<{x}_{i}>], [<{v}_{i}>], weights, pieces, array, static, fallback)",))
 
 
 def _rk4_interval(n, form):
-    """interval(t, x, v, n_sub, h, hh, h6, *args) -> (x, v): n_sub RK4
+    """interval(t, x, v, n_sub, h, hh, h6, args) -> (x, v): n_sub RK4
     substeps from time t on the lists of n floats x and v, _RK4_INTERVAL in
     the stage form `form`: straight-line code in local floats, since on a
     few floats the list form's comprehensions and zips cost more than the
@@ -232,7 +236,7 @@ def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
             vel[r][i] = v[j * d:(j + 1) * d]
         if i == n_out:
             break
-        x, v = interval(t, x, v, n_sub, h, hh, h6, *args)
+        x, v = interval(t, x, v, n_sub, h, hh, h6, args)
     runs = [Trajectory(times[:k], p[:k], q[:k], meta)
             for k, p, q, meta in zip(kept, pos, vel, metas)]
     return runs if batch else runs[0]
@@ -316,7 +320,7 @@ def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
     """Integrate xdd = -grad S(x) for a static potential S, such as a split
     potential's static part, until S.in_region turns false: bit for bit
     integrate_second_order(lambda t, x, v: [-g for g in S.float_grad(x)], ...)."""
-    names = dict(SOURCE_NAMES, float_grad=static.float_grad)
+    names = dict(SOURCE_NAMES, static=static)
     form = ((", ".join(names), (), (*_static_lines(static, "{a}g"), "{a}_{i} = -{a}g_{i}")),
             list(names.values()))
     return _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, static.in_region)

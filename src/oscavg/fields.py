@@ -80,14 +80,14 @@ def checked_state(name, state, dim):
     return state
 
 
-def fd_hessian(f, x, h=None):
-    """Symmetric second-difference Hessian of f at x.  f may be array valued;
-    the two derivative axes are then last: H[..., i, j]."""
+def fd_hessian(f, x, h=None, f0=None):
+    """Symmetric second-difference Hessian of f at x (f0 = f(x) if given).
+    f may be array valued; the two derivative axes are then last: H[..., i, j]."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     if h is None:
         h = _fd_step(x, HESS_STEP)
-    f0 = np.asarray(f(x))
+    f0 = np.asarray(f(x) if f0 is None else f0)
     H = np.empty(f0.shape + (d, d))
     for i in range(d):
         xp = x.copy(); xp[i] += h
@@ -222,17 +222,20 @@ def _checked_samples(potential, points, n_tau: int):
     Returns samples[p, c, n]: at point p and tau = n / n_tau, the value (c = 0),
     the gradient (c = 1 .. dim) and the Hessian (the next dim * dim, row major).
     Makes one value, one grad and one hess call per point, on the shared,
-    read-only grid.  Rejects a point of the wrong shape, a grid too coarse to
-    resolve anything, samples of the wrong shape and non-finite samples.
+    read-only grid (a default hess reuses the value sample as its centre).
+    Rejects a point of the wrong shape, a grid too coarse to resolve anything,
+    samples of the wrong shape and non-finite samples.
     """
     d = potential.dim
     taus = checked_grid(points, d, n_tau)
     samples = np.empty((len(points), 1 + d + d * d, n_tau))
     for x, out in zip(points, samples):
-        out[0] = checked_sample("value", potential.value(x, taus), (n_tau,))
+        value = potential.value(x, taus)
+        out[0] = checked_sample("value", value, (n_tau,))
         out[1:1 + d] = checked_sample("grad", potential.grad(x, taus), (n_tau, d)).T
-        out[1 + d:] = checked_sample("hess", potential.hess(x, taus),
-                                     (n_tau, d, d)).reshape(n_tau, d * d).T
+        hess = (potential.hess(x, taus) if _overrides(potential, TimePeriodicPotential, "hess")
+                else fd_hessian(lambda y: potential.value(y, taus), x, f0=value))
+        out[1 + d:] = checked_sample("hess", hess, (n_tau, d, d)).reshape(n_tau, d * d).T
     if not np.isfinite(samples).all():
         bad_rows = ~np.all(np.isfinite(samples), axis=1)
         bad = taus[bad_rows[np.argmax(bad_rows.any(axis=1))]]
@@ -242,9 +245,18 @@ def _checked_samples(potential, points, n_tau: int):
 
 # ---- generated code: a force as straight-line float code ----
 
-# The names float source may read; with inf and nan any float is its repr.
+def checked_value(f):
+    """potential.value's f at one point as the float fd_gradient's float
+    array holds; a ValueError naming value unless it is one real number."""
+    if not isinstance(f, float) and (np.shape(f) != () or np.asarray(f).dtype.kind not in "biuf"):
+        raise ValueError(f"potential.value returned {f!r:.60}, expected one real number")
+    return float(f)
+
+
+# The names float source and difference_lines read; any float is its repr.
 SOURCE_NAMES = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "hypot": math.hypot,
-                "isfinite": math.isfinite, "TWO_PI": 2.0 * math.pi, "inf": math.inf, "nan": math.nan}
+                "isfinite": math.isfinite, "isnan": math.isnan, "TWO_PI": 2.0 * math.pi,
+                "inf": math.inf, "nan": math.nan, "array": np.array, "checked_value": checked_value}
 
 
 @lru_cache(maxsize=256)
@@ -304,6 +316,36 @@ def stage(t, x, v, {args}):
 """
 
 
+def _overrides(potential, base, *names):
+    """True unless potential is a base that takes base's own methods `names`:
+    none overridden on its class, none set on it."""
+    own = getattr(potential, "__dict__", {})
+    return not isinstance(potential, base) or any(
+        getattr(type(potential), n) is not getattr(base, n) or n in own for n in names)
+
+
+def difference_lines(potential, name):
+    """Stage lines setting {a}_i to minus a TimePeriodicPotential's gradient at
+    {x} and phase {p}, or to a StaticPotential's at {x}, the potential read
+    as `name`, in fd_gradient's float operations and central_stencil's order
+    (_fd_step's step, value on a fresh float array, checked_value): the
+    default phase_force or float_grad bit for bit.  None if it gives a grad
+    or that method of its own (_overrides), which is then called."""
+    timed = isinstance(potential, TimePeriodicPotential)
+    base, method, phase, sign = ((TimePeriodicPotential, "phase_force", ", {p}", "-") if timed
+                                 else (StaticPotential, "float_grad", "", ""))
+    if _overrides(potential, base, "grad", method):
+        return None
+    xs = [f"{{x}}_{j}" for j in range(potential.dim)]
+
+    def at(j, op):
+        point = ", ".join(f"{q} {op} {{a}}h" if k == j else q for k, q in enumerate(xs))
+        return f"checked_value({name}.value(array([{point}]){phase}))"
+    return (f"{{a}}h = nan if {' or '.join(f'isnan({q})' for q in xs)} else "
+            f"{GRAD_STEP!r} * (1.0 + max(0.0, {', '.join(f'abs({q})' for q in xs)}))",
+            *(f"{{a}}_{j} = {sign}(({at(j, '+')} - {at(j, '-')}) / (2.0 * {{a}}h))" for j in range(len(xs))))
+
+
 class TimePeriodicPotential:
     """Base class for potentials U(x, tau) with period 1 in tau: the shift 0
     case of U = static(x) + eps^shift * oscillating(x, tau), with no static
@@ -317,18 +359,17 @@ class TimePeriodicPotential:
     accept tau as a scalar or a 1-d array and vectorize over it.
 
     The full flow's RK4 loop (dynamics) takes minus the gradient at one
-    float phase four times per substep.  Every bundled potential gives it
-    as float source, phase_force_source = (phase lines, stage lines): the
-    phase lines read the phase as {p}, the stage lines set {a}_i to minus
-    gradient entry i from {x}_i, with SOURCE_NAMES and literal constants.
-    The loop writes the phase lines in once per stage time (three times per
-    substep, as stages 2 and 3 share one) and the stage lines at each
-    stage; phase_force is the same lines in STAGE (generated's cache, so
-    a potential keeps nothing compiled).  Any other
-    potential is called: phase_force(x, tau) once per stage, with x the
-    stepper's list of floats, returning minus the gradient as a list of
-    floats; the default converts x to a float array once, calls grad and
-    negates, so a custom potential needs nothing more.
+    float phase four times per substep, written into the loop as lines.
+    Every bundled potential gives them as float source, phase_force_source
+    = (phase lines, stage lines): the phase lines read the phase as {p},
+    the stage lines set {a}_i to minus gradient entry i from {x}_i, with
+    SOURCE_NAMES and literal constants; phase lines go in once per stage
+    time (stages 2 and 3 share one), and phase_force is the same lines in
+    STAGE.  A potential that gives only value gets difference_lines: 2 dim
+    value calls per stage on float arrays.  One with a grad or phase_force
+    of its own is called: phase_force(x, tau), x the stepper's list of
+    floats, returns minus the gradient as a list of floats; the default
+    converts x to a float array once, calls grad and negates.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
