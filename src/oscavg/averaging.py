@@ -55,15 +55,14 @@ ladder_force therefore takes a factored potential's force from one function
 generated over all its rows (ladder_kernel, also the averaged flow's RK
 stage): straight-line float code over each row's pieces, with the zero
 entries of Q2 and Q3 left out (the satellite keeps two of each, a separable
-drive one Q2 entry and no Q3 entry), and no spectrum.  At n_tau 16 on the
-five bundled scenarios a call takes 2-5 us for one row and 9-23 us for four
-(5-11 and 10-21 us through ladder_force), against 60-86 and 70-124 us on
-the FieldSpectra path (medians of 15 x 2000 calls, 3 runs, shared 2-core
-VM, Python 3.11, numpy 2.4).  Any other potential takes that path: one
-potential.spectrum call at the rows' own points per force call, where the
-central difference of b took 2 dim + 1 points.  The guiding-center map needs a true
-third derivative: it takes a central stencil around every state in one call
-and reads V, S, A at each state's phase from the coefficients.  A single
+drive one Q2 entry and no Q3 entry), and no spectrum: on a few
+coordinates, numpy's per-operation cost in a spectra build outweighs the
+arithmetic many times over.  Any other potential takes the FieldSpectra
+path: one potential.spectrum call at the rows' own points per force call,
+B from the Hessian channel at those points alone.  The guiding-center map
+needs a true third derivative: it takes a central stencil around every
+state in one call and reads V, S, A at each state's phase from the
+coefficients.  A single
 point's fields are row 0 of a one-point FieldSpectra (stack(x)); the tests
 hold the kernel to that path.
 
@@ -84,7 +83,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors,
-                     checked_grid, checked_state, difference_lines, generated, phase_weights)
+                     checked_grid, checked_state, generated, phase_weights, stage_lines)
 
 
 @lru_cache(maxsize=16)
@@ -253,17 +252,14 @@ class AveragedSystem:
     def full_form(self):
         """The full flow's stage form and its arguments, which integrate_full
         and full_stage() take: -grad(U0 + eps^s U1) at the phase t / eps mod 1
-        from the oscillating part osc, by its phase_force_source, else
-        fields.difference_lines, else a phase_force call; with a static part
-        scale * o_i - s_i (_static_lines), -(s + scale * g) exactly."""
+        from the oscillating part's fields.stage_lines, with a static part's
+        as scale * o_i - s_i, -(s + scale * g) exactly."""
         osc, static = self._osc, self._static
         names = dict(SOURCE_NAMES, eps=self.epsilon, osc=osc)
-        phase, stage = (getattr(osc, "phase_force_source", None)
-                        or ((), difference_lines(osc, "osc")
-                            or ("<{a}_{i}>, = osc.phase_force([<{x}_{i}>], {p})",)))
+        phase, stage = stage_lines(osc, "osc")
         if static is not None:
             names.update(static=static, scale=self.epsilon ** self.shift)
-            stage = (*_static_lines(static, "{a}s"), *(line.replace("{a}", "{a}o") for line in stage),
+            stage = (*stage_lines(static, "static", "{a}s")[1], *stage_lines(osc, "osc", "{a}o")[1],
                      "{a}_{i} = scale * {a}o_{i} - {a}s_{i}")
         return (", ".join(names), ("{p} = ({t}) / eps % 1.0", *phase), stage), list(names.values())
 
@@ -277,14 +273,6 @@ class AveragedSystem:
 
     def in_region(self, x):
         return self.potential.in_region(x)
-
-
-def _static_lines(static, out):
-    """Stage lines that set out_i to the gradient of the static part static:
-    float_grad_source, else fields.difference_lines, else a float_grad call."""
-    lines = (getattr(static, "float_grad_source", None) or difference_lines(static, "static")
-             or ("<{a}_{i}>, = static.float_grad([<{x}_{i}>])",))
-    return tuple(line.replace("{a}", out) for line in lines)
 
 
 def assemble(potential, epsilon: float, n_tau: int = 48) -> AveragedSystem:
@@ -319,7 +307,7 @@ def ladder_kernel(systems):
     if texts[rows] is None:
         return None
     static = first._static
-    lines = () if static is None else _static_lines(static, "{a}")
+    lines = () if static is None else stage_lines(static, "static")[1]
     weights = tuple(w for s in systems for w in s.weights)
     return [generated(texts[rows], first.dim, ("", (), lines)), weights, first._osc._pieces, np.array,
             static, partial(_spectra_force, systems)]

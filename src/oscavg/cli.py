@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import math
 import os
 import platform
@@ -35,9 +34,9 @@ from . import __version__
 # by name on this module as well as on analysis
 from .analysis import compare_ladder, fit_order, guided_run, measure_precession, position_gap
 from .checks import SUITES
-from .dynamics import (MIN_STEPS_PER_PERIOD, atomic_write, file_digests, integrate_averaged,
-                       integrate_dumbbell, integrate_full, integrate_static,
-                       save_dumbbell, save_trajectory, transform_trajectory)
+from .dynamics import (MIN_STEPS_PER_PERIOD, integrate_averaged, integrate_dumbbell,
+                       integrate_full, integrate_static, save_dumbbell, save_trajectory,
+                       transform_trajectory, write_json)
 from .fields import MIN_N_TAU
 from .scenarios import CATALOG, ScenarioUsageError, get_scenario
 
@@ -105,25 +104,9 @@ def _out_dir(args, cfg: dict) -> str:
     return args.out_dir or cfg.get("out_dir") or os.environ.get("OSCAVG_OUT_DIR") or "oscavg_out"
 
 
-def _write_json(path: str, payload: dict) -> dict:
-    """Write payload as a JSON report; return {file name: sha256} for it."""
-    with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_jsonable)
-        f.write("\n")
-    return file_digests(path)
-
-
 def _runtime_versions() -> dict:
     """The interpreter and numpy versions a report was made with."""
     return {"python": platform.python_version(), "numpy": np.__version__}
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 # ---- run settings and config files ----
@@ -247,7 +230,7 @@ def _run_precession(sc, orbits: int, out_dir: str, files: dict) -> dict:
         "kepler_control": _rep(rep_k),
         "same_sign": bool(np.sign(rep_d.mean_advance) == np.sign(rep_a.mean_advance)),
     }
-    files.update(_write_json(os.path.join(out_dir, f"{sc.name}_precession.json"), payload))
+    files.update(write_json(os.path.join(out_dir, f"{sc.name}_precession.json"), payload))
     return payload
 
 
@@ -349,8 +332,8 @@ def cmd_run(args) -> int:
             "eps": rep.eps_values, "errors": rep.errors,
             "slope": rep.slope, "pair_slopes": rep.pair_slopes,
         }
-        files.update(_write_json(os.path.join(out_dir, f"{sc.name}_convergence.json"),
-                                 reports["convergence"]))
+        files.update(write_json(os.path.join(out_dir, f"{sc.name}_convergence.json"),
+                                reports["convergence"]))
         print(f"fitted log-log slope: {rep.slope:.3f}")
 
     if args.orbits is not None:
@@ -370,7 +353,7 @@ def cmd_run(args) -> int:
         "files": files,
         "wall_seconds": round(time.time() - t0, 3),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"wrote {len(files)} files + manifest.json to {out_dir}")
     return 0
 
@@ -416,7 +399,7 @@ def cmd_validate(args) -> int:
         "wall_seconds": round(time.time() - t0, 3),
     }
     path = os.path.join(out_dir, f"validate_{args.suite}.json")
-    _write_json(path, summary)
+    write_json(path, summary)
     n = len(checks)
     print(f"{summary['n_passed']}/{n} checks passed; summary written to {path}")
     return 0 if all_ok else 1

@@ -26,13 +26,12 @@ the loop as a stage form: a given acceleration acc(t, x, v) is called on
 lists of floats (_CALLED), and so is the ladder force (_LADDER, with its
 arguments); the dumbbell's is written out (_DUMBBELL), and so is the full
 flow's (AveragedSystem.full_form): the phase t / eps mod 1 and the
-potential's phase lines once per stage time, its stage lines at each stage.
-A user's potential that gives only value has its central difference
-written in (fields.difference_lines: value calls on float arrays); one with
-a grad of its own is called, phase_force once per stage and float_grad for
-a static part.  full_stage() is one stage of the same form.  _integrate
-refuses, for every flow, a start that is not finite or is outside the
-trusted region.
+potential's phase lines once per stage time, its stage lines at each stage,
+both from fields.stage_lines (float source, a call of the potential's own
+grad, or its central difference), and so is the point-mass control's
+(integrate_static).  full_stage() is one stage of the same form.
+_integrate refuses, for every flow, a start that is not finite or is
+outside the trusted region.
 """
 from __future__ import annotations
 
@@ -44,8 +43,9 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 import numpy as np
 
-from .averaging import AveragedSystem, _static_lines, assemble, ladder_force, ladder_kernel
-from .fields import SOURCE_NAMES, central_stencil, checked_state, generated, stencil_jacobian
+from .averaging import AveragedSystem, assemble, ladder_force, ladder_kernel
+from .fields import (SOURCE_NAMES, central_stencil, checked_state, generated, stage_lines,
+                     stencil_jacobian)
 
 MIN_STEPS_PER_PERIOD = 16
 
@@ -169,18 +169,15 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
     that share the time grid and step in lockstep: one acceleration call per
     RK stage serves every row.  acc(t, x, v) gets t and the lists of floats
     x and v, the live rows' states end to end, and returns their
-    accelerations the same way.  For a batch, acc(rows) is called instead
-    with the indices of the live rows, at the start and whenever they
-    change, and returns that function.  Samples land on the exact grid
+    accelerations the same way.  Samples land on the exact grid
     i * out_dt, and the run ends at the first at or past t_end (t_end 0.0625
     at out_dt 0.01 ends at 0.07).  If in_region(x) (given one row's position
     as a float array) turns false at a sample, that row stops there and its
     meta records exited_region_at; the other rows step on.  Returns a
     Trajectory, or for a batch a list of them, one per row.
     """
-    batch = np.ndim(x0) == 2
-    return _integrate(lambda rows: (_CALLED, [acc(rows) if batch else acc]),
-                      x0, v0, t_end, h, out_dt, in_region)
+    form = (_CALLED, [acc])
+    return _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, in_region)
 
 
 def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
@@ -321,7 +318,7 @@ def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
     potential's static part, until S.in_region turns false: bit for bit
     integrate_second_order(lambda t, x, v: [-g for g in S.float_grad(x)], ...)."""
     names = dict(SOURCE_NAMES, static=static)
-    form = ((", ".join(names), (), (*_static_lines(static, "{a}g"), "{a}_{i} = -{a}g_{i}")),
+    form = ((", ".join(names), (), (*stage_lines(static, "static", "{a}g")[1], "{a}_{i} = -{a}g_{i}")),
             list(names.values()))
     return _integrate(lambda rows: form, x0, v0, t_end, h, out_dt, static.in_region)
 
@@ -469,6 +466,22 @@ def file_digests(*paths) -> dict:
     return digests
 
 
+def write_json(path, payload) -> dict:
+    """Write payload as JSON at path, atomically, with sorted keys, indent 2
+    and a trailing newline, numpy arrays and scalars as their Python values;
+    return {file name: sha256} for it."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        fh.write("\n")
+    return file_digests(path)
+
+
+def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
 def _save_table(csv_path, header, columns, meta, extra_meta) -> dict:
     """Write columns as a CSV plus a JSON sidecar holding the header, the row
     count and meta updated by extra_meta; return both files' digests."""
@@ -481,12 +494,8 @@ def _save_table(csv_path, header, columns, meta, extra_meta) -> dict:
     meta = dict(meta)
     if extra_meta:
         meta.update(extra_meta)
-    sidecar = _sidecar_path(csv_path)
-    with atomic_write(sidecar) as fh:
-        json.dump({"columns": header, "rows": int(rows.shape[0]), "meta": meta}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return file_digests(csv_path, sidecar)
+    sidecar = {"columns": header, "rows": int(rows.shape[0]), "meta": meta}
+    return {**file_digests(csv_path), **write_json(_sidecar_path(csv_path), sidecar)}
 
 
 def save_trajectory(traj: Trajectory, csv_path, extra_meta=None) -> dict:

@@ -5,7 +5,8 @@ oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
 Every compiled function of oscavg comes from generated, under one cache:
 the full flow's RK4 loop, the full-flow stage, a potential's phase_force
-and float_grad from its float source, and the averaged force kernel.
+and float_grad, and the averaged force kernel.  stage_lines is the one
+place that chooses how a potential part's gradient is written into them.
 """
 from __future__ import annotations
 
@@ -233,7 +234,7 @@ def _checked_samples(potential, points, n_tau: int):
         value = potential.value(x, taus)
         out[0] = checked_sample("value", value, (n_tau,))
         out[1:1 + d] = checked_sample("grad", potential.grad(x, taus), (n_tau, d)).T
-        hess = (potential.hess(x, taus) if _overrides(potential, TimePeriodicPotential, "hess")
+        hess = (potential.hess(x, taus) if _own(potential, TimePeriodicPotential, "hess")
                 else fd_hessian(lambda y: potential.value(y, taus), x, f0=value))
         out[1 + d:] = checked_sample("hess", hess, (n_tau, d, d)).reshape(n_tau, d * d).T
     if not np.isfinite(samples).all():
@@ -253,7 +254,7 @@ def checked_value(f):
     return float(f)
 
 
-# The names float source and difference_lines read; any float is its repr.
+# The names float source and stage_lines read; any float is its repr.
 SOURCE_NAMES = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "hypot": math.hypot,
                 "isfinite": math.isfinite, "isnan": math.isnan, "TWO_PI": 2.0 * math.pi,
                 "inf": math.inf, "nan": math.nan, "array": np.array, "checked_value": checked_value}
@@ -316,34 +317,43 @@ def stage(t, x, v, {args}):
 """
 
 
-def _overrides(potential, base, *names):
-    """True unless potential is a base that takes base's own methods `names`:
-    none overridden on its class, none set on it."""
-    own = getattr(potential, "__dict__", {})
-    return not isinstance(potential, base) or any(
-        getattr(type(potential), n) is not getattr(base, n) or n in own for n in names)
+def _own(part, base, name):
+    """True unless part is a base that takes base's own method `name`: not
+    overridden on its class, not set on it."""
+    return (not isinstance(part, base) or getattr(type(part), name) is not getattr(base, name)
+            or name in getattr(part, "__dict__", {}))
 
 
-def difference_lines(potential, name):
-    """Stage lines setting {a}_i to minus a TimePeriodicPotential's gradient at
-    {x} and phase {p}, or to a StaticPotential's at {x}, the potential read
-    as `name`, in fd_gradient's float operations and central_stencil's order
-    (_fd_step's step, value on a fresh float array, checked_value): the
-    default phase_force or float_grad bit for bit.  None if it gives a grad
-    or that method of its own (_overrides), which is then called."""
-    timed = isinstance(potential, TimePeriodicPotential)
-    base, method, phase, sign = ((TimePeriodicPotential, "phase_force", ", {p}", "-") if timed
-                                 else (StaticPotential, "float_grad", "", ""))
-    if _overrides(potential, base, "grad", method):
-        return None
-    xs = [f"{{x}}_{j}" for j in range(potential.dim)]
+def stage_lines(part, name, out="{a}"):
+    """(phase lines, stage lines) of a potential part read as `name`: the
+    stage lines set out_i to minus a TimePeriodicPotential's gradient at {x}
+    and phase {p}, or to a StaticPotential's gradient at {x}.  The one place
+    that chooses how: the part's float source (phase_force_source, or
+    float_grad_source as stage lines) if it gives one; else a call of its
+    own grad (_own) on a float array; else its central difference, in
+    fd_gradient's float operations and central_stencil's order (_fd_step's
+    step, value on a fresh float array, checked_value): the default grad
+    bit for bit."""
+    timed = isinstance(part, TimePeriodicPotential)
+    base, at_phase, sign = ((TimePeriodicPotential, ", {p}", "-") if timed
+                            else (StaticPotential, "", ""))
+    source = getattr(part, "phase_force_source" if timed else "float_grad_source", None)
+    if source is not None:
+        phase, lines = source if timed else ((), source)
+    elif _own(part, base, "grad"):
+        phase, lines = (), (f"<{{a}}_{{i}}>, = ({sign}array({name}.grad(array([<{{x}}_{{i}}>]){at_phase}), "
+                            "dtype=float)).tolist()",)
+    else:
+        xs = [f"{{x}}_{j}" for j in range(part.dim)]
 
-    def at(j, op):
-        point = ", ".join(f"{q} {op} {{a}}h" if k == j else q for k, q in enumerate(xs))
-        return f"checked_value({name}.value(array([{point}]){phase}))"
-    return (f"{{a}}h = nan if {' or '.join(f'isnan({q})' for q in xs)} else "
+        def at(j, op):
+            point = ", ".join(f"{q} {op} {{a}}h" if k == j else q for k, q in enumerate(xs))
+            return f"checked_value({name}.value(array([{point}]){at_phase}))"
+        phase, lines = (), (
+            f"{{a}}h = nan if {' or '.join(f'isnan({q})' for q in xs)} else "
             f"{GRAD_STEP!r} * (1.0 + max(0.0, {', '.join(f'abs({q})' for q in xs)}))",
             *(f"{{a}}_{j} = {sign}(({at(j, '+')} - {at(j, '-')}) / (2.0 * {{a}}h))" for j in range(len(xs))))
+    return phase, tuple(line.replace("{a}", out) for line in lines)
 
 
 class TimePeriodicPotential:
@@ -359,17 +369,14 @@ class TimePeriodicPotential:
     accept tau as a scalar or a 1-d array and vectorize over it.
 
     The full flow's RK4 loop (dynamics) takes minus the gradient at one
-    float phase four times per substep, written into the loop as lines.
-    Every bundled potential gives them as float source, phase_force_source
-    = (phase lines, stage lines): the phase lines read the phase as {p},
-    the stage lines set {a}_i to minus gradient entry i from {x}_i, with
-    SOURCE_NAMES and literal constants; phase lines go in once per stage
-    time (stages 2 and 3 share one), and phase_force is the same lines in
-    STAGE.  A potential that gives only value gets difference_lines: 2 dim
-    value calls per stage on float arrays.  One with a grad or phase_force
-    of its own is called: phase_force(x, tau), x the stepper's list of
-    floats, returns minus the gradient as a list of floats; the default
-    converts x to a float array once, calls grad and negates.
+    float phase four times per substep, written into the loop as the lines
+    of stage_lines, which gives the same floats as grad: the potential's
+    float source if it gives one, phase_force_source = (phase lines, stage
+    lines), the phase lines reading the phase as {p} and run once per stage
+    time, the stage lines setting {a}_i to minus gradient entry i from
+    {x}_i, with SOURCE_NAMES and literal constants (every bundled potential
+    gives one); else a call of its own grad; else 2 dim value calls on float
+    arrays, its central difference.  phase_force is those lines in STAGE.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
@@ -410,13 +417,9 @@ class TimePeriodicPotential:
     def phase_force(self, x, tau):
         """Minus grad at x, a sequence of floats (the stepper's list, or a
         float array), and one float phase tau, as a list of floats: the
-        STAGE of phase_force_source if there is one, else by converting x to
-        a float array once, calling grad and negating."""
-        if self.phase_force_source is not None:
-            phase, stage = self.phase_force_source
-            return generated(STAGE, self.dim, ("", ("{p} = {t}", *phase), stage))(tau, x, None)
-        return [-g for g in np.asarray(self.grad(np.asarray(x, dtype=float), tau),
-                                       dtype=float).tolist()]
+        full flow's stage_lines in STAGE."""
+        phase, stage = stage_lines(self, "self")
+        return generated(STAGE, self.dim, ("self", ("{p} = {t}", *phase), stage))(tau, x, None, self)
 
     def hess(self, x, tau):
         return fd_hessian(lambda y: self.value(y, tau), x)
@@ -439,13 +442,10 @@ class StaticPotential:
         return fd_gradient(self.value, np.asarray(x, dtype=float))
 
     def float_grad(self, x):
-        """grad at x, a sequence of floats, as a list of floats: the static
-        part of a split potential's full-flow stage.  The STAGE of
-        float_grad_source (stage lines only) if there is one, else by
-        converting x to a float array once and calling grad."""
-        if self.float_grad_source is not None:
-            return generated(STAGE, self.dim, ("", (), self.float_grad_source))(None, x, None)
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).tolist()
+        """grad at x, a sequence of floats, as a list of floats: the stage
+        lines of stage_lines in STAGE, as a split potential's full-flow stage
+        takes them."""
+        return generated(STAGE, self.dim, ("self", (), stage_lines(self, "self")[1]))(None, x, None, self)
 
     def hess(self, x):
         return fd_hessian(self.value, np.asarray(x, dtype=float))

@@ -236,7 +236,7 @@ class SeparableDrivePotential(FactoredPotential):
     zero-mean antiderivative of a.
 
     One factor and one piece: a gets float arrays of phases (and one float
-    phase in the full flow, through the base phase_force's grad); the
+    phase in the full flow, through its grad); the
     profile u_value/u_grad/u_hess (d floats, d rows of d) gets float
     arrays.  CosineDrivePotential is the float-source form for a cosine
     drive.

@@ -924,3 +924,20 @@ def test_force_is_the_sum_of_its_field_terms(name):
         scale = max(float(np.max(np.abs(t))) for t in terms)
         _assert_close(f"{name} force at x={x}", system.force(x, v), sum(terms), scale,
                       rtol=1e-15)
+
+
+def test_a_spectrum_of_the_wrong_shape_is_refused():
+    """FieldSpectra names potential.spectrum and both shapes when the
+    coefficients do not have one bin row per channel and point."""
+    potential = CallablePotential(lambda x, tau: float(x @ x) * math.cos(2.0 * math.pi * tau), 2)
+    potential.spectrum = lambda points, n_tau: np.zeros((len(points), 3, n_tau // 2 + 1), complex)
+    with pytest.raises(ValueError, match=r"potential.spectrum returned shape \(1, 3, 9\), "
+                                         r"expected \(1, 7, 9\)"):
+        FieldSpectra(potential, [np.zeros(2)], 16)
+
+
+def test_a_split_of_two_dimensions_is_refused():
+    static = CallableStatic(lambda x: float(x @ x), 2)
+    oscillating = CallablePotential(lambda x, tau: float(x @ x) * math.cos(2.0 * math.pi * tau), 3)
+    with pytest.raises(ValueError, match="dimension mismatch: static 2 vs oscillating 3"):
+        Order1Potential(static, oscillating)

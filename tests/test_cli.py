@@ -2,6 +2,7 @@
 import hashlib
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oscavg.checks
 import oscavg.cli as cli
 import oscavg.scenarios
 from oscavg import compare, load_trajectory
+from oscavg.dynamics import write_json
 from oscavg.scenarios import get_scenario
 
 
@@ -320,8 +322,28 @@ def test_failed_json_write_leaves_no_file(tmp_path):
     neither the report nor its temporary file."""
     path = tmp_path / "report.json"
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._write_json(str(path), {"a": list(range(1000)), "z": object()})
+        write_json(str(path), {"a": list(range(1000)), "z": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_with_orbits_writes_the_precession_report(tmp_path, capsys):
+    """--orbits adds the dumbbell, the averaged model's orbit and the
+    precession report to the manifest, each digest the file on disk; the
+    point-mass control does not precess."""
+    out = tmp_path / "orbits"
+    assert cli.main(["run", "spinning_satellite", "--eps", "0.02", "--t-end", "0.05",
+                     "--orbits", "3", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "spinning_satellite_precession.json").read_text())
+    assert report["same_sign"] is True
+    assert abs(report["kepler_control"]["mean_advance"]) < 1e-4
+    assert report["dumbbell"]["n_orbits"] >= 3 and report["averaged_model"]["n_orbits"] >= 3
+    man = _manifest(out)
+    assert man["reports"] == ["precession"]
+    written = {f"spinning_satellite_{stem}" for stem in (
+        "dumbbell.csv", "dumbbell.json", "model_orbit.csv", "model_orbit.json", "precession.json")}
+    assert written <= set(man["files"])
+    for name, digest in man["files"].items():
+        assert _sha256(out / name) == digest, f"digest mismatch for {name}"
 
 
 def test_runs_are_byte_identical(tmp_path, capsys):
@@ -467,6 +489,45 @@ def test_validate_oracles_quick_passes(tmp_path, capsys):
     summary = json.loads((out / "validate_oracles.json").read_text())
     names = {c["name"] for c in summary["checks"]}
     assert names == {"scenario_closed_forms", "satellite_trio"}
+
+
+def test_validate_convergence_quick_passes(tmp_path, capsys):
+    out = tmp_path / "val"
+    code = cli.main(["validate", "convergence", "--quick", "--out-dir", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0, f"convergence failed:\n{stdout}"
+    summary = json.loads((out / "validate_convergence.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert set(checks) == {"guiding_order_standard", "guiding_order_one_down"}
+    assert all(c["passed"] for c in checks.values())
+    for name, scenarios in (("guiding_order_standard", ("rotating_saddle", "quartic_drive")),
+                            ("guiding_order_one_down", ("spinning_satellite",))):
+        for scenario in scenarios:
+            assert re.search(rf"{scenario} slope \d+\.\d{{3}} \(floor \d", checks[name]["detail"]), \
+                checks[name]["detail"]
+
+
+def test_a_check_that_raises_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    """A check that raises fails by name with its exception, and the suite
+    goes on to report and exit 1."""
+    def broken(rng, quick):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(oscavg.checks.SUITES, "oracles", [("broken", broken)])
+    out = tmp_path / "val"
+    assert cli.main(["validate", "oracles", "--quick", "--out-dir", str(out)]) == 1
+    assert re.search(r"FAIL\s+broken\s+raised RuntimeError: boom", capsys.readouterr().out)
+    summary = json.loads((out / "validate_oracles.json").read_text())
+    assert summary["n_failed"] == 1 and summary["passed"] is False
+
+
+def test_an_unexpected_error_exits_1_with_its_type(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_list", broken)
+    assert cli.main(["list"]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
 
 
 def test_validate_catches_a_corrupted_closed_form(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,10 @@
 """The full-flow stage of a value-only potential: its central difference
-written into the generated RK4 loop (fields.difference_lines).
+written into the generated RK4 loop (fields.stage_lines).
 
 Each run is held bit for bit to the path the stage replaces, copied here:
 phase_force over the default grad, fd_gradient on central_stencil's points.
-A potential that gives its own grad, phase_force or float_grad keeps being
-called.  The spectra's finite-difference Hessian reuses the value sample.
+A potential that gives its own grad keeps being called.  The spectra's
+finite-difference Hessian reuses the value sample.
 """
 import functools
 import math
@@ -176,19 +176,10 @@ class _OwnGrad(TimePeriodicPotential):
         return 2.0 * x * math.cos(TWO_PI * tau)
 
 
-class _OwnPhaseForce(TimePeriodicPotential):
-    dim = 2
-    value = _OwnGrad.value
-
-    def phase_force(self, x, tau):
-        CALLS["phase_force"] += 1
-        return [-2.0 * q * math.cos(TWO_PI * tau) for q in x]
-
-
-class _OwnFloatGrad(CallableStatic):
-    def float_grad(self, x):
-        CALLS["float_grad"] += 1
-        return super().float_grad(x)
+class _OwnStaticGrad(CallableStatic):
+    def grad(self, x):
+        CALLS["grad"] += 1
+        return super().grad(x)
 
 
 def _traced_grad(potential):
@@ -211,11 +202,9 @@ def _given_grad():
 
 
 @pytest.mark.parametrize("case, method", [
-    ("grad given", "grad"), ("subclass grad", "grad"), ("subclass phase_force", "phase_force"),
-    ("traced grad", "grad")])
+    ("grad given", "grad"), ("subclass grad", "grad"), ("traced grad", "grad")])
 def test_a_potential_with_its_own_derivative_is_still_called(case, method):
     make = {"grad given": _given_grad, "subclass grad": _OwnGrad,
-            "subclass phase_force": _OwnPhaseForce,
             "traced grad": lambda: _traced_grad(_value_only(2, 3))}[case]
     CALLS.clear()
     traj = integrate_full(make(), 1 / 16, [0.4, 0.2], [0.0, 0.1], 0.02, out_dt=0.01)
@@ -224,16 +213,32 @@ def test_a_potential_with_its_own_derivative_is_still_called(case, method):
         _same(traj, integrate_full(_value_only(2, 3), 1 / 16, [0.4, 0.2], [0.0, 0.1], 0.02, out_dt=0.01))
 
 
-@pytest.mark.parametrize("case", ["grad given", "subclass float_grad"])
+@pytest.mark.parametrize("case", ["grad given", "subclass grad"])
 def test_a_static_part_with_its_own_derivative_is_still_called(case):
     value = _static_value_only(2, 4).value
     if case == "grad given":
-        static = CallableStatic(value, 2, grad=lambda x: CALLS.update(["float_grad"]) or fd_gradient(value, x))
+        static = CallableStatic(value, 2, grad=lambda x: CALLS.update(["grad"]) or fd_gradient(value, x))
     else:
-        static = _OwnFloatGrad(value, 2)
+        static = _OwnStaticGrad(value, 2)
     CALLS.clear()
     traj = integrate_static(static, [0.4, 0.2], [0.0, 0.1], 0.05, h=0.01, out_dt=0.01)
-    assert CALLS["float_grad"] == 4 * (len(traj) - 1)
+    assert CALLS["grad"] == 4 * (len(traj) - 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_phase_force_and_float_grad_are_the_stage_lines_bit_for_bit(dim):
+    """phase_force and float_grad take fields.stage_lines as the full flow
+    does: a value-only part's central difference, and a given grad called,
+    each the floats of the old called path."""
+    osc, static = _value_only(dim, 30 + dim), _static_value_only(dim, 40 + dim)
+    given_osc = CallablePotential(osc.value, dim, grad=lambda x, tau: 2.0 * x * math.cos(TWO_PI * tau))
+    given_static = CallableStatic(static.value, dim, grad=lambda x: np.sin(x))
+    rng = np.random.default_rng(dim)
+    for x, tau in zip(rng.uniform(-2.0, 2.0, (20, dim)).tolist(), rng.uniform(0.0, 1.0, 20).tolist()):
+        assert osc.phase_force(x, tau) == _old_phase_force(osc.value, x, tau)
+        assert static.float_grad(x) == _old_float_grad(static.value, x)
+        assert given_osc.phase_force(x, tau) == [-g for g in (2.0 * np.array(x) * math.cos(TWO_PI * tau)).tolist()]
+        assert given_static.float_grad(x) == np.sin(np.array(x)).tolist()
 
 
 def _returning(result):

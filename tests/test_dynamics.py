@@ -362,8 +362,8 @@ def test_lockstep_ladder_needs_one_potential_and_one_n_tau():
 def test_stepper_drops_a_row_that_leaves_and_steps_the_rest():
     """Rows of one batch: the row that crosses x = 1 stops at that sample,
     the other two run to t_end exactly as they would alone."""
-    def acc(rows):
-        return lambda t, x, v: [-0.5 * q for q in x]
+    def acc(t, x, v):
+        return [-0.5 * q for q in x]
 
     x0s, v0s = [[0.0], [0.9], [-0.5]], [[0.2], [1.0], [0.1]]
     rows = integrate_second_order(acc, x0s, v0s, 1.0, h=0.01, out_dt=0.05,
@@ -439,13 +439,8 @@ def test_generated_interval_is_the_list_form_bit_for_bit(n):
 def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
     """Whole runs, row exits included, equal the same runs stepped by the
     list form: the stepper picks the generated interval for each new length."""
-    def acc(rows):
-        return _coupled_stage
-
-    stage = acc if np.ndim(x0) == 2 else _coupled_stage
-
     def run():
-        return integrate_second_order(stage, x0, v0, 1.5, h=0.02, out_dt=0.05,
+        return integrate_second_order(_coupled_stage, x0, v0, 1.5, h=0.02, out_dt=0.05,
                                       in_region=lambda x: x[0] < 1.0)
 
     got = run()
@@ -475,7 +470,7 @@ def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
 
 def _separable_scenario():
     """A generic separable drive a(tau) u(x) with numpy callables, through
-    SeparableDrivePotential's own phase_force."""
+    SeparableDrivePotential's own grad."""
     def a(tau):
         ph = TWO_PI * np.asarray(tau, dtype=float)
         return 0.4 + np.cos(ph) + 0.5 * np.sin(2.0 * ph)

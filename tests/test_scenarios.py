@@ -10,7 +10,7 @@ from oscavg import (CallablePotential, CallableStatic, closed_form_checks,
 from oscavg.averaging import AveragedSystem, assemble
 from oscavg.fields import Order1Potential, TimePeriodicPotential
 from oscavg.cli import parse_config, parse_number
-from oscavg.scenarios import (CATALOG, HarmonicPotential, ScenarioUsageError,
+from oscavg.scenarios import (CATALOG, CosineDrivePotential, HarmonicPotential, ScenarioUsageError,
                               SeparableDrivePotential, custom_scenario, get_scenario)
 
 TWO_PI = 2.0 * math.pi
@@ -419,3 +419,9 @@ def test_parse_config_rejects_a_key_given_twice():
     with pytest.raises(ValueError, match="config key 'n_tau' given twice, on lines 2 and 4"):
         parse_config("scenario = quartic_drive\nn_tau = 16\nt_end = 1\nn_tau = 4\n")
 
+
+
+def test_a_cosine_drive_needs_one_gradient_expression_per_coordinate():
+    with pytest.raises(ValueError, match="1 gradient expressions for dim 2"):
+        CosineDrivePotential(1.0, 0.5, lambda x: float(x @ x), ("2.0 * {x}_0",),
+                             lambda x: 2.0 * np.eye(2), 2)
