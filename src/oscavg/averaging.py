@@ -12,7 +12,7 @@ potential on a uniform tau grid, at a batch of points, from one
 potential.spectrum call (fields.TimePeriodicPotential).  The default samples
 the potential on the grid and takes one rfft over all of them.  Every
 bundled potential is tau factors times spatial pieces
-(scenarios.FactoredPotential: the saddle, the wave, the satellite, the
+(fields.FactoredPotential: the saddle, the wave, the satellite, the
 separable drives a(tau) u(x)) and hands over its factors' bins times its
 pieces, with no samples and no transform.  With G_k and H_k the
 coefficients of U' and U'' (k >= 1), the antiderivatives are
@@ -82,8 +82,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors,
-                     checked_grid, checked_state, generated, phase_weights, stage_lines)
+from .fields import (SOURCE_NAMES, STAGE, TimePeriodicPotential, antiderivative_factors, checked_grid,
+                     checked_state, generated, phase_weights, piece_entries, source_of, stage_lines)
 
 
 @lru_cache(maxsize=16)
@@ -299,17 +299,18 @@ def ladder_force(systems, x, v):
 def ladder_kernel(systems):
     """[force, *args], force(x, v, *args) the ladder_force of `systems` from
     _kernel_source for their row count (the first system keeps the text, so
-    it pickles) and the static part's lines; None if not factored."""
+    it pickles), the static part's lines and the gradient and Hessian lines
+    of the pieces_source; None if not factored."""
     first, rows = systems[0], len(systems)
     texts = first.__dict__.setdefault("_kernels", {})
     if rows not in texts:
         texts[rows] = _kernel_source(first._osc, first.n_tau, first._static is not None, rows)
     if texts[rows] is None:
         return None
-    static = first._static
-    lines = () if static is None else stage_lines(static, "static")[1]
+    static, source = first._static, source_of(first._osc) or ((), ())
+    form = ("", (), () if static is None else stage_lines(static, "static")[1], source[0] + source[1])
     weights = tuple(w for s in systems for w in s.weights)
-    return [generated(texts[rows], first.dim, ("", (), lines)), weights, first._osc._pieces, np.array,
+    return [generated(texts[rows], first.dim, form), weights, first._osc._pieces, np.array,
             static, partial(_spectra_force, systems)]
 
 
@@ -328,16 +329,16 @@ def _spectra_force(systems, x, v):
     return (b_weight * bv - g).ravel().tolist()
 
 
-# Row r's force F = bw B v - (ww grad W + mw grad U1bar + s) over its pieces p
-# (J rows of value, gradient and Hessian, row major, end to end) and the static
-# gradient s (@stage); fallback(x, v) gives every row's force unless all pieces
-# are finite floats (an array or a complex among them makes their sum no float).
+# Row r's force F = bw B v - (ww grad W + mw grad U1bar + s) over its pieces
+# p<r>_<entry> (its gradient and Hessian lines, @pieces, or one call of pieces)
+# and the static gradient s (@stage); fallback(x, v) gives every row's force unless all
+# pieces are finite floats (an array or a complex makes their sum no float).
 _FORCE_KERNEL = """\
 def force(x, v, weights, pieces, array, static, fallback):
     {xs}, = x
     {vs}, = v
     {weights}, = weights
-    {calls}
+    {pieces}
     try:
         finite = {finite}
     except TypeError:
@@ -370,7 +371,9 @@ def _kernel_source(potential, n_tau, static, rows):
     """_FORCE_KERNEL written out for `rows` rows of a factored potential (one
     that gives _bins and _pieces) on an n_tau grid, with an @stage line for
     the static gradient s when `static`; None for any other potential, or
-    for factors that are not floats.
+    for factors that are not floats.  Each row writes in the gradient and
+    Hessian lines of fields.source_of (@pieces), or calls _pieces if there
+    are none.
 
     With b_jk the factor bins and g_j, h_j the gradient and Hessian of P_j,
     the mean gradient is sum_j Re(b_j0) g_j, grad W_i = sum_jl Q2_jl sum_m
@@ -379,19 +382,18 @@ def _kernel_source(potential, n_tau, static, rows):
     a weight share its product.  Only B's upper triangle is written: the
     entries below are their exact negatives and the diagonal is zero.
     """
-    if not hasattr(potential, "_pieces"):
-        return None
     d = potential.dim
-    bins = potential._bins(checked_grid([], d, n_tau))
-    if bins is None:
+    if not hasattr(potential, "_pieces") or (bins := potential._bins(checked_grid([], d, n_tau))) is None:
         return None
     row = 1 + d + d * d
+    lines = None if (source := source_of(potential)) is None else source[0] + source[1]
+    names = piece_entries(lines, len(bins), d, "p$_")
 
     def g(j, m):
-        return f"p{j * row + 1 + m}"
+        return names[j * row + 1 + m]
 
     def h(j, i, m):
-        return f"p{j * row + 1 + d + i * d + m}"
+        return names[j * row + 1 + d + i * d + m]
 
     def weighted(terms, product):
         """The sum over the weights q of q times the sum over m, m by m, of
@@ -410,9 +412,8 @@ def _kernel_source(potential, n_tau, static, rows):
     q2, q3 = _gram_terms(bins, n_tau)
     upper = [(i, n) for i in range(d) for n in range(i + 1, d)] if q3 else []
     means = [(j, c) for j, c in enumerate(bins[:, 0].real.tolist()) if c]
-    size = len(bins) * row
     # one row's lines, $ standing for the row
-    body = [", ".join(f"p{c}" for c in range(size)) + ", = q$", *(["@stage s$ _ x$ v$"] if static else []),
+    body = [*(["@stage s$ _ x$ v$"] if static else []),
             *(f"b{i}_{n} = ({m_entry(n, i)}) - ({m_entry(i, n)})" for i, n in upper)]
     for i in range(d):
         bv = " + ".join([f"-b{n}_{i} * v$_{n}" for n, k in upper if k == i]
@@ -425,8 +426,14 @@ def _kernel_source(potential, n_tau, static, rows):
         return sep.join(line.replace("$", str(r)) for r in range(rows))
 
     point = ", ".join(f"x$_{i}" for i in range(d))
+    if lines is None:
+        pieces, body[:0] = f"q$ = pieces(array([{point}]))", [", ".join(names) + ", = q$"]
+        finite = f"len(q$) == {len(names)} and isinstance(t := sum(q$), float) and isfinite(t)"
+    else:
+        pieces = "@pieces p$ x$"
+        finite = f"isfinite({' + '.join(n for n in names if n != '0.0') or '0.0'})"
     return _FORCE_KERNEL.format(
         xs=each(point, ", "), vs=each(point.replace("x", "v"), ", "),
-        weights=each("bw$, ww$, mw$", ", "), calls=each(f"q$ = pieces(array([{point}]))", "\n    "),
-        finite=each(f"len(q$) == {size} and isinstance(t := sum(q$), float) and isfinite(t)", " and "),
-        rows=each("\n    ".join(body), "\n    "), forces=each(point.replace("x", "f"), ", "))
+        weights=each("bw$, ww$, mw$", ", "), pieces=each(pieces, "\n    "),
+        finite=each(finite, " and "), rows=each("\n    ".join(body), "\n    "),
+        forces=each(point.replace("x", "f"), ", "))

@@ -121,7 +121,7 @@ def _check_separable_null(rng, quick):
     # each cosine/sine contributing half its squared amplitude
     avg_v2 = 0.5 / TWO_PI ** 2 + 0.5 * (0.5 / (2.0 * TWO_PI)) ** 2
     third = SeparableDrivePotential(drive, u_val, u_grad, u_hess, 1)
-    entries.append((third, _separable_closed(0.7, avg_v2, u_grad, u_hess, 1)))
+    entries.append((third, _separable_closed(0.7, avg_v2, third)))
 
     eps = 1.0 / 64
     worst_b, worst_f = 0.0, 0.0

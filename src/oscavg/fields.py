@@ -4,9 +4,9 @@ Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
 Every compiled function of oscavg comes from generated, under one cache:
-the full flow's RK4 loop, the full-flow stage, a potential's phase_force
-and float_grad, and the averaged force kernel.  stage_lines is the one
-place that chooses how a potential part's gradient is written into them.
+the RK4 loop, the full-flow stage, phase_force, float_grad, a factored
+potential's pieces and the force kernel.  stage_lines is the one place
+that chooses how a potential part's gradient is written into them.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import ast
 import math
 import re
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -269,9 +270,11 @@ def generated(template, n=0, form=("", (), ())):
     compiled as it is.  In the template <e> is e at every element, comma
     separated, a line holding {i} is repeated for each element, and "@phase
     p T" and "@stage a p x v" are the form's lines with {p} named p, {t} T,
-    {a} a, {x} x and {v} v.  Other names the form's lines bind are local, so
-    one that rebinds a name of the template (but its p or a_i) is refused."""
-    args, phase, stage = form
+    {a} a, {x} x and {v} v; "@pieces q x" is the lines of a fourth group, a
+    pieces_source's, with {q} named q_ and {x} x.  Other names the form's
+    lines bind are local, so one that rebinds a name of the template (but
+    its p, a_i or q_...) is refused."""
+    args, phase, stage, *pieces = form
 
     def written(line):
         line = re.sub(r"<([^<>]*)>", lambda m: ", ".join(m[1].replace("{i}", str(i)) for i in range(n)), line)
@@ -288,6 +291,8 @@ def generated(template, n=0, form=("", (), ())):
         kind, name, operands = rest.split(" ", 2)
         if kind == "phase":
             parts, subs = phase, {"{p}": name, "{t}": operands}
+        elif kind == "pieces":
+            parts, subs = pieces[0], {"{q}": name + "_", "{x}": operands}
         else:
             parts, subs = stage, dict(zip(("{a}", "{p}", "{x}", "{v}"), (name, *operands.split())))
         for part in parts:
@@ -307,7 +312,7 @@ def generated(template, n=0, form=("", (), ())):
 
 
 # One stage of a form on the floats of x, a list of n floats: phase_force,
-# float_grad, a cosine drive's u_grad and AveragedSystem.full_stage().
+# float_grad and AveragedSystem.full_stage().
 STAGE = """\
 def stage(t, x, v, {args}):
     <x_{i}>, = map(float, x)
@@ -315,6 +320,16 @@ def stage(t, x, v, {args}):
     @stage a p x v
     return [<a_{i}>]
 """
+
+# A factored potential's pieces at a float array x from its pieces_source,
+# whose entries are named {q}j (value), {q}j_i (gradient), {q}j_i_m (Hessian).
+PIECES = """\
+def pieces(x):
+    <x_{i}>, = x.tolist()
+    @pieces q x
+    return q_
+"""
+_ENTRY = re.compile(r"\{q\}(\d+(?:_\d+)*)")
 
 
 def _own(part, base, name):
@@ -324,22 +339,49 @@ def _own(part, base, name):
             or name in getattr(part, "__dict__", {}))
 
 
+def source_of(part):
+    """A FactoredPotential's pieces_source unless it has its own _pieces: the one place that chooses."""
+    return None if _own(part, FactoredPotential, "_pieces") else part.pieces_source
+
+
+def piece_entries(lines, n_pieces, dim, prefix):
+    """The names of n_pieces pieces' entries in _pieces' order after prefix,
+    "0.0" for one that lines (a pieces_source's, or None for all) never name."""
+    named = None if lines is None else set(_ENTRY.findall(" ".join(lines)))
+    keys = ["", *(f"_{i}" for i in range(dim)), *(f"_{i}_{m}" for i in range(dim) for m in range(dim))]
+    return [prefix + key if named is None or key in named else "0.0"
+            for key in (f"{j}{k}" for j in range(n_pieces) for k in keys)]
+
+
+def _sum_lines(part):
+    """(phase lines, stage lines) setting {a}_i to sum_j (-f_j) dP_j/dx_i: the
+    phase lines negate the factors, the gradient lines name their entries
+    {a}q..., zero entries are left out, and a lone term has no start value,
+    so it is -(f_j g_j) exactly."""
+    factors, lines = part.factor_source, part.pieces_source[0]
+    named = set(_ENTRY.findall(" ".join(lines)))
+    terms = [[j for j in range(len(factors)) if f"{j}_{i}" in named] for i in range(part.dim)]
+    return (tuple(f"{{p}}f{j} = -({factors[j]})" for j in sorted(set(chain(*terms)))),
+            (*(line.replace("{q}", "{a}q") for line in lines),
+             *(f"{{a}}_{i} = " + (" + ".join(f"{{p}}f{j} * {{a}}q{j}_{i}" for j in js) or "-0.0")
+               for i, js in enumerate(terms))))
+
+
 def stage_lines(part, name, out="{a}"):
     """(phase lines, stage lines) of a potential part read as `name`: the
     stage lines set out_i to minus a TimePeriodicPotential's gradient at {x}
     and phase {p}, or to a StaticPotential's gradient at {x}.  The one place
-    that chooses how: the part's float source (phase_force_source, or
-    float_grad_source as stage lines) if it gives one; else a call of its
-    own grad (_own) on a float array; else its central difference, in
-    fd_gradient's float operations and central_stencil's order (_fd_step's
-    step, value on a fresh float array, checked_value): the default grad
-    bit for bit."""
+    that chooses how: its float source (_sum_lines of source_of's lines, or
+    float_grad_source); else a call of its own grad (_own) on a float array;
+    else its central difference, in fd_gradient's float operations and
+    central_stencil's order (_fd_step's step, value on a fresh float array,
+    checked_value): the default grad bit for bit."""
     timed = isinstance(part, TimePeriodicPotential)
     base, at_phase, sign = ((TimePeriodicPotential, ", {p}", "-") if timed
                             else (StaticPotential, "", ""))
-    source = getattr(part, "phase_force_source" if timed else "float_grad_source", None)
+    source = source_of(part) if timed else getattr(part, "float_grad_source", None)
     if source is not None:
-        phase, lines = source if timed else ((), source)
+        phase, lines = _sum_lines(part) if timed else ((), source)
     elif _own(part, base, "grad"):
         phase, lines = (), (f"<{{a}}_{{i}}>, = ({sign}array({name}.grad(array([<{{x}}_{{i}}>]){at_phase}), "
                             "dtype=float)).tolist()",)
@@ -370,33 +412,20 @@ class TimePeriodicPotential:
 
     The full flow's RK4 loop (dynamics) takes minus the gradient at one
     float phase four times per substep, written into the loop as the lines
-    of stage_lines, which gives the same floats as grad: the potential's
-    float source if it gives one, phase_force_source = (phase lines, stage
-    lines), the phase lines reading the phase as {p} and run once per stage
-    time, the stage lines setting {a}_i to minus gradient entry i from
-    {x}_i, with SOURCE_NAMES and literal constants (every bundled potential
-    gives one); else a call of its own grad; else 2 dim value calls on float
-    arrays, its central difference.  phase_force is those lines in STAGE.
+    of stage_lines; phase_force is those lines in STAGE.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point
     tau grid at P points, shape (P, 1 + dim + dim * dim, n_tau // 2 + 1),
     channels laid out as in _checked_samples, one call per averaged force,
-    at its point, unless the potential is factored (below), whose averaged
-    force reads its factors' bins and its pieces directly.  The default
-    calls value, grad and hess once per point on the shared, read-only
-    grid, checks the samples and takes one rfft.  A
-    sum of tau factors times spatial pieces (scenarios.FactoredPotential, in
-    any dim: the saddle, the wave, the satellite and the separable drives)
-    skips both: its spectrum is the factors' bins times the pieces, after
-    the checks of checked_grid, and exact harmonic bins refuse a grid too
-    coarse for them, which the samples would alias without notice.
+    at its point (a FactoredPotential's force reads its bins and pieces
+    instead).  The default calls value, grad and hess once per point on the
+    shared, read-only grid, checks the samples and takes one rfft.
     """
 
     dim: int = 0
     static = None
     shift = 0
-    phase_force_source = None
 
     @property
     def oscillating(self):
@@ -427,6 +456,95 @@ class TimePeriodicPotential:
     def in_region(self, x):
         """True while x stays inside the region where the model is trusted."""
         return True
+
+
+class FactoredPotential(TimePeriodicPotential):
+    """U(x, tau) = sum_j f_j(tau) P_j(x) in any dim, holding data only.  A
+    subclass gives _factors(tau), the J factors at each phase (shape
+    shape(tau) + (J,)), and its pieces either as _pieces(x), flat: J rows of
+    the value, the gradient and the Hessian (row major); or once, as float
+    lines, pieces_source = (gradient lines, Hessian lines, value lines)
+    setting piece j's entries {q}j_i, {q}j_i_m and {q}j from the floats
+    {x}_i (other names are local, a group may read the groups before it, an
+    entry no line sets is zero), with factor_source, the factors at {p}.
+    Those lines serve _pieces, the full-flow stage (stage_lines) and the
+    force kernel (averaging.ladder_kernel); a subclass's own _pieces wins
+    (source_of).  The spectrum is the factors' bins (_bins: by default their
+    rfft, kept per grid size) times the pieces of every point; factors or
+    pieces that are not that many floats take the per-point path, and so do
+    non-finite pieces of a user's callables (_checked_per_point; their _block
+    keeps their shapes), others being refused by naming the point."""
+
+    _checked_per_point = False
+    pieces_source = factor_source = None
+
+    def _pieces(self, x):
+        form = _pieces_form(self.pieces_source, len(self.factor_source), self.dim)
+        return generated(PIECES, self.dim, form)(np.asarray(x, dtype=float))
+
+    def _block(self, x, k):
+        """Block k of the pieces at x: values (J,), gradients (J, d) or Hessians (J, d, d)."""
+        d = self.dim
+        rows = np.asarray(self._pieces(x), dtype=float).reshape(-1, 1 + d + d * d)
+        return (rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:].reshape(-1, d, d))[k]
+
+    # Sums start at -0.0, which keeps a lone term's sign: a(tau) u(x) bit for
+    # bit.  A block of another shape broadcasts as a(tau) u(x) would.
+    def value(self, x, tau):
+        return (self._factors(tau) * self._block(x, 0)).sum(axis=-1, initial=-0.0)
+
+    def grad(self, x, tau):
+        return (self._factors(tau)[..., None] * self._block(x, 1)).sum(axis=-2, initial=-0.0)
+
+    def hess(self, x, tau):
+        return (self._factors(tau)[..., None, None] * self._block(x, 2)).sum(axis=-3, initial=-0.0)
+
+    def _bins(self, taus):
+        """The factors' rfft on the grid, kept per grid size; None unless they
+        are J finite floats at each phase."""
+        cache = self.__dict__.setdefault("_factor_bins", {})
+        bins = cache.get(len(taus))
+        if bins is None:
+            f = np.asarray(self._factors(taus))
+            if (f.ndim != 2 or f.shape[0] != len(taus) or f.dtype != np.float64
+                    or not np.isfinite(f).all()):
+                return None
+            # contiguous bins: spectrum views each bin as two floats
+            bins = cache[len(taus)] = np.fft.rfft(np.ascontiguousarray(f.T), norm="forward")
+            bins.flags.writeable = False
+        return bins
+
+    def _gathered(self, points, n_pieces):
+        """The pieces of every point, shape (P, J, 1 + d + d d), or None."""
+        size = len(points) * n_pieces * (1 + self.dim * (1 + self.dim))
+        flat = chain.from_iterable(map(self._pieces, points))
+        try:
+            pieces = np.fromiter(flat, float, size)
+            if next(flat, flat) is not flat:
+                return None
+        except (TypeError, ValueError):
+            return None
+        if not np.isfinite(pieces).all():
+            if self._checked_per_point:
+                return None
+            bad = np.argmin(np.isfinite(pieces.reshape(len(points), -1)).all(axis=1))
+            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
+        return pieces.reshape(len(points), n_pieces, -1)
+
+    def spectrum(self, points, n_tau):
+        bins = self._bins(checked_grid(points, self.dim, n_tau))
+        pieces = None if bins is None else self._gathered(points, len(bins))
+        if pieces is None:
+            return super().spectrum(points, n_tau)
+        # one real product, each bin's real and imaginary parts side by side
+        return (pieces.transpose(0, 2, 1) @ bins.view(float)).view(complex)
+
+
+@lru_cache(maxsize=64)
+def _pieces_form(source, n_pieces, dim):
+    """PIECES' form for a pieces_source: its lines, then the list of every entry."""
+    lines = sum(source, ())
+    return "", (), (), (*lines, f"{{q}} = [{', '.join(piece_entries(lines, n_pieces, dim, '{q}'))}]")
 
 
 class StaticPotential:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .averaging import assemble
-from .fields import (STAGE, Order1Potential, StaticPotential, TimePeriodicPotential, checked_grid,
-                     generated)
+from .fields import FactoredPotential, Order1Potential, StaticPotential
 
 TWO_PI = 2.0 * math.pi
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -61,86 +61,6 @@ class Scenario:
 
 # ---- factored potentials: tau factors times spatial pieces ----
 
-class FactoredPotential(TimePeriodicPotential):
-    """U(x, tau) = sum_j f_j(tau) P_j(x) in any dim.  A subclass gives
-    _factors(tau), the J factors at each phase (shape shape(tau) + (J,)),
-    and _pieces(x), the pieces at one point in float math, flat: J rows of
-    the value, the gradient and the Hessian (row major).  value, grad, hess
-    and spectrum follow here.  The spectrum is the factors' bins (_bins: by
-    default their rfft on the grid, read-only and kept per grid size) times
-    the pieces of every point, gathered in one np.fromiter: one matrix
-    product, no samples of U and no transform.  Factors or pieces that are
-    not that many floats take the default per-point path, for its checks
-    and messages.  Non-finite pieces are refused by naming the point, or,
-    if they are a user's callables (_checked_per_point; their _block keeps
-    the callables' shapes), sent down that path too.  The averaged force
-    needs no spectrum: it is generated code over _bins and _pieces
-    (averaging.ladder_kernel), with the same checks.  The full flow's force
-    is each bundled subclass's own float source (phase_force_source), not
-    the pieces: from the pieces it costs 2-3 times as much.  An instance
-    holds data, no compiled code.
-    """
-
-    _checked_per_point = False
-
-    def _block(self, x, k):
-        """Block k of the pieces at x: values (J,), gradients (J, d) or Hessians (J, d, d)."""
-        d = self.dim
-        rows = np.asarray(self._pieces(x), dtype=float).reshape(-1, 1 + d + d * d)
-        return (rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:].reshape(-1, d, d))[k]
-
-    # Sums start at -0.0, which keeps a lone term's sign: a(tau) u(x) bit for
-    # bit.  A block of another shape broadcasts as a(tau) u(x) would.
-    def value(self, x, tau):
-        return (self._factors(tau) * self._block(x, 0)).sum(axis=-1, initial=-0.0)
-
-    def grad(self, x, tau):
-        return (self._factors(tau)[..., None] * self._block(x, 1)).sum(axis=-2, initial=-0.0)
-
-    def hess(self, x, tau):
-        return (self._factors(tau)[..., None, None] * self._block(x, 2)).sum(axis=-3, initial=-0.0)
-
-    def _bins(self, taus):
-        """The factors' rfft on the grid, kept per grid size; None unless they
-        are J finite floats at each phase."""
-        cache = self.__dict__.setdefault("_factor_bins", {})
-        bins = cache.get(len(taus))
-        if bins is None:
-            f = np.asarray(self._factors(taus))
-            if (f.ndim != 2 or f.shape[0] != len(taus) or f.dtype != np.float64
-                    or not np.isfinite(f).all()):
-                return None
-            # contiguous bins: spectrum views each bin as two floats
-            bins = cache[len(taus)] = np.fft.rfft(np.ascontiguousarray(f.T), norm="forward")
-            bins.flags.writeable = False
-        return bins
-
-    def _gathered(self, points, n_pieces):
-        """The pieces of every point, shape (P, J, 1 + d + d d), or None."""
-        size = len(points) * n_pieces * (1 + self.dim * (1 + self.dim))
-        flat = chain.from_iterable(map(self._pieces, points))
-        try:
-            pieces = np.fromiter(flat, float, size)
-            if next(flat, flat) is not flat:
-                return None
-        except (TypeError, ValueError):
-            return None
-        if not np.isfinite(pieces).all():
-            if self._checked_per_point:
-                return None
-            bad = np.argmin(np.isfinite(pieces.reshape(len(points), -1)).all(axis=1))
-            raise ValueError(f"potential returned non-finite pieces at x={points[bad]}")
-        return pieces.reshape(len(points), n_pieces, -1)
-
-    def spectrum(self, points, n_tau):
-        bins = self._bins(checked_grid(points, self.dim, n_tau))
-        pieces = None if bins is None else self._gathered(points, len(bins))
-        if pieces is None:
-            return super().spectrum(points, n_tau)
-        # one real product, each bin's real and imaginary parts side by side
-        return (pieces.transpose(0, 2, 1) @ bins.view(float)).view(complex)
-
-
 class HarmonicPotential(FactoredPotential):
     """P0(x) + C(x) cos(m theta) + S(x) sin(m theta), theta = 2 pi tau: three
     pieces times one harmonic's factors (1, cos m theta, sin m theta), whose
@@ -150,6 +70,10 @@ class HarmonicPotential(FactoredPotential):
 
     dim = 2
     harmonic = 1
+
+    @cached_property  # kept on the instance: _pieces reads it at every point
+    def factor_source(self):
+        return "1.0", *(f"{f}({self.harmonic * TWO_PI!r} * {{p}})" for f in ("cos", "sin"))
 
     def _factors(self, tau):
         ang = self.harmonic * TWO_PI * np.asarray(tau, dtype=float)
@@ -177,16 +101,10 @@ class RotatingSaddlePotential(HarmonicPotential):
     the averaged force is -eps_u^2 X - 2 eps_u^3 J Xd in user (angular) units.
     """
 
-    def _pieces(self, x):
-        xx, yy = float(x[0]), float(x[1])
-        return [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                0.5 * (xx * xx - yy * yy), xx, -yy, 1.0, 0.0, 0.0, -1.0,
-                -xx * yy, -yy, -xx, 0.0, -1.0, -1.0, 0.0]
-
-    # minus the gradient of C cos(theta) + S sin(theta), theta = -2 pi tau
-    phase_force_source = (("{p}c = cos(-TWO_PI * {p})", "{p}s = sin(-TWO_PI * {p})"),
-                          ("{a}_0 = -({p}c * {x}_0 + {p}s * {x}_1)",
-                           "{a}_1 = -({p}s * {x}_0 - {p}c * {x}_1)"))
+    # C's and S's gradient, Hessian and value; the constant piece is zero
+    pieces_source = (("{q}1_0 = {x}_0", "{q}1_1 = -{x}_1", "{q}2_0 = -{x}_1", "{q}2_1 = -{x}_0"),
+                     ("{q}1_0_0 = 1.0", "{q}1_1_1 = -1.0", "{q}2_0_1 = -1.0", "{q}2_1_0 = -1.0"),
+                     ("{q}1 = 0.5 * ({x}_0 * {x}_0 - {x}_1 * {x}_1)", "{q}2 = -{x}_0 * {x}_1"))
 
 
 def rotating_saddle() -> Scenario:
@@ -235,82 +153,65 @@ class SeparableDrivePotential(FactoredPotential):
     velocity-independent one with coefficient avg over tau of the squared
     zero-mean antiderivative of a.
 
-    One factor and one piece: a gets float arrays of phases (and one float
-    phase in the full flow, through its grad); the
-    profile u_value/u_grad/u_hess (d floats, d rows of d) gets float
-    arrays.  CosineDrivePotential is the float-source form for a cosine
-    drive.
+    One factor and one piece: a gets float arrays of phases (one float phase
+    in the full flow, through its grad), the profile u_value/u_grad/u_hess
+    (d floats, d rows of d) float arrays.  CosineDrivePotential is the
+    float-source form for a cosine drive.
     """
 
     _checked_per_point = True
 
     def __init__(self, a, u_value, u_grad, u_hess, dim):
         self.dim = int(dim)
-        self._a, self._uv, self._ug, self._uh = a, u_value, u_grad, u_hess
+        self._a, self._u = a, (u_value, u_grad, u_hess)
 
     def _factors(self, tau):
         return np.asarray(self._a(np.asarray(tau, dtype=float)))[..., None]
 
     def _pieces(self, x):
-        return [self._uv(x), *self._ug(x), *chain.from_iterable(self._uh(x))]
+        u_value, u_grad, u_hess = self._u
+        return [u_value(x), *u_grad(x), *chain.from_iterable(u_hess(x))]
 
     def _block(self, x, k):  # the profile's own shapes, for the per-point checks
-        return [(self._uv, self._ug, self._uh)[k](x)]
+        return [self._u[k](x)]
 
 
-class CosineDrivePotential(SeparableDrivePotential):
-    """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with grad u given as
-    float source, one expression in {x}_0, {x}_1, ... per entry: the
-    quartic's is ("{x}_0 ** 3 + {x}_1", "{x}_0").  The drive a(tau) and
-    u_grad(x, a=1.0), which grad, spectrum and the closed forms call, are
-    methods: u_grad is those expressions in fields.STAGE, a * g for each
-    entry g on the floats of x.  phase_force_source takes the factor
-    a = -(a_mean + alpha cos(2 pi tau)) once per phase (math.cos, which
-    tests/test_properties.py holds to numpy's cos bit for bit) and the same
-    products at each stage, so each entry is -(a(tau) g) exactly.
-    """
+class CosineDrivePotential(FactoredPotential):
+    """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with u's value, each
+    gradient entry and each Hessian entry (rows) as float expressions in
+    {x}_0, {x}_1, ..., e.g. the quartic's gradient ("{x}_0 ** 3 + {x}_1",
+    "{x}_0").  Its factor bins are the drive's rfft."""
 
-    def __init__(self, a_mean, alpha, u_value, grad_source, u_hess, dim):
+    def __init__(self, a_mean, alpha, value, grad, hess, dim):
         self.dim = int(dim)
         self.a_mean, self.alpha = float(a_mean), float(alpha)
-        if len(grad_source) != self.dim:
-            raise ValueError(f"{len(grad_source)} gradient expressions for dim {dim}")
-        self._uv, self._uh = u_value, u_hess
-        self.phase_force_source = (("{p} = -(%r + %r * cos(TWO_PI * {p}))" % (self.a_mean, self.alpha),),
-                                   tuple("{a}_%d = {p} * (%s)" % item for item in enumerate(grad_source)))
+        if len(grad) != self.dim or [len(row) for row in hess] != [self.dim] * self.dim:
+            raise ValueError(f"{len(grad)} gradient expressions and Hessian rows of "
+                             f"{[len(row) for row in hess]} expressions for dim {dim}")
+        self.factor_source = ("%r + %r * cos(TWO_PI * {p})" % (self.a_mean, self.alpha),)
+        self.pieces_source = (tuple(f"{{q}}0_{i} = {e}" for i, e in enumerate(grad)),
+                              tuple(f"{{q}}0_{i}_{m} = {e}" for i, row in enumerate(hess)
+                                    for m, e in enumerate(row)),
+                              ("{q}0 = " + value,))
 
-    def _a(self, tau):
-        return self.a_mean + self.alpha * np.cos(TWO_PI * tau)
-
-    def _ug(self, x, a=1.0):
-        return generated(STAGE, self.dim, ("", ("{p} = {t}",), self.phase_force_source[1]))(a, x, None)
-
-
-def _separable_closed(a_mean, avg_v2, u_grad, u_hess, dim):
-    def w_grad(x):
-        return avg_v2 * (np.asarray(u_hess(x), dtype=float) @ np.asarray(u_grad(x), dtype=float))
-
-    return {
-        "mean_grad": lambda x: a_mean * np.asarray(u_grad(x), dtype=float),
-        "w_grad": w_grad,
-        "b": lambda x: np.zeros(dim),
-        "b_matrix": lambda x: np.zeros((dim, dim)),
-    }
+    def _factors(self, tau):
+        drive = self.a_mean + self.alpha * np.cos(TWO_PI * np.asarray(tau, dtype=float))
+        return np.asarray(drive)[..., None]
 
 
-def _quartic_value(x):
-    return x[0] ** 4 / 4.0 + x[0] * x[1]
-
-
-def _quartic_hess(x):
-    return [[3.0 * x[0] ** 2, 1.0], [1.0, 0.0]]
+def _separable_closed(a_mean, avg_v2, pot):
+    """Closed forms of a drive a(tau) u(x) of mean a_mean; u_grad, u_hess from its pieces."""
+    def u(x, k):  # u_grad at k = 1, u_hess at k = 2
+        return np.asarray(pot._block(x, k)[0], dtype=float)
+    return {"mean_grad": lambda x: a_mean * u(x, 1), "w_grad": lambda x: avg_v2 * (u(x, 2) @ u(x, 1)),
+            "b": lambda x: np.zeros(pot.dim), "b_matrix": lambda x: np.zeros((pot.dim, pot.dim))}
 
 
 def quartic_drive() -> Scenario:
     """Zero-mean cosine drive on a quartic-plus-shear profile (no closed orbitals,
     exercises the third-antiderivative terms of the guiding-center map)."""
-    pot = CosineDrivePotential(0.0, 1.0, _quartic_value, ("{x}_0 ** 3 + {x}_1", "{x}_0"),
-                               _quartic_hess, dim=2)
+    pot = CosineDrivePotential(0.0, 1.0, "{x}_0 ** 4 / 4.0 + {x}_0 * {x}_1", ("{x}_0 ** 3 + {x}_1", "{x}_0"),
+                               (("3.0 * {x}_0 ** 2", "1.0"), ("1.0", "0.0")), dim=2)
     avg_v2 = 1.0 / (8.0 * math.pi ** 2)  # drive antiderivative sin(2 pi tau)/(2 pi)
     return Scenario(
         name="quartic_drive",
@@ -325,17 +226,9 @@ def quartic_drive() -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(0.0, avg_v2, pot._ug, _quartic_hess, 2),
+        closed_forms=_separable_closed(0.0, avg_v2, pot),
         extras={"slope_floor": 3.7},
     )
-
-
-def _pendulum_value(x):
-    return -math.cos(x[0])
-
-
-def _pendulum_hess(x):
-    return [[math.cos(x[0])]]
 
 
 def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
@@ -344,7 +237,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
     The inverted position becomes linearly stable once
     eps^2 alpha^2 / (8 pi^2) exceeds a_mean.
     """
-    pot = CosineDrivePotential(a_mean, alpha, _pendulum_value, ("sin({x}_0)",), _pendulum_hess, dim=1)
+    pot = CosineDrivePotential(a_mean, alpha, "-cos({x}_0)", ("sin({x}_0)",), (("cos({x}_0)",),), dim=1)
     avg_v2 = alpha ** 2 / (8.0 * math.pi ** 2)
     return Scenario(
         name="kapitza_pendulum",
@@ -359,7 +252,7 @@ def kapitza_pendulum(a_mean: float = 1.0, alpha: float = 1.0) -> Scenario:
         h_avg=0.005,
         out_dt=0.01,
         n_tau=16,
-        closed_forms=_separable_closed(a_mean, avg_v2, pot._ug, _pendulum_hess, 1),
+        closed_forms=_separable_closed(a_mean, avg_v2, pot),
     )
 
 
@@ -380,28 +273,20 @@ class RotatingWavePotential(HarmonicPotential):
     offset = 0.3
     r_min = 0.5
 
-    def _pieces(self, x):
-        xx, yy = float(x[0]), float(x[1])
-        r2 = xx * xx + yy * yy
-        r = math.sqrt(r2)
-        r3 = r2 * r
-        r5 = r2 * r3
-        cross = -xx * yy / r3                          # d(x/r)/dy = d(y/r)/dx
-        mix_x = yy * (2.0 * xx * xx - yy * yy) / r5    # d2(x/r)/dx dy = d2(y/r)/dx2
-        mix_y = xx * (2.0 * yy * yy - xx * xx) / r5    # d2(x/r)/dy2 = d2(y/r)/dx dy
-        return [self.offset, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                xx / r, yy * yy / r3, cross, -3.0 * xx * yy * yy / r5, mix_x, mix_x, mix_y,
-                yy / r, cross, xx * xx / r3, mix_x, mix_y, mix_y, -3.0 * xx * xx * yy / r5]
-
+    pieces_source = (
+        ("r2 = {x}_0 * {x}_0 + {x}_1 * {x}_1", "r = sqrt(r2)", "r3 = r2 * r",
+         "cross = -{x}_0 * {x}_1 / r3",                                  # d(x/r)/dy = d(y/r)/dx
+         "{q}1_0 = {x}_1 * {x}_1 / r3", "{q}1_1 = cross", "{q}2_0 = cross", "{q}2_1 = {x}_0 * {x}_0 / r3"),
+        ("r5 = r2 * r3",
+         "mix_x = {x}_1 * (2.0 * {x}_0 * {x}_0 - {x}_1 * {x}_1) / r5",  # d2(x/r)/dx dy = d2(y/r)/dx2
+         "mix_y = {x}_0 * (2.0 * {x}_1 * {x}_1 - {x}_0 * {x}_0) / r5",  # d2(x/r)/dy2 = d2(y/r)/dx dy
+         "{q}1_0_0 = -3.0 * {x}_0 * {x}_1 * {x}_1 / r5", "{q}1_0_1 = mix_x", "{q}1_1_0 = mix_x",
+         "{q}1_1_1 = mix_y", "{q}2_0_0 = mix_x", "{q}2_0_1 = mix_y", "{q}2_1_0 = mix_y",
+         "{q}2_1_1 = -3.0 * {x}_0 * {x}_0 * {x}_1 / r5"),
+        ("{q}0 = %r" % offset, "{q}1 = {x}_0 / r", "{q}2 = {x}_1 / r"))
 
     def in_region(self, x):
         return math.hypot(x[0], x[1]) >= self.r_min
-
-    # minus the gradient of (x cos theta + y sin theta) / r, theta = 2 pi tau
-    phase_force_source = (("{p}c = cos(TWO_PI * {p})", "{p}s = sin(TWO_PI * {p})"),
-                          ("r2 = {x}_0 ** 2 + {x}_1 ** 2", "r = sqrt(r2)",
-                           "dot = ({x}_0 * {p}c + {x}_1 * {p}s) / (r2 * r)",
-                           "{a}_0 = -({p}c / r - dot * {x}_0)", "{a}_1 = -({p}s / r - dot * {x}_1)"))
 
 
 def rotating_wave() -> Scenario:
@@ -489,51 +374,33 @@ class SatelliteOscillating(HarmonicPotential):
 
     harmonic = 2
     r_min = SatelliteStatic.r_min
-
-    def __init__(self, sigma=-1.0):
-        self.sigma = float(sigma)
-        # minus float math on grad p = -3k z / (2 r^5), grad B = 3k ((y, x) / r^5
-        # - 5 xy z / r^7) and grad C = 3k/2 ((2x, -2y) / r^5 - 5 q z / r^7), q = x^2 - y^2
-        k = self.sigma / TWO_PI
-        self.phase_force_source = (
-            ("{p}c = cos(2.0 * TWO_PI * {p})", "{p}s = sin(2.0 * TWO_PI * {p})"),
-            ("r2 = {x}_0 * {x}_0 + {x}_1 * {x}_1", "r5 = r2 * r2 * sqrt(r2)",
-             "u = 1.0 / r5", "w = 5.0 / (r5 * r2)", "q = {x}_0 * {x}_0 - {x}_1 * {x}_1",
-             "xy = {x}_0 * {x}_1",
-             "{a}_0 = -(%r * (-1.5 * {x}_0 * u + 1.5 * {p}c * (2.0 * {x}_0 * u - q * {x}_0 * w)"
-             " + 3.0 * {p}s * ({x}_1 * u - xy * {x}_0 * w)))" % k,
-             "{a}_1 = -(%r * (-1.5 * {x}_1 * u + 1.5 * {p}c * (-2.0 * {x}_1 * u - q * {x}_1 * w)"
-             " + 3.0 * {p}s * ({x}_0 * u - xy * {x}_1 * w)))" % k))
-
     in_region = SatelliteStatic.in_region
 
-    def _pieces(self, x):
-        """value = p + C cos(2 theta) + B sin(2 theta) with k = sigma / (2 pi),
-        p = k / (2 r^3), C = 3k (x^2 - y^2) / (2 r^5) and B = 3k xy / r^5.
-
-        Each piece is a quadratic form f = z.A z / 2 times g = r^-5, with
-        A = k [[1, 0], [0, 1]], k [[3, 0], [0, -3]] and k [[0, 3], [3, 0]];
-        the product rule gives grad = A z g + f grad g and
-        hess = A g + f hess g + (A z) (grad g)^T + (grad g) (A z)^T.
-        """
-        xx, yy = float(x[0]), float(x[1])
+    def __init__(self, sigma=-1.0):
+        """Pieces p = k / (2 r^3), C = 3k (x^2 - y^2) / (2 r^5) and B = 3k xy / r^5,
+        k = sigma / (2 pi), each f = z.A z / 2 times g = r^-5 with A = k I,
+        diag(3k, -3k) and 3k [[0, 1], [1, 0]] (a, b, c are k, 3k, -3k): grad =
+        A z g + f dg z, hess = A g + f (dg I + e z z^T) + (A z)(dg z)^T + (dg z)(A z)^T."""
+        self.sigma = float(sigma)
         k = self.sigma / TWO_PI
-        k3 = 3.0 * k
-        r2 = xx * xx + yy * yy
-        g = r2 ** -2.5
-        dg = -5.0 * g / r2
-        gx, gy = dg * xx, dg * yy                    # grad g
-        e = 35.0 * g / (r2 * r2)                     # hess g = dg I + e z z^T
-        hxx, hxy, hyy = dg + e * xx * xx, e * xx * yy, dg + e * yy * yy
-        out = []
-        for a, b, c in ((k, 0.0, k), (k3, 0.0, -k3), (0.0, k3, 0.0)):  # A = [[a, b], [b, c]]
-            ax, ay = a * xx + b * yy, b * xx + c * yy  # grad f = A z
-            f = 0.5 * (ax * xx + ay * yy)
-            off = b * g + f * hxy + (ax * gy + gx * ay)
-            out += [f * g, ax * g + f * gx, ay * g + f * gy,
-                    a * g + f * hxx + 2.0 * ax * gx, off, off,
-                    c * g + f * hyy + 2.0 * ay * gy]
-        return out
+        a, b, c = repr(k), repr(3.0 * k), repr(-3.0 * k)
+        grad = ("r2 = {x}_0 * {x}_0 + {x}_1 * {x}_1", "g = r2 ** -2.5", "dg = -5.0 * g / r2",
+                "gx = dg * {x}_0", "gy = dg * {x}_1", f"ax0 = {a} * {{x}}_0", f"ay0 = {a} * {{x}}_1",
+                f"ax1 = {b} * {{x}}_0", f"ay1 = {c} * {{x}}_1", f"ax2 = {b} * {{x}}_1", f"ay2 = {b} * {{x}}_0",
+                *(f"f{j} = 0.5 * (ax{j} * {{x}}_0 + ay{j} * {{x}}_1)" for j in range(3)),
+                *(f"{{q}}{j}_0 = ax{j} * g + f{j} * gx" for j in range(3)),
+                *(f"{{q}}{j}_1 = ay{j} * g + f{j} * gy" for j in range(3)))
+        hess = ("e = 35.0 * g / (r2 * r2)", "hxx = dg + e * {x}_0 * {x}_0", "hxy = e * {x}_0 * {x}_1",
+                "hyy = dg + e * {x}_1 * {x}_1",
+                f"{{q}}0_0_0 = {a} * g + f0 * hxx + 2.0 * ax0 * gx",
+                f"{{q}}0_1_1 = {a} * g + f0 * hyy + 2.0 * ay0 * gy",
+                f"{{q}}1_0_0 = {b} * g + f1 * hxx + 2.0 * ax1 * gx",
+                f"{{q}}1_1_1 = {c} * g + f1 * hyy + 2.0 * ay1 * gy",
+                "{q}2_0_0 = f2 * hxx + 2.0 * ax2 * gx", "{q}2_1_1 = f2 * hyy + 2.0 * ay2 * gy",
+                "{q}0_0_1 = f0 * hxy + (ax0 * gy + gx * ay0)", "{q}1_0_1 = f1 * hxy + (ax1 * gy + gx * ay1)",
+                f"{{q}}2_0_1 = {b} * g + f2 * hxy + (ax2 * gy + gx * ay2)",
+                *(f"{{q}}{j}_1_0 = {{q}}{j}_0_1" for j in range(3)))
+        self.pieces_source = grad, hess, tuple(f"{{q}}{j} = f{j} * g" for j in range(3))
 
 
 def spinning_satellite(sigma: float = -1.0) -> Scenario:

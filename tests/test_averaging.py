@@ -70,9 +70,9 @@ def test_stack_rejects_non_finite_samples():
 def test_satellite_sample_matches_per_point_calls(n_tau):
     """The satellite's closed-form spectrum is the rfft of value/grad/hess
     point by point, and back on the grid it equals those calls, grad at each
-    scalar tau and minus the float-math phase_force, to rounding of the
-    largest sample.  (tests/test_properties.py holds its pieces to the array
-    product rule.)"""
+    scalar tau and minus phase_force, to rounding of the largest sample.
+    (tests/test_scenarios.py holds its pieces' lines to differences of their
+    value lines.)"""
     _check_spectrum_matches_per_point_calls(
         get_scenario("spinning_satellite").potential.oscillating, n_tau)
 

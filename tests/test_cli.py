@@ -466,6 +466,22 @@ def test_scenario_alias_resolves(tmp_path, capsys):
     assert _manifest(out)["scenario"] == "quartic_drive"
 
 
+# One sha256 over the sorted files map (every CSV and sidecar with its
+# sha256) of `oscavg run <scenario> --t-end 0.3`, recorded before the
+# full-flow stage of a factored potential was written from its pieces' lines
+# and pinned since; the quartic's outputs are pinned in bench/reference.json.
+PINNED_RUNS = {"kapitza_pendulum": "7deb2d9f1522539380548128dfcfacf5a0b13d40bc4239f79e504c84789b8edf",
+               "rotating_saddle": "0cf151ba88e42d5bf3caa6f1c1b8a258c7dcae3ad1a9912e32952b99bb407100"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_outputs_are_byte_identical_to_the_pinned_ones(name, tmp_path, capsys):
+    assert cli.main(["run", name, "--t-end", "0.3", "--out-dir", str(tmp_path)]) == 0
+    files = _manifest(tmp_path)["files"]
+    digest = hashlib.sha256(json.dumps(sorted(files.items())).encode()).hexdigest()
+    assert digest == PINNED_RUNS[name], f"{name}: outputs moved, files {files}"
+
+
 # ---- validate ----
 
 def test_validate_invariants_quick_passes(tmp_path, capsys):

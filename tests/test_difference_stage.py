@@ -55,7 +55,7 @@ def _old_full_acc(potential, eps):
     osc, static = potential.oscillating, potential.static
 
     def acc(t, x, v):
-        if osc.phase_force_source is not None:
+        if fields.source_of(osc) is not None:
             a = osc.phase_force(x, t / eps % 1.0)
         else:
             a = _old_phase_force(osc.value, x, t / eps % 1.0)

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from oscavg import CallablePotential, CallableStatic, Order1Potential, assemble, closed_form_checks
-from oscavg.averaging import AveragedSystem, ladder_force, ladder_kernel
+from oscavg.averaging import AveragedSystem, _kernel_source, ladder_force, ladder_kernel
 from oscavg.dynamics import integrate_averaged_ladder, integrate_full
-from oscavg.fields import TimePeriodicPotential
-from oscavg.scenarios import (CATALOG, FactoredPotential, RotatingSaddlePotential,
-                              SeparableDrivePotential, get_scenario)
+from oscavg.fields import TimePeriodicPotential, source_of
+from oscavg.scenarios import (CATALOG, FactoredPotential, HarmonicPotential, RotatingSaddlePotential,
+                              SatelliteStatic, SeparableDrivePotential, get_scenario)
 
 TWO_PI = 2.0 * math.pi
 BUNDLED = [name for name in CATALOG if name != "custom"]
@@ -221,11 +221,11 @@ def _refuse(self, points, n_tau):
     raise AssertionError("spectrum called on the kernel path")
 
 
-def test_satellites_with_different_sigma_share_a_kernel_and_differ_in_force():
-    """The oscillating part's kernel depends on the factor bins and n_tau
-    alone, so the sigma = -1 and +1 satellites share one (sigma enters
-    through the pieces; the static part's lines, which hold it, are written
-    in when there is one), and their forces still differ."""
+def test_satellites_with_different_sigma_have_their_own_kernels_and_forces():
+    """sigma enters the satellite's pieces as the constant k folded into its
+    lines, which the kernel writes in, so the sigma = -1 and +1 satellites
+    each get their own kernel; each matches the spectra path and their
+    forces differ."""
     attractive, repulsive = (get_scenario("spinning_satellite", sigma=s) for s in (-1.0, 1.0))
     x, v = np.array([1.1, 0.3]), np.array([-0.2, 0.9])
     forces = []
@@ -234,7 +234,7 @@ def test_satellites_with_different_sigma_share_a_kernel_and_differ_in_force():
         forces.append(sc.build_system(1 / 64).force(x, v))
     kernels = [ladder_kernel([assemble(sc.potential.oscillating, 0.1, 16)])[0]
                for sc in (attractive, repulsive)]
-    assert kernels[0] is kernels[1]
+    assert kernels[0] is not kernels[1]
     assert not np.allclose(forces[0], forces[1])
 
 
@@ -353,21 +353,87 @@ def test_ladder_kernel_and_spectra_under_time_reversal_and_phase_shift(case):
                                               f"{err / scale:.1e} of the largest entry")
 
 
+class _UserSourced(HarmonicPotential):
+    """P1 = x^2 / 2 + y^3 / 3 and P2 = x y^2 times cos and sin, in two
+    shapes a user's pieces_source may take: piece 2's gradient and Hessian
+    lines read piece 1's and its own entries, and the local r3 (which the
+    satellite's static lines also bind) is rebound between the two entries
+    that read it."""
+
+    pieces_source = (("r3 = {x}_0", "{q}1_0 = r3", "r3 = {x}_1 * {x}_1", "{q}1_1 = r3", "{q}2_0 = {q}1_1",
+                      "{q}2_1 = 2.0 * {x}_0 * {x}_1"),
+                     ("{q}1_0_0 = 1.0", "{q}1_1_1 = 2.0 * {x}_1", "{q}2_0_1 = {q}1_1_1", "{q}2_1_0 = {q}2_0_1",
+                      "{q}2_1_1 = 2.0 * {x}_0"),
+                     ("{q}1 = 0.5 * {x}_0 * {x}_0 + {x}_1 ** 3 / 3.0", "{q}2 = {x}_0 * {x}_1 * {x}_1"))
+
+
+def test_a_user_pieces_source_serves_the_spectrum_the_kernel_and_the_full_flow():
+    """The pieces (PIECES) are P1's and P2's, bit for bit; the full-flow
+    stage is minus f_1 grad P1 + f_2 grad P2 to rounding; and the kernel,
+    which writes the lines into each row, matches the spectra path over
+    those pieces, alone and under the satellite's static part."""
+    pot = _UserSourced()
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x, y = rng.uniform(0.5, 1.5, 2)
+        assert pot._pieces(np.array([x, y])) == [
+            0.0, *[0.0] * 6, 0.5 * x * x + y ** 3 / 3.0, x, y * y, 1.0, 0.0, 0.0, 2.0 * y,
+            x * y * y, y * y, 2.0 * x * y, 0.0, 2.0 * y, 2.0 * y, 2.0 * x]
+        tau = float(rng.uniform())
+        c, s = math.cos(TWO_PI * tau), math.sin(TWO_PI * tau)
+        want = [-(c * x + s * y * y), -(c * y * y + s * 2.0 * x * y)]
+        assert np.allclose(pot.phase_force([x, y], tau), want, rtol=0.0, atol=1e-14)  # terms below 5
+    for potential in (pot, Order1Potential(SatelliteStatic(), pot)):
+        for rows in (1, 3):
+            xs, vs = rng.uniform(0.5, 1.5, (rows, 2)), rng.uniform(-1.0, 1.0, (rows, 2))
+            _assert_kernel_matches_spectra(potential, [0.1, 0.05, 0.02][:rows], 16, xs, vs)
+
+
+class _Clobbering(RotatingSaddlePotential):
+    """The saddle, whose gradient lines bind a local named as an argument of
+    the kernel and of PIECES."""
+
+    pieces_source = (("x = {x}_0", "{q}1_0 = x", *RotatingSaddlePotential.pieces_source[0][1:]),
+                     *RotatingSaddlePotential.pieces_source[1:])
+
+
+def test_a_pieces_source_that_rebinds_a_generated_name_is_refused():
+    for build in (lambda: ladder_kernel([assemble(_Clobbering(), 0.1, 16)]),
+                  lambda: _Clobbering()._pieces(np.array([1.0, 0.5]))):
+        with pytest.raises(ValueError, match="rebinds 'x', a name of the generated function"):
+            build()
+
+
 NAN_MESSAGE = "potential returned non-finite pieces at x=[1.05249859 0.01049997]"
 
 
-class _NanBeyond(RotatingSaddlePotential):
-    """The saddle, with NaN pieces right of x1 = 1.05."""
+class _NanSourced(RotatingSaddlePotential):
+    """The saddle, whose gradient source turns NaN right of x1 = 1.05: the
+    kernel writes the line in."""
+
+    pieces_source = (("{q}1_0 = nan if {x}_0 > 1.05 else {x}_0",
+                      *RotatingSaddlePotential.pieces_source[0][1:]),
+                     *RotatingSaddlePotential.pieces_source[1:])
+
+
+class _NanCalled(RotatingSaddlePotential):
+    """The saddle, with its own _pieces, NaN right of x1 = 1.05: the kernel
+    calls it."""
 
     def _pieces(self, x):
         return [math.nan] * 21 if x[0] > 1.05 else super()._pieces(x)
 
 
-def test_a_ladder_row_whose_pieces_turn_non_finite_mid_run_is_named():
+@pytest.mark.parametrize("potential, path", [(_NanSourced(), "source"), (_NanCalled(), "call")],
+                         ids=["source", "call"])
+def test_a_ladder_row_whose_pieces_turn_non_finite_mid_run_is_named(potential, path):
     """The first rung drifts right and its pieces turn NaN during a stage of
-    the lockstep run: that stage takes the spectra path for every row, which
-    names the stage point where they turned, digit for digit."""
-    potential = _NanBeyond()
+    the lockstep run, through a line of its source written into the kernel
+    or through its own _pieces that the kernel calls: that stage takes the
+    spectra path for every row, which names the stage point where they
+    turned, digit for digit."""
+    assert (source_of(potential) is None) == (path == "call")
+    assert ("pieces(array(" in _kernel_source(potential, 16, False, 1)) == (path == "call")
     systems = [assemble(potential, eps, 16) for eps in (0.1, 0.05)]
     with pytest.raises(ValueError, match=f"^{re.escape(NAN_MESSAGE)}$"):
         integrate_averaged_ladder(systems, [[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.1], [0.0, 0.2]],

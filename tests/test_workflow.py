@@ -34,7 +34,7 @@ def test_every_oscavg_command_in_the_workflow_parses():
                 words = shlex.split(line.split("||")[0])
                 if words[:1] == ["oscavg"]:
                     commands.append(words[1:])
-    assert len(commands) == 15, commands
+    assert len(commands) == 16, commands
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv)
