@@ -1,13 +1,18 @@
 """Trajectory integration for the full, averaged and two-body systems.
 
-Every flow goes through one fixed-step classical RK4 stepper,
-integrate_second_order, over a (rows, dim) state; a single run is its
-one-row case.  Output samples land on an exact grid i * out_dt (each output
+Every flow goes through one fixed-step stepper, _integrate (as
+integrate_second_order), over a (rows, dim) state; a single run is its
+one-row case.  It has two 4th-order templates, and the stage form chooses
+(_interval): a force that reads v (a given acceleration, the averaged
+flow's B v) takes classical RK4, and one that does not (the full flow, the
+dumbbell, the point-mass control) the Runge-Kutta-Nystrom method for
+xdd = f(t, x), which needs three force evaluations per step where RK4
+needs four.  Output samples land on an exact grid i * out_dt (each output
 interval restarts from t = i * out_dt and is cut into an integer number of
 substeps), so trajectories from different systems can be compared sample by
 sample without interpolation.
 
-Rows that share the time grid step in lockstep, one acceleration call per RK
+Rows that share the time grid step in lockstep, one acceleration call per
 stage for all of them.  The averaged flows of an eps ladder do
 (integrate_averaged_ladder): they share t_end, h and out_dt, and their fields
 depend on x alone, so each stage is one call for every live rung: of a
@@ -17,8 +22,8 @@ leaves its trusted region stops at that sample; the others step on.  The
 full flows keep one row each, since their step follows eps.
 
 Each output interval is one call of a function generated once per state
-length and stage form (_rk4_interval, fields.generated): its n_sub RK4
-substeps run with x and v in local floats, the rows end to end, and combine
+length and stage form (_interval, fields.generated): its n_sub substeps
+run with x and v in local floats, the rows end to end, and combine
 every element in the order array arithmetic would use, so results are
 bit-identical to it (and each row to its own one-row run) at a fraction of
 numpy's per-operation cost on 2- and 3-vectors.  The stage is written into
@@ -130,6 +135,32 @@ def interval(t, x, v, n_sub, h, hh, h6, args):
     return [<x_{i}>], [<v_{i}>]
 """
 
+# The same interval by the classical 4th-order Runge-Kutta-Nystrom method
+# (c = 0, 1/2, 1; Hairer, Norsett & Wanner, Solving ODEs I, II.14), for a
+# force that does not read v: three stages per substep where RK4 takes four.
+# Each position is x plus one increment, h v + h^2 (...) written as
+# h (v + h (...)), so it rounds once at the scale of x, as RK4's does.
+_RKN_INTERVAL = """\
+def interval(t, x, v, n_sub, h, hh, h6, args):
+    {args}, = args
+    <x_{i}>, = x
+    <v_{i}>, = v
+    hq = 0.5 * hh
+    for s in range(n_sub):
+        tt = t + s * h
+        @phase p1 tt
+        @stage a1 p1 x v
+        x2_{i} = x_{i} + hh * (v_{i} + hq * a1_{i})
+        @phase p2 tt + hh
+        @stage a2 p2 x2 v
+        x3_{i} = x_{i} + h * (v_{i} + hh * a2_{i})
+        @phase p3 tt + h
+        @stage a3 p3 x3 v
+        x_{i} = x_{i} + h * (v_{i} + h6 * (a1_{i} + 2.0 * a2_{i}))
+        v_{i} = v_{i} + h6 * (a1_{i} + 4.0 * a2_{i} + a3_{i})
+    return [<x_{i}>], [<v_{i}>]
+"""
+
 # Stage forms: (args, phase lines, stage lines), with {t} the stage time and
 # {p}, {a}, {x}, {v} the names of an @phase or @stage line.  _CALLED calls
 # acc(t, x, v) as integrate_second_order is given it.
@@ -152,18 +183,20 @@ _LADDER = ("force, weights, pieces, array, static, fallback", (), (
     "<{a}_{i}>, = force([<{x}_{i}>], [<{v}_{i}>], weights, pieces, array, static, fallback)",))
 
 
-def _rk4_interval(n, form):
-    """interval(t, x, v, n_sub, h, hh, h6, args) -> (x, v): n_sub RK4
-    substeps from time t on the lists of n floats x and v, _RK4_INTERVAL in
-    the stage form `form`: straight-line code in local floats, since on a
-    few floats the list form's comprehensions and zips cost more than the
-    arithmetic in them."""
-    return generated(_RK4_INTERVAL, n, form)
+def _interval(n, form):
+    """interval(t, x, v, n_sub, h, hh, h6, args) -> (x, v): n_sub substeps
+    from time t on the lists of n floats x and v, in the stage form `form`:
+    _RKN_INTERVAL if no stage line reads {v}, else _RK4_INTERVAL.
+    Straight-line code in local floats, since on a few floats the list
+    form's comprehensions and zips cost more than the arithmetic in them."""
+    reads_v = any("{v}" in line for line in form[2])
+    return generated(_RK4_INTERVAL if reads_v else _RKN_INTERVAL, n, form)
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
                            in_region=None):
-    """Integrate xdd = acc(t, x, v) with RK4 steps of at most h.
+    """Integrate xdd = acc(t, x, v) with classical RK4 steps of at most h
+    (acc may read v, so it never takes the Nystrom template).
 
     x0 and v0 are one state of dim floats, or a (rows, dim) batch of states
     that share the time grid and step in lockstep: one acceleration call per
@@ -182,9 +215,9 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
 
 def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
     """integrate_second_order with the stage given as stage_of(rows) ->
-    (form, args) for the live rows: one _rk4_interval call per output
-    interval, after refusing a start that is not finite or is outside
-    in_region."""
+    (form, args) for the live rows: one call per output interval of
+    _interval, RK4 or Runge-Kutta-Nystrom as the form reads v or not, after
+    refusing a start that is not finite or is outside in_region."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     for name, value in (("x0", x0), ("v0", v0)):
@@ -210,7 +243,7 @@ def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
     metas = [{"h": h, "out_dt": out_dt} for _ in live]
     kept = [n_out + 1 for _ in live]
     form, args = stage_of(live)
-    interval = _rk4_interval(len(x), form)
+    interval = _interval(len(x), form)
     for i in range(n_out + 1):
         t = i * out_dt
         if in_region is not None:
@@ -226,7 +259,7 @@ def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
                 if not live:
                     break
                 form, args = stage_of(live)
-                interval = _rk4_interval(len(x), form)
+                interval = _interval(len(x), form)
         times[i] = t
         for j, r in enumerate(live):
             pos[r][i] = x[j * d:(j + 1) * d]
@@ -243,6 +276,8 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
                    steps_per_period=96, out_dt=0.01) -> Trajectory:
     """Integrate the oscillating system xdd = -grad U(x, t/eps).
 
+    The force does not read v, so each substep is a Runge-Kutta-Nystrom
+    step: three force evaluations, where RK4 takes four, at the same order.
     steps_per_period controls the substep size relative to the fast period;
     fewer than MIN_STEPS_PER_PERIOD steps per oscillation is refused because
     the wiggle phase would be integrated too coarsely to compare against the
@@ -315,8 +350,9 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
 
 def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
     """Integrate xdd = -grad S(x) for a static potential S, such as a split
-    potential's static part, until S.in_region turns false: bit for bit
-    integrate_second_order(lambda t, x, v: [-g for g in S.float_grad(x)], ...)."""
+    potential's static part, until S.in_region turns false: the force does
+    not read v, so the steps are Runge-Kutta-Nystrom, bit for bit that
+    method's list form on lambda t, x, v: [-g for g in S.float_grad(x)]."""
     names = dict(SOURCE_NAMES, static=static)
     form = ((", ".join(names), (), (*stage_lines(static, "static", "{a}g")[1], "{a}_{i} = -{a}g_{i}")),
             list(names.values()))
@@ -408,7 +444,8 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     satellite scenario models.  Angular momentum 2 (z x zdot) + 2 eps thetadot
     is conserved in any central field, which the tests use as an invariant.
     It runs through the shared stepper as a second-order system in
-    (z1, z2, theta), its stage written into the RK4 loop (_DUMBBELL).
+    (z1, z2, theta), its stage written into the Runge-Kutta-Nystrom loop
+    (_DUMBBELL), as its force does not read the velocities.
     """
     if not steps_per_spin >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")

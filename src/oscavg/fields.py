@@ -4,7 +4,9 @@ Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
 Every compiled function of oscavg comes from generated, under one cache:
-the RK4 loop, the full-flow stage, phase_force, float_grad, a factored
+the stepper's interval in its two templates (RK4 for a stage that reads
+v, Runge-Kutta-Nystrom for one that does not, as dynamics._interval
+chooses), the full-flow stage, phase_force, float_grad, a factored
 potential's pieces and the force kernel.  stage_lines is the one place
 that chooses how a potential part's gradient is written into them.
 """
@@ -375,7 +377,9 @@ def stage_lines(part, name, out="{a}"):
     float_grad_source); else a call of its own grad (_own) on a float array;
     else its central difference, in fd_gradient's float operations and
     central_stencil's order (_fd_step's step, value on a fresh float array,
-    checked_value): the default grad bit for bit."""
+    checked_value): the default grad bit for bit.  No line it writes reads
+    {v}, so every stage built from it (the full flow, the point-mass
+    control) steps by the Nystrom template, three stages per substep."""
     timed = isinstance(part, TimePeriodicPotential)
     base, at_phase, sign = ((TimePeriodicPotential, ", {p}", "-") if timed
                             else (StaticPotential, "", ""))
@@ -410,9 +414,9 @@ class TimePeriodicPotential:
     1/32 by at most 7.7e-6 relative (tested to 1e-4).  value/grad/hess must
     accept tau as a scalar or a 1-d array and vectorize over it.
 
-    The full flow's RK4 loop (dynamics) takes minus the gradient at one
-    float phase four times per substep, written into the loop as the lines
-    of stage_lines; phase_force is those lines in STAGE.
+    The full flow's Runge-Kutta-Nystrom loop (dynamics) takes minus the
+    gradient at one float phase three times per substep, written into the
+    loop as the lines of stage_lines; phase_force is those lines in STAGE.
 
     spectrum(points, n_tau) is all the field averages read: the normalized
     rfft coefficients of value, gradient and Hessian over the n_tau-point

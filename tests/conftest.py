@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oscavg import CallablePotential
+from oscavg import CallablePotential, integrate_second_order
 from oscavg.scenarios import custom_scenario
 
 # One line per acceptance criterion, printed after the run so the verdicts are
@@ -45,3 +45,32 @@ def exit_probe():
     return custom_scenario(pot, default_eps=[1 / 16, 1 / 32], x0=[0.5], v0=[1.0],
                            t_end=1.0, h_avg=0.01, out_dt=0.01, n_tau=16,
                            name="exit_probe")
+
+
+def list_form_nystrom_interval(t, x, v, n_sub, h, hh, h6, args):
+    """n_sub substeps of the classical 4th-order Runge-Kutta-Nystrom method
+    (c = 0, 1/2, 1) as list comprehensions, with the generated interval's
+    arguments: the oracle for the interval of a stage that ignores v."""
+    stage, = args
+    hq = 0.5 * hh
+    for s in range(n_sub):
+        tt = t + s * h
+        a1 = stage(tt, x, v)
+        x2 = [p + hh * (q + hq * a) for p, q, a in zip(x, v, a1)]
+        a2 = stage(tt + hh, x2, v)
+        x3 = [p + h * (q + hh * a) for p, q, a in zip(x, v, a2)]
+        a3 = stage(tt + h, x3, v)
+        x, v = ([p + h * (q + h6 * (k1 + 2.0 * k2)) for p, q, k1, k2 in zip(x, v, a1, a2)],
+                [q + h6 * (k1 + 4.0 * k2 + k3) for q, k1, k2, k3 in zip(v, a1, a2, a3)])
+    return x, v
+
+
+@pytest.fixture
+def nystrom_run(monkeypatch):
+    """integrate_second_order(acc, ...) stepped by list_form_nystrom_interval:
+    the run a stage form that ignores v must equal bit for bit."""
+    def run(acc, x0, v0, t_end, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr("oscavg.dynamics._interval", lambda n, form: list_form_nystrom_interval)
+            return integrate_second_order(acc, x0, v0, t_end, **kwargs)
+    return run

@@ -467,11 +467,11 @@ def test_scenario_alias_resolves(tmp_path, capsys):
 
 
 # One sha256 over the sorted files map (every CSV and sidecar with its
-# sha256) of `oscavg run <scenario> --t-end 0.3`, recorded before the
-# full-flow stage of a factored potential was written from its pieces' lines
-# and pinned since; the quartic's outputs are pinned in bench/reference.json.
-PINNED_RUNS = {"kapitza_pendulum": "7deb2d9f1522539380548128dfcfacf5a0b13d40bc4239f79e504c84789b8edf",
-               "rotating_saddle": "0cf151ba88e42d5bf3caa6f1c1b8a258c7dcae3ad1a9912e32952b99bb407100"}
+# sha256) of `oscavg run <scenario> --t-end 0.3`, recorded when the full
+# flow took the Runge-Kutta-Nystrom step and pinned since; the quartic's
+# outputs are pinned by digest in the CI workflow.
+PINNED_RUNS = {"kapitza_pendulum": "913a64be1df170383650ec8f11c49bb269f6950c47d0d9175f078e3351468a12",
+               "rotating_saddle": "b2a19aaba4eb3d7ac85ee5c19075deece25acdb2415c9efce8ee3fb7c1cbc99c"}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))

@@ -1,8 +1,9 @@
 """The full-flow stage of a value-only potential: its central difference
-written into the generated RK4 loop (fields.stage_lines).
+written into the generated Runge-Kutta-Nystrom loop (fields.stage_lines).
 
-Each run is held bit for bit to the path the stage replaces, copied here:
-phase_force over the default grad, fd_gradient on central_stencil's points.
+Each run is held bit for bit to the path the stage replaces, copied here
+(phase_force over the default grad, fd_gradient on central_stencil's
+points), stepped by the list-form Nystrom oracle of conftest.
 A potential that gives its own grad keeps being called.  The spectra's
 finite-difference Hessian reuses the value sample.
 """
@@ -15,7 +16,7 @@ import pytest
 
 from oscavg import fields
 from oscavg import (CallablePotential, CallableStatic, Order1Potential, assemble, fd_gradient,
-                    fd_hessian, integrate_averaged, integrate_full, integrate_second_order)
+                    fd_hessian, integrate_averaged, integrate_full)
 from oscavg.dynamics import integrate_static
 from oscavg.fields import TimePeriodicPotential
 from oscavg.scenarios import get_scenario
@@ -91,15 +92,15 @@ def _same(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def _full_pair(potential, eps, x0, v0, t_end=0.05, steps=96):
+def _full_pair(nystrom_run, potential, eps, x0, v0, t_end=0.05, steps=96):
     got = integrate_full(potential, eps, x0, v0, t_end, steps_per_period=steps, out_dt=0.01)
-    want = integrate_second_order(_old_full_acc(potential, eps), x0, v0, t_end, h=eps / steps,
-                                  out_dt=0.01, in_region=potential.in_region)
+    want = nystrom_run(_old_full_acc(potential, eps), x0, v0, t_end, h=eps / steps,
+                       out_dt=0.01, in_region=potential.in_region)
     return got, want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_full_run_and_full_stage_equal_the_called_fd_path_bit_for_bit(dim, monkeypatch):
+def test_full_run_and_full_stage_equal_the_called_fd_path_bit_for_bit(dim, monkeypatch, nystrom_run):
     """integrate_full and full_stage() on a value-only potential: 2 dim
     value calls per stage and no call of fd_gradient (so of the default grad
     and phase_force), and the same floats as phase_force over fd_gradient."""
@@ -109,15 +110,27 @@ def test_full_run_and_full_stage_equal_the_called_fd_path_bit_for_bit(dim, monke
     value = potential.value
     potential.value = lambda x, tau: calls.update(["value"]) or value(x, tau)
     x0, v0 = np.linspace(0.3, -0.4, dim), np.linspace(0.1, 0.5, dim)
-    got, want = _full_pair(potential, 1 / 32, x0, v0)
+    got, want = _full_pair(nystrom_run, potential, 1 / 32, x0, v0)
     _same(got, want)
-    stages = 4 * got.meta["substeps_per_out"] * (len(got) - 1)
+    stages = 3 * got.meta["substeps_per_out"] * (len(got) - 1)
     assert calls["value"] == 2 * 2 * dim * stages  # the run and its reference
     stage = assemble(potential, 1 / 32).full_stage()
     acc = _old_full_acc(potential, 1 / 32)
     rng = np.random.default_rng(dim)
     for t, x, v in zip(rng.uniform(0.0, 1.0, 20), rng.uniform(-2.0, 2.0, (20, dim)), rng.normal(size=(20, dim))):
         assert stage(t, x.tolist(), v.tolist()) == acc(t, x.tolist(), v.tolist())
+
+
+def test_a_value_only_full_run_makes_twelve_value_calls_per_substep_in_2d():
+    """Three Nystrom stages per substep, each 2 dim central-difference
+    value calls: 12 in 2-d, where RK4's four stages made 16."""
+    potential = _value_only(2, 7)
+    calls = Counter()
+    value = potential.value
+    potential.value = lambda x, tau: calls.update(["value"]) or value(x, tau)
+    traj = integrate_full(potential, 1 / 32, [0.3, -0.4], [0.1, 0.5], 0.05, out_dt=0.01)
+    substeps = traj.meta["substeps_per_out"] * (len(traj) - 1)
+    assert substeps > 0 and calls["value"] == 12 * substeps
 
 
 def test_a_nan_coordinate_takes_a_nan_step():
@@ -137,19 +150,19 @@ def test_a_nan_coordinate_takes_a_nan_step():
     assert all(map(math.isnan, split(0.3, [0.5, math.nan], [0.0, 0.0])))
 
 
-def test_a_value_only_static_part_is_differenced_in_the_full_and_static_flows():
+def test_a_value_only_static_part_is_differenced_in_the_full_and_static_flows(nystrom_run):
     """Order1Potential with a value-only CallableStatic: integrate_full and
     integrate_static equal the called float_grad path bit for bit."""
     static = _static_value_only(2, 5)
     potential = Order1Potential(static, _value_only(2, 6))
-    _same(*_full_pair(potential, 1 / 16, [0.4, -0.3], [0.2, 0.1]))
+    _same(*_full_pair(nystrom_run, potential, 1 / 16, [0.4, -0.3], [0.2, 0.1]))
     got = integrate_static(static, [0.4, -0.3], [0.2, 0.1], 0.5, h=0.01, out_dt=0.05)
-    want = integrate_second_order(lambda t, x, v: [-g for g in _old_float_grad(static.value, x)],
-                                  [0.4, -0.3], [0.2, 0.1], 0.5, h=0.01, out_dt=0.05)
+    want = nystrom_run(lambda t, x, v: [-g for g in _old_float_grad(static.value, x)],
+                       [0.4, -0.3], [0.2, 0.1], 0.5, h=0.01, out_dt=0.05)
     _same(got, want)
 
 
-def test_a_value_only_static_part_in_the_ladder_kernel():
+def test_a_value_only_static_part_in_the_ladder_kernel(nystrom_run):
     """A factored oscillating part with a value-only static part: the
     averaged flow's generated force differences the static part in its
     stage, bit for bit the float_grad it called, and so does the full flow."""
@@ -159,7 +172,7 @@ def test_a_value_only_static_part_in_the_ladder_kernel():
     runs = [integrate_averaged(assemble(Order1Potential(s, osc), 0.05, 16), [1.0, 0.1], [0.0, 0.9], 0.5,
                                h=0.01, out_dt=0.05) for s in (static, called)]
     _same(*runs)
-    _same(*_full_pair(Order1Potential(static, osc), 0.05, [1.0, 0.1], [0.0, 0.9]))
+    _same(*_full_pair(nystrom_run, Order1Potential(static, osc), 0.05, [1.0, 0.1], [0.0, 0.9]))
 
 
 CALLS = Counter()  # spies on the derivatives the stage must still call
@@ -208,7 +221,7 @@ def test_a_potential_with_its_own_derivative_is_still_called(case, method):
             "traced grad": lambda: _traced_grad(_value_only(2, 3))}[case]
     CALLS.clear()
     traj = integrate_full(make(), 1 / 16, [0.4, 0.2], [0.0, 0.1], 0.02, out_dt=0.01)
-    assert CALLS[method] == 4 * traj.meta["substeps_per_out"] * (len(traj) - 1)
+    assert CALLS[method] == 3 * traj.meta["substeps_per_out"] * (len(traj) - 1)
     if case == "traced grad":  # the wrapped default grad: the same floats as the written stage
         _same(traj, integrate_full(_value_only(2, 3), 1 / 16, [0.4, 0.2], [0.0, 0.1], 0.02, out_dt=0.01))
 
@@ -222,7 +235,7 @@ def test_a_static_part_with_its_own_derivative_is_still_called(case):
         static = _OwnStaticGrad(value, 2)
     CALLS.clear()
     traj = integrate_static(static, [0.4, 0.2], [0.0, 0.1], 0.05, h=0.01, out_dt=0.01)
-    assert CALLS["grad"] == 4 * (len(traj) - 1)
+    assert CALLS["grad"] == 3 * (len(traj) - 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -258,14 +271,15 @@ def test_a_value_that_is_not_one_real_number_is_named(result):
         integrate_static(CallableStatic(result, 2), [0.5, 0.1], [0.0, 0.0], 0.02)
 
 
-def test_values_of_other_real_types_are_read_as_the_float_array_read_them():
+def test_values_of_other_real_types_are_read_as_the_float_array_read_them(nystrom_run):
     """A Python int, a float32 and a 0-d array give the floats that
     fd_gradient's float array gave."""
     for cast in (lambda f: np.float32(f), lambda f: np.array(f), lambda f: int(f * 1000)):
         def value(x, tau):
             return cast(float(x @ x) * (2.0 + math.cos(TWO_PI * tau)))
 
-        _same(*_full_pair(CallablePotential(value, 2), 1 / 16, [0.4, 0.2], [0.0, 0.1], t_end=0.02))
+        _same(*_full_pair(nystrom_run, CallablePotential(value, 2), 1 / 16, [0.4, 0.2], [0.0, 0.1],
+                          t_end=0.02))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -10,9 +10,10 @@ from oscavg import (CallablePotential, CallableStatic, energy_drift, guiding_cen
                     integrate_averaged, integrate_averaged_ladder, integrate_dumbbell,
                     integrate_full, integrate_second_order, load_trajectory, position_gap,
                     save_dumbbell, save_trajectory, transform_trajectory)
-from oscavg.analysis import compare
+from oscavg.analysis import compare, fit_order
 from oscavg.averaging import assemble
-from oscavg.dynamics import (_CALLED, _DUMBBELL, _RK4_INTERVAL, Trajectory, _rk4_interval, _save_table,
+from oscavg.dynamics import (_CALLED, _DUMBBELL, _LADDER, _RK4_INTERVAL, _RKN_INTERVAL, Trajectory,
+                             _interval, _save_table,
                              atomic_write, integrate_static)
 from oscavg.fields import SOURCE_NAMES, STAGE, generated
 from oscavg.scenarios import SatelliteStatic, SeparableDrivePotential, custom_scenario, get_scenario
@@ -167,9 +168,29 @@ def test_averaged_rejects_bad_step():
 
 # ---- the stepper against an array version of it ----
 
-def _rk4_arrays(acc, x0, v0, n_out, out_dt, n_sub, in_region):
-    """Classical RK4 on numpy arrays, on the grid i * out_dt, stopping at the
-    first sample outside the region; returns times, positions, velocities."""
+def _rk4_substep(acc, tt, x, v, h, hh, h6):
+    a1 = acc(tt, x, v)
+    v2, x2 = v + hh * a1, x + hh * v
+    a2 = acc(tt + hh, x2, v2)
+    v3, x3 = v + hh * a2, x + hh * v2
+    a3 = acc(tt + hh, x3, v3)
+    v4, x4 = v + h * a3, x + h * v3
+    a4 = acc(tt + h, x4, v4)
+    return x + h6 * (v + 2.0 * (v2 + v3) + v4), v + h6 * (a1 + 2.0 * (a2 + a3) + a4)
+
+
+def _rkn_substep(acc, tt, x, v, h, hh, h6):
+    """The 4th-order Runge-Kutta-Nystrom substep of an acc that ignores v."""
+    a1 = acc(tt, x, v)
+    a2 = acc(tt + hh, x + hh * (v + (0.5 * hh) * a1), v)
+    a3 = acc(tt + h, x + h * (v + hh * a2), v)
+    return x + h * (v + h6 * (a1 + 2.0 * a2)), v + h6 * (a1 + 4.0 * a2 + a3)
+
+
+def _rk4_arrays(acc, x0, v0, n_out, out_dt, n_sub, in_region, substep=_rk4_substep):
+    """Classical RK4 (or another substep) on numpy arrays, on the grid
+    i * out_dt, stopping at the first sample outside the region; returns
+    times, positions, velocities."""
     x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
     h = out_dt / n_sub
     hh, h6 = 0.5 * h, h / 6.0
@@ -182,16 +203,7 @@ def _rk4_arrays(acc, x0, v0, n_out, out_dt, n_sub, in_region):
         if i == n_out:
             break
         for s in range(n_sub):
-            tt = t + s * h
-            a1 = acc(tt, x, v)
-            v2, x2 = v + hh * a1, x + hh * v
-            a2 = acc(tt + hh, x2, v2)
-            v3, x3 = v + hh * a2, x + hh * v2
-            a3 = acc(tt + hh, x3, v3)
-            v4, x4 = v + h * a3, x + h * v3
-            a4 = acc(tt + h, x4, v4)
-            x = x + h6 * (v + 2.0 * (v2 + v3) + v4)
-            v = v + h6 * (a1 + 2.0 * (a2 + a3) + a4)
+            x, v = substep(acc, t + s * h, x, v, h, hh, h6)
     return np.array(times), np.array(pos), np.array(vel)
 
 
@@ -203,6 +215,7 @@ def _assert_same_run(traj, ref):
 
 
 def test_full_run_is_bit_identical_to_the_array_stepper():
+    """The full flow's force ignores v, so it steps by Runge-Kutta-Nystrom."""
     sc = get_scenario("quartic_drive")
     # a coarse step, so that a change in the order of the final sums shows
     eps = sc.internal_eps(1.0 / 4)
@@ -215,7 +228,7 @@ def test_full_run_is_bit_identical_to_the_array_stepper():
         return -np.asarray(sc.potential.grad(x, (t / eps) % 1.0), dtype=float)
 
     _assert_same_run(traj, _rk4_arrays(acc, sc.x0, sc.v0, 10, 0.05, n_sub,
-                                       sc.potential.in_region))
+                                       sc.potential.in_region, substep=_rkn_substep))
 
 
 def test_averaged_run_is_bit_identical_to_the_array_stepper():
@@ -421,7 +434,7 @@ def test_generated_interval_is_the_list_form_bit_for_bit(n):
     want = (x, v)
     for i in range(5):
         t = 0.25 + i * 7 * h
-        x, v = _rk4_interval(n, _CALLED)(t, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage])
+        x, v = _interval(n, _CALLED)(t, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage])
         want = _list_form_interval(t, *want, 7, h, 0.5 * h, h / 6.0, [_coupled_stage])
         assert (x, v) == want, f"n={n}: interval {i} differs"
     assert {type(q) for q in x + v} == {float}
@@ -451,7 +464,7 @@ def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
         lengths.append(n)
         return _list_form_interval
 
-    monkeypatch.setattr("oscavg.dynamics._rk4_interval", list_form)
+    monkeypatch.setattr("oscavg.dynamics._interval", list_form)
     want = run()
     if np.ndim(x0) == 2:
         assert lengths == [8, 6]
@@ -464,6 +477,56 @@ def test_stepper_runs_equal_the_list_form_bit_for_bit(monkeypatch, x0, v0):
         assert np.array_equal(g.positions, w.positions)
         assert np.array_equal(g.velocities, w.velocities)
         assert g.meta == w.meta
+
+
+# ---- the two templates, chosen by the form ----
+
+def test_the_nystrom_step_is_fourth_order_in_positions_and_velocities():
+    """integrate_static (a form that ignores v) on the well |x|^2 / 2
+    against cos and sin: over four halving steps the fitted error slopes of
+    positions and of velocities lie in 3.8-4.2."""
+    well = CallableStatic(lambda x: 0.5 * float(x @ x), 2, grad=lambda x: np.array(x, dtype=float))
+    x0, v0 = np.array([1.0, -0.5]), np.array([0.3, 0.8])
+    steps = [0.2, 0.1, 0.05, 0.025]
+    errors = []
+    for h in steps:
+        run = integrate_static(well, x0, v0, 4.0, h=h, out_dt=0.2)
+        t = run.times[:, None]
+        errors.append((np.abs(run.positions - (x0 * np.cos(t) + v0 * np.sin(t))).max(),
+                       np.abs(run.velocities - (v0 * np.cos(t) - x0 * np.sin(t))).max()))
+    for k, name in enumerate(("positions", "velocities")):
+        slope = fit_order(steps, [e[k] for e in errors]).slope
+        assert 3.8 <= slope <= 4.2, f"{name}: error slope {slope:.3f}, errors {errors}"
+
+
+def test_the_template_follows_from_whether_a_stage_line_reads_v():
+    """Forms whose stage lines read {v} (a called acceleration, the ladder
+    force with its B v) get RK4; the dumbbell, the full flow and the
+    point-mass control get Runge-Kutta-Nystrom."""
+    assert _interval(2, _CALLED) is generated(_RK4_INTERVAL, 2, _CALLED)
+    assert _interval(4, _LADDER) is generated(_RK4_INTERVAL, 4, _LADDER)
+    assert _interval(3, _DUMBBELL) is generated(_RKN_INTERVAL, 3, _DUMBBELL)
+    for name in ("quartic_drive", "spinning_satellite"):
+        form, _ = get_scenario(name).build_system(1 / 64).full_form()
+        assert _interval(2, form) is generated(_RKN_INTERVAL, 2, form)
+
+
+def test_forms_that_read_v_keep_rk4_bit_for_bit():
+    """integrate_second_order steps RK4 even for an acceleration that
+    ignores v (its call reads v), bit for bit the list form; a factored
+    ladder's averaged flow is the array RK4 run of its force."""
+    x, v, h = [0.4, -0.2], [0.1, 0.3], 0.1 / 3  # three substeps per output interval
+    for acc in (_coupled_stage, lambda t, x, v: [-math.sin(q) * (1.0 + 0.3 * t) for q in x]):
+        got = integrate_second_order(acc, x, v, 0.5, h=h, out_dt=0.1)
+        want = [(x, v)]
+        for i in range(5):
+            want.append(_list_form_interval(i * 0.1, *want[-1], 3, h, 0.5 * h, h / 6.0, [acc]))
+        assert np.array_equal(got.positions, [q for q, _ in want])
+        assert np.array_equal(got.velocities, [q for _, q in want])
+    system = get_scenario("rotating_saddle").build_system(1.0 / 64)
+    traj = integrate_averaged(system, [1.0, 0.0], [0.0, 0.3], 0.5, h=0.01, out_dt=0.05)
+    _assert_same_run(traj, _rk4_arrays(lambda t, x, v: system.force(x, v), [1.0, 0.0], [0.0, 0.3],
+                                       10, 0.05, 5, system.in_region))
 
 
 # ---- the full flow's stage forms ----
@@ -493,18 +556,18 @@ FULL_CASES = {**LOCKSTEP_CASES, "separable": _separable_scenario}
 
 
 @pytest.mark.parametrize("case", sorted(FULL_CASES))
-def test_full_run_equals_the_callable_full_stage_bit_for_bit(case):
+def test_full_run_equals_the_callable_full_stage_bit_for_bit(case, nystrom_run):
     """integrate_full's generated stage (the phase factor once per stage
     time, the spatial force at each stage, a static part written in) gives
-    the run that the callable AveragedSystem.full_stage() gives through
-    integrate_second_order, bit for bit."""
+    the run that the callable AveragedSystem.full_stage() gives in the
+    list-form Runge-Kutta-Nystrom stepper, bit for bit."""
     sc = FULL_CASES[case]()
     eps = sc.internal_eps(sc.default_eps[0])
     got = integrate_full(sc.potential, eps, sc.x0, sc.v0, 0.1,
                          steps_per_period=sc.steps_per_period, out_dt=sc.out_dt)
-    want = integrate_second_order(assemble(sc.potential, eps).full_stage(), sc.x0, sc.v0, 0.1,
-                                  h=eps / sc.steps_per_period, out_dt=sc.out_dt,
-                                  in_region=sc.potential.in_region)
+    want = nystrom_run(assemble(sc.potential, eps).full_stage(), sc.x0, sc.v0, 0.1,
+                       h=eps / sc.steps_per_period, out_dt=sc.out_dt,
+                       in_region=sc.potential.in_region)
     assert len(got) == 11
     for name in ("times", "positions", "velocities"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), f"{case}: {name} differ"
@@ -537,11 +600,11 @@ def test_a_stage_line_that_rebinds_an_interval_name_is_refused():
     for name in ("s", "eps", "a2_0"):
         form = ("stage, eps", ("{p} = {t}",), (f"{name} = 0.5", called))
         with pytest.raises(ValueError, match=f"rebinds '{name}'"):
-            _rk4_interval(2, form)
+            _interval(2, form)
     form = ("stage", ("{p} = {t}",), ("scratch = 0.5", called))
     x, v, h = [0.4, -0.2], [0.1, 0.3], 0.037
-    assert (_rk4_interval(2, form)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage])
-            == _rk4_interval(2, _CALLED)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage]))
+    assert (_interval(2, form)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage])
+            == _interval(2, _CALLED)(0.25, x, v, 7, h, 0.5 * h, h / 6.0, [_coupled_stage]))
 
 
 def test_generated_is_one_cache_by_template_n_and_form():
@@ -554,7 +617,7 @@ def test_generated_is_one_cache_by_template_n_and_form():
     assert generated(STAGE, 2, form) is generated(STAGE, 2, copy)
     assert generated(STAGE, 2, form)(0.5, [1.0, -2.0], None) == [-0.5, 1.0]
     assert generated(STAGE, 3, form) is not generated(STAGE, 2, form)
-    assert generated(_RK4_INTERVAL, 2, _CALLED) is _rk4_interval(2, _CALLED)
+    assert generated(_RK4_INTERVAL, 2, _CALLED) is _interval(2, _CALLED)
     text = "def force(p):\n    return -p\n"
     assert generated(text) is generated("".join(text)) is not generated(text.replace("-p", "p"))
 
@@ -691,12 +754,14 @@ def _dumbbell_acc(eps, sigma):
 @pytest.mark.parametrize("eps", [0.02, 0.005])
 @pytest.mark.parametrize("theta0", [0.0, 0.3])
 @pytest.mark.parametrize("sigma", [-1.0, 1.0])
-def test_dumbbell_equals_the_callable_acceleration_bit_for_bit(eps, theta0, sigma):
+def test_dumbbell_equals_the_callable_acceleration_bit_for_bit(eps, theta0, sigma, nystrom_run):
+    """_DUMBBELL ignores v, so the run is the callable's in the list-form
+    Runge-Kutta-Nystrom stepper."""
     z0, zdot0, theta_dot0 = [1.0, 0.0], [0.0, 0.9], 1.0 / eps
     traj = integrate_dumbbell(eps, np.array(z0), np.array(zdot0), theta0, theta_dot0, 0.5,
                               steps_per_spin=96, out_dt=0.05, sigma=sigma)
-    ref = integrate_second_order(_dumbbell_acc(eps, sigma), [*z0, theta0], [*zdot0, theta_dot0],
-                                 0.5, h=TWO_PI / theta_dot0 / 96, out_dt=0.05)
+    ref = nystrom_run(_dumbbell_acc(eps, sigma), [*z0, theta0], [*zdot0, theta_dot0],
+                      0.5, h=TWO_PI / theta_dot0 / 96, out_dt=0.05)
     assert len(traj) == 11
     np.testing.assert_array_equal(traj.times, ref.times)
     np.testing.assert_array_equal(np.column_stack([traj.center, traj.angle]), ref.positions)
@@ -721,11 +786,11 @@ def test_dumbbell_stage_equals_the_callable_acceleration_bit_for_bit(sigma):
 
 
 @pytest.mark.parametrize("name", ["satellite", "callable"])
-def test_static_run_equals_the_negated_float_grad_bit_for_bit(name):
+def test_static_run_equals_the_negated_float_grad_bit_for_bit(name, nystrom_run):
     """integrate_static steps minus the static part's float_grad, written
-    into the RK4 loop: the precession run's point-mass control, and a
-    CallableStatic whose float_grad is the default over its grad; both stop
-    where in_region turns false, at the same sample."""
+    into the Runge-Kutta-Nystrom loop: the precession run's point-mass
+    control, and a CallableStatic whose float_grad is the default over its
+    grad; both stop where in_region turns false, at the same sample."""
     if name == "satellite":
         static = get_scenario("spinning_satellite").potential.static
         x0, v0, t_end = [1.0, 0.0], [0.0, 1.3], 8.0
@@ -735,8 +800,8 @@ def test_static_run_equals_the_negated_float_grad_bit_for_bit(name):
                                 in_region=lambda x: x[0] < 0.9)
         x0, v0, t_end = [0.3, -0.2], [1.0, 0.5], 3.0
     got = integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.05)
-    ref = integrate_second_order(lambda t, x, v: [-g for g in static.float_grad(x)], x0, v0, t_end,
-                                 h=0.01, out_dt=0.05, in_region=static.in_region)
+    ref = nystrom_run(lambda t, x, v: [-g for g in static.float_grad(x)], x0, v0, t_end,
+                      h=0.01, out_dt=0.05, in_region=static.in_region)
     np.testing.assert_array_equal(got.times, ref.times)
     np.testing.assert_array_equal(got.positions, ref.positions)
     np.testing.assert_array_equal(got.velocities, ref.velocities)
