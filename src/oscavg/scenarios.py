@@ -180,7 +180,9 @@ class CosineDrivePotential(FactoredPotential):
     """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with u's value, each
     gradient entry and each Hessian entry (rows) as float expressions in
     {x}_0, {x}_1, ..., e.g. the quartic's gradient ("{x}_0 ** 3 + {x}_1",
-    "{x}_0").  Its factor bins are the drive's rfft."""
+    "{x}_0").  Its factor bins are exact: a_mean in bin 0 and alpha / 2 in
+    bin 1 (alpha if bin 1 is the Nyquist bin), not the drive's rfft, whose
+    zero bins carry rounding noise into the force."""
 
     def __init__(self, a_mean, alpha, value, grad, hess, dim):
         self.dim = int(dim)
@@ -197,6 +199,15 @@ class CosineDrivePotential(FactoredPotential):
     def _factors(self, tau):
         drive = self.a_mean + self.alpha * np.cos(TWO_PI * np.asarray(tau, dtype=float))
         return np.asarray(drive)[..., None]
+
+    def _bins(self, taus):
+        """The exact bins, kept per grid size; None unless both are finite."""
+        n, cache = len(taus), self.__dict__.setdefault("_factor_bins", {})
+        if n not in cache and math.isfinite(self.a_mean) and math.isfinite(self.alpha):
+            bins = cache[n] = np.zeros((1, n // 2 + 1), dtype=complex)
+            bins[0, 0], bins[0, 1] = self.a_mean, self.alpha if n == 2 else 0.5 * self.alpha
+            bins.flags.writeable = False
+        return cache.get(n)
 
 
 def _separable_closed(a_mean, avg_v2, pot):

@@ -162,9 +162,10 @@ def _check_spectrum_matches_per_point_calls(pot, n_tau, forms=_own_forms):
 
 
 def test_drive_spectra_are_cached_per_grid():
-    """A separable drive's factor bins, the rfft of the drive, are kept per
-    grid size, equal a fresh rfft of the drive on that grid, and cannot be
-    written through; the satellite, whose exact bins hold nothing of its
+    """A cosine drive's factor bins are exact (a_mean, alpha / 2 and zeros,
+    alpha in a Nyquist bin 1), kept per grid size, within rounding of a
+    fresh rfft of the drive on that grid, and cannot be written through;
+    the satellite, whose exact bins hold nothing of its
     points, gives the rfft of its samples on each grid, also when a grid
     comes back after others."""
     sat = get_scenario("spinning_satellite").potential.oscillating
@@ -177,11 +178,26 @@ def test_drive_spectra_are_cached_per_grid():
         drive = quartic._bins(taus)
         assert drive is quartic._bins(taus)
         assert not drive.flags.writeable
-        assert np.array_equal(drive, [np.fft.rfft(np.cos(TWO_PI * taus), norm="forward")])
+        exact = np.zeros(n_tau // 2 + 1, dtype=complex)
+        exact[1] = 0.5
+        assert np.array_equal(drive, [exact])
+        assert np.allclose(drive, [np.fft.rfft(np.cos(TWO_PI * taus), norm="forward")], rtol=0, atol=1e-15)
         got = sat.spectrum(points, n_tau)
         want = TimePeriodicPotential.spectrum(sat, points, n_tau)
         _assert_close(f"satellite spectrum at n_tau={n_tau}", got, want,
                       np.max(np.abs(want)), rtol=1e-14)
+    assert np.array_equal(quartic._bins(np.arange(2) / 2), [[0.0, 1.0]])  # Nyquist bin 1
+
+
+def test_a_zero_mean_drive_writes_no_mean_force_into_the_kernel():
+    """The quartic's drive has mean 0, so its kernel's mean-gradient sum is
+    the literal 0.0; with rfft bins it carried bin 0 = -5.6e-17 times the
+    profile's gradient.  Kapitza's mean 1.0 is written as it is."""
+    from oscavg.averaging import _kernel_source
+    quartic = _kernel_source(get_scenario("quartic_drive").potential, 16, False, 1)
+    kapitza = _kernel_source(get_scenario("kapitza_pendulum").potential, 16, False, 1)
+    assert "mw0 * (0.0)" in quartic and "e-17" not in quartic
+    assert "mw0 * (1.0 * p0_0_0)" in kapitza
 
 
 @pytest.mark.parametrize("n_tau", [4, 5])

@@ -468,9 +468,10 @@ def test_scenario_alias_resolves(tmp_path, capsys):
 
 # One sha256 over the sorted files map (every CSV and sidecar with its
 # sha256) of `oscavg run <scenario> --t-end 0.3`, recorded when the full
-# flow took the Runge-Kutta-Nystrom step and pinned since; the quartic's
-# outputs are pinned by digest in the CI workflow.
-PINNED_RUNS = {"kapitza_pendulum": "913a64be1df170383650ec8f11c49bb269f6950c47d0d9175f078e3351468a12",
+# flow took the Runge-Kutta-Nystrom step and the cosine drives their exact
+# bins, and pinned since; the quartic's outputs are pinned by digest in the
+# CI workflow.
+PINNED_RUNS = {"kapitza_pendulum": "6ccee00666b937481ab5dad7e45440f8e35aa11ffeabf2914654de96da8c33ab",
                "rotating_saddle": "b2a19aaba4eb3d7ac85ee5c19075deece25acdb2415c9efce8ee3fb7c1cbc99c"}
 
 
