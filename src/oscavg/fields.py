@@ -483,8 +483,11 @@ class FactoredPotential(TimePeriodicPotential):
     pieces_source = factor_source = None
 
     def _pieces(self, x):
-        form = _pieces_form(self.pieces_source, len(self.factor_source), self.dim)
-        return generated(PIECES, self.dim, form)(np.asarray(x, dtype=float))
+        return self._compiled_pieces()(np.asarray(x, dtype=float))
+
+    def _compiled_pieces(self):
+        """PIECES compiled over pieces_source: _pieces without its lookups."""
+        return generated(PIECES, self.dim, _pieces_form(self.pieces_source, len(self.factor_source), self.dim))
 
     def _block(self, x, k):
         """Block k of the pieces at x: values (J,), gradients (J, d) or Hessians (J, d, d)."""
@@ -519,9 +522,14 @@ class FactoredPotential(TimePeriodicPotential):
         return bins
 
     def _gathered(self, points, n_pieces):
-        """The pieces of every point, shape (P, J, 1 + d + d d), or None."""
+        """The pieces of every point, shape (P, J, 1 + d + d d), or None: a
+        subclass's own _pieces per point, else the compiled pieces, looked up once."""
         size = len(points) * n_pieces * (1 + self.dim * (1 + self.dim))
-        flat = chain.from_iterable(map(self._pieces, points))
+        if source_of(self) is None:
+            flat = chain.from_iterable(map(self._pieces, points))
+        else:
+            at = self._compiled_pieces()
+            flat = chain.from_iterable(at(np.asarray(x, dtype=float)) for x in points)
         try:
             pieces = np.fromiter(flat, float, size)
             if next(flat, flat) is not flat:

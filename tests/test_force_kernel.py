@@ -440,6 +440,33 @@ def test_a_ladder_row_whose_pieces_turn_non_finite_mid_run_is_named(potential, p
                                   1.0, h=0.01, out_dt=0.01)
 
 
+class _CountedPieces(RotatingSaddlePotential):
+    """The saddle with its own _pieces, which counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _pieces(self, x):
+        self.calls += 1
+        return super()._pieces(x)
+
+
+def test_a_spectrum_looks_the_compiled_pieces_up_once_and_calls_own_pieces_per_point(monkeypatch):
+    """A sourced potential's spectrum resolves its compiled pieces once per
+    call, not once per point, and gives the bins that a subclass calling
+    _pieces at every point gives, bit for bit; that subclass's own _pieces
+    is still called at every point."""
+    points = [np.array([0.3 * i - 0.5, 0.7 - 0.2 * i]) for i in range(7)]
+    saddle, counted = RotatingSaddlePotential(), _CountedPieces()
+    lookups = []
+    compiled = saddle._compiled_pieces
+    monkeypatch.setattr(saddle, "_compiled_pieces", lambda: lookups.append(1) or compiled())
+    got = saddle.spectrum(points, 16)
+    assert lookups == [1]
+    assert np.array_equal(got, counted.spectrum(points, 16))
+    assert counted.calls == len(points)
+
+
 # ---- the fast path stays taken ----
 
 @pytest.fixture
