@@ -1,16 +1,13 @@
 """Trajectory integration for the full, averaged and two-body systems.
 
-Every flow goes through one fixed-step stepper, _integrate (as
-integrate_second_order), over a (rows, dim) state; a single run is its
-one-row case.  It has two 4th-order templates, and the stage form chooses
-(_interval): a force that reads v (a given acceleration, the averaged
-flow's B v) takes classical RK4, and one that does not (the full flow, the
-dumbbell, the point-mass control) the Runge-Kutta-Nystrom method for
-xdd = f(t, x), which needs three force evaluations per step where RK4
-needs four.  Output samples land on an exact grid i * out_dt (each output
-interval restarts from t = i * out_dt and is cut into an integer number of
-substeps), so trajectories from different systems can be compared sample by
-sample without interpolation.
+Every flow goes through one fixed-step stepper, _integrate, over a (rows,
+dim) state; a single run is its one-row case.  Its stage form chooses one
+of two 4th-order templates (_interval): classical RK4 for a force that
+reads v, Runge-Kutta-Nystrom (3 force calls per step, not 4) for one that
+does not: the full flow, the dumbbell, the point-mass control.  Samples
+land on an exact grid i * out_dt (each output interval restarts from
+t = i * out_dt, cut into an integer number of substeps), so trajectories
+from different systems compare sample by sample without interpolation.
 
 Rows that share the time grid step in lockstep, one acceleration call per
 stage for all of them.  The averaged flows of an eps ladder do
@@ -22,21 +19,17 @@ leaves its trusted region stops at that sample; the others step on.  The
 full flows keep one row each, since their step follows eps.
 
 Each output interval is one call of a function generated once per state
-length and stage form (_interval, fields.generated): its n_sub substeps
-run with x and v in local floats, the rows end to end, and combine
-every element in the order array arithmetic would use, so results are
-bit-identical to it (and each row to its own one-row run) at a fraction of
-numpy's per-operation cost on 2- and 3-vectors.  The stage is written into
-the loop as a stage form: a given acceleration acc(t, x, v) is called on
-lists of floats (_CALLED), and so is the ladder force (_LADDER, with its
-arguments); the dumbbell's is written out (_DUMBBELL), and so is the full
-flow's (AveragedSystem.full_form): the phase t / eps mod 1 and the
-potential's phase lines once per stage time, its stage lines at each stage,
-both from fields.stage_lines (float source, a call of the potential's own
-grad, or its central difference), and so is the point-mass control's
-(integrate_static).  full_stage() is one stage of the same form.
-_integrate refuses, for every flow, a start that is not finite or is
-outside the trusted region.
+length and stage form (_interval, fields.generated), in local floats, the
+rows end to end, in the order array arithmetic would use: bit-identical to
+it (and each row to its own one-row run) at a fraction of numpy's cost on
+2- and 3-vectors.  A given acceleration acc(t, x, v) is called on lists of
+floats (_CALLED), and so is the ladder force (_LADDER); the dumbbell's
+stage is written out (_DUMBBELL), and so are the full flow's
+(AveragedSystem.full_form: the phase t / eps mod 1 and the potential's
+phase lines once per stage time, its fields.stage_lines at each stage) and
+the point-mass control's (integrate_static).  full_stage() is one stage of
+the full flow's form.  _integrate refuses, for every flow, a start that is
+not finite or is outside the trusted region.
 """
 from __future__ import annotations
 
@@ -99,17 +92,15 @@ def _substeps(out_dt, h):
     return max(1, int(math.ceil(out_dt / h - 1e-9)))
 
 
-# One output interval of classical RK4 on n floats: n_sub substeps from time
-# t, x and v held in local floats, written out element by element
-# (fields.generated).  Each element gets the list form's expression in its
-# order, e.g. v2 = [q + hh * a for q, a in zip(v, a1)], so results are
-# bit-identical to it.  A stage form (_CALLED, _DUMBBELL, AveragedSystem's
-# full_form, integrate_static's) fills in {args} and the @phase and @stage
-# lines: "@phase p T" names the stage time T's phase p (no line if the form
-# has none), "@stage a p x v" sets a_{i} from x_{i}, v_{i} at that phase;
-# stages 2 and 3 share p.  The form's arguments come as one sequence: spread
-# into the call they would make a tuple of them all per call, and CPython
-# 3.11 pools tuples of 20 items (up to 2000 of them) without reusing them.
+# One output interval, n_sub substeps from time t, of classical RK4 or of
+# the Runge-Kutta-Nystrom method for a force that ignores v (c = 0, 1/2, 1;
+# Hairer, Norsett & Wanner, Solving ODEs I, II.14): x and v in local floats,
+# each element the list form's expression, so bit-identical to it; a Nystrom
+# position x + h (v + h (...)) rounds once at x's scale, as RK4's does.  A
+# stage form fills in {args}, "@phase p T" (stage time T's phase p, if the
+# form has phase lines) and "@stage a p x v" (a_{i} from x_{i}, v_{i}).  Its
+# args come as one sequence: spread into the call they would make a tuple
+# per call, and CPython 3.11 pools 20-item tuples (up to 2000) without reuse.
 _RK4_INTERVAL = """\
 def interval(t, x, v, n_sub, h, hh, h6, args):
     {args}, = args
@@ -135,11 +126,6 @@ def interval(t, x, v, n_sub, h, hh, h6, args):
     return [<x_{i}>], [<v_{i}>]
 """
 
-# The same interval by the classical 4th-order Runge-Kutta-Nystrom method
-# (c = 0, 1/2, 1; Hairer, Norsett & Wanner, Solving ODEs I, II.14), for a
-# force that does not read v: three stages per substep where RK4 takes four.
-# Each position is x plus one increment, h v + h^2 (...) written as
-# h (v + h (...)), so it rounds once at the scale of x, as RK4's does.
 _RKN_INTERVAL = """\
 def interval(t, x, v, n_sub, h, hh, h6, args):
     {args}, = args
@@ -184,19 +170,16 @@ _LADDER = ("force, weights, pieces, array, static, fallback", (), (
 
 
 def _interval(n, form):
-    """interval(t, x, v, n_sub, h, hh, h6, args) -> (x, v): n_sub substeps
-    from time t on the lists of n floats x and v, in the stage form `form`:
-    _RKN_INTERVAL if no stage line reads {v}, else _RK4_INTERVAL.
-    Straight-line code in local floats, since on a few floats the list
-    form's comprehensions and zips cost more than the arithmetic in them."""
+    """interval(t, x, v, n_sub, h, hh, h6, args) -> (x, v) on lists of n
+    floats in the stage form `form`: _RK4_INTERVAL if a stage line reads {v},
+    else _RKN_INTERVAL, both cheaper on a few floats than the list form."""
     reads_v = any("{v}" in line for line in form[2])
     return generated(_RK4_INTERVAL if reads_v else _RKN_INTERVAL, n, form)
 
 
 def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
                            in_region=None):
-    """Integrate xdd = acc(t, x, v) with classical RK4 steps of at most h
-    (acc may read v, so it never takes the Nystrom template).
+    """Integrate xdd = acc(t, x, v), which may read v, with RK4 steps of at most h.
 
     x0 and v0 are one state of dim floats, or a (rows, dim) batch of states
     that share the time grid and step in lockstep: one acceleration call per
@@ -215,9 +198,8 @@ def integrate_second_order(acc, x0, v0, t_end, h=0.01, out_dt=0.01,
 
 def _integrate(stage_of, x0, v0, t_end, h, out_dt, in_region):
     """integrate_second_order with the stage given as stage_of(rows) ->
-    (form, args) for the live rows: one call per output interval of
-    _interval, RK4 or Runge-Kutta-Nystrom as the form reads v or not, after
-    refusing a start that is not finite or is outside in_region."""
+    (form, args) for the live rows: one _interval call per output interval,
+    after refusing a start that is not finite or is outside in_region."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     for name, value in (("x0", x0), ("v0", v0)):
@@ -276,8 +258,7 @@ def integrate_full(potential, epsilon, x0, v0, t_end,
                    steps_per_period=96, out_dt=0.01) -> Trajectory:
     """Integrate the oscillating system xdd = -grad U(x, t/eps).
 
-    The force does not read v, so each substep is a Runge-Kutta-Nystrom
-    step: three force evaluations, where RK4 takes four, at the same order.
+    The force ignores v, so each substep is a 3-stage Runge-Kutta-Nystrom step.
     steps_per_period controls the substep size relative to the fast period;
     fewer than MIN_STEPS_PER_PERIOD steps per oscillation is refused because
     the wiggle phase would be integrated too coarsely to compare against the
@@ -350,9 +331,8 @@ def integrate_averaged_ladder(systems, x0s, v0s, t_end, h=0.01, out_dt=0.01) -> 
 
 def integrate_static(static, x0, v0, t_end, h=0.01, out_dt=0.01) -> Trajectory:
     """Integrate xdd = -grad S(x) for a static potential S, such as a split
-    potential's static part, until S.in_region turns false: the force does
-    not read v, so the steps are Runge-Kutta-Nystrom, bit for bit that
-    method's list form on lambda t, x, v: [-g for g in S.float_grad(x)]."""
+    potential's static part, until S.in_region turns false: Runge-Kutta-Nystrom
+    steps of lambda t, x, v: [-g for g in S.float_grad(x)], bit for bit."""
     names = dict(SOURCE_NAMES, static=static)
     form = ((", ".join(names), (), (*stage_lines(static, "static", "{a}g")[1], "{a}_{i} = -{a}g_{i}")),
             list(names.values()))
@@ -444,8 +424,7 @@ def integrate_dumbbell(epsilon, z0, zdot0, theta0, theta_dot0, t_end,
     satellite scenario models.  Angular momentum 2 (z x zdot) + 2 eps thetadot
     is conserved in any central field, which the tests use as an invariant.
     It runs through the shared stepper as a second-order system in
-    (z1, z2, theta), its stage written into the Runge-Kutta-Nystrom loop
-    (_DUMBBELL), as its force does not read the velocities.
+    (z1, z2, theta), its stage written into the Nystrom loop (_DUMBBELL).
     """
     if not steps_per_spin >= MIN_STEPS_PER_PERIOD:
         raise ValueError(f"steps_per_spin={steps_per_spin} is below the minimum {MIN_STEPS_PER_PERIOD}")

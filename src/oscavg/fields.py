@@ -4,9 +4,8 @@ Everything here works with the fast phase tau measured in units of one
 oscillation period, so all periodic quantities have period 1 in tau.
 First differences all take central_stencil's points and stencil_jacobian.
 Every compiled function of oscavg comes from generated, under one cache:
-the stepper's interval in its two templates (RK4 for a stage that reads
-v, Runge-Kutta-Nystrom for one that does not, as dynamics._interval
-chooses), the full-flow stage, phase_force, float_grad, a factored
+the stepper's interval (RK4, or Runge-Kutta-Nystrom for a stage that
+ignores v), the full-flow stage, phase_force, float_grad, a factored
 potential's pieces and the force kernel.  stage_lines is the one place
 that chooses how a potential part's gradient is written into them.
 """
@@ -377,9 +376,8 @@ def stage_lines(part, name, out="{a}"):
     float_grad_source); else a call of its own grad (_own) on a float array;
     else its central difference, in fd_gradient's float operations and
     central_stencil's order (_fd_step's step, value on a fresh float array,
-    checked_value): the default grad bit for bit.  No line it writes reads
-    {v}, so every stage built from it (the full flow, the point-mass
-    control) steps by the Nystrom template, three stages per substep."""
+    checked_value): the default grad bit for bit.  No line reads {v}, so
+    these stages step by the Nystrom template (dynamics._interval)."""
     timed = isinstance(part, TimePeriodicPotential)
     base, at_phase, sign = ((TimePeriodicPotential, ", {p}", "-") if timed
                             else (StaticPotential, "", ""))
@@ -485,8 +483,7 @@ class FactoredPotential(TimePeriodicPotential):
     def _pieces(self, x):
         return self._compiled_pieces()(np.asarray(x, dtype=float))
 
-    def _compiled_pieces(self):
-        """PIECES compiled over pieces_source: _pieces without its lookups."""
+    def _compiled_pieces(self):  # _pieces without its lookups, once per spectrum
         return generated(PIECES, self.dim, _pieces_form(self.pieces_source, len(self.factor_source), self.dim))
 
     def _block(self, x, k):
@@ -522,14 +519,10 @@ class FactoredPotential(TimePeriodicPotential):
         return bins
 
     def _gathered(self, points, n_pieces):
-        """The pieces of every point, shape (P, J, 1 + d + d d), or None: a
-        subclass's own _pieces per point, else the compiled pieces, looked up once."""
+        """The pieces of every point, shape (P, J, 1 + d + d d), or None."""
         size = len(points) * n_pieces * (1 + self.dim * (1 + self.dim))
-        if source_of(self) is None:
-            flat = chain.from_iterable(map(self._pieces, points))
-        else:
-            at = self._compiled_pieces()
-            flat = chain.from_iterable(at(np.asarray(x, dtype=float)) for x in points)
+        at = self._pieces if source_of(self) is None else self._compiled_pieces()  # looked up once
+        flat = chain.from_iterable(at(np.asarray(x, dtype=float)) for x in points)
         try:
             pieces = np.fromiter(flat, float, size)
             if next(flat, flat) is not flat:

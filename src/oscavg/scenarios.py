@@ -180,9 +180,7 @@ class CosineDrivePotential(FactoredPotential):
     """U(x, tau) = (a_mean + alpha cos(2 pi tau)) u(x), with u's value, each
     gradient entry and each Hessian entry (rows) as float expressions in
     {x}_0, {x}_1, ..., e.g. the quartic's gradient ("{x}_0 ** 3 + {x}_1",
-    "{x}_0").  Its factor bins are exact: a_mean in bin 0 and alpha / 2 in
-    bin 1 (alpha if bin 1 is the Nyquist bin), not the drive's rfft, whose
-    zero bins carry rounding noise into the force."""
+    "{x}_0").  Its factor bins are exact, not the drive's noisy rfft."""
 
     def __init__(self, a_mean, alpha, value, grad, hess, dim):
         self.dim = int(dim)
@@ -201,7 +199,7 @@ class CosineDrivePotential(FactoredPotential):
         return np.asarray(drive)[..., None]
 
     def _bins(self, taus):
-        """The exact bins, kept per grid size; None unless both are finite."""
+        """a_mean, then alpha / 2 (alpha at Nyquist) per grid size; None unless finite."""
         n, cache = len(taus), self.__dict__.setdefault("_factor_bins", {})
         if n not in cache and math.isfinite(self.a_mean) and math.isfinite(self.alpha):
             bins = cache[n] = np.zeros((1, n // 2 + 1), dtype=complex)

@@ -187,8 +187,8 @@ def _rkn_substep(acc, tt, x, v, h, hh, h6):
     return x + h * (v + h6 * (a1 + 2.0 * a2)), v + h6 * (a1 + 4.0 * a2 + a3)
 
 
-def _rk4_arrays(acc, x0, v0, n_out, out_dt, n_sub, in_region, substep=_rk4_substep):
-    """Classical RK4 (or another substep) on numpy arrays, on the grid
+def _array_run(acc, x0, v0, n_out, out_dt, n_sub, in_region, substep=_rk4_substep):
+    """Classical RK4 (or the given substep) on numpy arrays, on the grid
     i * out_dt, stopping at the first sample outside the region; returns
     times, positions, velocities."""
     x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
@@ -227,7 +227,7 @@ def test_full_run_is_bit_identical_to_the_array_stepper():
     def acc(t, x, v):
         return -np.asarray(sc.potential.grad(x, (t / eps) % 1.0), dtype=float)
 
-    _assert_same_run(traj, _rk4_arrays(acc, sc.x0, sc.v0, 10, 0.05, n_sub,
+    _assert_same_run(traj, _array_run(acc, sc.x0, sc.v0, 10, 0.05, n_sub,
                                        sc.potential.in_region, substep=_rkn_substep))
 
 
@@ -235,7 +235,7 @@ def test_averaged_run_is_bit_identical_to_the_array_stepper():
     sc = get_scenario("spinning_satellite")
     system = sc.build_system(1.0 / 64)
     traj = integrate_averaged(system, sc.x0, sc.v0, 1.0, h=0.01, out_dt=0.02)
-    _assert_same_run(traj, _rk4_arrays(lambda t, x, v: system.force(x, v), sc.x0, sc.v0,
+    _assert_same_run(traj, _array_run(lambda t, x, v: system.force(x, v), sc.x0, sc.v0,
                                        50, 0.02, 2, system.in_region))
 
 
@@ -243,7 +243,7 @@ def test_region_exit_stops_at_the_same_sample_as_the_array_stepper():
     system = get_scenario("rotating_wave").build_system(1.0 / 128)
     x0, v0 = np.array([0.8, 0.0]), np.array([-1.0, 0.0])
     traj = integrate_averaged(system, x0, v0, 1.0, h=0.01, out_dt=0.02)
-    ref = _rk4_arrays(lambda t, x, v: system.force(x, v), x0, v0, 50, 0.02, 2,
+    ref = _array_run(lambda t, x, v: system.force(x, v), x0, v0, 50, 0.02, 2,
                       system.in_region)
     _assert_same_run(traj, ref)
     assert len(traj) < 51, "the run should leave the region before t = 1"
@@ -525,7 +525,7 @@ def test_forms_that_read_v_keep_rk4_bit_for_bit():
         assert np.array_equal(got.velocities, [q for _, q in want])
     system = get_scenario("rotating_saddle").build_system(1.0 / 64)
     traj = integrate_averaged(system, [1.0, 0.0], [0.0, 0.3], 0.5, h=0.01, out_dt=0.05)
-    _assert_same_run(traj, _rk4_arrays(lambda t, x, v: system.force(x, v), [1.0, 0.0], [0.0, 0.3],
+    _assert_same_run(traj, _array_run(lambda t, x, v: system.force(x, v), [1.0, 0.0], [0.0, 0.3],
                                        10, 0.05, 5, system.in_region))
 
 
